@@ -52,12 +52,22 @@ class Truncation:
 class EvalResult:
     """Outcome of a series evaluation.
 
+    ``terms_used`` counts the steps the evaluation ran: the recurrence
+    terms summed by :func:`sum_series`, or for the closed form the entries
+    its forward recurrence produced, cap + 1 per order computed (order 0
+    included), where cap is the chain depth the point needed.
     ``last_term_mag`` is the magnitude of the last accumulated term (or, for
     the closed-form path, of the last order contribution) and serves as an
     a-posteriori error proxy.  ``terminated_at`` is the index n* with
     B_{n*} = 0 when the parameters belong to the polynomial class.
     ``orders`` is populated only by the closed-form evaluators and holds the
-    per-order decomposition y_0, y_1, y_2, ...
+    per-order decomposition y_0, y_1, y_2, ...  For mu > 0 and
+    -mu x^2/2 < -1 the closed form (user-supplied termination sequences
+    excepted) sums the transformed series
+    e^{-mu x^2/2 - eps x} y(x; -mu, -eps, nu, Omega - mu(1+nu), nu - omega),
+    and ``orders`` is then that series' decomposition (in powers of
+    +eps x/2, each order times the exponential); they still add up to
+    ``value``.
     """
 
     value: float

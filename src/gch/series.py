@@ -31,16 +31,28 @@ which is the form the underlying B-coefficient products actually take; at
 B-terminating parameters (a_k a nonpositive integer) the literal-ratio
 reading hits 0/0 while the telescoped one stays finite, and direct
 recurrence summation confirms the telescoped reading is the one that
-solves the ODE.  The tail sums T_k(p) = sum_{i>=p} w_k(i) R_k(p,i)
-T_{k+1}(i) then obey a one-term backward recurrence in p; scaling out
-z^p, each chain is evaluated by the Horner-style fold
+solves the ODE.
 
-    U_k(p) = w_k(p) U_{k+1}(p) + z r_k(p) U_k(p+1)
+In matrix form chain k is L_k = (I - z R_k S)^{-1}, with R_k = diag(r_k)
+and S the index shift, and the order-n sum is
 
-(no weight on the innermost chain), so every summand is produced from its
-neighbour by one multiplication, intermediate quantities stay on the
-scale of Kummer-type sums, and the cost of an order is linear in the
-chain cap.
+    S_n = e_0^T L_0 W_0 L_1 W_1 ... W_{n-1} L_n 1,    W_k = diag(w_k).
+
+So the orders share a row vector g, evaluated left to right: g_0 holds
+the order-0 Kummer terms, g_0[i] = z r_0(i-1) g_0[i-1] with g_0[0] = 1,
+and each further order applies one weight and one chain,
+
+    g_n[i] = w_{n-1}(i) g_{n-1}[i] + z r_n(i-1) g_n[i-1],
+
+with S_n = sum_i g_n[i].  Every entry comes from its neighbours by a
+couple of multiplications, the entries stay on the scale of Kummer-type
+terms, and an order costs cap + 1 steps over the chain indices 0..cap,
+so a point costs O(N cap) for N orders.
+
+For mu > 0 the chains alternate in sign and cancel once |z| grows, so
+there the engine evaluates e^{mu x^2/2 + eps x} y instead, which solves
+the same equation with transformed parameters and z > 0 (the analogue of
+Kummer's transformation, DLMF 13.2.39), and multiplies the result back.
 """
 
 from __future__ import annotations
@@ -71,13 +83,14 @@ class NestedTruncation:
     ``max_order_N`` caps the outer order (the power of eps_tilde),
     ``max_inner`` caps every chain index, and ``rel_tol`` stops the outer
     sum once two consecutive orders contribute less than rel_tol times the
-    running total.  Defaults cover |eps_tilde| <= 4 and |z| <= 8
-    (|mu|, |eps| <= 4 with |x| <= 2) with margin; the adaptive stop keeps
-    easy points cheap regardless.
+    running total.  Each point runs its chains only as deep as its |z|
+    needs (at most ``max_inner``), so a large cap costs easy points
+    nothing; the default reaches |z| of about 100 with Kummer-type chain
+    parameters, and the default order cap covers |eps_tilde| <= 4.
     """
 
     max_order_N: int = 48
-    max_inner: int = 72
+    max_inner: int = 240
     rel_tol: float = 1e-12
 
     def __post_init__(self) -> None:
@@ -230,24 +243,63 @@ def _required_cap(z: float, a_mag: float, b: float, c: float, hard_cap: int) -> 
     return hard_cap + 1
 
 
+def _kummer_transformed(p: GchParams) -> GchParams:
+    """Parameters of the equation solved by e^{mu x^2/2 + eps x} y.
+
+    If y solves the GCH equation with (mu, eps, nu, Omega, omega), then
+    e^{mu x^2/2 + eps x} y solves it with (-mu, -eps, nu, Omega - mu(1+nu),
+    nu - omega): the analogue of Kummer's transformation (DLMF 13.2.39).
+    Both Frobenius solutions map onto the same root lam with the same
+    leading coefficient, since the factor is 1 at x = 0.
+    """
+    return GchParams(-p.mu, -p.eps, p.nu, p.Omega - p.mu * (1.0 + p.nu), p.nu - p.omega)
+
+
+def _chain_numerators(p: GchParams, lam: float, betas: Optional[BetaSequence]) -> Callable[[int], float]:
+    """a_k of chain k: -beta_k where the sequence has an entry, otherwise
+    the infinite-series value Omega/(2 mu) + k/2 + lam/2."""
+    half_ratio = p.Omega / (2.0 * p.mu)
+    present = betas.betas if betas is not None else ()
+
+    def a_of(k: int) -> float:
+        if k < len(present) and present[k] is not None:
+            return -float(present[k])
+        return half_ratio + 0.5 * k + 0.5 * lam
+
+    return a_of
+
+
 def _nested_orders(
     p: GchParams,
     lam: float,
     x: float,
     t: NestedTruncation,
-    a_of: Callable[[int], float],
-    order_cap: int,
-    min_cap: int = 0,
+    betas: Optional[BetaSequence],
 ) -> tuple[list[float], int, bool]:
     """Per-order contributions S_n * eps_tilde^n of the bracketed series.
 
-    Returns (orders, summand count, converged flag).  Order 0 is a plain
-    compensated forward sum; higher orders fold their chains right to left
-    with the backward recurrence.  The outer loop stops once two
-    consecutive orders contribute below rel_tol times the running sum, or
-    immediately after order 0 when eps = 0.  The converged flag also drops
-    when max_inner is too small for the chains to have decayed.
+    Returns (orders, steps, converged flag).  Each order runs the forward
+    recurrence once over indices 0..cap, so ``steps`` is cap + 1 per order.
+    The outer loop stops once two consecutive orders contribute below
+    rel_tol times the running sum, or immediately after order 0 when
+    eps = 0; a termination sequence also caps the order at its length - 1.
+    The converged flag also drops when max_inner is too small for the
+    chains to have decayed.
+
+    For mu > 0 and z < -1 the alternating chains cancel, so the orders are
+    those of the transformed parameters (:func:`_kummer_transformed`, whose
+    z is positive) times e^{-mu x^2/2 - eps x}.  B-terminated sequences are
+    transformed only when derived from Omega, because only then are their
+    a_k the infinite-series ones; user-supplied sequences run as given.
     """
+    max_n = t.max_order_N if betas is None else min(t.max_order_N, len(betas.betas) - 1)
+    scale = 1.0
+    if p.mu > 0.0 and 0.5 * p.mu * x * x > 1.0 and (
+            betas is None or betas.source is BetaSource.DERIVED_FROM_OMEGA):
+        scale = math.exp(-0.5 * p.mu * x * x - p.eps * x)
+        p = _kummer_transformed(p)
+        betas = None
+    a_of = _chain_numerators(p, lam, betas)
     h = 0.5 * lam
     gamma = p.gamma
     z = -0.5 * p.mu * x * x
@@ -255,67 +307,54 @@ def _nested_orders(
     a_mag = max(abs(a_of(0)), abs(a_of(1)), abs(a_of(2)))
     need = _required_cap(z, a_mag, 1.0 + h, gamma + h, t.max_inner)
     inner_ok = need <= t.max_inner
-    cap = min(t.max_inner, max(20, need, min_cap))
+    cap = min(t.max_inner, max(20, need))
 
-    # order 0: forward compensated summation of (a_0)_i z^i / ((b_0)_i (c_0)_i)
-    a0 = a_of(0)
-    b0 = 1.0 + h
-    c0 = gamma + h
-    _pole_guard(b0, cap, "chain 0")
-    _pole_guard(c0, cap, "chain 0")
-    total = 0.0
-    comp = 0.0
+    # order 0: g[i] = (a_0)_i z^i / ((b_0)_i (c_0)_i), the Kummer terms
+    a = a_of(0)
+    b = 1.0 + h
+    c = gamma + h
+    _pole_guard(b, cap, "chain 0")
+    _pole_guard(c, cap, "chain 0")
+    g = [0.0] * (cap + 1)
     term = 1.0
-    nterms = 0
     for i in range(cap + 1):
-        s = total + term
-        if abs(total) >= abs(term):
-            comp += (total - s) + term
-        else:
-            comp += (term - s) + total
-        total = s
-        nterms += 1
-        term *= z * (a0 + i) / ((b0 + i) * (c0 + i))
-        if term == 0.0:
-            break
-    orders = [total + comp]
+        g[i] = term
+        term *= z * (a + i) / ((b + i) * (c + i))
+    orders = [math.fsum(g)]
+    steps = cap + 1
     if et == 0.0:
-        return orders, nterms, inner_ok
+        return [scale * o for o in orders], steps, inner_ok
 
     streak = 0
     converged = False
     et_pow = 1.0
     running = orders[0]
-    max_n = min(t.max_order_N, order_cap)
     for n in range(1, max_n + 1):
         et_pow *= et
-        # innermost chain n: U(p) = 1 + z r_n(p) U(p+1)
+        # weight n-1 on the carried row, then chain n:
+        # g_n[i] = w_{n-1}(i) g_{n-1}[i] + z r_n(i-1) g_n[i-1]
         a = a_of(n)
         b = 1.0 + 0.5 * n + h
         c = gamma + 0.5 * n + h
         _pole_guard(b, cap, f"chain {n}")
         _pole_guard(c, cap, f"chain {n}")
-        u = [0.0] * (cap + 2)
-        for pp in range(cap, -1, -1):
-            u[pp] = 1.0 + z * (a + pp) / ((b + pp) * (c + pp)) * u[pp + 1]
-        nterms += cap + 1
-        # chains n-1 .. 0: U(p) = w_k(p) U_next(p) + z r_k(p) U(p+1)
-        for k in range(n - 1, -1, -1):
-            a = a_of(k)
-            b = 1.0 + 0.5 * k + h
-            c = gamma + 0.5 * k + h
-            wnum = h + 0.5 * p.omega + 0.5 * k
-            wd1 = 0.5 + h + 0.5 * k
-            wd2 = gamma - 0.5 + h + 0.5 * k
-            for off, what in ((b, f"chain {k}"), (c, f"chain {k}"), (wd1, f"weight {k}"), (wd2, f"weight {k}")):
-                _pole_guard(off, cap, what)
-            v = [0.0] * (cap + 2)
-            for pp in range(cap, -1, -1):
-                v[pp] = (pp + wnum) / ((pp + wd1) * (pp + wd2)) * u[pp] \
-                    + z * (a + pp) / ((b + pp) * (c + pp)) * v[pp + 1]
-            u = v
-            nterms += cap + 1
-        contrib = u[0] * et_pow
+        k = n - 1
+        wnum = h + 0.5 * p.omega + 0.5 * k
+        wd1 = 0.5 + h + 0.5 * k
+        wd2 = gamma - 0.5 + h + 0.5 * k
+        _pole_guard(wd1, cap, f"weight {k}")
+        _pole_guard(wd2, cap, f"weight {k}")
+        # shifted by one so that a + i is a_n + (i - 1) in the loop
+        a -= 1.0
+        b -= 1.0
+        c -= 1.0
+        acc = wnum / (wd1 * wd2) * g[0]
+        g[0] = acc
+        for i in range(1, cap + 1):
+            acc = (i + wnum) / ((i + wd1) * (i + wd2)) * g[i] + z * (a + i) / ((b + i) * (c + i)) * acc
+            g[i] = acc
+        steps += cap + 1
+        contrib = math.fsum(g) * et_pow
         orders.append(contrib)
         running += contrib
         if abs(contrib) <= max(t.rel_tol * abs(running), _TINY):
@@ -325,7 +364,7 @@ def _nested_orders(
                 break
         else:
             streak = 0
-    return orders, nterms, converged and inner_ok
+    return [scale * o for o in orders], steps, converged and inner_ok
 
 
 def _validate_for_lambda(p: GchParams, lam: float) -> None:
@@ -354,7 +393,11 @@ def eval_general(
     """General closed-form series c0 * x^lam * [S_0 + S_1 et + sum_n S_n et^n].
 
     The per-order decomposition (already scaled by c0 x^lam and the
-    eps_tilde powers) is exposed on ``orders``.
+    eps_tilde powers) is exposed on ``orders``.  For mu > 0 and
+    z = -mu x^2/2 < -1 the sum is taken over the transformed parameters
+    (-mu, -eps, nu, Omega - mu(1+nu), nu - omega) with the same lam and c0,
+    times e^{-mu x^2/2 - eps x}, so ``orders`` is then the transformed
+    decomposition; see :class:`EvalResult`.
     """
     if t is None:
         t = NestedTruncation()
@@ -362,10 +405,7 @@ def eval_general(
         raise PoleError("closed-form evaluation requires mu != 0 (Omega/(2 mu) appears)")
     _validate_for_lambda(p, lam)
     xpow = real_power(x, lam)
-    half_ratio = p.Omega / (2.0 * p.mu)
-    orders, nterms, converged = _nested_orders(
-        p, lam, x, t, lambda k: half_ratio + 0.5 * k + 0.5 * lam, t.max_order_N
-    )
+    orders, nterms, converged = _nested_orders(p, lam, x, t, None)
     scaled = tuple(c0 * xpow * o for o in orders)
     return EvalResult(
         value=c0 * xpow * math.fsum(orders),
@@ -407,10 +447,7 @@ def eval_rw_infinite(p: GchParams, x: float, t: NestedTruncation | None = None) 
     ratio = _gamma_ratio(1.0 - p.Omega / (2.0 * p.mu), 2.0 - gamma, "second-kind prefactor")
     z = -0.5 * p.mu * x * x
     zpow = real_power(z, 1.0 - gamma)
-    half_ratio = p.Omega / (2.0 * p.mu)
-    orders, nterms, converged = _nested_orders(
-        p, lam, x, t, lambda k: half_ratio + 0.5 * k + 0.5 * lam, t.max_order_N
-    )
+    orders, nterms, converged = _nested_orders(p, lam, x, t, None)
     scaled = tuple(zpow * ratio * o for o in orders)
     return EvalResult(
         value=zpow * ratio * math.fsum(orders),
@@ -462,17 +499,6 @@ def _check_beta_consistency(p: GchParams, lam: float, seq: BetaSequence) -> None
             )
 
 
-def _poly_a_of(p: GchParams, lam: float, seq: BetaSequence) -> Callable[[int], float]:
-    half_ratio = p.Omega / (2.0 * p.mu)
-
-    def a_of(k: int) -> float:
-        if k < len(seq.betas) and seq.betas[k] is not None:
-            return -float(seq.betas[k])
-        return half_ratio + 0.5 * k + 0.5 * lam
-
-    return a_of
-
-
 def eval_qw_poly(
     p: GchParams,
     betas: BetaSequence,
@@ -494,9 +520,7 @@ def eval_qw_poly(
     b0 = betas.betas[0]
     first = float(b0) if b0 is not None else -p.Omega / (2.0 * p.mu)
     c0 = _gamma_ratio(p.gamma + first, p.gamma, "polynomial first-kind prefactor")
-    orders, nterms, converged = _nested_orders(
-        p, 0.0, x, t, _poly_a_of(p, 0.0, betas), len(betas.betas) - 1
-    )
+    orders, nterms, converged = _nested_orders(p, 0.0, x, t, betas)
     scaled = tuple(c0 * o for o in orders)
     return EvalResult(
         value=c0 * math.fsum(orders),
@@ -529,9 +553,7 @@ def eval_rw_poly(
     ratio = _gamma_ratio(first + 2.0 - gamma, 2.0 - gamma, "polynomial second-kind prefactor")
     z = -0.5 * p.mu * x * x
     zpow = real_power(z, 1.0 - gamma)
-    orders, nterms, converged = _nested_orders(
-        p, lam, x, t, _poly_a_of(p, lam, psis), len(psis.betas) - 1
-    )
+    orders, nterms, converged = _nested_orders(p, lam, x, t, psis)
     scaled = tuple(zpow * ratio * o for o in orders)
     return EvalResult(
         value=zpow * ratio * math.fsum(orders),

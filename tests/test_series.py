@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath as mp
 import pytest
 
 from gch.errors import BetaMismatch, DomainError, IndeterminateError, KindRestrictionError, NoTermination, PoleError
@@ -10,6 +11,8 @@ from gch.series import (
     BetaSequence,
     BetaSource,
     NestedTruncation,
+    _kummer_transformed,
+    _required_cap,
     betas_from_omega,
     eval_general,
     eval_qw_infinite,
@@ -443,3 +446,175 @@ def test_normalization_pole():
     p = GchParams(-1.0, 0.5, 0.5, -4.0, 0.3)
     with pytest.raises(NormalizationPole):
         eval_rw_infinite(p, 0.5)
+
+
+
+# ------------------------------------------- forward recurrence vs backward fold
+
+def _backward_fold_orders(p, lam, x, t, a_of, order_cap):
+    """Per-order sums S_n * eps_tilde^n by folding every chain of every order
+    from the inside out, U_k(i) = w_k(i) U_{k+1}(i) + z r_k(i) U_k(i+1):
+    the O(N^2 cap) scheme the forward recurrence replaced, kept as its
+    reference.  Same chain cap and stopping rule as the engine, and no
+    transformation."""
+    h = 0.5 * lam
+    gamma = p.gamma
+    z = -0.5 * p.mu * x * x
+    et = -0.5 * p.eps * x
+    a_mag = max(abs(a_of(0)), abs(a_of(1)), abs(a_of(2)))
+    cap = min(t.max_inner, max(20, _required_cap(z, a_mag, 1.0 + h, gamma + h, t.max_inner)))
+
+    def r(k, i):
+        return (a_of(k) + i) / ((1.0 + 0.5 * k + h + i) * (gamma + 0.5 * k + h + i))
+
+    def w(k, i):
+        return (i + h + 0.5 * p.omega + 0.5 * k) / ((i + 0.5 + h + 0.5 * k) * (i - 0.5 + gamma + h + 0.5 * k))
+
+    def innermost(k):
+        u = [0.0] * (cap + 2)
+        for i in range(cap, -1, -1):
+            u[i] = 1.0 + z * r(k, i) * u[i + 1]
+        return u
+
+    orders = [innermost(0)[0]]
+    if et == 0.0:
+        return orders
+    streak = 0
+    running = orders[0]
+    for n in range(1, min(t.max_order_N, order_cap) + 1):
+        u = innermost(n)
+        for k in range(n - 1, -1, -1):
+            v = [0.0] * (cap + 2)
+            for i in range(cap, -1, -1):
+                v[i] = w(k, i) * u[i] + z * r(k, i) * v[i + 1]
+            u = v
+        contrib = u[0] * et ** n
+        orders.append(contrib)
+        running += contrib
+        if abs(contrib) <= max(t.rel_tol * abs(running), 1e-300):
+            streak += 1
+            if streak >= 2:
+                break
+        else:
+            streak = 0
+    return orders
+
+
+_POLY_FIRST = GchParams(-1.5, 0.9, 0.75, 6.0, 0.6)      # beta_0 = 2
+_POLY_SECOND = GchParams(-1.0, 0.4, 0.5, 2.5, 1.2)      # psi_0 = 1
+_POLY_MU_PLUS = GchParams(0.5, -0.8, 1.5, -1.0, 0.4)    # beta_0 = 1
+
+
+@pytest.mark.parametrize("p,lam,x,seq", [
+    (GchParams(-1.5, 0.9, 1.2, 0.7, 0.4), 0.0, 1.1, None),
+    (GchParams(-1.0, 0.8, 0.5, 0.7, 1.2), 0.5, 1.3, None),
+    (GchParams(2.0, 1.0, 1.5, 3.0, 0.25), 0.0, 0.9, None),          # z = -0.81
+    (_POLY_FIRST, 0.0, 1.2, betas_from_omega(_POLY_FIRST, 0.0, 49)),
+    (_POLY_SECOND, 0.5, 1.1, betas_from_omega(_POLY_SECOND, 0.5, 49)),
+    (_POLY_MU_PLUS, 0.0, 1.5, betas_from_omega(_POLY_MU_PLUS, 0.0, 49)),  # z = -0.5625
+    # user-supplied sequences run untransformed even at mu > 0, z < -1
+    (GchParams(1.0, 0.5, 1.0, 8.0, 1.0), 0.0, 1.6, BetaSequence((3, 1, 2), BetaSource.USER_SUPPLIED)),
+], ids=["first-infinite", "second-infinite", "mu+-first-infinite", "first-poly",
+        "second-poly", "mu+-first-poly", "mu+-user-supplied"])
+def test_forward_recurrence_matches_backward_fold(p, lam, x, seq):
+    t = NestedTruncation()
+    half_ratio = p.Omega / (2.0 * p.mu)
+
+    def a_of(k):
+        if seq is not None and k < len(seq.betas) and seq.betas[k] is not None:
+            return -float(seq.betas[k])
+        return half_ratio + 0.5 * k + 0.5 * lam
+
+    if seq is None:
+        res = eval_general(p, lam, 1.0, x, t)
+        pref, order_cap = x ** lam, t.max_order_N
+    elif lam == 0.0:
+        res = eval_qw_poly(p, seq, x, t)
+        pref = math.gamma(p.gamma + seq.betas[0]) / math.gamma(p.gamma)
+        order_cap = len(seq.betas) - 1
+    else:
+        res = eval_rw_poly(p, seq, x, t)
+        gamma = p.gamma
+        pref = (-0.5 * p.mu * x * x) ** (1 - gamma) * math.gamma(seq.betas[0] + 2 - gamma) / math.gamma(2 - gamma)
+        order_cap = len(seq.betas) - 1
+    fold = _backward_fold_orders(p, lam, x, t, a_of, order_cap)
+    assert len(res.orders) == len(fold) >= 3
+    for n, (got, want) in enumerate(zip(res.orders, fold)):
+        assert got == pytest.approx(pref * want, rel=1e-12, abs=0.0), n
+
+
+def test_steps_linear_in_orders():
+    # a quadratic refold would need sum_n (n+1)(cap+1) steps, far above this
+    t = NestedTruncation()
+    for p, x in ((GchParams(-1.0, 3.0, 0.5, 0.7, 1.2), 2.0), (GchParams(2.0, 1.0, 1.5, 3.0, 0.25), 6.0)):
+        res = eval_general(p, 0.0, 1.0, x, t)
+        assert len(res.orders) >= 10
+        assert res.terms_used <= len(res.orders) * (t.max_inner + 1)
+
+
+# ---------------------------------------------- mu > 0 through the transformation
+
+def _mp_first_kind(mu, eps, nu, Omega, omega, x, dps=60):
+    """y(x) = sum_n c_n x^n with c_0 = 1, c_{n+1} = A_n c_n + B_n c_{n-1},
+    summed in dps-digit arithmetic; written from the ODE, shares no code
+    with gch."""
+    with mp.workdps(dps):
+        mu, eps, nu, Omega, omega, x = (mp.mpf(v) for v in (mu, eps, nu, Omega, omega, x))
+        c_prev, c = mp.mpf(0), mp.mpf(1)
+        total, xn = mp.mpf(0), mp.mpf(1)
+        small = 0
+        for n in range(2000):
+            term = c * xn
+            total += term
+            if n > 10 and abs(term) < mp.mpf(10) ** (-dps - 5) * abs(total):
+                small += 1
+                if small >= 3:
+                    return total
+            else:
+                small = 0
+            den = (n + 1) * (n + nu)
+            c_prev, c = c, (-eps * (n + omega) * c - (Omega + mu * (n - 1)) * c_prev) / den
+            xn *= x
+    raise AssertionError("reference series did not converge")
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0])
+@pytest.mark.parametrize("x", [4.0, 5.0, 6.0])
+def test_mu_positive_large_z_against_mpmath(eps, x):
+    # z = -16, -25, -36: the untransformed chains cancel to ~1e-10 at x = 4
+    # and are not resolved at all at x = 6
+    mu, nu, Omega, omega = 2.0, 1.5, 3.0, 0.25
+    ref = _mp_first_kind(mu, eps, nu, Omega, omega, x)
+    if eps == 0.0:
+        with mp.workdps(60):
+            kummer = mp.hyp1f1(mp.mpf(Omega) / (2 * mu), (1 + mp.mpf(nu)) / 2, -mu * mp.mpf(x) ** 2 / 2)
+            assert abs(ref - kummer) <= mp.mpf(10) ** -45 * abs(kummer)
+    res = eval_general(GchParams(mu, eps, nu, Omega, omega), 0.0, 1.0, x)
+    assert res.converged
+    assert abs(res.value - float(ref)) <= 1e-12 * abs(float(ref))
+
+
+@pytest.mark.parametrize("p", [
+    GchParams(2.0, 1.0, 1.5, 3.0, 0.25),
+    GchParams(-1.0, 0.8, 0.5, 0.7, 1.2),
+    GchParams(0.7, -1.3, 0.5, -0.4, 0.9),
+])
+def test_kummer_transformation_identity(p):
+    # y(x; p) = e^{-mu x^2/2 - eps x} y(x; p') for both roots, same c0
+    q = _kummer_transformed(p)
+    for lam in (0.0, 1.0 - p.nu):
+        for x in (0.3, 0.8, 1.2):
+            y = sum_series(p, lam, 1.0, x, TIGHT).value
+            u = sum_series(q, lam, 1.0, x, TIGHT).value
+            assert y == pytest.approx(math.exp(-0.5 * p.mu * x * x - p.eps * x) * u, rel=1e-12)
+
+
+def test_transformed_poly_class_matches_oracle():
+    # Omega-derived sequences at mu > 0, z < -1 take the transformed path
+    p = _POLY_MU_PLUS
+    seq = betas_from_omega(p, 0.0, 49)
+    c0 = math.gamma(p.gamma + 1) / math.gamma(p.gamma)
+    for x in (2.2, 3.0):
+        res = eval_qw_poly(p, seq, x)
+        assert res.converged
+        assert res.value == pytest.approx(sum_series(p, 0.0, c0, x, TIGHT).value, rel=1e-11)
