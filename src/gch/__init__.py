@@ -16,7 +16,6 @@ from .errors import (
     DomainError,
     GammaPole,
     GchError,
-    IndeterminateError,
     KindRestrictionError,
     NonFiniteError,
     NormalizationPole,
@@ -25,13 +24,10 @@ from .errors import (
     TailNotDecayed,
 )
 from .params import (
-    DerivedVars,
     GchParams,
     SolutionKind,
-    ValidatedParams,
     coefficient_A,
     coefficient_B,
-    indicial_roots,
     validate,
 )
 from .recurrence import EvalResult, Truncation, coefficients, detect_termination, sum_series
@@ -41,11 +37,7 @@ from .series import (
     NestedTruncation,
     betas_from_omega,
     eval_general,
-    eval_qw_infinite,
-    eval_qw_poly,
-    eval_rw_infinite,
-    eval_rw_poly,
-    pochhammer_ratio,
+    evaluate,
 )
 from .asymptotics import (
     AsymptoticRegime,
@@ -87,7 +79,6 @@ __all__ = [
     "Confinement",
     "CrossReport",
     "DegenerateCoupling",
-    "DerivedVars",
     "DomainError",
     "EigenState",
     "EvalResult",
@@ -95,7 +86,6 @@ __all__ = [
     "GchError",
     "GchParams",
     "GridSpec",
-    "IndeterminateError",
     "KindRestrictionError",
     "NestedTruncation",
     "NonFiniteError",
@@ -108,7 +98,6 @@ __all__ = [
     "SolutionKind",
     "TailNotDecayed",
     "Truncation",
-    "ValidatedParams",
     "asym_small_eps",
     "asym_small_mu",
     "asym_small_mu_resummed",
@@ -125,11 +114,7 @@ __all__ = [
     "erf",
     "erfi",
     "eval_general",
-    "eval_qw_infinite",
-    "eval_qw_poly",
-    "eval_rw_infinite",
-    "eval_rw_poly",
-    "indicial_roots",
+    "evaluate",
     "kummer_oracle",
     "limit_value",
     "make_state",
@@ -138,7 +123,6 @@ __all__ = [
     "map_qqbar",
     "normalize",
     "ode_residual",
-    "pochhammer_ratio",
     "radial_norm",
     "small_r_exponent",
     "sum_series",

@@ -20,14 +20,7 @@ from typing import Any, Optional, Sequence
 from .errors import GchError
 from .params import GchParams, SolutionKind, validate
 from .recurrence import coefficients
-from .series import (
-    NestedTruncation,
-    betas_from_omega,
-    eval_qw_infinite,
-    eval_qw_poly,
-    eval_rw_infinite,
-    eval_rw_poly,
-)
+from .series import NestedTruncation, betas_from_omega, evaluate
 from .asymptotics import AsymptoticRegime, limit_value
 from . import spectra
 from .verify import GridSpec, cross_validate, ode_residual
@@ -180,8 +173,9 @@ class _Config:
         val = self._args.get(key)
         if val is not None:
             return val
-        if key in self._file:
-            return self._file[key]
+        val = self._file.get(key)
+        if val is not None:
+            return val
         if key in _DEFAULTS and _DEFAULTS[key] is not None:
             return _DEFAULTS[key]
         return default
@@ -196,9 +190,9 @@ class _Config:
 def _nested_trunc(cfg: _Config) -> NestedTruncation:
     base = NestedTruncation()
     return NestedTruncation(
-        max_order_N=int(cfg.get("max_order", base.max_order_N) or base.max_order_N),
-        max_inner=int(cfg.get("max_inner", base.max_inner) or base.max_inner),
-        rel_tol=float(cfg.get("rel_tol", base.rel_tol) or base.rel_tol),
+        max_order_N=int(cfg.get("max_order", base.max_order_N)),
+        max_inner=int(cfg.get("max_inner", base.max_inner)),
+        rel_tol=float(cfg.get("rel_tol", base.rel_tol)),
     )
 
 
@@ -247,18 +241,14 @@ def _system_from_cfg(cfg: _Config) -> spectra.QuantumSystem:
 def cmd_eval(cfg: _Config) -> tuple[int, tuple, list[dict]]:
     p = _gch_from_cfg(cfg)
     kind = SolutionKind.FIRST if cfg.get("kind") == "first" else SolutionKind.SECOND
-    validate(p, kind)
+    lam = validate(p, kind)
     nt = _nested_trunc(cfg)
-    variant = cfg.get("variant")
+    xs = _x_grid(cfg)
+    betas = betas_from_omega(p, lam, nt.max_order_N + 1) if cfg.get("variant") == "poly" else None
     rows = []
     all_converged = True
-    for x in _x_grid(cfg):
-        if variant == "poly":
-            lam = kind.lambda_of(p.nu)
-            seq = betas_from_omega(p, lam, nt.max_order_N + 1)
-            res = eval_qw_poly(p, seq, x, nt) if kind is SolutionKind.FIRST else eval_rw_poly(p, seq, x, nt)
-        else:
-            res = eval_qw_infinite(p, x, nt) if kind is SolutionKind.FIRST else eval_rw_infinite(p, x, nt)
+    for x in xs:
+        res = evaluate(p, kind, x, betas, nt)
         all_converged &= res.converged
         rows.append({
             "_command": "eval",
@@ -361,7 +351,8 @@ def cmd_verify(cfg: _Config) -> tuple[int, tuple, list[dict]]:
 def cmd_asymptote(cfg: _Config) -> tuple[int, tuple, list[dict]]:
     regime_name = cfg.require("regime")
     regime = AsymptoticRegime.SMALL_MU if regime_name == "small-mu" else AsymptoticRegime.SMALL_EPS
-    mu = float(cfg.get("mu", 0.0) or 0.0)
+    # the small-eps form is a function of mu alone; the small-mu form ignores mu
+    mu = float(cfg.require("mu")) if regime is AsymptoticRegime.SMALL_EPS else 0.0
     eps = float(cfg.get("epsilon"))
     rows = []
     for x in _x_grid(cfg):

@@ -22,10 +22,6 @@ class DomainError(GchError):
     negative base, or a pole at x = 0)."""
 
 
-class IndeterminateError(GchError):
-    """Pochhammer ratio whose denominator vanishes while the numerator does not."""
-
-
 class NormalizationPole(GchError):
     """A gamma-function normalisation prefactor sits at a pole."""
 

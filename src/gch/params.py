@@ -1,4 +1,4 @@
-"""Parameter set, derived quantities, indicial roots and recurrence coefficients.
+"""Parameter set, indicial roots, validation and recurrence coefficients.
 
 Everything in this package evaluates solutions of
 
@@ -53,29 +53,6 @@ class GchParams:
         return 0.5 * (1.0 + self.nu)
 
 
-@dataclass(frozen=True)
-class DerivedVars:
-    """Transformed variables used by the closed-form series.
-
-    ``z_of(x) = -mu x^2 / 2`` and ``eps_tilde_of(x) = -eps x / 2`` are the
-    quadratic and linear arguments of the nested sums; ``gamma = (1+nu)/2``.
-    """
-
-    gamma: float
-    mu: float
-    eps: float
-
-    @classmethod
-    def from_params(cls, p: GchParams) -> "DerivedVars":
-        return cls(gamma=p.gamma, mu=p.mu, eps=p.eps)
-
-    def z_of(self, x: float) -> float:
-        return -0.5 * self.mu * x * x
-
-    def eps_tilde_of(self, x: float) -> float:
-        return -0.5 * self.eps * x
-
-
 class SolutionKind(Enum):
     """Selector for the two Frobenius solutions at x = 0."""
 
@@ -87,23 +64,8 @@ class SolutionKind(Enum):
         return 0.0 if self is SolutionKind.FIRST else 1.0 - nu
 
 
-@dataclass(frozen=True)
-class ValidatedParams:
-    """Parameter bundle that passed :func:`validate`."""
-
-    params: GchParams
-    kind: SolutionKind
-    lam: float
-    gamma: float
-
-
-def indicial_roots(nu: float) -> tuple[float, float]:
-    """Both indicial roots, first kind then second kind: (0, 1 - nu)."""
-    return (0.0, 1.0 - nu)
-
-
-def validate(p: GchParams, kind: SolutionKind) -> ValidatedParams:
-    """Check finiteness and the kind's nu-restriction.
+def validate(p: GchParams, kind: SolutionKind) -> float:
+    """Check finiteness and the kind's nu-restriction; return the kind's root.
 
     The first-kind series requires nu not in {0, -1, -2, ...} and the
     second-kind series requires nu not in {2, 3, 4, ...}; outside those sets
@@ -130,7 +92,7 @@ def validate(p: GchParams, kind: SolutionKind) -> ValidatedParams:
             raise KindRestrictionError(
                 f"second kind requires nu not in {{2, 3, 4, ...}}; got nu={nu}"
             )
-    return ValidatedParams(params=p, kind=kind, lam=kind.lambda_of(nu), gamma=p.gamma)
+    return kind.lambda_of(nu)
 
 
 def coefficient_A(n: int, lam: float, p: GchParams) -> float:

@@ -16,10 +16,9 @@ every non-innermost chain k is weighted by
 
 The B-terminated polynomial class is the same object with a_k written as
 -beta_k for nonnegative integers beta_k: the rising factorial (-beta_k)_i
-vanishes for i > beta_k and truncates chain k on its own.  Consequently a
-single engine evaluates the infinite-series and polynomial classes; the
-polynomial entry points only add the termination bookkeeping and their
-gamma-function normalisations.
+vanishes for i > beta_k and truncates chain k on its own.  Consequently one
+engine, :func:`evaluate`, serves both classes; the class changes only the
+termination bookkeeping and the gamma-function normalisation.
 
 The Pochhammer ratios between adjacent indices are shorthand for the
 telescoped products
@@ -62,14 +61,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
-from .errors import (
-    BetaMismatch,
-    IndeterminateError,
-    NonFiniteError,
-    NormalizationPole,
-    NoTermination,
-    PoleError,
-)
+from .errors import BetaMismatch, NormalizationPole, NoTermination, PoleError
 from .params import GchParams, SolutionKind, _is_integer, validate
 from .recurrence import EvalResult, detect_termination, real_power
 
@@ -133,69 +125,6 @@ class BetaSequence:
             levels = {2 * b + k for k, b in enumerate(self.betas) if b is not None}
             if len(levels) > 1:
                 raise ValueError(f"Omega-derived betas are inconsistent: 2*beta_k+k = {sorted(levels)}")
-
-
-def _signed_log_product(a: float, j0: int, j1: int) -> tuple[bool, float, float]:
-    """(is_zero, sign, log|prod|) of prod_{j=j0}^{j1-1} (a + j).
-
-    Uses log-gamma differences for the all-positive tail and walks the few
-    nonpositive factors explicitly, so long products neither overflow nor
-    lose the sign.
-    """
-    if j1 <= j0:
-        return (False, 1.0, 0.0)
-    if a + j0 > 0.0:
-        return (False, 1.0, math.lgamma(a + j1) - math.lgamma(a + j0))
-    sign = 1.0
-    logmag = 0.0
-    j = j0
-    while j < j1 and a + j <= 0.0:
-        f = a + j
-        if f == 0.0:
-            return (True, 0.0, float("-inf"))
-        sign = -sign
-        logmag += math.log(-f)
-        j += 1
-    if j < j1:
-        logmag += math.lgamma(a + j1) - math.lgamma(a + j)
-    return (False, sign, logmag)
-
-
-def pochhammer_ratio(a: float, m: int, n: int) -> float:
-    """(a)_m / (a)_n evaluated as the telescoped product prod_{j=n}^{m-1}(a+j).
-
-    The telescoped form is exact for every a: a vanishing factor inside the
-    product gives an exact 0.0 (m > n), while a vanishing factor inside the
-    reciprocal (m < n) has no finite value and raises IndeterminateError.
-    Short spans multiply directly; long ones go through signed log-gamma
-    differences and saturate to +-inf past the double range.
-    """
-    if m < 0 or n < 0:
-        raise ValueError("Pochhammer indices must be nonnegative integers")
-    if m == n:
-        return 1.0
-    lo, hi = (n, m) if m > n else (m, n)
-    if hi - lo <= 32:
-        prod = 1.0
-        for j in range(lo, hi):
-            prod *= a + j
-        if m > n:
-            return prod
-        if prod == 0.0:
-            raise IndeterminateError(
-                f"(a)_n vanishes while (a)_m does not at a={a}, m={m}, n={n}")
-        return 1.0 / prod
-    zero, sign, logmag = _signed_log_product(a, lo, hi)
-    if zero:
-        if m > n:
-            return 0.0
-        raise IndeterminateError(
-            f"(a)_n vanishes while (a)_m does not at a={a}, m={m}, n={n}")
-    if m < n:
-        logmag = -logmag
-    if logmag > 709.0:
-        return sign * math.inf
-    return sign * math.exp(logmag)
 
 
 def _gamma_ratio(num_arg: float, den_arg: float, what: str) -> float:
@@ -367,98 +296,6 @@ def _nested_orders(
     return [scale * o for o in orders], steps, converged and inner_ok
 
 
-def _validate_for_lambda(p: GchParams, lam: float) -> None:
-    """Kind validation matching the indicial root in use.
-
-    A lam that is neither root is allowed (the engine guards its own
-    denominators); only finiteness is enforced then.
-    """
-    if lam == 0.0:
-        validate(p, SolutionKind.FIRST)
-    elif abs(lam - (1.0 - p.nu)) <= 1e-12:
-        validate(p, SolutionKind.SECOND)
-    else:
-        for name in ("mu", "eps", "nu", "Omega", "omega"):
-            if not math.isfinite(getattr(p, name)):
-                raise NonFiniteError(f"parameter {name}={getattr(p, name)!r} is not finite")
-
-
-def eval_general(
-    p: GchParams,
-    lam: float,
-    c0: float,
-    x: float,
-    t: NestedTruncation | None = None,
-) -> EvalResult:
-    """General closed-form series c0 * x^lam * [S_0 + S_1 et + sum_n S_n et^n].
-
-    The per-order decomposition (already scaled by c0 x^lam and the
-    eps_tilde powers) is exposed on ``orders``.  For mu > 0 and
-    z = -mu x^2/2 < -1 the sum is taken over the transformed parameters
-    (-mu, -eps, nu, Omega - mu(1+nu), nu - omega) with the same lam and c0,
-    times e^{-mu x^2/2 - eps x}, so ``orders`` is then the transformed
-    decomposition; see :class:`EvalResult`.
-    """
-    if t is None:
-        t = NestedTruncation()
-    if p.mu == 0.0:
-        raise PoleError("closed-form evaluation requires mu != 0 (Omega/(2 mu) appears)")
-    _validate_for_lambda(p, lam)
-    xpow = real_power(x, lam)
-    orders, nterms, converged = _nested_orders(p, lam, x, t, None)
-    scaled = tuple(c0 * xpow * o for o in orders)
-    return EvalResult(
-        value=c0 * xpow * math.fsum(orders),
-        terms_used=nterms,
-        last_term_mag=abs(scaled[-1]) if len(scaled) > 1 else 0.0,
-        converged=converged,
-        terminated_at=detect_termination(p, lam),
-        orders=scaled,
-    )
-
-
-def eval_qw_infinite(p: GchParams, x: float, t: NestedTruncation | None = None) -> EvalResult:
-    """First-kind infinite series, normalised by Gamma(gamma - Omega/2mu)/Gamma(gamma)."""
-    validate(p, SolutionKind.FIRST)
-    if p.mu == 0.0:
-        raise PoleError("closed-form evaluation requires mu != 0")
-    c0 = _gamma_ratio(p.gamma - p.Omega / (2.0 * p.mu), p.gamma, "first-kind prefactor")
-    return eval_general(p, 0.0, c0, x, t)
-
-
-def eval_rw_infinite(p: GchParams, x: float, t: NestedTruncation | None = None) -> EvalResult:
-    """Second-kind infinite series with its z^(1-gamma) prefactor.
-
-    The value is z^(1-gamma) * Gamma(1 - Omega/2mu)/Gamma(2-gamma) times
-    the bracketed sums at lam = 1 - nu; for x > 0 this equals
-    eval_general at that root with c0 = (-mu/2)^(1-gamma) * the same
-    gamma ratio.  Requires z^(1-gamma) to be real (z >= 0, or an integer
-    exponent).  At nu = 1 the indicial roots coincide and this series is
-    no longer independent of the first kind; the logarithmic companion
-    solution is out of scope.
-    """
-    if t is None:
-        t = NestedTruncation()
-    validate(p, SolutionKind.SECOND)
-    if p.mu == 0.0:
-        raise PoleError("closed-form evaluation requires mu != 0")
-    gamma = p.gamma
-    lam = 1.0 - p.nu
-    ratio = _gamma_ratio(1.0 - p.Omega / (2.0 * p.mu), 2.0 - gamma, "second-kind prefactor")
-    z = -0.5 * p.mu * x * x
-    zpow = real_power(z, 1.0 - gamma)
-    orders, nterms, converged = _nested_orders(p, lam, x, t, None)
-    scaled = tuple(zpow * ratio * o for o in orders)
-    return EvalResult(
-        value=zpow * ratio * math.fsum(orders),
-        terms_used=nterms,
-        last_term_mag=abs(scaled[-1]) if len(scaled) > 1 else 0.0,
-        converged=converged,
-        terminated_at=detect_termination(p, lam),
-        orders=scaled,
-    )
-
-
 def betas_from_omega(p: GchParams, lam: float, count: int) -> BetaSequence:
     """Termination indices beta_k = (-Omega/mu - lam - k)/2 for k < count.
 
@@ -499,67 +336,101 @@ def _check_beta_consistency(p: GchParams, lam: float, seq: BetaSequence) -> None
             )
 
 
-def eval_qw_poly(
+def _evaluate(
     p: GchParams,
-    betas: BetaSequence,
+    lam: float,
     x: float,
-    t: NestedTruncation | None = None,
+    t: NestedTruncation | None,
+    betas: Optional[BetaSequence],
+    pref: float,
 ) -> EvalResult:
-    """First-kind B-terminated class, normalised by Gamma(gamma+beta_0)/Gamma(gamma).
-
-    Chain k is cut at beta_k by the rising factorial (-beta_k)_i; absent
-    orders fall back to the Omega-derived weights.  The outer order is
-    capped by both the truncation and the supplied sequence length.
-    """
-    if t is None:
-        t = NestedTruncation()
-    validate(p, SolutionKind.FIRST)
-    if p.mu == 0.0:
-        raise PoleError("closed-form evaluation requires mu != 0")
-    _check_beta_consistency(p, 0.0, betas)
-    b0 = betas.betas[0]
-    first = float(b0) if b0 is not None else -p.Omega / (2.0 * p.mu)
-    c0 = _gamma_ratio(p.gamma + first, p.gamma, "polynomial first-kind prefactor")
-    orders, nterms, converged = _nested_orders(p, 0.0, x, t, betas)
-    scaled = tuple(c0 * o for o in orders)
+    """pref * (sum of the nested orders at root lam), with the per-order
+    decomposition scaled by pref on ``orders``."""
+    orders, steps, converged = _nested_orders(p, lam, x, t or NestedTruncation(), betas)
+    scaled = tuple(pref * o for o in orders)
     return EvalResult(
-        value=c0 * math.fsum(orders),
-        terms_used=nterms,
-        last_term_mag=abs(scaled[-1]) if len(scaled) > 1 else 0.0,
-        converged=converged,
-        terminated_at=detect_termination(p, 0.0),
-        orders=scaled,
-    )
-
-
-def eval_rw_poly(
-    p: GchParams,
-    psis: BetaSequence,
-    x: float,
-    t: NestedTruncation | None = None,
-) -> EvalResult:
-    """Second-kind B-terminated class with prefactor
-    z^(1-gamma) * Gamma(psi_0 + 2 - gamma)/Gamma(2 - gamma)."""
-    if t is None:
-        t = NestedTruncation()
-    validate(p, SolutionKind.SECOND)
-    if p.mu == 0.0:
-        raise PoleError("closed-form evaluation requires mu != 0")
-    gamma = p.gamma
-    lam = 1.0 - p.nu
-    _check_beta_consistency(p, lam, psis)
-    p0 = psis.betas[0]
-    first = float(p0) if p0 is not None else -p.Omega / (2.0 * p.mu) - 0.5 * lam
-    ratio = _gamma_ratio(first + 2.0 - gamma, 2.0 - gamma, "polynomial second-kind prefactor")
-    z = -0.5 * p.mu * x * x
-    zpow = real_power(z, 1.0 - gamma)
-    orders, nterms, converged = _nested_orders(p, lam, x, t, psis)
-    scaled = tuple(zpow * ratio * o for o in orders)
-    return EvalResult(
-        value=zpow * ratio * math.fsum(orders),
-        terms_used=nterms,
+        value=pref * math.fsum(orders),
+        terms_used=steps,
         last_term_mag=abs(scaled[-1]) if len(scaled) > 1 else 0.0,
         converged=converged,
         terminated_at=detect_termination(p, lam),
         orders=scaled,
     )
+
+
+def evaluate(
+    p: GchParams,
+    kind: SolutionKind,
+    x: float,
+    betas: Optional[BetaSequence] = None,
+    t: NestedTruncation | None = None,
+) -> EvalResult:
+    """Normalised closed form of either kind, infinite or B-terminated.
+
+    Without ``betas`` this is the infinite series, normalised by
+    Gamma(gamma - Omega/2mu)/Gamma(gamma) (first kind) or
+    z^(1-gamma) Gamma(1 - Omega/2mu)/Gamma(2-gamma) (second kind).  With a
+    termination sequence chain k is cut at beta_k by the rising factorial
+    (-beta_k)_i, absent orders fall back to the Omega-derived weights, the
+    outer order is capped by the sequence length as well, and the
+    normalisations become Gamma(gamma + beta_0)/Gamma(gamma) and
+    z^(1-gamma) Gamma(beta_0 + 2 - gamma)/Gamma(2 - gamma).  Omega-derived
+    sequences must agree with Omega (BetaMismatch otherwise).
+
+    The second kind needs z^(1-gamma) to be real (z >= 0, or an integer
+    exponent; DomainError otherwise).  At nu = 1 the indicial roots
+    coincide and the second kind is no longer independent of the first;
+    the logarithmic companion solution is out of scope.
+    """
+    lam = validate(p, kind)
+    if p.mu == 0.0:
+        raise PoleError("closed-form evaluation requires mu != 0")
+    first = kind is SolutionKind.FIRST
+    half_ratio = p.Omega / (2.0 * p.mu)
+    what = f"{kind.value}-kind prefactor"
+    if betas is None:
+        num = p.gamma - half_ratio if first else 1.0 - half_ratio
+    else:
+        _check_beta_consistency(p, lam, betas)
+        b0 = betas.betas[0]
+        if first:
+            num = p.gamma + (float(b0) if b0 is not None else -half_ratio)
+        else:
+            num = (float(b0) if b0 is not None else -half_ratio - 0.5 * lam) + 2.0 - p.gamma
+        what = "polynomial " + what
+    pref = _gamma_ratio(num, p.gamma if first else 2.0 - p.gamma, what)
+    if not first:
+        pref = real_power(-0.5 * p.mu * x * x, 1.0 - p.gamma) * pref
+    return _evaluate(p, lam, x, t, betas, pref)
+
+
+def eval_general(
+    p: GchParams,
+    lam: float,
+    c0: float,
+    x: float,
+    t: NestedTruncation | None = None,
+) -> EvalResult:
+    """Unnormalised series c0 * x^lam * [S_0 + S_1 et + sum_n S_n et^n].
+
+    lam must be an indicial root: 0 (validated as the first kind) or
+    1 - nu (the second kind); any other value raises ValueError.  Unlike
+    :func:`evaluate` no Gamma normalisation enters, so this stays finite
+    where that normalisation has a pole, and it is what the recurrence
+    oracle is compared with.  The per-order decomposition (already scaled
+    by c0 x^lam and the eps_tilde powers) is exposed on ``orders``.  For
+    mu > 0 and z = -mu x^2/2 < -1 the sum is taken over the transformed
+    parameters (-mu, -eps, nu, Omega - mu(1+nu), nu - omega) with the same
+    lam and c0, times e^{-mu x^2/2 - eps x}, so ``orders`` is then the
+    transformed decomposition; see :class:`EvalResult`.
+    """
+    if p.mu == 0.0:
+        raise PoleError("closed-form evaluation requires mu != 0 (Omega/(2 mu) appears)")
+    if lam == 0.0:
+        kind = SolutionKind.FIRST
+    elif abs(lam - (1.0 - p.nu)) <= 1e-12:
+        kind = SolutionKind.SECOND
+    else:
+        raise ValueError(f"lam={lam} is neither indicial root (0 or 1 - nu = {1.0 - p.nu})")
+    validate(p, kind)
+    return _evaluate(p, lam, x, t, None, c0 * real_power(x, lam))

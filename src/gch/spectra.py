@@ -21,11 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
-import numpy as np
-
 from .errors import DegenerateCoupling, NoTermination, TailNotDecayed
-from .params import GchParams
-from .series import NestedTruncation, betas_from_omega, eval_qw_infinite, eval_qw_poly
+from .params import GchParams, SolutionKind
+from .series import NestedTruncation, betas_from_omega, evaluate
 
 
 @dataclass(frozen=True)
@@ -236,9 +234,9 @@ def wavefunction_result(
     x = _series_argument(system, r)
     try:
         betas = betas_from_omega(state.gch, 0.0, t.max_order_N + 1)
-        res = eval_qw_poly(state.gch, betas, x, t)
     except NoTermination:
-        res = eval_qw_infinite(state.gch, x, t)
+        betas = None
+    res = evaluate(state.gch, SolutionKind.FIRST, x, betas, t)
     return envelope(system, r) * res.value, res.converged
 
 
@@ -259,19 +257,29 @@ def wavefunction(
     return wavefunction_result(system, state, r, t)[0]
 
 
-def radial_norm(fn: Callable[[float], float], r_max: float, n_points: int) -> float:
-    """Composite-Simpson value of integral_0^{r_max} fn(r)^2 r^2 dr."""
+def _radial_samples(fn: Callable[[float], float], r_max: float, n_points: int) -> tuple[list[float], list[float]]:
+    """Uniform grid on [0, r_max] with an odd number (n_points, or one more)
+    of points, and fn on it."""
     if r_max <= 0.0 or n_points < 3:
         raise ValueError("need r_max > 0 and at least 3 quadrature points")
     n = n_points if n_points % 2 == 1 else n_points + 1
-    grid = np.linspace(0.0, r_max, n)
-    vals = np.array([fn(float(r)) for r in grid])
-    integrand = vals * vals * grid * grid
-    h = grid[1] - grid[0]
-    weights = np.ones(n)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return float(h / 3.0 * np.dot(weights, integrand))
+    h = r_max / (n - 1)
+    grid = [i * h for i in range(n - 1)] + [r_max]
+    return grid, [fn(r) for r in grid]
+
+
+def _simpson(grid: list[float], vals: list[float]) -> float:
+    """Composite-Simpson value of integral vals^2 r^2 dr over a grid from
+    :func:`_radial_samples`."""
+    last = len(grid) - 1
+    terms = [v * v * r * r * (1.0 if i in (0, last) else 4.0 if i % 2 else 2.0)
+             for i, (r, v) in enumerate(zip(grid, vals))]
+    return (grid[1] - grid[0]) / 3.0 * math.fsum(terms)
+
+
+def radial_norm(fn: Callable[[float], float], r_max: float, n_points: int) -> float:
+    """Composite-Simpson value of integral_0^{r_max} fn(r)^2 r^2 dr."""
+    return _simpson(*_radial_samples(fn, r_max, n_points))
 
 
 def normalize(
@@ -286,19 +294,10 @@ def normalize(
     Raises TailNotDecayed unless |Psi(r_max)| has fallen below 1e-10 of the
     sampled peak.
     """
-    fn = lambda r: wavefunction(system, state, r, t)
-    n = n_points if n_points % 2 == 1 else n_points + 1
-    grid = np.linspace(0.0, r_max, n)
-    vals = np.array([fn(float(r)) for r in grid])
-    peak = float(np.max(np.abs(vals)))
+    grid, vals = _radial_samples(lambda r: wavefunction(system, state, r, t), r_max, n_points)
+    peak = max(abs(v) for v in vals)
     if peak == 0.0 or abs(vals[-1]) > 1e-10 * peak:
         raise TailNotDecayed(
             f"|Psi({r_max})| = {abs(vals[-1]):.3e} exceeds 1e-10 of peak {peak:.3e}"
         )
-    integrand = vals * vals * grid * grid
-    h = grid[1] - grid[0]
-    weights = np.ones(n)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    integral = float(h / 3.0 * np.dot(weights, integrand))
-    return 1.0 / math.sqrt(integral)
+    return 1.0 / math.sqrt(_simpson(grid, vals))

@@ -186,8 +186,7 @@ def cross_validate(
     for p, x in grid.points():
         for kind in grid.kinds:
             try:
-                bundle = validate(p, kind)
-                lam = bundle.lam
+                lam = validate(p, kind)
                 oracle = sum_series(p, lam, 1.0, x, t).value
                 closed = eval_general(p, lam, 1.0, x, nt).value
             except GchError as exc:

@@ -16,13 +16,12 @@ import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 
 from gch.cli import main
 from gch.params import GchParams, SolutionKind, coefficient_B, validate
 from gch.recurrence import Truncation, coefficients, detect_termination, sum_series
-from gch.series import NestedTruncation, eval_qw_infinite, eval_rw_infinite
+from gch.series import NestedTruncation, evaluate
 from gch.spectra import (
     Confinement,
     QQbar,
@@ -78,7 +77,7 @@ def test_criterion_2_kummer_reduction():
         z = -0.5 * mu * x * x
         assert abs(z) <= 5.0
         draws += 1
-        closed = eval_qw_infinite(p, x).value
+        closed = evaluate(p, SolutionKind.FIRST, x).value
         want = math.gamma(gamma - a) / math.gamma(gamma) * kummer_oracle(a, gamma, z)
         rel = abs(closed - want) / abs(want)
         worst = max(worst, rel)
@@ -116,7 +115,7 @@ def test_criterion_4_ode_residual():
     for p in (GchParams(-2.0, 2.0, 1.5, 1.0, 0.25), GchParams(0.5, -2.0, 0.5, -1.0, 1.0),
               GchParams(2.0, 0.5, 1.5, -1.0, 0.25), GchParams(-0.5, -0.5, 0.5, 1.0, 1.0)):
         for kind in (SolutionKind.FIRST, SolutionKind.SECOND):
-            lam = validate(p, kind).lam
+            lam = validate(p, kind)
             cs = coefficients(p, lam, 1.0, 140)
             xs = (-1.0, -0.4, 0.3, 1.0) if kind is SolutionKind.FIRST else (0.3, 0.6, 1.0)
             for x in xs:
@@ -237,8 +236,8 @@ def test_criterion_7b_decay_at_r20():
     for system in SYSTEMS:
         for beta in range(6):
             state = make_state(system, 0, beta)
-            rs = np.linspace(0.1, 10.0, 40)
-            peak = max(abs(wavefunction(system, state, float(r), NT_TAIL)) for r in rs)
+            rs = [0.1 + (10.0 - 0.1) * i / 39 for i in range(40)]
+            peak = max(abs(wavefunction(system, state, r, NT_TAIL)) for r in rs)
             tail = abs(wavefunction(system, state, 20.0, NT_TAIL))
             if tail > 1e-8 * peak:
                 failures.append((type(system).__name__, beta, tail / peak))
@@ -253,11 +252,11 @@ def test_criterion_8_wronskian_independence():
     validate(p, SolutionKind.FIRST)
     validate(p, SolutionKind.SECOND)
     nt = NestedTruncation(max_order_N=40, max_inner=80, rel_tol=1e-13)
-    qw = lambda x: eval_qw_infinite(p, x, nt).value
-    rw = lambda x: eval_rw_infinite(p, x, nt).value
+    qw = lambda x: evaluate(p, SolutionKind.FIRST, x, t=nt).value
+    rw = lambda x: evaluate(p, SolutionKind.SECOND, x, t=nt).value
     h = 1e-5
     smallest = math.inf
-    for x in np.linspace(0.2, 1.0, 9):
+    for x in [0.2 + (1.0 - 0.2) * i / 8 for i in range(9)]:
         qwd = (qw(x + h) - qw(x - h)) / (2 * h)
         rwd = (rw(x + h) - rw(x - h)) / (2 * h)
         w = qw(x) * rwd - qwd * rw(x)

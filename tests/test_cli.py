@@ -211,3 +211,36 @@ def test_wavefunction_negative_grid_exit2(capsys):
                  "--l", "0", "--x-start", "-1", "--x-stop", "1", "--x-count", "3"])
     assert code == 2
     assert "nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("key", ["max_order", "max_inner", "rel_tol"])
+def test_explicit_zero_truncation_exit2(tmp_path, capsys, key, via_config):
+    # an explicit 0 reaches NestedTruncation's own check instead of the default
+    argv = ["eval", "--mu", "2", "--nu", "1.5", "--omega-cap", "3", "--x-count", "1"]
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 0}))
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--" + key.replace("_", "-"), "0"]
+    assert main(argv) == 2
+    assert "must be" in capsys.readouterr().err
+
+
+def test_asymptote_small_eps_requires_mu(capsys):
+    code = main(["asymptote", "--regime", "small-eps", "--x-start", "0", "--x-stop", "1",
+                 "--x-count", "3"])
+    assert code == 2
+    assert "--mu" in capsys.readouterr().err
+
+
+def test_cli_import_is_stdlib_only(gch_subprocess_env):
+    # gch has no runtime dependency: importing the CLI loads only gch and
+    # standard-library modules
+    code = ("import sys; before = set(sys.modules); import gch.cli; "
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names) - {'gch'}))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, env=gch_subprocess_env)
+    assert r.returncode == 0, r.stderr.decode()
+    assert r.stdout == b"[]\n"

@@ -5,12 +5,10 @@ import pytest
 
 from gch.errors import KindRestrictionError, NonFiniteError, PoleError
 from gch.params import (
-    DerivedVars,
     GchParams,
     SolutionKind,
     coefficient_A,
     coefficient_B,
-    indicial_roots,
     validate,
 )
 
@@ -80,12 +78,12 @@ def test_pole_error():
 
 @pytest.mark.parametrize("nu,expected", [(2.0, (0.0, -1.0)), (1.0, (0.0, 0.0)), (0.5, (0.0, 0.5))])
 def test_indicial_roots(nu, expected):
-    assert indicial_roots(nu) == expected
+    assert (SolutionKind.FIRST.lambda_of(nu), SolutionKind.SECOND.lambda_of(nu)) == expected
 
 
 def test_indicial_roots_satisfy_indicial_polynomial():
     for nu in (-2.3, 0.4, 1.0, 3.7):
-        for lam in indicial_roots(nu):
+        for lam in (SolutionKind.FIRST.lambda_of(nu), SolutionKind.SECOND.lambda_of(nu)):
             assert abs(lam * (lam - 1.0) + nu * lam) < 1e-12
 
 
@@ -97,15 +95,15 @@ def test_validate_first_kind_restriction(nu):
 
 
 def test_validate_second_kind():
-    assert validate(GchParams(1.0, 1.0, -1.0, 1.0, 1.0), SolutionKind.SECOND).lam == 2.0
+    assert validate(GchParams(1.0, 1.0, -1.0, 1.0, 1.0), SolutionKind.SECOND) == 2.0
     with pytest.raises(KindRestrictionError):
         validate(GchParams(1.0, 1.0, 3.0, 1.0, 1.0), SolutionKind.SECOND)
 
 
 def test_validate_accepts_generic():
-    bundle = validate(GchParams(-2.0, 1.0, 1.5, 0.3, 0.25), SolutionKind.SECOND)
-    assert bundle.lam == pytest.approx(-0.5)
-    assert bundle.gamma == pytest.approx(1.25)
+    p = GchParams(-2.0, 1.0, 1.5, 0.3, 0.25)
+    assert validate(p, SolutionKind.SECOND) == pytest.approx(-0.5)
+    assert p.gamma == pytest.approx(1.25)
 
 
 def test_validate_nonfinite():
@@ -118,12 +116,3 @@ def test_validate_nonfinite():
 def test_lambda_of():
     assert SolutionKind.FIRST.lambda_of(3.3) == 0.0
     assert SolutionKind.SECOND.lambda_of(3.3) == pytest.approx(-2.3)
-
-
-def test_derived_vars():
-    p = GchParams(mu=2.0, eps=3.0, nu=0.5, Omega=0.0, omega=0.0)
-    d = DerivedVars.from_params(p)
-    assert d.gamma == 0.75
-    assert d.z_of(0.0) == 0.0 and d.eps_tilde_of(0.0) == 0.0
-    assert d.z_of(2.0) == -4.0
-    assert d.eps_tilde_of(1.0) == -1.5

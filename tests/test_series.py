@@ -4,8 +4,8 @@ import random
 import mpmath as mp
 import pytest
 
-from gch.errors import BetaMismatch, DomainError, IndeterminateError, KindRestrictionError, NoTermination, PoleError
-from gch.params import GchParams
+from gch.errors import BetaMismatch, DomainError, KindRestrictionError, NoTermination, PoleError
+from gch.params import GchParams, SolutionKind
 from gch.recurrence import Truncation, sum_series
 from gch.series import (
     BetaSequence,
@@ -15,55 +15,13 @@ from gch.series import (
     _required_cap,
     betas_from_omega,
     eval_general,
-    eval_qw_infinite,
-    eval_qw_poly,
-    eval_rw_infinite,
-    eval_rw_poly,
-    pochhammer_ratio,
+    evaluate,
 )
 from gch.verify import kummer_oracle
 
 TIGHT = Truncation(max_terms=500, rel_tol=1e-14)
 NT = NestedTruncation(max_order_N=40, max_inner=80, rel_tol=1e-13)
-
-
-# ---------------------------------------------------------------- pochhammer
-
-def test_pochhammer_examples():
-    assert pochhammer_ratio(2.0, 3, 0) == pytest.approx(24.0, rel=1e-15)
-    assert pochhammer_ratio(-3.0, 5, 0) == 0.0
-    # telescoped two-factor product (0.5+38)(0.5+39)
-    assert pochhammer_ratio(0.5, 40, 38) == pytest.approx(38.5 * 39.5, rel=1e-14)
-
-
-def test_pochhammer_inverse_pair():
-    rng = random.Random(5)
-    for _ in range(40):
-        a = rng.uniform(-6, 6)
-        if abs(a - round(a)) < 1e-9:
-            a += 0.37
-        m, n = rng.randint(0, 60), rng.randint(0, 60)
-        prod = pochhammer_ratio(a, m, n) * pochhammer_ratio(a, n, m)
-        assert prod == pytest.approx(1.0, rel=1e-12)
-
-
-def test_pochhammer_indeterminate():
-    # denominator chain crosses the zero of (-2 + j)
-    with pytest.raises(IndeterminateError):
-        pochhammer_ratio(-2.0, 0, 5)
-
-
-def test_pochhammer_long_span_log_path():
-    # 100 factors of size ~10^2: the value (~10^230) is far beyond what a
-    # naive full rising factorial (a)_300 could pass through
-    want_log = sum(math.log(0.5 + j) for j in range(200, 300))
-    val = pochhammer_ratio(0.5, 300, 200)
-    assert math.log(val) == pytest.approx(want_log, abs=1e-10)
-    assert pochhammer_ratio(0.5, 200, 300) == pytest.approx(1.0 / val, rel=1e-12)
-
-
-def test_pochhammer_saturates():
-    assert pochhammer_ratio(0.5, 400, 0) == math.inf
+FIRST, SECOND = SolutionKind.FIRST, SolutionKind.SECOND
 
 
 # ------------------------------------------------- literal nested-sum checks
@@ -150,6 +108,12 @@ def test_eval_general_requires_mu():
         eval_general(GchParams(0.0, 1.0, 1.0, 1.0, 1.0), 0.0, 1.0, 0.5)
 
 
+def test_eval_general_rejects_non_root_lam():
+    # nu = 0.5: the roots are 0 and 0.5
+    with pytest.raises(ValueError, match="indicial root"):
+        eval_general(GchParams(-1.0, 0.8, 0.5, 0.7, 1.2), 0.25, 1.0, 0.6, NT)
+
+
 def test_order_decomposition_scales_with_eps():
     p = GchParams(-1.5, 0.8, 1.2, 0.9, 0.4)
     doubled = GchParams(p.mu, 2.0 * p.eps, p.nu, p.Omega, p.omega)
@@ -169,45 +133,45 @@ def test_x_zero_is_c0():
 def test_qw_prefactor_at_origin():
     # gamma = 1, Omega/2mu = 1/2: value Gamma(1/2)/Gamma(1) = sqrt(pi)
     p = GchParams(2.0, 0.3, 1.0, 2.0, 1.0)
-    assert eval_qw_infinite(p, 0.0).value == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+    assert evaluate(p, FIRST, 0.0).value == pytest.approx(math.sqrt(math.pi), rel=1e-15)
 
 
 def test_qw_eps_zero_is_kummer():
     p = GchParams(2.0, 0.0, 1.0, 2.0, 1.0)
     want = math.sqrt(math.pi) * kummer_oracle(0.5, 1.0, -1.0)
-    assert eval_qw_infinite(p, 1.0, NT).value == pytest.approx(want, rel=1e-13)
+    assert evaluate(p, FIRST, 1.0, t=NT).value == pytest.approx(want, rel=1e-13)
 
 
 def test_qw_matches_oracle_with_prefactor():
     p = GchParams(-1.0, 0.5, 0.5, 1.0, 2.0)
     c0 = math.gamma(p.gamma - p.Omega / (2 * p.mu)) / math.gamma(p.gamma)
-    closed = eval_qw_infinite(p, 0.3, NT).value
+    closed = evaluate(p, FIRST, 0.3, t=NT).value
     oracle = sum_series(p, 0.0, c0, 0.3, TIGHT).value
     assert closed == pytest.approx(oracle, rel=1e-9)
 
 
 def test_qw_kind_restriction():
     with pytest.raises(KindRestrictionError):
-        eval_qw_infinite(GchParams(1.0, 1.0, -1.0, 1.0, 1.0), 0.5)
+        evaluate(GchParams(1.0, 1.0, -1.0, 1.0, 1.0), FIRST, 0.5)
 
 
 def test_rw_zero_limit_small_gamma():
     # gamma < 1: prefactor z^(1-gamma) vanishes with x
     p = GchParams(-2.0, 0.4, 0.5, 1.0, 0.3)
-    assert eval_rw_infinite(p, 0.0).value == 0.0
+    assert evaluate(p, SECOND, 0.0).value == 0.0
 
 
 def test_rw_eps_zero_kummer_composition():
     # Omega/2mu + 1 - gamma = 0 makes the z-sum collapse to 1
     p = GchParams(-2.0, 0.0, 0.5, 1.0, 0.3)
-    assert eval_rw_infinite(p, 0.5).value == pytest.approx(0.25 ** 0.25, rel=1e-14)
+    assert evaluate(p, SECOND, 0.5).value == pytest.approx(0.25 ** 0.25, rel=1e-14)
     # generic second-kind reduction
     p = GchParams(-2.0, 0.0, 0.5, -0.6, 0.3)
     gamma = p.gamma
     z = 0.25
     want = z ** (1 - gamma) * math.gamma(1 - p.Omega / (2 * p.mu)) / math.gamma(2 - gamma) \
         * kummer_oracle(p.Omega / (2 * p.mu) + 1 - gamma, 2 - gamma, z)
-    assert eval_rw_infinite(p, 0.5, NT).value == pytest.approx(want, rel=1e-12)
+    assert evaluate(p, SECOND, 0.5, t=NT).value == pytest.approx(want, rel=1e-12)
 
 
 def test_rw_matches_oracle():
@@ -215,7 +179,7 @@ def test_rw_matches_oracle():
     gamma = p.gamma
     lam = 1.0 - p.nu
     c0 = (-0.5 * p.mu) ** (1 - gamma) * math.gamma(1 - p.Omega / (2 * p.mu)) / math.gamma(2 - gamma)
-    closed = eval_rw_infinite(p, 0.6, NT).value
+    closed = evaluate(p, SECOND, 0.6, t=NT).value
     oracle = sum_series(p, lam, c0, 0.6, TIGHT).value
     assert closed == pytest.approx(oracle, rel=1e-9)
 
@@ -223,12 +187,12 @@ def test_rw_matches_oracle():
 def test_rw_domain_error_for_negative_z():
     # mu > 0 makes z < 0 and z^(1-gamma) complex
     with pytest.raises(DomainError):
-        eval_rw_infinite(GchParams(2.0, 0.4, 0.5, 0.7, 1.2), 0.6)
+        evaluate(GchParams(2.0, 0.4, 0.5, 0.7, 1.2), SECOND, 0.6)
 
 
 def test_rw_kind_restriction():
     with pytest.raises(KindRestrictionError):
-        eval_rw_infinite(GchParams(-1.0, 1.0, 3.0, 1.0, 1.0), 0.5)
+        evaluate(GchParams(-1.0, 1.0, 3.0, 1.0, 1.0), SECOND, 0.5)
 
 
 # ------------------------------------------------------------- polynomial class
@@ -255,7 +219,7 @@ def test_qw_poly_beta0_zero_order0_constant():
     # beta_0 = 0 kills every z power at order 0; c0 = 1
     p = GchParams(-2.0, 0.5, 1.0, 0.0, 1.0)
     seq = betas_from_omega(p, 0.0, 1)
-    res = eval_qw_poly(p, seq, 0.8, NT)
+    res = evaluate(p, FIRST, 0.8, seq, NT)
     assert res.orders[0] == 1.0
 
 
@@ -267,7 +231,7 @@ def test_qw_poly_degree_two_polynomial():
     for x in (0.2, 0.5, 1.1):
         z = x * x
         want = 2.0 * (1.0 - 2.0 * z + 0.5 * z * z)
-        res = eval_qw_poly(p, seq, x, NT)
+        res = evaluate(p, FIRST, x, seq, NT)
         assert res.value == pytest.approx(want, rel=1e-13)
         assert res.converged  # exact finite evaluation at eps = 0
 
@@ -278,7 +242,7 @@ def test_qw_poly_matches_oracle_generic():
     p = GchParams(mu, 0.9, 0.75, -(mu * (2 * 2 + 0.0)), 0.6)
     seq = betas_from_omega(p, 0.0, NT.max_order_N + 1)
     c0 = math.gamma(p.gamma + 2) / math.gamma(p.gamma)
-    closed = eval_qw_poly(p, seq, 0.7, NT).value
+    closed = evaluate(p, FIRST, 0.7, seq, NT).value
     oracle = sum_series(p, 0.0, c0, 0.7, TIGHT).value
     assert closed == pytest.approx(oracle, rel=1e-9)
 
@@ -288,7 +252,7 @@ def test_qw_poly_equals_general_on_derived_betas():
     p = GchParams(mu, -0.8, 1.5, -(mu * 2.0), 0.4)  # beta_0 = 1
     seq = betas_from_omega(p, 0.0, NT.max_order_N + 1)
     c0 = math.gamma(p.gamma + 1) / math.gamma(p.gamma)
-    a = eval_qw_poly(p, seq, 0.9, NT).value
+    a = evaluate(p, FIRST, 0.9, seq, NT).value
     b = eval_general(p, 0.0, c0, 0.9, NT).value
     assert a == pytest.approx(b, rel=1e-13)
 
@@ -297,13 +261,13 @@ def test_qw_poly_beta_mismatch():
     p = GchParams(-2.0, 0.5, 1.0, 8.0, 1.0)  # beta_0 = 2
     wrong = BetaSequence((3,), BetaSource.DERIVED_FROM_OMEGA)
     with pytest.raises(BetaMismatch):
-        eval_qw_poly(p, wrong, 0.5)
+        evaluate(p, FIRST, 0.5, wrong)
 
 
 def test_qw_poly_user_supplied_not_checked():
     p = GchParams(-2.0, 0.5, 1.0, 8.0, 1.0)
     seq = BetaSequence((3, 1), BetaSource.USER_SUPPLIED)
-    res = eval_qw_poly(p, seq, 0.5, NT)
+    res = evaluate(p, FIRST, 0.5, seq, NT)
     assert math.isfinite(res.value)
 
 
@@ -313,7 +277,7 @@ def test_rw_poly_zero_limit():
     p = GchParams(mu, 0.4, 0.5, -2.0 * mu * (0.0 + 1 - gamma), 0.9)  # psi_0 = 0
     seq = betas_from_omega(p, 1.0 - p.nu, 1)
     assert seq.betas == (0,)
-    assert eval_rw_poly(p, seq, 0.0).value == 0.0
+    assert evaluate(p, SECOND, 0.0, seq).value == 0.0
 
 
 def test_rw_poly_linear_term():
@@ -327,7 +291,7 @@ def test_rw_poly_linear_term():
         z = x * x
         pref = z ** (1 - gamma) * math.gamma(1 + 2 - gamma) / math.gamma(2 - gamma)
         want = pref * (1.0 - z / (2.0 - gamma))
-        assert eval_rw_poly(p, seq, x, NT).value == pytest.approx(want, rel=1e-13)
+        assert evaluate(p, SECOND, x, seq, NT).value == pytest.approx(want, rel=1e-13)
 
 
 def test_rw_poly_matches_oracle():
@@ -338,7 +302,7 @@ def test_rw_poly_matches_oracle():
     p = GchParams(mu, 0.4, nu, -2.0 * mu * (1.0 + 1 - gamma), 1.2)  # psi_0 = 1
     seq = betas_from_omega(p, lam, NT.max_order_N + 1)
     c0 = (-0.5 * mu) ** (1 - gamma) * math.gamma(1 + 2 - gamma) / math.gamma(2 - gamma)
-    closed = eval_rw_poly(p, seq, 0.5, NT).value
+    closed = evaluate(p, SECOND, 0.5, seq, NT).value
     oracle = sum_series(p, lam, c0, 0.5, TIGHT).value
     assert closed == pytest.approx(oracle, rel=1e-9)
 
@@ -351,8 +315,8 @@ def test_wronskian_of_kinds():
     # constant across x.
     p = GchParams(-1.0, 0.4, 0.5, 0.7, 1.2)
     h = 1e-5
-    qw = lambda x: eval_qw_infinite(p, x, NT).value
-    rw = lambda x: eval_rw_infinite(p, x, NT).value
+    qw = lambda x: evaluate(p, FIRST, x, t=NT).value
+    rw = lambda x: evaluate(p, SECOND, x, t=NT).value
     scaled_consts = []
     for x in (0.2, 0.4, 0.6, 0.8, 1.0):
         w = qw(x) * (rw(x + h) - rw(x - h)) / (2 * h) - rw(x) * (qw(x + h) - qw(x - h)) / (2 * h)
@@ -373,11 +337,11 @@ def test_kummer_reduction_both_kinds_tight():
         x = rng.uniform(0.05, math.sqrt(8.0 / abs(mu)))
         z = -0.5 * mu * x * x
         gamma = p.gamma
-        qw = eval_qw_infinite(p, x, NT).value
+        qw = evaluate(p, FIRST, x, t=NT).value
         want = math.gamma(gamma - Om / (2 * mu)) / math.gamma(gamma) * kummer_oracle(Om / (2 * mu), gamma, z)
         assert qw == pytest.approx(want, rel=1e-12)
         if mu < 0:  # RW needs z > 0
-            rw = eval_rw_infinite(p, x, NT).value
+            rw = evaluate(p, SECOND, x, t=NT).value
             want = z ** (1 - gamma) * math.gamma(1 - Om / (2 * mu)) / math.gamma(2 - gamma) \
                 * kummer_oracle(Om / (2 * mu) + 1 - gamma, 2 - gamma, z)
             assert rw == pytest.approx(want, rel=1e-12)
@@ -441,11 +405,11 @@ def test_normalization_pole():
     # gamma - Omega/2mu = 0: Gamma pole in the first-kind prefactor
     p = GchParams(1.0, 0.5, 1.0, 2.0, 0.3)  # gamma = 1, Omega/2mu = 1
     with pytest.raises(NormalizationPole):
-        eval_qw_infinite(p, 0.5)
+        evaluate(p, FIRST, 0.5)
     # 1 - Omega/2mu = -1: pole in the second-kind prefactor
     p = GchParams(-1.0, 0.5, 0.5, -4.0, 0.3)
     with pytest.raises(NormalizationPole):
-        eval_rw_infinite(p, 0.5)
+        evaluate(p, SECOND, 0.5)
 
 
 
@@ -529,11 +493,11 @@ def test_forward_recurrence_matches_backward_fold(p, lam, x, seq):
         res = eval_general(p, lam, 1.0, x, t)
         pref, order_cap = x ** lam, t.max_order_N
     elif lam == 0.0:
-        res = eval_qw_poly(p, seq, x, t)
+        res = evaluate(p, FIRST, x, seq, t)
         pref = math.gamma(p.gamma + seq.betas[0]) / math.gamma(p.gamma)
         order_cap = len(seq.betas) - 1
     else:
-        res = eval_rw_poly(p, seq, x, t)
+        res = evaluate(p, SECOND, x, seq, t)
         gamma = p.gamma
         pref = (-0.5 * p.mu * x * x) ** (1 - gamma) * math.gamma(seq.betas[0] + 2 - gamma) / math.gamma(2 - gamma)
         order_cap = len(seq.betas) - 1
@@ -615,6 +579,6 @@ def test_transformed_poly_class_matches_oracle():
     seq = betas_from_omega(p, 0.0, 49)
     c0 = math.gamma(p.gamma + 1) / math.gamma(p.gamma)
     for x in (2.2, 3.0):
-        res = eval_qw_poly(p, seq, x)
+        res = evaluate(p, FIRST, x, seq)
         assert res.converged
         assert res.value == pytest.approx(sum_series(p, 0.0, c0, x, TIGHT).value, rel=1e-11)

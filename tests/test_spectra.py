@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from gch.errors import DegenerateCoupling, TailNotDecayed
@@ -145,11 +144,12 @@ def test_ground_state_order0_is_pure_envelope():
     # envelope; higher orders in eps_tilde do contribute (c_1 != 0).
     system = RotatingOscillator(l_m=0, omega_c=2.0)
     state = make_state(system, 0, 0)
-    from gch.series import betas_from_omega, eval_qw_poly
+    from gch.params import SolutionKind
+    from gch.series import betas_from_omega, evaluate
     seq = betas_from_omega(state.gch, 0.0, 5)
     r = 1.3
     x = r / math.sqrt(2.0 * system.omega_c)
-    res = eval_qw_poly(state.gch, seq, x, NT)
+    res = evaluate(state.gch, SolutionKind.FIRST, x, seq, NT)
     assert res.orders[0] == 1.0
     assert len(res.orders) > 1 and res.orders[1] != 0.0
 
@@ -169,8 +169,8 @@ def test_massless_quark_states_decay():
     system = QQbar(m_q=0.0, b_slope=1.0, l=0)
     for beta in range(6):
         state = make_state(system, 0, beta)
-        rs = np.linspace(0.05, 10.0, 120)
-        peak = max(abs(wavefunction(system, state, float(r), NT)) for r in rs)
+        rs = [0.05 + (10.0 - 0.05) * i / 119 for i in range(120)]
+        peak = max(abs(wavefunction(system, state, r, NT)) for r in rs)
         assert abs(wavefunction(system, state, 20.0, NT)) <= 1e-8 * peak
 
 
@@ -181,6 +181,16 @@ def test_radial_norm_scaling():
     i1 = radial_norm(fn, 10.0, 801)
     i2 = radial_norm(lambda r: 2.0 * fn(r), 10.0, 801)
     assert i2 == pytest.approx(4.0 * i1, rel=1e-13)
+
+
+@pytest.mark.parametrize("r_max,n_points", [(10.0, 1), (10.0, 2), (0.0, 101)])
+def test_radial_norm_and_normalize_reject_bad_grid(r_max, n_points):
+    system = QQbar(m_q=0.0, b_slope=1.0, l=0)
+    state = make_state(system, 0, 2)
+    with pytest.raises(ValueError, match="at least 3 quadrature points"):
+        radial_norm(lambda r: r, r_max, n_points)
+    with pytest.raises(ValueError, match="at least 3 quadrature points"):
+        normalize(system, state, r_max, n_points, NT)
 
 
 def test_radial_norm_gaussian_closed_form():
