@@ -32,8 +32,6 @@ from .params import (
 )
 from .recurrence import EvalResult, Truncation, coefficients, detect_termination, sum_series
 from .series import (
-    BetaSequence,
-    BetaSource,
     NestedTruncation,
     betas_from_omega,
     eval_general,
@@ -74,8 +72,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticRegime",
     "BetaMismatch",
-    "BetaSequence",
-    "BetaSource",
     "Confinement",
     "CrossReport",
     "DegenerateCoupling",

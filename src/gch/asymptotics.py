@@ -10,7 +10,8 @@ x(exp(-eps x) - 1) for the A-dominated regime, and
 for the B-dominated one.  erf is implemented locally (Kummer-transformed
 series below |y| = 3, Lentz-evaluated continued fraction beyond) so the
 values are bit-stable across platforms; the square roots are kept real for
-mu > 0 through erfi.
+mu > 0 through erfi, or, once that cancels, the asymptotic expansion of
+the Dawson function.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ from enum import Enum
 
 _SQRT_PI = math.sqrt(math.pi)
 _ERF_SWITCH = 3.0
+#: y = sqrt(mu/2) x from which asym_small_eps (mu > 0) sums the Dawson
+#: expansion instead of the cancelling erfi form
+_DAWSON_SWITCH = 6.0
 
 
 class AsymptoticRegime(Enum):
@@ -94,6 +98,29 @@ def erfi(y: float) -> float:
     return 2.0 / _SQRT_PI * total
 
 
+def _dawson_tail(y: float) -> float:
+    """1 - 2y D(y) for y >= _DAWSON_SWITCH, D the Dawson function.
+
+    Sums the asymptotic expansion -sum_{k>=1} (2k-1)!!/(2y^2)^k (DLMF 7.12)
+    up to its smallest term, about e^{-y^2}: at y = 6 it is 2e-14 of the
+    sum, and it falls fast as y grows.
+    """
+    u = 0.5 / (y * y)
+    term = 1.0
+    total = 0.0
+    k = 1
+    while True:
+        nxt = term * (2 * k - 1) * u
+        if nxt >= term:
+            break
+        term = nxt
+        total += term
+        if term <= 1e-17 * total:
+            break
+        k += 1
+    return -total
+
+
 def asym_small_mu(epsilon: float, x: float) -> float:
     """Limiting form x (e^{-eps x} - 1) of the A-dominated channel, as displayed."""
     return x * math.expm1(-epsilon * x)
@@ -117,6 +144,10 @@ def asym_small_eps(mu: float, x: float) -> float:
     mu x^2 > 0 the real-valued continuation through erfi applies,
     1 - sqrt(-pi s) erfi(sqrt(-s)) e^s, which is the value of the
     even-coefficient series sum_n s^n Gamma(1/2)/Gamma(n+1/2) on both sides.
+    That continuation is 1 - 2y D(y) with y = sqrt(-s) and D the Dawson
+    function; from y = 6 on it is summed by the asymptotic expansion of D,
+    because erfi(y) e^{-y^2} cancels against 1 and erfi overflows near
+    y = 27.
     """
     s = -0.5 * mu * x * x
     if s == 0.0:
@@ -125,6 +156,8 @@ def asym_small_eps(mu: float, x: float) -> float:
         rt = math.sqrt(s)
         return 1.0 + _SQRT_PI * rt * erf(rt) * math.exp(s)
     rt = math.sqrt(-s)
+    if rt >= _DAWSON_SWITCH:
+        return _dawson_tail(rt)
     return 1.0 - _SQRT_PI * rt * erfi(rt) * math.exp(s)
 
 

@@ -36,6 +36,16 @@ WAVEFUNCTION_HEADER = ("r", "value", "converged")
 ASYMPTOTE_HEADER = ("x", "value")
 VERIFY_HEADER = ("mu", "epsilon", "nu", "omega_cap", "omega", "x", "kind", "rel_err", "rel_residual", "status")
 
+#: values of the choice-valued options, checked for flags and config
+#: file entries alike
+CHOICES = {
+    "format": ("csv", "json"),
+    "kind": tuple(k.value for k in SolutionKind),
+    "variant": ("infinite", "poly"),
+    "system": ("oscillator", "confinement", "qqbar"),
+    "regime": tuple(r.value for r in AsymptoticRegime),
+}
+
 
 def _fmt(v: Any) -> str:
     if isinstance(v, bool):
@@ -62,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--format", choices=("csv", "json"), default=None)
+        sp.add_argument("--format", choices=CHOICES["format"], default=None)
         sp.add_argument("--output", default=None, help="output path (default: stdout)")
         sp.add_argument("--config", default=None, help="JSON config file; flags win on conflict")
 
@@ -84,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--x-count", type=int, default=None)
 
     def system(sp):
-        sp.add_argument("--system", choices=("oscillator", "confinement", "qqbar"), default=None)
+        sp.add_argument("--system", choices=CHOICES["system"], default=None)
         sp.add_argument("--l", type=int, default=None, help="angular momentum quantum number")
         sp.add_argument("--coupling", type=float, default=None, help="oscillator coupling")
         sp.add_argument("--pot-a", type=float, default=None)
@@ -95,8 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eval", help="evaluate a series solution on an x grid")
     common(sp); trunc(sp); gch_params(sp); grid(sp)
-    sp.add_argument("--kind", choices=("first", "second"), default=None)
-    sp.add_argument("--variant", choices=("infinite", "poly"), default=None)
+    sp.add_argument("--kind", choices=CHOICES["kind"], default=None)
+    sp.add_argument("--variant", choices=CHOICES["variant"], default=None)
 
     sp = sub.add_parser("spectrum", help="enumerate an eigenvalue ladder")
     common(sp); system(sp)
@@ -115,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("asymptote", help="evaluate a limiting form on an x grid")
     common(sp); grid(sp)
-    sp.add_argument("--regime", choices=("small-mu", "small-eps"), default=None)
+    sp.add_argument("--regime", choices=CHOICES["regime"], default=None)
     sp.add_argument("--mu", type=float, default=None)
     sp.add_argument("--epsilon", type=float, default=None)
 
@@ -168,6 +178,11 @@ class _Config:
                 raise ValueError("config file must hold a JSON object")
         self._file = {k.replace("-", "_"): v for k, v in file_cfg.items()}
         self._args = vars(args)
+        # the file's value of a choice option of this subcommand must be a choice
+        for key, allowed in CHOICES.items():
+            val = self._file.get(key)
+            if key in self._args and val is not None and val not in allowed:
+                raise ValueError(f"config {key}={val!r}: choose from {', '.join(allowed)}")
 
     def get(self, key: str, default: Any = None):
         val = self._args.get(key)
@@ -240,7 +255,7 @@ def _system_from_cfg(cfg: _Config) -> spectra.QuantumSystem:
 
 def cmd_eval(cfg: _Config) -> tuple[int, tuple, list[dict]]:
     p = _gch_from_cfg(cfg)
-    kind = SolutionKind.FIRST if cfg.get("kind") == "first" else SolutionKind.SECOND
+    kind = SolutionKind(cfg.get("kind"))
     lam = validate(p, kind)
     nt = _nested_trunc(cfg)
     xs = _x_grid(cfg)
@@ -298,8 +313,12 @@ def cmd_verify(cfg: _Config) -> tuple[int, tuple, list[dict]]:
     grid_cfg = cfg.get("grid", None)
     base = GridSpec()
     if grid_cfg is not None:
-        kinds = tuple(SolutionKind.FIRST if k == "first" else SolutionKind.SECOND
-                      for k in grid_cfg.get("kinds", ("first", "second")))
+        if not isinstance(grid_cfg, dict):
+            raise ValueError("config grid must be a JSON object")
+        kinds = grid_cfg.get("kinds", CHOICES["kind"])
+        if any(k not in CHOICES["kind"] for k in kinds):
+            raise ValueError(f"config grid.kinds={kinds!r}: choose from {', '.join(CHOICES['kind'])}")
+        kinds = tuple(SolutionKind(k) for k in kinds)
         spec = GridSpec(
             mu=tuple(grid_cfg.get("mu", base.mu)),
             eps=tuple(grid_cfg.get("eps", base.eps)),
@@ -349,8 +368,7 @@ def cmd_verify(cfg: _Config) -> tuple[int, tuple, list[dict]]:
 
 
 def cmd_asymptote(cfg: _Config) -> tuple[int, tuple, list[dict]]:
-    regime_name = cfg.require("regime")
-    regime = AsymptoticRegime.SMALL_MU if regime_name == "small-mu" else AsymptoticRegime.SMALL_EPS
+    regime = AsymptoticRegime(cfg.require("regime"))
     # the small-eps form is a function of mu alone; the small-mu form ignores mu
     mu = float(cfg.require("mu")) if regime is AsymptoticRegime.SMALL_EPS else 0.0
     eps = float(cfg.get("epsilon"))

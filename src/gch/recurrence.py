@@ -59,11 +59,11 @@ class EvalResult:
     ``last_term_mag`` is the magnitude of the last accumulated term (or, for
     the closed-form path, of the last order contribution) and serves as an
     a-posteriori error proxy.  ``terminated_at`` is the index n* with
-    B_{n*} = 0 when the parameters belong to the polynomial class.
+    B_{n*} = 0 (:func:`detect_termination`); the closed form ends chain k
+    at (n* - 1 - k)/2 wherever that is a nonnegative integer.
     ``orders`` is populated only by the closed-form evaluators and holds the
     per-order decomposition y_0, y_1, y_2, ...  For mu > 0 and
-    -mu x^2/2 < -1 the closed form (user-supplied termination sequences
-    excepted) sums the transformed series
+    -mu x^2/2 < -1 the closed form sums the transformed series
     e^{-mu x^2/2 - eps x} y(x; -mu, -eps, nu, Omega - mu(1+nu), nu - omega),
     and ``orders`` is then that series' decomposition (in powers of
     +eps x/2, each order times the exponential); they still add up to
@@ -115,7 +115,8 @@ def coefficients(p: GchParams, lam: float, c0: float, count: int) -> list[float]
 
 def detect_termination(p: GchParams, lam: float) -> Optional[int]:
     """Index n* with B_{n*} = 0, i.e. n* = 1 - lam - Omega/mu, if it is a
-    positive integer (within 1e-12); None otherwise."""
+    positive integer (within 1e-12); None otherwise.  The package's one
+    termination test: the closed form ends its chains by this n*."""
     if p.mu == 0.0:
         raise PoleError("termination detection requires mu != 0")
     nstar = 1.0 - lam - p.Omega / p.mu

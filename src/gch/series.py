@@ -14,11 +14,15 @@ every non-innermost chain k is weighted by
     w_k(i) = (i + lam/2 + omega/2 + k/2)
              / ((i + 1/2 + lam/2 + k/2) (i - 1/2 + gamma + lam/2 + k/2)).
 
-The B-terminated polynomial class is the same object with a_k written as
--beta_k for nonnegative integers beta_k: the rising factorial (-beta_k)_i
-vanishes for i > beta_k and truncates chain k on its own.  Consequently one
-engine, :func:`evaluate`, serves both classes; the class changes only the
-termination bookkeeping and the gamma-function normalisation.
+The parameters alone decide where chains end.  With n* = 1 - lam - Omega/mu
+(:func:`detect_termination`, the index where B_{n*} = 0), a_k equals -beta_k
+with beta_k = (n* - 1 - k)/2 whenever that is a nonnegative integer; chain k
+then runs with that exact integer, and the rising factorial (-beta_k)_i
+vanishes for i > beta_k and truncates it on its own.  Every other chain
+runs the infinite series.  At the eigenvalues Omega = -mu(2 beta_0 + lam)
+chain 0 ends too, and the result is the B-terminated polynomial class; it
+is the same function :func:`evaluate` returns for any other Omega, not a
+second one.
 
 The Pochhammer ratios between adjacent indices are shorthand for the
 telescoped products
@@ -51,15 +55,15 @@ so a point costs O(N cap) for N orders.
 For mu > 0 the chains alternate in sign and cancel once |z| grows, so
 there the engine evaluates e^{mu x^2/2 + eps x} y instead, which solves
 the same equation with transformed parameters and z > 0 (the analogue of
-Kummer's transformation, DLMF 13.2.39), and multiplies the result back.
+Kummer's transformation, DLMF 13.2.39), and multiplies the result back;
+the transformed parameters' n* then decides which chains end.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import BetaMismatch, NormalizationPole, NoTermination, PoleError
 from .params import GchParams, SolutionKind, _is_integer, validate
@@ -92,39 +96,6 @@ class NestedTruncation:
             raise ValueError("max_inner must be at least 4")
         if self.rel_tol <= 0.0:
             raise ValueError("rel_tol must be positive")
-
-
-class BetaSource(Enum):
-    USER_SUPPLIED = "user"
-    DERIVED_FROM_OMEGA = "omega"
-
-
-@dataclass(frozen=True)
-class BetaSequence:
-    """Per-order termination indices beta_0, beta_1, ...
-
-    ``None`` marks an order whose index is absent (not a nonnegative
-    integer); that order's chain then runs with the Omega-derived
-    infinite-series parameters up to the inner cap.  For Omega-derived
-    sequences 2*beta_k + k is the same for every present entry, because a
-    single Omega fixes the whole ladder.
-    """
-
-    betas: tuple[Optional[int], ...]
-    source: BetaSource
-
-    def __post_init__(self) -> None:
-        if not self.betas:
-            raise ValueError("beta sequence must not be empty")
-        for k, b in enumerate(self.betas):
-            if b is None:
-                continue
-            if not isinstance(b, int) or b < 0:
-                raise ValueError(f"beta_{k}={b!r} is not a nonnegative integer")
-        if self.source is BetaSource.DERIVED_FROM_OMEGA:
-            levels = {2 * b + k for k, b in enumerate(self.betas) if b is not None}
-            if len(levels) > 1:
-                raise ValueError(f"Omega-derived betas are inconsistent: 2*beta_k+k = {sorted(levels)}")
 
 
 def _gamma_ratio(num_arg: float, den_arg: float, what: str) -> float:
@@ -184,18 +155,12 @@ def _kummer_transformed(p: GchParams) -> GchParams:
     return GchParams(-p.mu, -p.eps, p.nu, p.Omega - p.mu * (1.0 + p.nu), p.nu - p.omega)
 
 
-def _chain_numerators(p: GchParams, lam: float, betas: Optional[BetaSequence]) -> Callable[[int], float]:
-    """a_k of chain k: -beta_k where the sequence has an entry, otherwise
-    the infinite-series value Omega/(2 mu) + k/2 + lam/2."""
-    half_ratio = p.Omega / (2.0 * p.mu)
-    present = betas.betas if betas is not None else ()
-
-    def a_of(k: int) -> float:
-        if k < len(present) and present[k] is not None:
-            return -float(present[k])
-        return half_ratio + 0.5 * k + 0.5 * lam
-
-    return a_of
+def _chain_end(nstar: Optional[int], k: int) -> Optional[int]:
+    """beta_k = (n* - 1 - k)/2, the last index of chain k, when it is a
+    nonnegative integer; None when chain k does not end."""
+    if nstar is None or k >= nstar or (nstar - 1 - k) % 2:
+        return None
+    return (nstar - 1 - k) // 2
 
 
 def _nested_orders(
@@ -203,33 +168,34 @@ def _nested_orders(
     lam: float,
     x: float,
     t: NestedTruncation,
-    betas: Optional[BetaSequence],
 ) -> tuple[list[float], int, bool]:
     """Per-order contributions S_n * eps_tilde^n of the bracketed series.
 
     Returns (orders, steps, converged flag).  Each order runs the forward
     recurrence once over indices 0..cap, so ``steps`` is cap + 1 per order.
     The outer loop stops once two consecutive orders contribute below
-    rel_tol times the running sum, or immediately after order 0 when
-    eps = 0; a termination sequence also caps the order at its length - 1.
-    The converged flag also drops when max_inner is too small for the
-    chains to have decayed.
+    rel_tol times the running sum, at max_order_N, or immediately after
+    order 0 when eps = 0.  The converged flag also drops when max_inner is
+    too small for the chains to have decayed.
 
     For mu > 0 and z < -1 the alternating chains cancel, so the orders are
     those of the transformed parameters (:func:`_kummer_transformed`, whose
-    z is positive) times e^{-mu x^2/2 - eps x}.  B-terminated sequences are
-    transformed only when derived from Omega, because only then are their
-    a_k the infinite-series ones; user-supplied sequences run as given.
+    z is positive) times e^{-mu x^2/2 - eps x}; which chains end is then
+    decided by the transformed parameters' n*.
     """
-    max_n = t.max_order_N if betas is None else min(t.max_order_N, len(betas.betas) - 1)
     scale = 1.0
-    if p.mu > 0.0 and 0.5 * p.mu * x * x > 1.0 and (
-            betas is None or betas.source is BetaSource.DERIVED_FROM_OMEGA):
+    if p.mu > 0.0 and 0.5 * p.mu * x * x > 1.0:
         scale = math.exp(-0.5 * p.mu * x * x - p.eps * x)
         p = _kummer_transformed(p)
-        betas = None
-    a_of = _chain_numerators(p, lam, betas)
+    nstar = detect_termination(p, lam)
+    half_ratio = p.Omega / (2.0 * p.mu)
     h = 0.5 * lam
+
+    def a_of(k: int) -> float:
+        # exactly -beta_k where chain k ends, else the infinite-series value
+        beta = _chain_end(nstar, k)
+        return half_ratio + 0.5 * k + h if beta is None else -float(beta)
+
     gamma = p.gamma
     z = -0.5 * p.mu * x * x
     et = -0.5 * p.eps * x
@@ -258,7 +224,7 @@ def _nested_orders(
     converged = False
     et_pow = 1.0
     running = orders[0]
-    for n in range(1, max_n + 1):
+    for n in range(1, t.max_order_N + 1):
         et_pow *= et
         # weight n-1 on the carried row, then chain n:
         # g_n[i] = w_{n-1}(i) g_{n-1}[i] + z r_n(i-1) g_n[i-1]
@@ -296,38 +262,28 @@ def _nested_orders(
     return [scale * o for o in orders], steps, converged and inner_ok
 
 
-def betas_from_omega(p: GchParams, lam: float, count: int) -> BetaSequence:
-    """Termination indices beta_k = (-Omega/mu - lam - k)/2 for k < count.
+def betas_from_omega(p: GchParams, lam: float, count: int) -> tuple[Optional[int], ...]:
+    """Last indices beta_k = (-Omega/mu - lam - k)/2 of chains k < count.
 
-    Orders whose index is not a nonnegative integer are marked absent
-    (``None``); their chains contribute through the Omega-derived
-    infinite-series weights instead.  A single Omega forces 2*beta_k + k
-    to be constant, so present entries alternate with absent ones.
+    Chains that do not end are marked ``None``; the engine runs them as
+    infinite series.  A single Omega fixes n* = 1 - lam - Omega/mu, so
+    2*beta_k + k = n* - 1 for every present entry and present entries
+    alternate with absent ones.  Raises NoTermination unless chain 0 ends,
+    i.e. unless Omega is one of the eigenvalues -mu(2 beta_0 + lam).
     """
     if count < 1:
         raise ValueError("count must be positive")
-    if p.mu == 0.0:
-        raise PoleError("termination indices require mu != 0")
-    base = -p.Omega / p.mu - lam
-    betas: list[Optional[int]] = []
-    for k in range(count):
-        val = 0.5 * (base - k)
-        if _is_integer(val, 1e-12 * max(1.0, abs(val))) and round(val) >= 0:
-            betas.append(int(round(val)))
-        else:
-            betas.append(None)
-    if betas[0] is None:
+    nstar = detect_termination(p, lam)
+    if _chain_end(nstar, 0) is None:
         raise NoTermination(
-            f"beta_0 = {0.5 * base} is not a nonnegative integer; Omega={p.Omega} does not terminate"
+            f"beta_0 = {0.5 * (-p.Omega / p.mu - lam)} is not a nonnegative integer; Omega={p.Omega} does not terminate"
         )
-    return BetaSequence(tuple(betas), BetaSource.DERIVED_FROM_OMEGA)
+    return tuple(_chain_end(nstar, k) for k in range(count))
 
 
-def _check_beta_consistency(p: GchParams, lam: float, seq: BetaSequence) -> None:
-    if seq.source is not BetaSource.DERIVED_FROM_OMEGA:
-        return
+def _check_beta_consistency(p: GchParams, lam: float, betas: tuple[Optional[int], ...]) -> None:
     tol = 1e-9 * max(1.0, abs(p.Omega), abs(p.mu))
-    for k, b in enumerate(seq.betas):
+    for k, b in enumerate(betas):
         if b is None:
             continue
         if abs(p.Omega + p.mu * (2.0 * b + k + lam)) > tol:
@@ -341,12 +297,11 @@ def _evaluate(
     lam: float,
     x: float,
     t: NestedTruncation | None,
-    betas: Optional[BetaSequence],
     pref: float,
 ) -> EvalResult:
     """pref * (sum of the nested orders at root lam), with the per-order
     decomposition scaled by pref on ``orders``."""
-    orders, steps, converged = _nested_orders(p, lam, x, t or NestedTruncation(), betas)
+    orders, steps, converged = _nested_orders(p, lam, x, t or NestedTruncation())
     scaled = tuple(pref * o for o in orders)
     return EvalResult(
         value=pref * math.fsum(orders),
@@ -362,20 +317,19 @@ def evaluate(
     p: GchParams,
     kind: SolutionKind,
     x: float,
-    betas: Optional[BetaSequence] = None,
+    betas: Optional[tuple[Optional[int], ...]] = None,
     t: NestedTruncation | None = None,
 ) -> EvalResult:
-    """Normalised closed form of either kind, infinite or B-terminated.
+    """Normalised closed form of either kind.
 
-    Without ``betas`` this is the infinite series, normalised by
-    Gamma(gamma - Omega/2mu)/Gamma(gamma) (first kind) or
-    z^(1-gamma) Gamma(1 - Omega/2mu)/Gamma(2-gamma) (second kind).  With a
-    termination sequence chain k is cut at beta_k by the rising factorial
-    (-beta_k)_i, absent orders fall back to the Omega-derived weights, the
-    outer order is capped by the sequence length as well, and the
-    normalisations become Gamma(gamma + beta_0)/Gamma(gamma) and
-    z^(1-gamma) Gamma(beta_0 + 2 - gamma)/Gamma(2 - gamma).  Omega-derived
-    sequences must agree with Omega (BetaMismatch otherwise).
+    Chain k ends at beta_k = (n* - 1 - k)/2 wherever that is a nonnegative
+    integer, n* = 1 - lam - Omega/mu (see the module docstring).  The
+    normalisation is Gamma(gamma - Omega/2mu)/Gamma(gamma) (first kind) or
+    z^(1-gamma) Gamma(1 - Omega/2mu)/Gamma(2-gamma) (second kind); when
+    chain 0 ends, -Omega/2mu enters as beta_0 + lam/2 with the integer
+    beta_0, and the result is the B-terminated polynomial class.
+    ``betas``, as returned by :func:`betas_from_omega`, is only checked
+    against Omega (BetaMismatch when an entry disagrees).
 
     The second kind needs z^(1-gamma) to be real (z >= 0, or an integer
     exponent; DomainError otherwise).  At nu = 1 the indicial roots
@@ -385,23 +339,19 @@ def evaluate(
     lam = validate(p, kind)
     if p.mu == 0.0:
         raise PoleError("closed-form evaluation requires mu != 0")
-    first = kind is SolutionKind.FIRST
-    half_ratio = p.Omega / (2.0 * p.mu)
-    what = f"{kind.value}-kind prefactor"
-    if betas is None:
-        num = p.gamma - half_ratio if first else 1.0 - half_ratio
-    else:
+    if betas is not None:
         _check_beta_consistency(p, lam, betas)
-        b0 = betas.betas[0]
-        if first:
-            num = p.gamma + (float(b0) if b0 is not None else -half_ratio)
-        else:
-            num = (float(b0) if b0 is not None else -half_ratio - 0.5 * lam) + 2.0 - p.gamma
-        what = "polynomial " + what
-    pref = _gamma_ratio(num, p.gamma if first else 2.0 - p.gamma, what)
+    first = kind is SolutionKind.FIRST
+    beta0 = _chain_end(detect_termination(p, lam), 0)
+    if beta0 is not None:
+        num = p.gamma + float(beta0) if first else float(beta0) + 2.0 - p.gamma
+    else:
+        half_ratio = p.Omega / (2.0 * p.mu)
+        num = p.gamma - half_ratio if first else 1.0 - half_ratio
+    pref = _gamma_ratio(num, p.gamma if first else 2.0 - p.gamma, f"{kind.value}-kind prefactor")
     if not first:
         pref = real_power(-0.5 * p.mu * x * x, 1.0 - p.gamma) * pref
-    return _evaluate(p, lam, x, t, betas, pref)
+    return _evaluate(p, lam, x, t, pref)
 
 
 def eval_general(
@@ -433,4 +383,4 @@ def eval_general(
     else:
         raise ValueError(f"lam={lam} is neither indicial root (0 or 1 - nu = {1.0 - p.nu})")
     validate(p, kind)
-    return _evaluate(p, lam, x, t, None, c0 * real_power(x, lam))
+    return _evaluate(p, lam, x, t, c0 * real_power(x, lam))

@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .errors import DegenerateCoupling, NoTermination, TailNotDecayed
+from .errors import DegenerateCoupling, TailNotDecayed
 from .params import GchParams, SolutionKind
-from .series import NestedTruncation, betas_from_omega, evaluate
+from .series import NestedTruncation, evaluate
 
 
 @dataclass(frozen=True)
@@ -229,14 +229,7 @@ def wavefunction_result(
     """(unnormalised reduced radial value, converged flag)."""
     if r < 0.0:
         raise ValueError("r must be nonnegative")
-    if t is None:
-        t = NestedTruncation()
-    x = _series_argument(system, r)
-    try:
-        betas = betas_from_omega(state.gch, 0.0, t.max_order_N + 1)
-    except NoTermination:
-        betas = None
-    res = evaluate(state.gch, SolutionKind.FIRST, x, betas, t)
+    res = evaluate(state.gch, SolutionKind.FIRST, _series_argument(system, r), t=t)
     return envelope(system, r) * res.value, res.converged
 
 
@@ -249,10 +242,10 @@ def wavefunction(
     """Unnormalised reduced radial value envelope(r) * QW(x(r)).
 
     The regular-at-origin first-kind series is always the physical branch.
-    The B-terminated evaluator is used whenever the state's order ladder
-    starts on an integer index (even i); odd-i states enter through the
-    infinite-series form with the identical normalisation
-    Gamma(gamma - Omega/2mu)/Gamma(gamma).
+    The state's Omega = -mu(2 beta + i) gives n* = 2 beta + i + 1, so chain
+    k ends at (2 beta + i - k)/2 wherever that is a nonnegative integer:
+    for even i chain 0 ends and the function is the B-terminated class, for
+    odd i the odd chains end and chain 0 runs the infinite series.
     """
     return wavefunction_result(system, state, r, t)[0]
 

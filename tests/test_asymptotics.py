@@ -110,3 +110,15 @@ def test_even_series_matches_along_x():
 def test_limit_value_dispatch():
     assert limit_value(AsymptoticRegime.SMALL_MU, 9.9, 1.0, 1.0) == asym_small_mu(1.0, 1.0)
     assert limit_value(AsymptoticRegime.SMALL_EPS, -2.0, 9.9, 1.0) == asym_small_eps(-2.0, 1.0)
+
+
+@pytest.mark.parametrize("x", [1.0, 5.0, 10.0, 20.0, 26.0, 27.0, 30.0, 50.0])
+def test_asym_small_eps_mu_positive_against_mpmath(x):
+    # 1 - 2y D(y) at y = sqrt(mu/2) x: the erfi form cancels, then overflows
+    mu = 2.0
+    with mp.workdps(50):
+        y = mp.sqrt(mp.mpf(mu) / 2) * x
+        want = 1 - mp.sqrt(mp.pi) * y * mp.erfi(y) * mp.exp(-y * y)
+        got = asym_small_eps(mu, x)
+        assert math.isfinite(got)
+        assert abs(got - want) <= mp.mpf("1e-12") * abs(want)

@@ -244,3 +244,40 @@ def test_cli_import_is_stdlib_only(gch_subprocess_env):
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, env=gch_subprocess_env)
     assert r.returncode == 0, r.stderr.decode()
     assert r.stdout == b"[]\n"
+
+
+EVAL_ARGV = ["eval", "--mu", "-1", "--nu", "0.5", "--omega-cap", "0.7", "--x-count", "2"]
+ASYMPTOTE_ARGV = ["asymptote", "--mu", "-2", "--x-count", "2"]
+
+
+@pytest.mark.parametrize("argv,cfg,bad", [
+    (EVAL_ARGV, {"kind": "firts"}, "firts"),
+    (EVAL_ARGV, {"variant": "polly"}, "polly"),
+    (EVAL_ARGV, {"format": "xml"}, "xml"),
+    (ASYMPTOTE_ARGV, {"regime": "small-epss"}, "small-epss"),
+    (["verify"], {"grid": {"x": [0.5], "kinds": ["frist"]}}, "frist"),
+], ids=["kind", "variant", "format", "regime", "grid-kinds"])
+def test_config_choice_outside_choices_exit2(tmp_path, capsys, argv, cfg, bad):
+    # a config file value is held to the choices of the matching flag
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(argv + ["--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"'{bad}'" in captured.err
+
+
+def test_verify_grid_not_an_object_exit2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"grid": [1]}))
+    assert main(["verify", "--config", str(path)]) == 2
+    assert "grid must be a JSON object" in capsys.readouterr().err
+
+
+def test_poly_variant_non_terminating_exit2(capsys):
+    # Omega = -1.3 at mu = 0.5 gives beta_0 = 1.3: no B-terminated solution
+    code = main(["eval", "--mu", "0.5", "--epsilon", "0.3", "--nu", "1.5", "--omega-cap", "-1.3",
+                 "--variant", "poly", "--x-count", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "beta_0 = 1.3 is not a nonnegative integer; Omega=-1.3 does not terminate" in err

@@ -8,8 +8,6 @@ from gch.errors import BetaMismatch, DomainError, KindRestrictionError, NoTermin
 from gch.params import GchParams, SolutionKind
 from gch.recurrence import Truncation, sum_series
 from gch.series import (
-    BetaSequence,
-    BetaSource,
     NestedTruncation,
     _kummer_transformed,
     _required_cap,
@@ -199,20 +197,11 @@ def test_rw_kind_restriction():
 
 def test_betas_from_omega_examples():
     seq = betas_from_omega(GchParams(1.0, 0, 0.5, -4.0, 0), 0.0, 3)
-    assert seq.betas == (2, None, 1)
-    assert seq.source is BetaSource.DERIVED_FROM_OMEGA
+    assert seq == (2, None, 1)
     seq = betas_from_omega(GchParams(-2.0, 0, 0.5, 12.0, 0), 0.0, 1)
-    assert seq.betas == (3,)
+    assert seq == (3,)
     with pytest.raises(NoTermination):
         betas_from_omega(GchParams(1.0, 0, 0.5, -3.7, 0), 0.0, 2)
-
-
-def test_beta_sequence_validation():
-    with pytest.raises(ValueError):
-        BetaSequence((2, None, 0), BetaSource.DERIVED_FROM_OMEGA)  # 2b+k not constant
-    with pytest.raises(ValueError):
-        BetaSequence((-1,), BetaSource.USER_SUPPLIED)
-    BetaSequence((2, None, 1), BetaSource.DERIVED_FROM_OMEGA)
 
 
 def test_qw_poly_beta0_zero_order0_constant():
@@ -227,7 +216,7 @@ def test_qw_poly_degree_two_polynomial():
     # eps = 0, beta_0 = 2, mu = -2, nu = 1: bracket is 1 - 2z + z^2/2, c0 = Gamma(3)/Gamma(1)
     p = GchParams(-2.0, 0.0, 1.0, -(-2.0) * 4.0, 1.0)
     seq = betas_from_omega(p, 0.0, 1)
-    assert seq.betas == (2,)
+    assert seq == (2,)
     for x in (0.2, 0.5, 1.1):
         z = x * x
         want = 2.0 * (1.0 - 2.0 * z + 0.5 * z * z)
@@ -257,18 +246,28 @@ def test_qw_poly_equals_general_on_derived_betas():
     assert a == pytest.approx(b, rel=1e-13)
 
 
+@pytest.mark.parametrize("kind,p0,xs", [
+    (SECOND, GchParams(-1.7, 0.8, 0.6, math.nan, 0.4), (0.7, 1.6, 2.5)),
+    (FIRST, GchParams(-1.7, 0.8, 0.6, math.nan, 0.4), (0.7, 1.6, 2.5)),
+    (FIRST, GchParams(0.5, -0.8, 1.5, math.nan, 0.4), (0.9, 2.2, 3.0)),   # z < -1 from x = 2
+    (SECOND, GchParams(0.5, -0.8, -1.0, math.nan, 0.4), (0.9, 2.2, 3.0)),  # integer 1 - gamma
+], ids=["second-mu-", "first-mu-", "first-mu+", "second-mu+"])
+@pytest.mark.parametrize("beta", [0, 1, 2, 3])
+def test_terminating_omega_is_one_function(kind, p0, xs, beta):
+    # the parameters decide where chains end: passing the derived betas
+    # changes nothing, on the direct and on the transformed path
+    lam = kind.lambda_of(p0.nu)
+    p = GchParams(p0.mu, p0.eps, p0.nu, -p0.mu * (2 * beta + lam), p0.omega)
+    seq = betas_from_omega(p, lam, 49)
+    for x in xs:
+        assert evaluate(p, kind, x) == evaluate(p, kind, x, seq), x
+
+
 def test_qw_poly_beta_mismatch():
     p = GchParams(-2.0, 0.5, 1.0, 8.0, 1.0)  # beta_0 = 2
-    wrong = BetaSequence((3,), BetaSource.DERIVED_FROM_OMEGA)
+    wrong = (3,)
     with pytest.raises(BetaMismatch):
         evaluate(p, FIRST, 0.5, wrong)
-
-
-def test_qw_poly_user_supplied_not_checked():
-    p = GchParams(-2.0, 0.5, 1.0, 8.0, 1.0)
-    seq = BetaSequence((3, 1), BetaSource.USER_SUPPLIED)
-    res = evaluate(p, FIRST, 0.5, seq, NT)
-    assert math.isfinite(res.value)
 
 
 def test_rw_poly_zero_limit():
@@ -276,7 +275,7 @@ def test_rw_poly_zero_limit():
     gamma = 0.75
     p = GchParams(mu, 0.4, 0.5, -2.0 * mu * (0.0 + 1 - gamma), 0.9)  # psi_0 = 0
     seq = betas_from_omega(p, 1.0 - p.nu, 1)
-    assert seq.betas == (0,)
+    assert seq == (0,)
     assert evaluate(p, SECOND, 0.0, seq).value == 0.0
 
 
@@ -286,7 +285,7 @@ def test_rw_poly_linear_term():
     gamma = 0.75
     p = GchParams(mu, 0.0, 0.5, -2.0 * mu * (1.0 + 1 - gamma), 0.9)
     seq = betas_from_omega(p, 1.0 - p.nu, 1)
-    assert seq.betas == (1,)
+    assert seq == (1,)
     for x in (0.3, 0.8):
         z = x * x
         pref = z ** (1 - gamma) * math.gamma(1 + 2 - gamma) / math.gamma(2 - gamma)
@@ -476,17 +475,15 @@ _POLY_MU_PLUS = GchParams(0.5, -0.8, 1.5, -1.0, 0.4)    # beta_0 = 1
     (_POLY_FIRST, 0.0, 1.2, betas_from_omega(_POLY_FIRST, 0.0, 49)),
     (_POLY_SECOND, 0.5, 1.1, betas_from_omega(_POLY_SECOND, 0.5, 49)),
     (_POLY_MU_PLUS, 0.0, 1.5, betas_from_omega(_POLY_MU_PLUS, 0.0, 49)),  # z = -0.5625
-    # user-supplied sequences run untransformed even at mu > 0, z < -1
-    (GchParams(1.0, 0.5, 1.0, 8.0, 1.0), 0.0, 1.6, BetaSequence((3, 1, 2), BetaSource.USER_SUPPLIED)),
 ], ids=["first-infinite", "second-infinite", "mu+-first-infinite", "first-poly",
-        "second-poly", "mu+-first-poly", "mu+-user-supplied"])
+        "second-poly", "mu+-first-poly"])
 def test_forward_recurrence_matches_backward_fold(p, lam, x, seq):
     t = NestedTruncation()
     half_ratio = p.Omega / (2.0 * p.mu)
 
     def a_of(k):
-        if seq is not None and k < len(seq.betas) and seq.betas[k] is not None:
-            return -float(seq.betas[k])
+        if seq is not None and k < len(seq) and seq[k] is not None:
+            return -float(seq[k])
         return half_ratio + 0.5 * k + 0.5 * lam
 
     if seq is None:
@@ -494,13 +491,13 @@ def test_forward_recurrence_matches_backward_fold(p, lam, x, seq):
         pref, order_cap = x ** lam, t.max_order_N
     elif lam == 0.0:
         res = evaluate(p, FIRST, x, seq, t)
-        pref = math.gamma(p.gamma + seq.betas[0]) / math.gamma(p.gamma)
-        order_cap = len(seq.betas) - 1
+        pref = math.gamma(p.gamma + seq[0]) / math.gamma(p.gamma)
+        order_cap = len(seq) - 1
     else:
         res = evaluate(p, SECOND, x, seq, t)
         gamma = p.gamma
-        pref = (-0.5 * p.mu * x * x) ** (1 - gamma) * math.gamma(seq.betas[0] + 2 - gamma) / math.gamma(2 - gamma)
-        order_cap = len(seq.betas) - 1
+        pref = (-0.5 * p.mu * x * x) ** (1 - gamma) * math.gamma(seq[0] + 2 - gamma) / math.gamma(2 - gamma)
+        order_cap = len(seq) - 1
     fold = _backward_fold_orders(p, lam, x, t, a_of, order_cap)
     assert len(res.orders) == len(fold) >= 3
     for n, (got, want) in enumerate(zip(res.orders, fold)):
@@ -574,7 +571,7 @@ def test_kummer_transformation_identity(p):
 
 
 def test_transformed_poly_class_matches_oracle():
-    # Omega-derived sequences at mu > 0, z < -1 take the transformed path
+    # a terminating Omega at mu > 0, z < -1 takes the transformed path
     p = _POLY_MU_PLUS
     seq = betas_from_omega(p, 0.0, 49)
     c0 = math.gamma(p.gamma + 1) / math.gamma(p.gamma)
