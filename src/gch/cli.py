@@ -307,6 +307,18 @@ def cmd_wavefunction(cfg: _Config) -> tuple[int, tuple, list[dict]]:
     return (EXIT_OK if all_converged else EXIT_NO_CONVERGENCE), WAVEFUNCTION_HEADER, rows
 
 
+def _grid_axis(grid: dict, key: str, default: tuple) -> tuple:
+    """A verify grid axis from the config file: a nonempty JSON list of
+    finite numbers (bools, strings, nulls and NaN are rejected)."""
+    if key not in grid:
+        return default
+    val = grid[key]
+    if not isinstance(val, list) or not val or not all(
+            type(v) in (int, float) and abs(v) <= sys.float_info.max for v in val):
+        raise ValueError(f"config grid.{key}={val!r}: give a nonempty list of finite numbers")
+    return tuple(val)
+
+
 def cmd_verify(cfg: _Config) -> tuple[int, tuple, list[dict]]:
     tol = float(cfg.get("tolerance"))
     res_tol = float(cfg.get("residual_tol"))
@@ -315,18 +327,17 @@ def cmd_verify(cfg: _Config) -> tuple[int, tuple, list[dict]]:
     if grid_cfg is not None:
         if not isinstance(grid_cfg, dict):
             raise ValueError("config grid must be a JSON object")
-        kinds = grid_cfg.get("kinds", CHOICES["kind"])
-        if any(k not in CHOICES["kind"] for k in kinds):
-            raise ValueError(f"config grid.kinds={kinds!r}: choose from {', '.join(CHOICES['kind'])}")
-        kinds = tuple(SolutionKind(k) for k in kinds)
+        kinds = grid_cfg.get("kinds", list(CHOICES["kind"]))
+        if not isinstance(kinds, list) or any(k not in CHOICES["kind"] for k in kinds):
+            raise ValueError(f"config grid.kinds={kinds!r}: give a list, choose from {', '.join(CHOICES['kind'])}")
         spec = GridSpec(
-            mu=tuple(grid_cfg.get("mu", base.mu)),
-            eps=tuple(grid_cfg.get("eps", base.eps)),
-            nu=tuple(grid_cfg.get("nu", base.nu)),
-            Omega=tuple(grid_cfg.get("omega_cap", base.Omega)),
-            omega=tuple(grid_cfg.get("omega", base.omega)),
-            x=tuple(grid_cfg.get("x", base.x)),
-            kinds=kinds,
+            mu=_grid_axis(grid_cfg, "mu", base.mu),
+            eps=_grid_axis(grid_cfg, "eps", base.eps),
+            nu=_grid_axis(grid_cfg, "nu", base.nu),
+            Omega=_grid_axis(grid_cfg, "omega_cap", base.Omega),
+            omega=_grid_axis(grid_cfg, "omega", base.omega),
+            x=_grid_axis(grid_cfg, "x", base.x),
+            kinds=tuple(SolutionKind(k) for k in kinds),
         )
     else:
         spec = base

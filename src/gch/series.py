@@ -47,10 +47,19 @@ and each further order applies one weight and one chain,
 
     g_n[i] = w_{n-1}(i) g_{n-1}[i] + z r_n(i-1) g_n[i-1],
 
-with S_n = sum_i g_n[i].  Every entry comes from its neighbours by a
-couple of multiplications, the entries stay on the scale of Kummer-type
+with S_n = sum_i g_n[i].  The entries stay on the scale of Kummer-type
 terms, and an order costs cap + 1 steps over the chain indices 0..cap,
 so a point costs O(N cap) for N orders.
+
+The coefficients of a point come from two parity rows.  a_k, b_k, c_k and
+the offsets of w_k all grow by 1/2 per chain, so r_{2m+q}(i) = r_q(i + m)
+and w_{2m+q}(i) = w_q(i + m) for q = 0, 1.  This holds for chains that
+end too: beta_{k+2} = beta_k - 1, so the exact integer a_q = -beta_q
+shifted by m is a_{q+2m}, and chains past n* keep reading the same row.
+So each point builds zr_q[j] = z r_q(j-1) and w_q[j] once, grows each row
+by one entry every second order, and order n = 2m + q reads chain row q
+at offset m; a step is then g_n[i] = w g_{n-1}[i] + zr g_n[i-1], with no
+division, and order 0 is the running product of row 0.
 
 For mu > 0 the chains alternate in sign and cancel once |z| grows, so
 there the engine evaluates e^{mu x^2/2 + eps x} y instead, which solves
@@ -63,6 +72,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 from typing import Optional
 
 from .errors import BetaMismatch, NormalizationPole, NoTermination, PoleError
@@ -108,11 +119,11 @@ def _gamma_ratio(num_arg: float, den_arg: float, what: str) -> float:
     return num / den
 
 
-def _pole_guard(offset: float, cap: int, what: str) -> None:
+def _pole_guard(offset: float, cap: int, what: str, k: int) -> None:
     """Reject chain offsets that make a denominator (offset + i) vanish for
     some index i in 0..cap; validation rules exclude these for both roots."""
     if offset <= 0.0 and _is_integer(offset) and -round(offset) <= cap:
-        raise PoleError(f"{what} denominator offset {offset} vanishes at index {int(-round(offset))}")
+        raise PoleError(f"{what} {k} denominator offset {offset} vanishes at index {int(-round(offset))}")
 
 
 def _required_cap(z: float, a_mag: float, b: float, c: float, hard_cap: int) -> int:
@@ -204,17 +215,19 @@ def _nested_orders(
     inner_ok = need <= t.max_inner
     cap = min(t.max_inner, max(20, need))
 
+    # the parity rows zr[q][j] = z r_q(j-1) and w[q][j] = w_q(j) serve
+    # chain and weight 2m + q at offset m (module docstring)
+    chains = [(a_of(q), 1.0 + 0.5 * q + h, gamma + 0.5 * q + h) for q in (0, 1)]
+    weights = [(h + 0.5 * p.omega + 0.5 * q, 0.5 + h + 0.5 * q, gamma - 0.5 + h + 0.5 * q) for q in (0, 1)]
+    zr: list[list[float]] = [[0.0], [0.0]]
+    w: list[list[float]] = [[], []]
+
     # order 0: g[i] = (a_0)_i z^i / ((b_0)_i (c_0)_i), the Kummer terms
-    a = a_of(0)
-    b = 1.0 + h
-    c = gamma + h
-    _pole_guard(b, cap, "chain 0")
-    _pole_guard(c, cap, "chain 0")
-    g = [0.0] * (cap + 1)
-    term = 1.0
-    for i in range(cap + 1):
-        g[i] = term
-        term *= z * (a + i) / ((b + i) * (c + i))
+    _pole_guard(1.0 + h, cap, "chain", 0)
+    _pole_guard(gamma + h, cap, "chain", 0)
+    a, b, c = chains[0]
+    zr[0] += [z * (a + j) / ((b + j) * (c + j)) for j in range(cap)]
+    g = list(accumulate(zr[0][1:], mul, initial=1.0))
     orders = [math.fsum(g)]
     steps = cap + 1
     if et == 0.0:
@@ -226,28 +239,24 @@ def _nested_orders(
     running = orders[0]
     for n in range(1, t.max_order_N + 1):
         et_pow *= et
-        # weight n-1 on the carried row, then chain n:
-        # g_n[i] = w_{n-1}(i) g_{n-1}[i] + z r_n(i-1) g_n[i-1]
-        a = a_of(n)
-        b = 1.0 + 0.5 * n + h
-        c = gamma + 0.5 * n + h
-        _pole_guard(b, cap, f"chain {n}")
-        _pole_guard(c, cap, f"chain {n}")
         k = n - 1
-        wnum = h + 0.5 * p.omega + 0.5 * k
-        wd1 = 0.5 + h + 0.5 * k
-        wd2 = gamma - 0.5 + h + 0.5 * k
-        _pole_guard(wd1, cap, f"weight {k}")
-        _pole_guard(wd2, cap, f"weight {k}")
-        # shifted by one so that a + i is a_n + (i - 1) in the loop
-        a -= 1.0
-        b -= 1.0
-        c -= 1.0
-        acc = wnum / (wd1 * wd2) * g[0]
-        g[0] = acc
-        for i in range(1, cap + 1):
-            acc = (i + wnum) / ((i + wd1) * (i + wd2)) * g[i] + z * (a + i) / ((b + i) * (c + i)) * acc
-            g[i] = acc
+        _pole_guard(1.0 + 0.5 * n + h, cap, "chain", n)
+        _pole_guard(gamma + 0.5 * n + h, cap, "chain", n)
+        _pole_guard(0.5 + h + 0.5 * k, cap, "weight", k)
+        _pole_guard(gamma - 0.5 + h + 0.5 * k, cap, "weight", k)
+        # g_n[i] = w_{n-1}(i) g_{n-1}[i] + z r_n(i-1) g_n[i-1], with chain n
+        # read from row n % 2 at offset n // 2, and weight k from row k % 2
+        m, q = divmod(n, 2)
+        mw, qw = divmod(k, 2)
+        row, wrow = zr[q], w[qw]
+        a, b, c = chains[q]
+        for j in range(len(row) - 1, m + cap):
+            row.append(z * (a + j) / ((b + j) * (c + j)))
+        wn, w1, w2 = weights[qw]
+        for j in range(len(wrow), mw + cap + 1):
+            wrow.append((j + wn) / ((j + w1) * (j + w2)))
+        acc = 0.0
+        g = [acc := wj * gj + zj * acc for wj, gj, zj in zip(wrow[mw:], g, row[m:])]
         steps += cap + 1
         contrib = math.fsum(g) * et_pow
         orders.append(contrib)

@@ -274,6 +274,26 @@ def test_verify_grid_not_an_object_exit2(tmp_path, capsys):
     assert "grid must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,axis", [
+    ('{"grid": {"mu": 1}}', "mu"),
+    ('{"grid": {"kinds": 1}}', "kinds"),
+    ('{"grid": {"x": ["a"]}}', "x"),
+    ('{"grid": {"nu": [null]}}', "nu"),
+    ('{"grid": {"mu": [true]}}', "mu"),
+    ('{"grid": {"x": [NaN]}}', "x"),
+    ('{"grid": {"omega": []}}', "omega"),
+    ('{"grid": {"omega_cap": [1e999]}}', "omega_cap"),
+    ('{"grid": {"eps": null}}', "eps"),
+], ids=["not-a-list", "kinds-not-a-list", "string", "null", "bool", "nan", "empty", "inf", "null-axis"])
+def test_verify_grid_axis_malformed_exit2(tmp_path, capsys, text, axis):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["verify", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config grid.{axis}=" in captured.err
+
+
 def test_poly_variant_non_terminating_exit2(capsys):
     # Omega = -1.3 at mu = 0.5 gives beta_0 = 1.3: no B-terminated solution
     code = main(["eval", "--mu", "0.5", "--epsilon", "0.3", "--nu", "1.5", "--omega-cap", "-1.3",

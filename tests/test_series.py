@@ -475,15 +475,20 @@ _POLY_MU_PLUS = GchParams(0.5, -0.8, 1.5, -1.0, 0.4)    # beta_0 = 1
     (_POLY_FIRST, 0.0, 1.2, betas_from_omega(_POLY_FIRST, 0.0, 49)),
     (_POLY_SECOND, 0.5, 1.1, betas_from_omega(_POLY_SECOND, 0.5, 49)),
     (_POLY_MU_PLUS, 0.0, 1.5, betas_from_omega(_POLY_MU_PLUS, 0.0, 49)),  # z = -0.5625
+    (GchParams(-1.5, 2.5, 1.2, 4.5, 0.4), 0.0, 1.6, None),          # n* = 4: odd chains end
+    (GchParams(-1.0, 3.0, 0.5, 0.7, 1.2), 0.0, 2.0, None),          # 41 orders
 ], ids=["first-infinite", "second-infinite", "mu+-first-infinite", "first-poly",
-        "second-poly", "mu+-first-poly"])
+        "second-poly", "mu+-first-poly", "first-odd-chains-end", "first-many-orders"])
 def test_forward_recurrence_matches_backward_fold(p, lam, x, seq):
     t = NestedTruncation()
     half_ratio = p.Omega / (2.0 * p.mu)
+    nstar = 1.0 - lam - p.Omega / p.mu
 
     def a_of(k):
-        if seq is not None and k < len(seq) and seq[k] is not None:
-            return -float(seq[k])
+        # exactly -beta_k = -(n* - 1 - k)/2 where that is a nonnegative integer
+        beta = 0.5 * (round(nstar) - 1 - k)
+        if abs(nstar - round(nstar)) <= 1e-12 and beta >= 0 and beta == int(beta):
+            return -beta
         return half_ratio + 0.5 * k + 0.5 * lam
 
     if seq is None:
@@ -511,6 +516,26 @@ def test_steps_linear_in_orders():
         res = eval_general(p, 0.0, 1.0, x, t)
         assert len(res.orders) >= 10
         assert res.terms_used <= len(res.orders) * (t.max_inner + 1)
+
+
+@pytest.mark.parametrize("p,x,terms,orders", [
+    (GchParams(2.0, 1.0, 1.5, 3.0, 0.25), 1.0, 330, 15),
+    (GchParams(-1.0, 3.0, 0.5, 0.7, 1.2), 2.0, 1066, 41),
+    (GchParams(2.0, 1.0, 1.5, 3.0, 0.25), 6.0, 3432, 33),           # transformed, z = -36
+])
+def test_step_counts_pinned(p, x, terms, orders):
+    # terms_used is cap + 1 per order; pinned so that step and order counts
+    # stay comparable across changes to the engine
+    res = evaluate(p, FIRST, x)
+    assert (res.terms_used, len(res.orders)) == (terms, orders)
+    assert res.converged
+
+
+def test_weight_pole_inside_int_tol_raises():
+    # validate accepts nu = -2 + 1.5e-12, farther than INT_TOL from -2, but
+    # weight 0's offset gamma - 1/2 is then within INT_TOL of -1
+    with pytest.raises(PoleError, match="weight 0 denominator"):
+        evaluate(GchParams(-1.0, 1.0, -2 + 1.5e-12, 0.3, 0.2), FIRST, 0.5)
 
 
 # ---------------------------------------------- mu > 0 through the transformation
