@@ -8,121 +8,56 @@ through resummed nested series (infinite-series and B-terminated
 polynomial classes), validates them against direct recurrence summation
 and the ODE itself, and applies them to three quantum bound-state
 problems.
+
+The package namespace is lazy (PEP 562): ``import gch`` loads no
+submodule, and each name below, or a submodule such as ``gch.series``,
+imports its module on first use.
 """
 
-from .errors import (
-    BetaMismatch,
-    DegenerateCoupling,
-    DomainError,
-    GammaPole,
-    GchError,
-    KindRestrictionError,
-    NonFiniteError,
-    NormalizationPole,
-    NoTermination,
-    PoleError,
-    TailNotDecayed,
-)
-from .params import (
-    GchParams,
-    SolutionKind,
-    coefficient_A,
-    coefficient_B,
-    validate,
-)
-from .recurrence import EvalResult, Truncation, coefficients, detect_termination, sum_series
-from .series import (
-    NestedTruncation,
-    betas_from_omega,
-    eval_general,
-    evaluate,
-)
-from .asymptotics import (
-    AsymptoticRegime,
-    asym_small_eps,
-    asym_small_mu,
-    asym_small_mu_resummed,
-    erf,
-    erfi,
-    limit_value,
-)
-from .spectra import (
-    Confinement,
-    EigenState,
-    QQbar,
-    RotatingOscillator,
-    eigen_oscillator,
-    energy_confinement,
-    energy_qqbar,
-    envelope,
-    make_state,
-    map_confinement,
-    map_oscillator,
-    map_qqbar,
-    normalize,
-    radial_norm,
-    small_r_exponent,
-    wavefunction,
-    wavefunction_result,
-)
-from .verify import CrossReport, GridSpec, ResidualReport, cross_validate, kummer_oracle, ode_residual
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymptoticRegime",
-    "BetaMismatch",
-    "Confinement",
-    "CrossReport",
-    "DegenerateCoupling",
-    "DomainError",
-    "EigenState",
-    "EvalResult",
-    "GammaPole",
-    "GchError",
-    "GchParams",
-    "GridSpec",
-    "KindRestrictionError",
-    "NestedTruncation",
-    "NonFiniteError",
-    "NormalizationPole",
-    "NoTermination",
-    "PoleError",
-    "QQbar",
-    "ResidualReport",
-    "RotatingOscillator",
-    "SolutionKind",
-    "TailNotDecayed",
-    "Truncation",
-    "asym_small_eps",
-    "asym_small_mu",
-    "asym_small_mu_resummed",
-    "betas_from_omega",
-    "coefficient_A",
-    "coefficient_B",
-    "coefficients",
-    "cross_validate",
-    "detect_termination",
-    "eigen_oscillator",
-    "energy_confinement",
-    "energy_qqbar",
-    "envelope",
-    "erf",
-    "erfi",
-    "eval_general",
-    "evaluate",
-    "kummer_oracle",
-    "limit_value",
-    "make_state",
-    "map_confinement",
-    "map_oscillator",
-    "map_qqbar",
-    "normalize",
-    "ode_residual",
-    "radial_norm",
-    "small_r_exponent",
-    "sum_series",
-    "validate",
-    "wavefunction",
-    "wavefunction_result",
-]
+#: submodule -> the names it exports at package level
+_EXPORTS = {
+    "errors": (
+        "BetaMismatch", "DegenerateCoupling", "DomainError", "GammaPole", "GchError",
+        "KindRestrictionError", "NonFiniteError", "NormalizationPole", "NoTermination",
+        "PoleError", "TailNotDecayed",
+    ),
+    "params": ("GchParams", "SolutionKind", "coefficient_A", "coefficient_B", "validate"),
+    "recurrence": ("EvalResult", "Truncation", "coefficients", "detect_termination", "sum_series"),
+    "series": ("NestedTruncation", "betas_from_omega", "eval_general", "evaluate"),
+    "asymptotics": (
+        "AsymptoticRegime", "asym_small_eps", "asym_small_mu", "asym_small_mu_resummed",
+        "erf", "erfi", "limit_value",
+    ),
+    "spectra": (
+        "Confinement", "EigenState", "QQbar", "RotatingOscillator", "eigen_oscillator",
+        "energy_confinement", "energy_qqbar", "envelope", "make_state", "map_confinement",
+        "map_oscillator", "map_qqbar", "normalize", "radial_norm", "small_r_exponent",
+        "wavefunction", "wavefunction_result",
+    ),
+    "verify": ("CrossReport", "GridSpec", "ResidualReport", "cross_validate", "kummer_oracle", "ode_residual"),
+    "cli": (),
+}
+
+#: each exported name, and each submodule name, -> its submodule
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}
+
+# classes first, then functions, each in case-insensitive order
+__all__ = sorted((name for names in _EXPORTS.values() for name in names), key=lambda n: (n[0].islower(), n.lower()))
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    mod = importlib.import_module(f"{__name__}.{module}")
+    value = mod if name == module else getattr(mod, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -4,7 +4,9 @@ Subcommands: eval | spectrum | wavefunction | verify | asymptote.
 Rows are emitted as CSV (LF line endings, pinned headers) or JSON; every
 float is printed in shortest round-trip form, so repeated runs are
 byte-identical and JSON output re-serialises to itself.  Options may also
-be supplied as a JSON config file; explicit flags win on conflict.
+be supplied as a JSON config file; explicit flags win on conflict, and a
+file value must be one its flag accepts (a choice, or a JSON number,
+integer or string for a float, int or string flag; no bools).
 
 Exit codes: 0 ok, 1 tolerance failure, 2 config/validation error,
 3 non-convergence.
@@ -13,17 +15,18 @@ Exit codes: 0 ok, 1 tolerance failure, 2 config/validation error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
+# only what the parser needs; each subcommand imports the modules it runs,
+# so a process loads no more of gch than its subcommand uses
 from .errors import GchError
 from .params import GchParams, SolutionKind, validate
-from .recurrence import coefficients
-from .series import NestedTruncation, betas_from_omega, evaluate
 from .asymptotics import AsymptoticRegime, limit_value
-from . import spectra
-from .verify import GridSpec, cross_validate, ode_residual
+
+if TYPE_CHECKING:
+    from . import spectra
+    from .series import NestedTruncation
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -61,6 +64,8 @@ def _emit(header: Sequence[str], rows: list[dict], fmt: str, out) -> None:
         for row in rows:
             out.write(",".join(_fmt(row[k]) for k in header) + "\n")
     else:
+        import json
+
         doc = {"command": rows[0]["_command"] if rows else "", "rows": [
             {k: row[k] for k in header} for row in rows
         ]}
@@ -166,23 +171,48 @@ _DEFAULTS = {
 }
 
 
+#: option type (argparse's default None is str) -> the JSON value types a
+#: config file may give for it, and how to say so; bools are refused
+_CONFIG_TYPES = {
+    float: ((int, float), "a number"),
+    int: ((int,), "an integer"),
+    None: ((str,), "a string"),
+}
+
+
+def _options(parser: argparse.ArgumentParser, command: str) -> list[argparse.Action]:
+    """The options of ``command`` as its subparser declares them."""
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return subparsers.choices[command]._actions
+
+
 class _Config:
     """Flags merged over a JSON config file merged over defaults."""
 
-    def __init__(self, args: argparse.Namespace):
+    def __init__(self, args: argparse.Namespace, options: Sequence[argparse.Action]):
         file_cfg: dict = {}
         if args.config:
+            import json
+
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
             if not isinstance(file_cfg, dict):
                 raise ValueError("config file must hold a JSON object")
         self._file = {k.replace("-", "_"): v for k, v in file_cfg.items()}
         self._args = vars(args)
-        # the file's value of a choice option of this subcommand must be a choice
-        for key, allowed in CHOICES.items():
+        # the file's value of an option of this subcommand must be what its
+        # flag accepts: one of its choices, or a value of its type
+        for action in options:
+            key = action.dest
             val = self._file.get(key)
-            if key in self._args and val is not None and val not in allowed:
-                raise ValueError(f"config {key}={val!r}: choose from {', '.join(allowed)}")
+            if key not in self._args or val is None:
+                continue
+            allowed, what = _CONFIG_TYPES[action.type]
+            if action.choices is not None:
+                if val not in action.choices:
+                    raise ValueError(f"config {key}={val!r}: choose from {', '.join(action.choices)}")
+            elif type(val) not in allowed:
+                raise ValueError(f"config {key}={val!r}: give {what}")
 
     def get(self, key: str, default: Any = None):
         val = self._args.get(key)
@@ -203,6 +233,8 @@ class _Config:
 
 
 def _nested_trunc(cfg: _Config) -> NestedTruncation:
+    from .series import NestedTruncation
+
     base = NestedTruncation()
     return NestedTruncation(
         max_order_N=int(cfg.get("max_order", base.max_order_N)),
@@ -236,6 +268,8 @@ def _gch_from_cfg(cfg: _Config) -> GchParams:
 
 
 def _system_from_cfg(cfg: _Config) -> spectra.QuantumSystem:
+    from . import spectra
+
     name = cfg.require("system")
     l = int(cfg.get("l"))
     if name == "oscillator":
@@ -254,6 +288,8 @@ def _system_from_cfg(cfg: _Config) -> spectra.QuantumSystem:
 
 
 def cmd_eval(cfg: _Config) -> tuple[int, tuple, list[dict]]:
+    from .series import betas_from_omega, evaluate
+
     p = _gch_from_cfg(cfg)
     kind = SolutionKind(cfg.get("kind"))
     lam = validate(p, kind)
@@ -277,6 +313,8 @@ def cmd_eval(cfg: _Config) -> tuple[int, tuple, list[dict]]:
 
 
 def cmd_spectrum(cfg: _Config) -> tuple[int, tuple, list[dict]]:
+    from . import spectra
+
     system = _system_from_cfg(cfg)
     i_max = int(cfg.get("i_max"))
     beta_max = int(cfg.get("beta_max"))
@@ -293,6 +331,8 @@ def cmd_spectrum(cfg: _Config) -> tuple[int, tuple, list[dict]]:
 
 
 def cmd_wavefunction(cfg: _Config) -> tuple[int, tuple, list[dict]]:
+    from . import spectra
+
     system = _system_from_cfg(cfg)
     state = spectra.make_state(system, int(cfg.get("state_i")), int(cfg.get("state_beta")))
     nt = _nested_trunc(cfg)
@@ -320,6 +360,9 @@ def _grid_axis(grid: dict, key: str, default: tuple) -> tuple:
 
 
 def cmd_verify(cfg: _Config) -> tuple[int, tuple, list[dict]]:
+    from .recurrence import coefficients
+    from .verify import GridSpec, cross_validate, ode_residual
+
     tol = float(cfg.get("tolerance"))
     res_tol = float(cfg.get("residual_tol"))
     grid_cfg = cfg.get("grid", None)
@@ -347,6 +390,7 @@ def cmd_verify(cfg: _Config) -> tuple[int, tuple, list[dict]]:
     report = cross_validate(spec, None, nt)
     rows = []
     ok = True
+    coeffs_of: dict = {}  # (params, kind) -> coefficients, the same at every x
     for rec in report.records:
         if rec.error is not None:
             rows.append({
@@ -358,8 +402,10 @@ def cmd_verify(cfg: _Config) -> tuple[int, tuple, list[dict]]:
             })
             continue
         lam = rec.kind.lambda_of(rec.params.nu)
-        coeffs = coefficients(rec.params, lam, 1.0, 80)
-        rel_res = ode_residual(coeffs, lam, rec.params, rec.x).relative
+        key = (rec.params, rec.kind)
+        if key not in coeffs_of:
+            coeffs_of[key] = coefficients(rec.params, lam, 1.0, 80)
+        rel_res = ode_residual(coeffs_of[key], lam, rec.params, rec.x).relative
         point_ok = rec.rel_err <= tol and rel_res <= res_tol
         ok &= point_ok
         rows.append({
@@ -397,7 +443,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _Config(args)
+        cfg = _Config(args, _options(parser, args.command))
         handler = {
             "eval": cmd_eval,
             "spectrum": cmd_spectrum,
@@ -406,7 +452,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "asymptote": cmd_asymptote,
         }[args.command]
         code, header, rows = handler(cfg)
-    except (GchError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (GchError, ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     fmt = cfg.get("format")

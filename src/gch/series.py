@@ -233,6 +233,12 @@ def _nested_orders(
     if et == 0.0:
         return [scale * o for o in orders], steps, inner_ok
 
+    # order n guards the offsets base + n/2 for the bases 1 + h, gamma + h
+    # (chain n), h and gamma - 1 + h (weight n - 1); a guard fires only
+    # while its offset is <= 0, and the offsets grow with n, so none can
+    # fire past the smallest base's last such order (one order of margin
+    # for rounding)
+    last_guarded = 1.0 - 2.0 * min(h, gamma - 1.0 + h)
     streak = 0
     converged = False
     et_pow = 1.0
@@ -240,10 +246,11 @@ def _nested_orders(
     for n in range(1, t.max_order_N + 1):
         et_pow *= et
         k = n - 1
-        _pole_guard(1.0 + 0.5 * n + h, cap, "chain", n)
-        _pole_guard(gamma + 0.5 * n + h, cap, "chain", n)
-        _pole_guard(0.5 + h + 0.5 * k, cap, "weight", k)
-        _pole_guard(gamma - 0.5 + h + 0.5 * k, cap, "weight", k)
+        if n <= last_guarded:
+            _pole_guard(1.0 + 0.5 * n + h, cap, "chain", n)
+            _pole_guard(gamma + 0.5 * n + h, cap, "chain", n)
+            _pole_guard(0.5 + h + 0.5 * k, cap, "weight", k)
+            _pole_guard(gamma - 0.5 + h + 0.5 * k, cap, "weight", k)
         # g_n[i] = w_{n-1}(i) g_{n-1}[i] + z r_n(i-1) g_n[i-1], with chain n
         # read from row n % 2 at offset n // 2, and weight k from row k % 2
         m, q = divmod(n, 2)

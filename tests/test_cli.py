@@ -301,3 +301,56 @@ def test_poly_variant_non_terminating_exit2(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "beta_0 = 1.3 is not a nonnegative integer; Omega=-1.3 does not terminate" in err
+
+
+_PARSER_MODULES = ["gch", "gch.asymptotics", "gch.cli", "gch.errors", "gch.params"]
+_SERIES_MODULES = _PARSER_MODULES + ["gch.recurrence", "gch.series"]
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["asymptote", "--regime", "small-eps", "--mu", "-2", "--x-count", "2"], _PARSER_MODULES),
+    (EVAL_ARGV, _SERIES_MODULES),
+    (OSC_SPECTRUM, _SERIES_MODULES + ["gch.spectra"]),
+    (["wavefunction", "--system", "oscillator", "--coupling", "2", "--l", "0", "--x-count", "2"],
+     _SERIES_MODULES + ["gch.spectra"]),
+    (["verify"], _SERIES_MODULES + ["gch.verify"]),
+], ids=["asymptote", "eval", "spectrum", "wavefunction", "verify"])
+def test_subcommand_loads_only_its_modules(gch_subprocess_env, argv, loaded):
+    code = ("import sys; from gch.cli import main; code = main(sys.argv[1:]); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'gch'))")
+    r = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                       env=gch_subprocess_env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == f"0 {sorted(loaded)}"
+
+
+@pytest.mark.parametrize("cfg,key", [
+    ({"mu": [1], "nu": 1.5, "omega_cap": 0.5}, "mu"),
+    ({"mu": True, "nu": 1.5, "omega_cap": 0.5}, "mu"),
+    ({"x_count": 2.7}, "x_count"),
+    ({"x_count": True}, "x_count"),
+    ({"output": 1.5}, "output"),
+], ids=["list-for-float", "bool-for-float", "float-for-int", "bool-for-int", "number-for-string"])
+def test_config_value_of_wrong_type_exit2(tmp_path, capsys, cfg, key):
+    # a config file value is held to the type of the matching flag
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["eval", "--config", str(path)]
+    if "mu" not in cfg:
+        argv += ["--mu", "2", "--nu", "1.5", "--omega-cap", "3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config {key}=" in captured.err
+
+
+def test_config_values_of_flag_type_accepted(tmp_path, capsys):
+    # JSON integers pass for float options, as "--mu 2" does
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mu": 2, "nu": 1.5, "omega_cap": 3, "x_stop": 0.5, "x_count": 3}))
+    assert main(["eval", "--config", str(path)]) == 0
+    from_config = capsys.readouterr().out
+    assert main(["eval", "--mu", "2", "--nu", "1.5", "--omega-cap", "3", "--x-stop", "0.5",
+                 "--x-count", "3"]) == 0
+    assert from_config == capsys.readouterr().out
+    assert len(from_config.splitlines()) == 4

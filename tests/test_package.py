@@ -1,3 +1,7 @@
+import json
+import subprocess
+import sys
+
 import gch
 
 
@@ -11,3 +15,39 @@ def test_star_import_runs():
     namespace: dict = {}
     exec("from gch import *", namespace)
     assert set(gch.__all__) <= set(namespace)
+
+
+def _fresh(code: str, env) -> str:
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    return r.stdout
+
+
+def test_import_loads_no_submodule(gch_subprocess_env):
+    out = _fresh("import sys, gch; print(sorted(m for m in sys.modules if m.startswith('gch.')))",
+                 gch_subprocess_env)
+    assert out == "[]\n"
+
+
+def test_lazy_namespace(gch_subprocess_env):
+    # a fresh process: first use of a name loads its module and what that imports, nothing more
+    code = """
+import json, sys, gch
+report = {"dir_covers_all": set(gch.__all__) <= set(dir(gch))}
+report["series"] = gch.series.__name__
+report["same_function"] = gch.evaluate is gch.series.evaluate
+try:
+    gch.no_such_name
+except AttributeError as exc:
+    report["unknown"] = str(exc)
+report["loaded"] = sorted(m for m in sys.modules if m.startswith("gch."))
+print(json.dumps(report))
+"""
+    report = json.loads(_fresh(code, gch_subprocess_env))
+    assert report == {
+        "dir_covers_all": True,
+        "series": "gch.series",
+        "same_function": True,
+        "unknown": "module 'gch' has no attribute 'no_such_name'",
+        "loaded": ["gch.errors", "gch.params", "gch.recurrence", "gch.series"],
+    }
