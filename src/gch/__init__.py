@@ -28,15 +28,12 @@ _EXPORTS = {
     "params": ("GchParams", "SolutionKind", "coefficient_A", "coefficient_B", "validate"),
     "recurrence": ("EvalResult", "Truncation", "coefficients", "detect_termination", "sum_series"),
     "series": ("NestedTruncation", "betas_from_omega", "eval_general", "evaluate"),
-    "asymptotics": (
-        "AsymptoticRegime", "asym_small_eps", "asym_small_mu", "asym_small_mu_resummed",
-        "erf", "erfi", "limit_value",
-    ),
+    "asymptotics": ("AsymptoticRegime", "asym_small_eps", "asym_small_mu", "erf", "erfi", "limit_value"),
     "spectra": (
         "Confinement", "EigenState", "QQbar", "RotatingOscillator", "eigen_oscillator",
         "energy_confinement", "energy_qqbar", "envelope", "make_state", "map_confinement",
-        "map_oscillator", "map_qqbar", "normalize", "radial_norm", "small_r_exponent",
-        "wavefunction", "wavefunction_result",
+        "map_oscillator", "map_qqbar", "normalize", "radial_norm", "wavefunction",
+        "wavefunction_result",
     ),
     "verify": ("CrossReport", "GridSpec", "ResidualReport", "cross_validate", "kummer_oracle", "ode_residual"),
     "cli": (),

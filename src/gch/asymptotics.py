@@ -126,17 +126,6 @@ def asym_small_mu(epsilon: float, x: float) -> float:
     return x * math.expm1(-epsilon * x)
 
 
-def asym_small_mu_resummed(epsilon: float, x: float) -> float:
-    """Companion resummation x e^{-eps x}.
-
-    Resumming c_{n+1} = -(eps/n) c_n with c_1 = 1 term by term gives this
-    form rather than the displayed one (the two differ by the non-decaying
-    -x); both are exposed and only the leading exponential behaviour is
-    asserted anywhere.
-    """
-    return x * math.exp(-epsilon * x)
-
-
 def asym_small_eps(mu: float, x: float) -> float:
     """Limiting form of the B-dominated channel, real for all real mu, x.
 

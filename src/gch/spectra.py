@@ -213,13 +213,6 @@ def _series_argument(system: QuantumSystem, r: float) -> float:
     return r
 
 
-def small_r_exponent(system: QuantumSystem) -> int:
-    """Leading power of the reduced radial function at the origin, l + 1."""
-    if isinstance(system, RotatingOscillator):
-        return system.l_m + 1
-    return system.l + 1
-
-
 def wavefunction_result(
     system: QuantumSystem,
     state: EigenState,

@@ -31,7 +31,6 @@ from gch.spectra import (
     energy_qqbar,
     make_state,
     map_confinement,
-    small_r_exponent,
     wavefunction,
 )
 from gch.verify import cross_validate, kummer_oracle, ode_residual
@@ -218,7 +217,8 @@ def test_criterion_7a_small_r_scaling():
             v3 = wavefunction(system, state, 1e-3, NT_TAIL)
             v4 = wavefunction(system, state, 1e-4, NT_TAIL)
             slope = (math.log(abs(v3)) - math.log(abs(v4))) / (math.log(1e-3) - math.log(1e-4))
-            dev = abs(slope / small_r_exponent(system) - 1.0)
+            l = system.l_m if isinstance(system, RotatingOscillator) else system.l
+            dev = abs(slope / (l + 1) - 1.0)
             worst = max(worst, dev)
             assert dev <= 0.01, (system, beta, slope)
     _report(7, "small-r scaling", f"18 states, log-log slope within {worst:.2e} of l+1 (<= 1%)")

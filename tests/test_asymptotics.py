@@ -7,7 +7,6 @@ from gch.asymptotics import (
     AsymptoticRegime,
     asym_small_eps,
     asym_small_mu,
-    asym_small_mu_resummed,
     erf,
     erfi,
     limit_value,
@@ -51,13 +50,6 @@ def test_asym_small_mu():
     assert asym_small_mu(3.7, 0.0) == 0.0
     assert asym_small_mu(0.0, 2.2) == 0.0
     assert asym_small_mu(1.0, 1.0) == pytest.approx(math.exp(-1.0) - 1.0, rel=1e-15)
-
-
-def test_asym_small_mu_resummed():
-    # term-by-term resummation lacks the displayed constant shift
-    assert asym_small_mu_resummed(1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
-    x = 4.0
-    assert asym_small_mu_resummed(0.5, x) - asym_small_mu(0.5, x) == pytest.approx(x, rel=1e-12)
 
 
 def test_asym_small_eps_at_origin():

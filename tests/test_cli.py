@@ -330,9 +330,14 @@ def test_subcommand_loads_only_its_modules(gch_subprocess_env, argv, loaded):
     ({"x_count": 2.7}, "x_count"),
     ({"x_count": True}, "x_count"),
     ({"output": 1.5}, "output"),
-], ids=["list-for-float", "bool-for-float", "float-for-int", "bool-for-int", "number-for-string"])
+    ({"mu": math.nan, "nu": 1.5, "omega_cap": 0.5}, "mu"),
+    ({"x_stop": math.inf}, "x_stop"),
+    ({"rel_tol": -math.inf}, "rel_tol"),
+], ids=["list-for-float", "bool-for-float", "float-for-int", "bool-for-int", "number-for-string",
+        "nan-for-float", "inf-for-float", "minus-inf-for-float"])
 def test_config_value_of_wrong_type_exit2(tmp_path, capsys, cfg, key):
-    # a config file value is held to the type of the matching flag
+    # a config file value is held to the type of the matching flag, and a
+    # float to the flag's check that it is finite
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     argv = ["eval", "--config", str(path)]
@@ -354,3 +359,82 @@ def test_config_values_of_flag_type_accepted(tmp_path, capsys):
                  "--x-count", "3"]) == 0
     assert from_config == capsys.readouterr().out
     assert len(from_config.splitlines()) == 4
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_output_exit2(tmp_path, capsys, where):
+    path = tmp_path / "no" / "x.csv" if where == "missing-dir" else tmp_path
+    code = main(["asymptote", "--regime", "small-mu", "--epsilon", "1", "--output", str(path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(path) in captured.err
+
+
+def test_failed_command_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["asymptote", "--regime", "small-eps", "--x-count", "2", "--output", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["asymptote", "--regime", "small-eps", "--mu", "nan", "--x-count", "2"],
+    ["spectrum", "--system", "confinement", "--pot-a", "nan", "--pot-b", "0.2", "--pot-c", "0.5",
+     "--mass", "1"],
+    ["eval", "--mu", "2", "--nu", "1.5", "--omega-cap", "3", "--x-start", "nan"],
+    ["eval", "--mu", "2", "--nu", "1.5", "--omega-cap", "3", "--x-stop", "inf"],
+    ["verify", "--tolerance=-inf"],
+], ids=["asymptote-mu", "spectrum-pot-a", "eval-x-start", "eval-x-stop", "verify-tolerance"])
+def test_non_finite_flag_exit2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not a finite number" in captured.err
+
+
+SMALL_VERIFY = ["verify", "--tolerance", "1e-6"]
+WAVEFUNCTION_ARGV = ["wavefunction", "--system", "oscillator", "--coupling", "2", "--l", "0",
+                     "--x-count", "3"]
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _config(tmp_path, obj):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(obj))
+    return ["--config", str(path)]
+
+
+@pytest.mark.parametrize("argv", [EVAL_ARGV, OSC_SPECTRUM, WAVEFUNCTION_ARGV, SMALL_VERIFY, ASYMPTOTE_ARGV],
+                         ids=["eval", "spectrum", "wavefunction", "verify", "asymptote"])
+def test_empty_config_changes_nothing(tmp_path, capsys, argv):
+    assert _run(argv + _config(tmp_path, {}), capsys) == _run(argv, capsys)
+
+
+def test_config_null_counts_as_not_given(tmp_path, capsys):
+    code, out, _ = _run(EVAL_ARGV[:-2] + _config(tmp_path, {"x_count": None}), capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 11
+
+
+@pytest.mark.parametrize("extra", [
+    {"command": "verify"},
+    {"config": "elsewhere.json"},
+    {"state_i": 3},
+    {"no_such_option": 1},
+], ids=["command", "config", "other-subcommand", "unknown"])
+def test_config_undeclared_keys_ignored(tmp_path, capsys, extra):
+    assert _run(EVAL_ARGV + _config(tmp_path, extra), capsys) == _run(EVAL_ARGV, capsys)
+
+
+def test_config_defaults_do_not_leak_across_calls(tmp_path, capsys):
+    plain = _run(EVAL_ARGV, capsys)
+    with_file = _run(EVAL_ARGV + _config(tmp_path, {"kind": "second", "x_count": 4, "format": "json"}), capsys)
+    assert with_file[0] == 0 and with_file[1] != plain[1]
+    assert _run(EVAL_ARGV, capsys) == plain

@@ -19,7 +19,6 @@ from gch.spectra import (
     map_qqbar,
     normalize,
     radial_norm,
-    small_r_exponent,
     wavefunction,
 )
 
@@ -129,7 +128,8 @@ def test_small_r_scaling(system):
     v3 = wavefunction(system, state, 1e-3, NT)
     v4 = wavefunction(system, state, 1e-4, NT)
     slope = (math.log(abs(v3)) - math.log(abs(v4))) / (math.log(1e-3) - math.log(1e-4))
-    assert slope == pytest.approx(small_r_exponent(system), rel=0.01)
+    l = system.l_m if isinstance(system, RotatingOscillator) else system.l
+    assert slope == pytest.approx(l + 1, rel=0.01)
 
 
 def test_wavefunction_vanishes_at_origin():
