@@ -30,10 +30,8 @@ _EXPORTS = {
     "series": ("NestedTruncation", "betas_from_omega", "eval_general", "evaluate"),
     "asymptotics": ("AsymptoticRegime", "asym_small_eps", "asym_small_mu", "erf", "erfi", "limit_value"),
     "spectra": (
-        "Confinement", "EigenState", "QQbar", "RotatingOscillator", "eigen_oscillator",
-        "energy_confinement", "energy_qqbar", "envelope", "make_state", "map_confinement",
-        "map_oscillator", "map_qqbar", "normalize", "radial_norm", "wavefunction",
-        "wavefunction_result",
+        "Confinement", "EigenState", "QQbar", "RotatingOscillator", "make_state", "normalize",
+        "radial_norm", "wavefunction", "wavefunction_result",
     ),
     "verify": ("CrossReport", "GridSpec", "ResidualReport", "cross_validate", "kummer_oracle", "ode_residual"),
     "cli": (),

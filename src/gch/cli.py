@@ -43,6 +43,10 @@ WAVEFUNCTION_HEADER = ("r", "value", "converged")
 ASYMPTOTE_HEADER = ("x", "value")
 VERIFY_HEADER = ("mu", "epsilon", "nu", "omega_cap", "omega", "x", "kind", "rel_err", "rel_residual", "status")
 
+#: what a handler returns: exit code, header, rows in header order, and a
+#: summary line for stderr (or ""), printed once the output is open
+Result = tuple[int, tuple, list[tuple], str]
+
 #: values of the choice-valued options, checked for flags and config
 #: file entries alike
 CHOICES = {
@@ -255,7 +259,7 @@ def _system(args: argparse.Namespace) -> spectra.QuantumSystem:
     return spectra.QQbar(m_q=_require(args, "mass"), b_slope=_require(args, "b_slope"), l=args.l)
 
 
-def cmd_eval(args: argparse.Namespace) -> tuple[int, tuple, list[tuple]]:
+def cmd_eval(args: argparse.Namespace) -> Result:
     from .series import betas_from_omega, evaluate
 
     p = _gch_params(args)
@@ -271,10 +275,10 @@ def cmd_eval(args: argparse.Namespace) -> tuple[int, tuple, list[tuple]]:
         res = evaluate(p, kind, x, t=nt)
         all_converged &= res.converged
         rows.append((x, res.value, res.terms_used, res.last_term_mag, res.converged))
-    return (EXIT_OK if all_converged else EXIT_NO_CONVERGENCE), EVAL_HEADER, rows
+    return (EXIT_OK if all_converged else EXIT_NO_CONVERGENCE), EVAL_HEADER, rows, ""
 
 
-def cmd_spectrum(args: argparse.Namespace) -> tuple[int, tuple, list[tuple]]:
+def cmd_spectrum(args: argparse.Namespace) -> Result:
     from . import spectra
 
     system = _system(args)
@@ -286,10 +290,10 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[int, tuple, list[tuple]]:
             state = spectra.make_state(system, i, beta)
             ladder.append((state.eigenvalue, i, beta))
     ladder.sort()
-    return EXIT_OK, SPECTRUM_HEADER, [(i, beta, ev) for ev, i, beta in ladder]
+    return EXIT_OK, SPECTRUM_HEADER, [(i, beta, ev) for ev, i, beta in ladder], ""
 
 
-def cmd_wavefunction(args: argparse.Namespace) -> tuple[int, tuple, list[tuple]]:
+def cmd_wavefunction(args: argparse.Namespace) -> Result:
     from . import spectra
 
     system = _system(args)
@@ -303,7 +307,7 @@ def cmd_wavefunction(args: argparse.Namespace) -> tuple[int, tuple, list[tuple]]
         value, converged = spectra.wavefunction_result(system, state, r, nt)
         all_converged &= converged
         rows.append((r, value, converged))
-    return (EXIT_OK if all_converged else EXIT_NO_CONVERGENCE), WAVEFUNCTION_HEADER, rows
+    return (EXIT_OK if all_converged else EXIT_NO_CONVERGENCE), WAVEFUNCTION_HEADER, rows, ""
 
 
 def _grid_axis(grid: dict, key: str, default: tuple) -> tuple:
@@ -318,7 +322,7 @@ def _grid_axis(grid: dict, key: str, default: tuple) -> tuple:
     return tuple(val)
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple[int, tuple, list[tuple]]:
+def cmd_verify(args: argparse.Namespace) -> Result:
     from .recurrence import coefficients
     from .verify import GridSpec, cross_validate, ode_residual
 
@@ -344,7 +348,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, tuple, list[tuple]]:
     if not any(True for _ in spec.points()) or not spec.kinds:
         raise ValueError("verification grid is empty")
     nt = _nested_trunc(args)
-    report = cross_validate(spec, None, nt)
+    report = cross_validate(spec, nt)
     rows = []
     ok = True
     coeffs_of: dict = {}  # (params, kind) -> coefficients, the same at every x
@@ -362,19 +366,16 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, tuple, list[tuple]]:
         point_ok = rec.rel_err <= tol and rel_res <= res_tol
         ok &= point_ok
         rows.append(point + (rec.rel_err, rel_res, "ok" if point_ok else "tolerance"))
-    print(
-        f"verify: {report.n_evaluated} points, max_rel_err={report.max_rel_err:.3e}, "
-        f"tolerance={tol:.1e}, {'PASS' if ok else 'FAIL'}",
-        file=sys.stderr,
-    )
-    return (EXIT_OK if ok else EXIT_TOLERANCE), VERIFY_HEADER, rows
+    summary = (f"verify: {report.n_evaluated} points, max_rel_err={report.max_rel_err:.3e}, "
+               f"tolerance={tol:.1e}, {'PASS' if ok else 'FAIL'}")
+    return (EXIT_OK if ok else EXIT_TOLERANCE), VERIFY_HEADER, rows, summary
 
 
-def cmd_asymptote(args: argparse.Namespace) -> tuple[int, tuple, list[tuple]]:
+def cmd_asymptote(args: argparse.Namespace) -> Result:
     regime = AsymptoticRegime(_require(args, "regime"))
     # the small-eps form is a function of mu alone; the small-mu form ignores mu
     mu = _require(args, "mu") if regime is AsymptoticRegime.SMALL_EPS else 0.0
-    return EXIT_OK, ASYMPTOTE_HEADER, [(x, limit_value(regime, mu, args.epsilon, x)) for x in _x_grid(args)]
+    return EXIT_OK, ASYMPTOTE_HEADER, [(x, limit_value(regime, mu, args.epsilon, x)) for x in _x_grid(args)], ""
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -394,12 +395,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "verify": cmd_verify,
             "asymptote": cmd_asymptote,
         }[args.command]
-        code, header, rows = handler(args)
+        code, header, rows, summary = handler(args)
         # opened once the rows exist, so a failed command writes no file
         out = open(args.output, "w", encoding="utf-8", newline="\n") if args.output else sys.stdout
     except (GchError, ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if summary:
+        print(summary, file=sys.stderr)
     _emit(args.command, header, rows, args.format, out)
     if out is not sys.stdout:
         out.close()

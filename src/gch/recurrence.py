@@ -30,6 +30,9 @@ from .params import GchParams, coefficient_A, coefficient_B, _is_integer
 #: consecutive below-tolerance terms required before the sum is declared converged
 _STREAK = 3
 
+#: a term at or below this magnitude counts as below tolerance, even beside a zero partial sum
+_ABS_FLOOR = 1e-300
+
 
 @dataclass(frozen=True)
 class Truncation:
@@ -37,15 +40,12 @@ class Truncation:
 
     max_terms: int = 400
     rel_tol: float = 1e-12
-    abs_floor: float = 1e-300
 
     def __post_init__(self) -> None:
         if self.max_terms < 8:
             raise ValueError("max_terms must be at least 8")
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError("rel_tol must lie in (0, 1)")
-        if self.abs_floor <= 0.0:
-            raise ValueError("abs_floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def sum_series(
     """Sum y(x) = sum_n c_n x^(n+lam) directly from the recurrence.
 
     Linear in c0.  Stops after three consecutive terms fall below
-    rel_tol * |partial sum| (or below abs_floor); if the cap is reached
+    rel_tol * |partial sum| (or below 1e-300); if the cap is reached
     first the partial value is still returned with ``converged=False``.
 
     Raises DomainError when x^lam is not real (x < 0 with fractional lam,
@@ -165,7 +165,7 @@ def sum_series(
         last_mag = abs(term)
         n_used = n + 1
 
-        bar = max(t.rel_tol * abs(total + comp), t.abs_floor)
+        bar = max(t.rel_tol * abs(total + comp), _ABS_FLOOR)
         streak = streak + 1 if last_mag <= bar else 0
         if streak >= _STREAK and n >= 2:
             break

@@ -3,10 +3,13 @@
 Three radial problems reduce to the series equation handled by this
 package: a rotating harmonic oscillator, a Cornell-type confinement
 potential (Coulomb + linear + quadratic), and a linearly confined
-quark-antiquark Hamiltonian.  Each system maps its physical parameters
-onto the five ODE coefficients; demanding a B-terminated solution then
-quantises Omega through Omega = -mu (2 beta + i + lam) and yields a
-closed-form eigenvalue ladder indexed by (i, beta).
+quark-antiquark Hamiltonian.  Each is one class that knows its own
+physics: ``params(Omega)`` maps the physical parameters onto the five ODE
+coefficients, ``eigenvalue(i, beta_i)`` is the closed-form ladder that
+B-termination, Omega = -mu (2 beta + i + lam), quantises,
+``omega_cap(eigenvalue)`` is the Omega an eigenvalue corresponds to, and
+``envelope(r)`` and ``x_of(r)`` give the factor and the series argument of
+the radial function.
 
 The radial factors returned by :func:`wavefunction` are the reduced
 functions u(r) = r * R(r), so all three systems share the r^(l+1)
@@ -28,7 +31,11 @@ from .series import NestedTruncation, evaluate
 
 @dataclass(frozen=True)
 class RotatingOscillator:
-    """Rotating harmonic oscillator; l_m rotational quantum number, omega_c coupling."""
+    """Rotating harmonic oscillator; l_m rotational quantum number, omega_c coupling.
+
+    Map: mu=-2, eps=sqrt(2/omega_c), nu=2(l_m+1), omega=l_m+1, x = r/sqrt(2 omega_c).
+    Ladder: lambda_m = 2 beta_i + l_m + 1 + i, with Omega = 2(lambda_m - l_m - 1).
+    """
 
     l_m: int
     omega_c: float
@@ -39,10 +46,34 @@ class RotatingOscillator:
         if self.omega_c <= 0.0:
             raise ValueError("omega_c must be positive")
 
+    def params(self, Omega: float) -> GchParams:
+        return GchParams(mu=-2.0, eps=math.sqrt(2.0 / self.omega_c), nu=2.0 * (self.l_m + 1),
+                         Omega=Omega, omega=float(self.l_m + 1))
+
+    def eigenvalue(self, i: int, beta_i: int) -> float:
+        return 2.0 * beta_i + self.l_m + 1.0 + i
+
+    def omega_cap(self, lam_m: float) -> float:
+        return 2.0 * (lam_m - self.l_m - 1.0)
+
+    def envelope(self, r: float) -> float:
+        d = r - 1.0
+        return r ** (self.l_m + 1) * math.exp(-d * d / (2.0 * self.omega_c))
+
+    def x_of(self, r: float) -> float:
+        return r / math.sqrt(2.0 * self.omega_c)
+
 
 @dataclass(frozen=True)
 class Confinement:
-    """Potential -a/r + b r + c r^2 (c > 0) at reduced mass ``mass``, hbar = 1."""
+    """Potential -a/r + b r + c r^2 (c > 0) at reduced mass ``mass``, hbar = 1.
+
+    Scales alpha_F = sqrt(2 mass c), beta_F = b sqrt(mass/(2c)).  Map: mu=-2,
+    eps=-2 beta_F/sqrt(alpha_F), nu=2(l+1), omega=-mass a/beta_F + l + 1,
+    x = sqrt(alpha_F) r; b = 0 makes the omega map singular and raises
+    DegenerateCoupling.  Ladder: E = (4 alpha_F (beta_i + (i + l + 3/2)/2)
+    - beta_F^2)/(2 mass), with Omega = (beta_F^2 + 2 mass E)/alpha_F - 2(l + 3/2).
+    """
 
     a: float
     b: float
@@ -58,10 +89,43 @@ class Confinement:
         if self.l < 0:
             raise ValueError("l must be a nonnegative integer")
 
+    @property
+    def alpha_f(self) -> float:
+        return math.sqrt(2.0 * self.mass * self.c)
+
+    @property
+    def beta_f(self) -> float:
+        return self.b * math.sqrt(self.mass / (2.0 * self.c))
+
+    def params(self, Omega: float) -> GchParams:
+        alpha_f, beta_f = self.alpha_f, self.beta_f
+        if beta_f == 0.0:
+            raise DegenerateCoupling("b = 0 gives beta_F = 0; the a-term of omega is singular")
+        return GchParams(mu=-2.0, eps=-2.0 * beta_f / math.sqrt(alpha_f), nu=2.0 * (self.l + 1),
+                         Omega=Omega, omega=-self.mass * self.a / beta_f + self.l + 1.0)
+
+    def eigenvalue(self, i: int, beta_i: int) -> float:
+        beta_f = self.beta_f
+        return (4.0 * self.alpha_f * (beta_i + 0.5 * (i + self.l + 1.5)) - beta_f * beta_f) / (2.0 * self.mass)
+
+    def omega_cap(self, energy: float) -> float:
+        beta_f = self.beta_f
+        return (beta_f * beta_f + 2.0 * self.mass * energy) / self.alpha_f - 2.0 * (self.l + 1.5)
+
+    def envelope(self, r: float) -> float:
+        return r ** (self.l + 1) * math.exp(-0.5 * self.alpha_f * r * r - self.beta_f * r)
+
+    def x_of(self, r: float) -> float:
+        return math.sqrt(self.alpha_f) * r
+
 
 @dataclass(frozen=True)
 class QQbar:
-    """Spin-free scalar-confinement quark-antiquark system; E^2 ladder."""
+    """Spin-free scalar-confinement quark-antiquark system; E^2 ladder.
+
+    Map: mu=-b, eps=-2m, nu=2(l+1), omega=l+1, x = r.
+    Ladder: E^2 = 4 b (2 beta_i + i + l + 3/2), with Omega = E^2/4 - b (l + 3/2).
+    """
 
     m_q: float
     b_slope: float
@@ -75,90 +139,40 @@ class QQbar:
         if self.l < 0:
             raise ValueError("l must be a nonnegative integer")
 
+    def params(self, Omega: float) -> GchParams:
+        return GchParams(mu=-self.b_slope, eps=-2.0 * self.m_q, nu=2.0 * (self.l + 1),
+                         Omega=Omega, omega=float(self.l + 1))
+
+    def eigenvalue(self, i: int, beta_i: int) -> float:
+        return 4.0 * self.b_slope * (2.0 * beta_i + i + self.l + 1.5)
+
+    def omega_cap(self, e2: float) -> float:
+        return 0.25 * e2 - self.b_slope * (self.l + 1.5)
+
+    def envelope(self, r: float) -> float:
+        shift = r + 2.0 * self.m_q / self.b_slope
+        return r ** (self.l + 1) * math.exp(-0.25 * self.b_slope * shift * shift)
+
+    def x_of(self, r: float) -> float:
+        return r
+
 
 QuantumSystem = Union[RotatingOscillator, Confinement, QQbar]
 
 
 @dataclass(frozen=True)
 class EigenState:
-    """One B-terminated bound state.
+    """One B-terminated bound state on the regular-at-origin branch.
 
     ``i`` is the termination order, ``beta_i`` the ladder index within it,
     ``eigenvalue`` the system's spectral quantity (lambda_m, E, or E^2),
-    ``gch`` the mapped coefficients with Omega resolved, and ``lam`` the
-    indicial root in use (0: the regular-at-origin branch).
+    and ``gch`` the mapped coefficients with Omega resolved.
     """
 
     i: int
     beta_i: int
     eigenvalue: float
     gch: GchParams
-    lam: float
-
-
-def map_oscillator(l_m: int, omega_c: float) -> GchParams:
-    """Oscillator coefficients mu=-2, eps=sqrt(2/omega_c), nu=2(l_m+1), omega=l_m+1.
-
-    Omega is left unresolved (NaN) until an eigenvalue lambda_m fixes it
-    through Omega = 2(lambda_m - l_m - 1).
-    """
-    RotatingOscillator(l_m, omega_c)
-    return GchParams(
-        mu=-2.0,
-        eps=math.sqrt(2.0 / omega_c),
-        nu=2.0 * (l_m + 1),
-        Omega=math.nan,
-        omega=float(l_m + 1),
-    )
-
-
-def eigen_oscillator(l_m: int, i: int, beta_i: int) -> float:
-    """Eigenvalue ladder lambda_m = 2 beta_i + l_m + 1 + i."""
-    return 2.0 * beta_i + l_m + 1.0 + i
-
-
-def map_confinement(a: float, b: float, c: float, mass: float, l: int) -> tuple[GchParams, float, float]:
-    """Confinement coefficients plus the scale factors (alpha_F, beta_F).
-
-    alpha_F = sqrt(2 mass c), beta_F = b sqrt(mass/(2c));
-    mu=-2, eps=-2 beta_F/sqrt(alpha_F), nu=2(l+1), omega=-mass*a/beta_F + l + 1.
-    b = 0 makes the omega map singular and raises DegenerateCoupling.
-    """
-    Confinement(a, b, c, mass, l)
-    alpha_f = math.sqrt(2.0 * mass * c)
-    beta_f = b * math.sqrt(mass / (2.0 * c))
-    if beta_f == 0.0:
-        raise DegenerateCoupling("b = 0 gives beta_F = 0; the a-term of omega is singular")
-    gch = GchParams(
-        mu=-2.0,
-        eps=-2.0 * beta_f / math.sqrt(alpha_f),
-        nu=2.0 * (l + 1),
-        Omega=math.nan,
-        omega=-mass * a / beta_f + l + 1.0,
-    )
-    return gch, alpha_f, beta_f
-
-
-def energy_confinement(alpha_f: float, beta_f: float, mass: float, l: int, i: int, beta_i: int) -> float:
-    """E = (1/(2 mass)) (4 alpha_F (beta_i + (i + l + 3/2)/2) - beta_F^2), hbar = 1."""
-    return (4.0 * alpha_f * (beta_i + 0.5 * (i + l + 1.5)) - beta_f * beta_f) / (2.0 * mass)
-
-
-def map_qqbar(m_q: float, b_slope: float, l: int) -> GchParams:
-    """Quark-model coefficients mu=-b, eps=-2m, nu=2(l+1), omega=l+1."""
-    QQbar(m_q, b_slope, l)
-    return GchParams(
-        mu=-b_slope,
-        eps=-2.0 * m_q,
-        nu=2.0 * (l + 1),
-        Omega=math.nan,
-        omega=float(l + 1),
-    )
-
-
-def energy_qqbar(b_slope: float, l: int, i: int, beta_i: int) -> float:
-    """Squared-mass ladder E^2 = 4 b (2 beta_i + i + l + 3/2)."""
-    return 4.0 * b_slope * (2.0 * beta_i + i + l + 1.5)
 
 
 def make_state(system: QuantumSystem, i: int, beta_i: int) -> EigenState:
@@ -170,47 +184,8 @@ def make_state(system: QuantumSystem, i: int, beta_i: int) -> EigenState:
     """
     if i < 0 or beta_i < 0:
         raise ValueError("i and beta_i must be nonnegative integers")
-    if isinstance(system, RotatingOscillator):
-        lam_m = eigen_oscillator(system.l_m, i, beta_i)
-        gch = map_oscillator(system.l_m, system.omega_c)
-        gch = GchParams(gch.mu, gch.eps, gch.nu, 2.0 * (lam_m - system.l_m - 1.0), gch.omega)
-        return EigenState(i=i, beta_i=beta_i, eigenvalue=lam_m, gch=gch, lam=0.0)
-    if isinstance(system, Confinement):
-        base, alpha_f, beta_f = map_confinement(system.a, system.b, system.c, system.mass, system.l)
-        energy = energy_confinement(alpha_f, beta_f, system.mass, system.l, i, beta_i)
-        omega_cap = (beta_f * beta_f + 2.0 * system.mass * energy) / alpha_f - 2.0 * (system.l + 1.5)
-        gch = GchParams(base.mu, base.eps, base.nu, omega_cap, base.omega)
-        return EigenState(i=i, beta_i=beta_i, eigenvalue=energy, gch=gch, lam=0.0)
-    if isinstance(system, QQbar):
-        e2 = energy_qqbar(system.b_slope, system.l, i, beta_i)
-        base = map_qqbar(system.m_q, system.b_slope, system.l)
-        gch = GchParams(base.mu, base.eps, base.nu, 0.25 * e2 - system.b_slope * (system.l + 1.5), base.omega)
-        return EigenState(i=i, beta_i=beta_i, eigenvalue=e2, gch=gch, lam=0.0)
-    raise TypeError(f"unknown system {system!r}")
-
-
-def envelope(system: QuantumSystem, r: float) -> float:
-    """Exponential-times-power factor multiplying the series part."""
-    if isinstance(system, RotatingOscillator):
-        d = r - 1.0
-        return r ** (system.l_m + 1) * math.exp(-d * d / (2.0 * system.omega_c))
-    if isinstance(system, Confinement):
-        _, alpha_f, beta_f = map_confinement(system.a, system.b, system.c, system.mass, system.l)
-        return r ** (system.l + 1) * math.exp(-0.5 * alpha_f * r * r - beta_f * r)
-    if isinstance(system, QQbar):
-        shift = r + 2.0 * system.m_q / system.b_slope
-        return r ** (system.l + 1) * math.exp(-0.25 * system.b_slope * shift * shift)
-    raise TypeError(f"unknown system {system!r}")
-
-
-def _series_argument(system: QuantumSystem, r: float) -> float:
-    # radial coordinate expressed in the ODE variable x
-    if isinstance(system, RotatingOscillator):
-        return r / math.sqrt(2.0 * system.omega_c)
-    if isinstance(system, Confinement):
-        _, alpha_f, _ = map_confinement(system.a, system.b, system.c, system.mass, system.l)
-        return math.sqrt(alpha_f) * r
-    return r
+    eigenvalue = system.eigenvalue(i, beta_i)
+    return EigenState(i, beta_i, eigenvalue, system.params(system.omega_cap(eigenvalue)))
 
 
 def wavefunction_result(
@@ -222,8 +197,8 @@ def wavefunction_result(
     """(unnormalised reduced radial value, converged flag)."""
     if r < 0.0:
         raise ValueError("r must be nonnegative")
-    res = evaluate(state.gch, SolutionKind.FIRST, _series_argument(system, r), t=t)
-    return envelope(system, r) * res.value, res.converged
+    res = evaluate(state.gch, SolutionKind.FIRST, system.x_of(r), t=t)
+    return system.envelope(r) * res.value, res.converged
 
 
 def wavefunction(

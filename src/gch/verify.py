@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .errors import DomainError, GammaPole, GchError
 from .params import GchParams, SolutionKind, _is_integer, validate
-from .recurrence import Truncation, real_power, sum_series
+from .recurrence import real_power, sum_series
 from .series import NestedTruncation, eval_general
 
 
@@ -159,27 +159,22 @@ class CrossRecord:
 class CrossReport:
     records: tuple[CrossRecord, ...]
     max_rel_err: float
-    worst: Optional[CrossRecord]
     n_evaluated: int
     n_failed: int
 
 
 def cross_validate(
     grid: GridSpec | None = None,
-    t: Truncation | None = None,
     nt: NestedTruncation | None = None,
 ) -> CrossReport:
     """Closed form vs direct recurrence on every grid point.
 
     Per-point failures (kind restrictions, domain errors) are recorded and
-    the sweep continues; the report carries the worst relative error and
-    its location.
+    the sweep continues; the report carries the worst relative error.
     """
     grid = grid or GridSpec()
-    t = t or Truncation()
     nt = nt or NestedTruncation()
     records: list[CrossRecord] = []
-    worst: Optional[CrossRecord] = None
     max_rel = 0.0
     n_eval = 0
     n_failed = 0
@@ -187,7 +182,7 @@ def cross_validate(
         for kind in grid.kinds:
             try:
                 lam = validate(p, kind)
-                oracle = sum_series(p, lam, 1.0, x, t).value
+                oracle = sum_series(p, lam, 1.0, x).value
                 closed = eval_general(p, lam, 1.0, x, nt).value
             except GchError as exc:
                 n_failed += 1
@@ -195,16 +190,12 @@ def cross_validate(
                 continue
             diff = abs(closed - oracle)
             rel = 0.0 if diff == 0.0 else diff / abs(oracle) if oracle != 0.0 else math.inf
-            rec = CrossRecord(p, kind, x, oracle, closed, rel)
-            records.append(rec)
+            records.append(CrossRecord(p, kind, x, oracle, closed, rel))
             n_eval += 1
-            if rel > max_rel:
-                max_rel = rel
-                worst = rec
+            max_rel = max(max_rel, rel)
     return CrossReport(
         records=tuple(records),
         max_rel_err=max_rel,
-        worst=worst,
         n_evaluated=n_eval,
         n_failed=n_failed,
     )

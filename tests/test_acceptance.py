@@ -26,11 +26,7 @@ from gch.spectra import (
     Confinement,
     QQbar,
     RotatingOscillator,
-    eigen_oscillator,
-    energy_confinement,
-    energy_qqbar,
     make_state,
-    map_confinement,
     wavefunction,
 )
 from gch.verify import cross_validate, kummer_oracle, ode_residual
@@ -132,15 +128,17 @@ def test_criterion_5_eigenvalue_formulas(capsys):
     rows = [r.split(",") for r in capsys.readouterr().out.strip().split("\n")[1:]]
     for i_s, b_s, ev_s in rows:
         i, beta, ev = int(i_s), int(b_s), float(ev_s)
-        assert abs(ev - eigen_oscillator(0, i, beta)) <= 1e-12 * max(1.0, abs(ev))
+        want = 2.0 * beta + OSC.l_m + 1 + i  # lambda_m = 2 beta + l_m + 1 + i
+        assert abs(ev - want) <= 1e-12 * max(1.0, abs(ev))
 
     assert main(["spectrum", "--system", "confinement", "--pot-a", "0.4", "--pot-b", "0.05",
                  "--pot-c", "0.015", "--mass", "0.5", "--l", "0", "--i-max", "1", "--beta-max", "4"]) == 0
     rows = [r.split(",") for r in capsys.readouterr().out.strip().split("\n")[1:]]
-    _, af, bf = map_confinement(CONF.a, CONF.b, CONF.c, CONF.mass, CONF.l)
+    af = math.sqrt(2.0 * CONF.mass * CONF.c)  # alpha_F
+    bf = CONF.b * math.sqrt(CONF.mass / (2.0 * CONF.c))  # beta_F
     for i_s, b_s, ev_s in rows:
         i, beta, ev = int(i_s), int(b_s), float(ev_s)
-        want = energy_confinement(af, bf, CONF.mass, CONF.l, i, beta)
+        want = (4.0 * af * (beta + (i + CONF.l + 1.5) / 2.0) - bf * bf) / (2.0 * CONF.mass)
         assert abs(ev - want) <= 1e-12 * max(1.0, abs(want))
 
     assert main(["spectrum", "--system", "qqbar", "--mass", "0.1", "--b-slope", "0.25",
@@ -148,7 +146,7 @@ def test_criterion_5_eigenvalue_formulas(capsys):
     rows = [r.split(",") for r in capsys.readouterr().out.strip().split("\n")[1:]]
     for i_s, b_s, ev_s in rows:
         i, beta, ev = int(i_s), int(b_s), float(ev_s)
-        want = energy_qqbar(QQ.b_slope, QQ.l, i, beta)
+        want = 4.0 * QQ.b_slope * (2.0 * beta + i + QQ.l + 1.5)  # E^2
         assert abs(ev - want) <= 1e-12 * max(1.0, abs(want))
 
     # independent route: the termination condition reproduces each Omega

@@ -371,6 +371,16 @@ def test_unwritable_output_exit2(tmp_path, capsys, where):
     assert captured.err.startswith("error: ") and str(path) in captured.err
 
 
+def test_verify_unwritable_output_reports_only_the_error(tmp_path, capsys):
+    # the sweep passes, but a run that exits 2 must not also report PASS
+    path = tmp_path / "no" / "v.csv"
+    assert main(["verify", "--output", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not path.exists()
+
+
 def test_failed_command_writes_no_file(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["asymptote", "--regime", "small-eps", "--x-count", "2", "--output", str(out)]) == 2

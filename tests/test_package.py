@@ -11,6 +11,21 @@ def test_all_names_resolve():
     assert len(set(gch.__all__)) == len(gch.__all__)
 
 
+def test_public_names():
+    # every public name added or removed shows up as a change to this list
+    assert gch.__all__ == [
+        "AsymptoticRegime", "BetaMismatch", "Confinement", "CrossReport", "DegenerateCoupling",
+        "DomainError", "EigenState", "EvalResult", "GammaPole", "GchError", "GchParams", "GridSpec",
+        "KindRestrictionError", "NestedTruncation", "NonFiniteError", "NormalizationPole",
+        "NoTermination", "PoleError", "QQbar", "ResidualReport", "RotatingOscillator", "SolutionKind",
+        "TailNotDecayed", "Truncation",
+        "asym_small_eps", "asym_small_mu", "betas_from_omega", "coefficient_A", "coefficient_B",
+        "coefficients", "cross_validate", "detect_termination", "erf", "erfi", "eval_general",
+        "evaluate", "kummer_oracle", "limit_value", "make_state", "normalize", "ode_residual",
+        "radial_norm", "sum_series", "validate", "wavefunction", "wavefunction_result",
+    ]
+
+
 def test_star_import_runs():
     namespace: dict = {}
     exec("from gch import *", namespace)

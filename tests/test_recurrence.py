@@ -5,7 +5,7 @@ import pytest
 
 from gch.errors import DomainError, PoleError
 from gch.params import GchParams
-from gch.recurrence import Truncation, coefficients, detect_termination, real_power, sum_series
+from gch.recurrence import _ABS_FLOOR, Truncation, coefficients, detect_termination, real_power, sum_series
 from gch.verify import kummer_oracle, ode_residual
 
 TIGHT = Truncation(max_terms=500, rel_tol=1e-14)
@@ -129,7 +129,7 @@ def test_converged_invariant():
     t = Truncation()
     res = sum_series(p, 0.0, 1.0, 0.9, t)
     assert res.converged
-    assert res.value == 0.0 or res.last_term_mag <= max(t.rel_tol * abs(res.value), t.abs_floor)
+    assert res.value == 0.0 or res.last_term_mag <= max(t.rel_tol * abs(res.value), _ABS_FLOOR)
 
 
 def test_truncation_validation():
@@ -137,8 +137,6 @@ def test_truncation_validation():
         Truncation(max_terms=4)
     with pytest.raises(ValueError):
         Truncation(rel_tol=2.0)
-    with pytest.raises(ValueError):
-        Truncation(abs_floor=0.0)
 
 
 def test_coefficients_against_recurrence():

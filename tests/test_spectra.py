@@ -9,17 +9,11 @@ from gch.spectra import (
     Confinement,
     QQbar,
     RotatingOscillator,
-    eigen_oscillator,
-    energy_confinement,
-    energy_qqbar,
-    envelope,
     make_state,
-    map_confinement,
-    map_oscillator,
-    map_qqbar,
     normalize,
     radial_norm,
     wavefunction,
+    wavefunction_result,
 )
 
 NT = NestedTruncation(max_order_N=50, max_inner=120, rel_tol=1e-12)
@@ -28,58 +22,68 @@ NT = NestedTruncation(max_order_N=50, max_inner=120, rel_tol=1e-12)
 # ------------------------------------------------------------------- maps
 
 def test_map_oscillator_values():
-    p = map_oscillator(0, 2.0)
+    p = RotatingOscillator(l_m=0, omega_c=2.0).params(math.nan)
     assert (p.mu, p.eps, p.nu, p.omega) == (-2.0, 1.0, 2.0, 1.0)
-    p = map_oscillator(1, 2.0)
+    assert math.isnan(p.Omega)
+    p = RotatingOscillator(l_m=1, omega_c=2.0).params(math.nan)
     assert (p.nu, p.omega) == (4.0, 2.0)
-    assert map_oscillator(0, 200.0).eps == pytest.approx(0.1)
+    assert RotatingOscillator(l_m=0, omega_c=200.0).params(math.nan).eps == pytest.approx(0.1)
 
 
 def test_map_confinement_values():
-    p, alpha_f, beta_f = map_confinement(0.0, 1.0, 1.0, 0.5, 0)
-    assert alpha_f == pytest.approx(1.0)
-    assert beta_f == pytest.approx(0.5)
+    system = Confinement(a=0.0, b=1.0, c=1.0, mass=0.5, l=0)
+    p = system.params(math.nan)
+    assert system.alpha_f == pytest.approx(1.0)
+    assert system.beta_f == pytest.approx(0.5)
     assert p.eps == pytest.approx(-1.0)
     assert (p.nu, p.omega) == (2.0, 1.0)
     # hand-worked point: omega = 2 - sqrt(2)
-    p, alpha_f, beta_f = map_confinement(1.0, 1.0, 2.0, 0.5, 1)
-    assert alpha_f == pytest.approx(math.sqrt(2.0))
-    assert beta_f == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)))
+    system = Confinement(a=1.0, b=1.0, c=2.0, mass=0.5, l=1)
+    p = system.params(math.nan)
+    assert system.alpha_f == pytest.approx(math.sqrt(2.0))
+    assert system.beta_f == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)))
     assert p.omega == pytest.approx(2.0 - math.sqrt(2.0), rel=1e-14)
 
 
 def test_map_confinement_degenerate():
+    system = Confinement(a=1.0, b=0.0, c=1.0, mass=0.5, l=0)
     with pytest.raises(DegenerateCoupling):
-        map_confinement(1.0, 0.0, 1.0, 0.5, 0)
+        system.params(math.nan)
+    with pytest.raises(DegenerateCoupling):
+        make_state(system, 0, 0)
 
 
 def test_map_qqbar_values():
-    p = map_qqbar(0.3, 1.5, 2)
+    p = QQbar(m_q=0.3, b_slope=1.5, l=2).params(math.nan)
     assert (p.mu, p.eps, p.nu, p.omega) == (-1.5, -0.6, 6.0, 3.0)
 
 
 # ------------------------------------------------------------- eigenvalues
 
 def test_eigen_oscillator():
-    assert eigen_oscillator(0, 0, 0) == 1.0
-    assert eigen_oscillator(1, 2, 3) == 10.0
-    assert [eigen_oscillator(0, 0, b) for b in range(4)] == [1.0, 3.0, 5.0, 7.0]
+    assert RotatingOscillator(l_m=0, omega_c=2.0).eigenvalue(0, 0) == 1.0
+    assert RotatingOscillator(l_m=1, omega_c=2.0).eigenvalue(2, 3) == 10.0
+    osc = RotatingOscillator(l_m=0, omega_c=5.0)
+    assert [osc.eigenvalue(0, b) for b in range(4)] == [1.0, 3.0, 5.0, 7.0]
 
 
 def test_energy_confinement():
-    assert energy_confinement(1.0, 0.0, 0.5, 0, 0, 0) == pytest.approx(3.0)
-    assert energy_confinement(1.0, 1.0, 0.5, 0, 0, 1) == pytest.approx(6.0)
+    # alpha_F = 1, beta_F = 0 (the ladder exists at b = 0; only the map is singular)
+    assert Confinement(a=1.0, b=0.0, c=1.0, mass=0.5, l=0).eigenvalue(0, 0) == pytest.approx(3.0)
+    # alpha_F = 1, beta_F = 1
+    assert Confinement(a=1.0, b=2.0, c=1.0, mass=0.5, l=0).eigenvalue(0, 1) == pytest.approx(6.0)
     # ladder spacing affine in beta: 4 alpha_F / (2 mass)
-    e0 = energy_confinement(1.3, 0.4, 0.7, 2, 1, 3)
-    e1 = energy_confinement(1.3, 0.4, 0.7, 2, 1, 4)
-    assert e1 - e0 == pytest.approx(4.0 * 1.3 / (2.0 * 0.7), rel=1e-13)
+    system = Confinement(a=0.3, b=0.4, c=1.3, mass=0.7, l=2)
+    e0, e1 = system.eigenvalue(1, 3), system.eigenvalue(1, 4)
+    assert e1 - e0 == pytest.approx(4.0 * math.sqrt(2.0 * 0.7 * 1.3) / (2.0 * 0.7), rel=1e-13)
 
 
 def test_energy_qqbar():
-    assert energy_qqbar(1.0, 0, 0, 0) == 6.0
-    assert energy_qqbar(1.0, 0, 0, 1) == 14.0
+    assert QQbar(m_q=0.0, b_slope=1.0, l=0).eigenvalue(0, 0) == 6.0
+    assert QQbar(m_q=0.5, b_slope=1.0, l=0).eigenvalue(0, 1) == 14.0
     # Regge-like linearity in l with slope 4b
-    assert energy_qqbar(0.9, 5, 2, 3) - energy_qqbar(0.9, 4, 2, 3) == pytest.approx(3.6)
+    e5, e4 = QQbar(m_q=0.1, b_slope=0.9, l=5).eigenvalue(2, 3), QQbar(m_q=0.1, b_slope=0.9, l=4).eigenvalue(2, 3)
+    assert e5 - e4 == pytest.approx(3.6)
 
 
 # ----------------------------------------------------- state construction
@@ -113,7 +117,8 @@ def test_eigenvalue_closed_forms(system, ):
             if isinstance(system, RotatingOscillator):
                 assert ev == pytest.approx(2 * beta + system.l_m + 1 + i, rel=1e-13)
             elif isinstance(system, Confinement):
-                _, af, bf = map_confinement(system.a, system.b, system.c, system.mass, system.l)
+                af = math.sqrt(2 * system.mass * system.c)
+                bf = system.b * math.sqrt(system.mass / (2 * system.c))
                 want = (4 * af * (beta + (i + system.l + 1.5) / 2) - bf * bf) / (2 * system.mass)
                 assert ev == pytest.approx(want, rel=1e-13)
             else:
@@ -225,9 +230,51 @@ def test_normalize_tail_guard():
 
 def test_envelope_forms():
     osc = RotatingOscillator(l_m=0, omega_c=2.0)
-    assert envelope(osc, 1.0) == pytest.approx(1.0)  # r^(l+1) e^0 at r=1
+    assert osc.envelope(1.0) == pytest.approx(1.0)  # r^(l+1) e^0 at r=1
     qq = QQbar(m_q=0.0, b_slope=1.0, l=0)
-    assert envelope(qq, 2.0) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-14)
+    assert qq.envelope(2.0) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-14)
+    # alpha_F = 1, beta_F = 1/2: r e^{-r^2/2 - r/2}
+    conf = Confinement(a=0.0, b=1.0, c=1.0, mass=0.5, l=0)
+    assert conf.envelope(2.0) == pytest.approx(2.0 * math.exp(-3.0), rel=1e-14)
+
+
+def test_series_argument_forms():
+    assert RotatingOscillator(l_m=0, omega_c=2.0).x_of(3.0) == pytest.approx(1.5)
+    assert Confinement(a=0.0, b=1.0, c=4.0, mass=2.0, l=0).x_of(3.0) == pytest.approx(6.0)  # alpha_F = 4
+    assert QQbar(m_q=0.3, b_slope=1.0, l=0).x_of(3.0) == 3.0
+
+
+# reference values of the former module-level maps and ladders, which the
+# system classes reproduce bit for bit
+PINNED = [
+    (RotatingOscillator(l_m=0, omega_c=2.0), 0, 1,
+     "EigenState(i=0, beta_i=1, eigenvalue=3.0, gch=GchParams(mu=-2.0, eps=1.0, nu=2.0, Omega=4.0, omega=1.0))",
+     (0.8930171678523121, True), (0.3030268919693902, True)),
+    (RotatingOscillator(l_m=0, omega_c=2.0), 1, 2,
+     "EigenState(i=1, beta_i=2, eigenvalue=6.0, gch=GchParams(mu=-2.0, eps=1.0, nu=2.0, Omega=10.0, omega=1.0))",
+     (1.3741975786592566, True), (1.34629421951937, True)),
+    (Confinement(a=1.0, b=0.2, c=0.5, mass=1.0, l=0), 0, 0,
+     "EigenState(i=0, beta_i=0, eigenvalue=1.48, gch=GchParams(mu=-2.0, eps=-0.4, nu=2.0, Omega=0.0, omega=-4.0))",
+     (-0.14015662827659814, True), (0.18620414997159337, True)),
+    (Confinement(a=1.0, b=0.2, c=0.5, mass=1.0, l=0), 1, 1,
+     "EigenState(i=1, beta_i=1, eigenvalue=4.48, gch=GchParams(mu=-2.0, eps=-0.4, nu=2.0, Omega=6.0, omega=-4.0))",
+     (-0.4518135533551858, True), (0.39160163078546945, True)),
+    (QQbar(m_q=0.3, b_slope=1.0, l=0), 0, 2,
+     "EigenState(i=0, beta_i=2, eigenvalue=22.0, gch=GchParams(mu=-1.0, eps=-0.6, nu=2.0, Omega=4.0, omega=1.0))",
+     (-0.3382382792208077, True), (0.8096993713015191, True)),
+    (QQbar(m_q=0.3, b_slope=1.0, l=0), 1, 0,
+     "EigenState(i=1, beta_i=0, eigenvalue=10.0, gch=GchParams(mu=-1.0, eps=-0.6, nu=2.0, Omega=1.0, omega=1.0))",
+     (0.6139584899760449, True), (0.25150316896393027, True)),
+]
+
+
+@pytest.mark.parametrize("system,i,beta,state_repr,at_1_5,at_0_25", PINNED,
+                         ids=[f"{type(c[0]).__name__}-{c[1]}-{c[2]}" for c in PINNED])
+def test_states_pinned(system, i, beta, state_repr, at_1_5, at_0_25):
+    state = make_state(system, i, beta)
+    assert repr(state) == state_repr
+    assert wavefunction_result(system, state, 1.5) == at_1_5
+    assert wavefunction_result(system, state, 0.25) == at_0_25
 
 
 def test_make_state_rejects_negative_indices():

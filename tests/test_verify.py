@@ -121,6 +121,6 @@ def test_cross_validate_monotone_in_order_cap():
     errs = []
     for cap in (6, 10, 20):
         nt = NestedTruncation(max_order_N=cap, max_inner=72, rel_tol=1e-12)
-        errs.append(cross_validate(None, None, nt).max_rel_err)
+        errs.append(cross_validate(None, nt).max_rel_err)
     assert errs[0] >= errs[1] >= errs[2]
     assert errs[2] <= 1e-9
