@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, PoleError
-from .params import GchParams, coefficient_A, coefficient_B, _is_integer
+from .params import GchParams, _is_integer
 
 #: consecutive below-tolerance terms required before the sum is declared converged
 _STREAK = 3
@@ -101,15 +101,27 @@ def real_power(x: float, expo: float) -> float:
 
 
 def coefficients(p: GchParams, lam: float, c0: float, count: int) -> list[float]:
-    """First ``count`` series coefficients c_0 .. c_{count-1} from the recurrence."""
+    """First ``count`` series coefficients c_0 .. c_{count-1} from the recurrence.
+
+    A_n and B_n are :func:`coefficient_A` and :func:`coefficient_B`,
+    written out on local copies of the parameters.
+    """
     if count <= 0:
         return []
+    mu, eps, nu, Omega, omega = p.mu, p.eps, p.nu, p.Omega, p.omega
     out = [c0]
-    if count == 1:
-        return out
-    out.append(coefficient_A(0, lam, p) * c0)
-    for n in range(1, count - 1):
-        out.append(coefficient_A(n, lam, p) * out[n] + coefficient_B(n, lam, p) * out[n - 1])
+    c_prev, c_cur = 0.0, c0
+    for n in range(count - 1):
+        den1 = n + 1.0 + lam
+        den2 = n + nu + lam
+        if den1 == 0.0 or den2 == 0.0:
+            raise PoleError(f"A_{n} denominator vanishes at lam={lam}, nu={nu}")
+        den = den1 * den2
+        c_next = -eps * (n + omega + lam) / den * c_cur
+        if n:
+            c_next += -(Omega + mu * (n - 1.0 + lam)) / den * c_prev
+        out.append(c_next)
+        c_prev, c_cur = c_cur, c_next
     return out
 
 
@@ -144,6 +156,8 @@ def sum_series(
     if t is None:
         t = Truncation()
     xpow = real_power(x, lam)
+    mu, eps, nu, Omega, omega = p.mu, p.eps, p.nu, p.Omega, p.omega
+    rel_tol = t.rel_tol
 
     total = 0.0
     comp = 0.0  # Neumaier compensation
@@ -165,15 +179,20 @@ def sum_series(
         last_mag = abs(term)
         n_used = n + 1
 
-        bar = max(t.rel_tol * abs(total + comp), _ABS_FLOOR)
+        bar = max(rel_tol * abs(total + comp), _ABS_FLOOR)
         streak = streak + 1 if last_mag <= bar else 0
         if streak >= _STREAK and n >= 2:
             break
 
-        if n == 0:
-            c_next = coefficient_A(0, lam, p) * c_cur
-        else:
-            c_next = coefficient_A(n, lam, p) * c_cur + coefficient_B(n, lam, p) * c_prev
+        # A_n c_n + B_n c_{n-1}, as coefficient_A and coefficient_B
+        den1 = n + 1.0 + lam
+        den2 = n + nu + lam
+        if den1 == 0.0 or den2 == 0.0:
+            raise PoleError(f"A_{n} denominator vanishes at lam={lam}, nu={nu}")
+        den = den1 * den2
+        c_next = -eps * (n + omega + lam) / den * c_cur
+        if n:
+            c_next += -(Omega + mu * (n - 1.0 + lam)) / den * c_prev
         c_prev, c_cur = c_cur, c_next
         pw *= x
 

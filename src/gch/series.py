@@ -56,10 +56,12 @@ the offsets of w_k all grow by 1/2 per chain, so r_{2m+q}(i) = r_q(i + m)
 and w_{2m+q}(i) = w_q(i + m) for q = 0, 1.  This holds for chains that
 end too: beta_{k+2} = beta_k - 1, so the exact integer a_q = -beta_q
 shifted by m is a_{q+2m}, and chains past n* keep reading the same row.
-So each point builds zr_q[j] = z r_q(j-1) and w_q[j] once, grows each row
-by one entry every second order, and order n = 2m + q reads chain row q
-at offset m; a step is then g_n[i] = w g_{n-1}[i] + zr g_n[i-1], with no
-division, and order 0 is the running product of row 0.
+So each point builds zr_q[j] = z r_q(j-1) and w_q[j] once; order n =
+2m + q reads chain row q at offset m and weight row (n-1) % 2 at offset
+(n-1) // 2, and appends to each of the two the one entry that it reads
+beyond the order before.  A step is then g_n[i] = w g_{n-1}[i] +
+zr g_n[i-1], with no division, and order 0 is the running product of
+row 0.
 
 For mu > 0 the chains alternate in sign and cancel once |z| grows, so
 there the engine evaluates e^{mu x^2/2 + eps x} y instead, which solves
@@ -90,10 +92,12 @@ class NestedTruncation:
     ``max_order_N`` caps the outer order (the power of eps_tilde),
     ``max_inner`` caps every chain index, and ``rel_tol`` stops the outer
     sum once two consecutive orders contribute less than rel_tol times the
-    running total.  Each point runs its chains only as deep as its |z|
-    needs (at most ``max_inner``), so a large cap costs easy points
-    nothing; the default reaches |z| of about 100 with Kummer-type chain
-    parameters, and the default order cap covers |eps_tilde| <= 4.
+    running total.  Each point runs its chains to the depth at which the
+    upper envelope of its Kummer-type terms has decayed 18 digits
+    (:func:`_required_cap`), and to ``max_inner`` where that depth is
+    larger, so a large cap costs easy points nothing; the default reaches
+    |z| of about 100 with Kummer-type chain parameters, and the default
+    order cap covers |eps_tilde| <= 4.
     """
 
     max_order_N: int = 48
@@ -107,6 +111,10 @@ class NestedTruncation:
             raise ValueError("max_inner must be at least 4")
         if self.rel_tol <= 0.0:
             raise ValueError("rel_tol must be positive")
+
+
+#: the truncation of a call that passes none
+_DEFAULT_TRUNCATION = NestedTruncation()
 
 
 def _gamma_ratio(num_arg: float, den_arg: float, what: str) -> float:
@@ -124,6 +132,15 @@ def _pole_guard(offset: float, cap: int, what: str, k: int) -> None:
     some index i in 0..cap; validation rules exclude these for both roots."""
     if offset <= 0.0 and _is_integer(offset) and -round(offset) <= cap:
         raise PoleError(f"{what} {k} denominator offset {offset} vanishes at index {int(-round(offset))}")
+
+
+def _guard_order(n: int, h: float, gamma: float, cap: int) -> None:
+    """Pole guards of order n: chain n, then weight n - 1."""
+    _pole_guard(1.0 + 0.5 * n + h, cap, "chain", n)
+    _pole_guard(gamma + 0.5 * n + h, cap, "chain", n)
+    k = n - 1
+    _pole_guard(0.5 + h + 0.5 * k, cap, "weight", k)
+    _pole_guard(gamma - 0.5 + h + 0.5 * k, cap, "weight", k)
 
 
 def _required_cap(z: float, a_mag: float, b: float, c: float, hard_cap: int) -> int:
@@ -179,15 +196,19 @@ def _nested_orders(
     lam: float,
     x: float,
     t: NestedTruncation,
+    nstar: Optional[int],
 ) -> tuple[list[float], int, bool]:
     """Per-order contributions S_n * eps_tilde^n of the bracketed series.
 
-    Returns (orders, steps, converged flag).  Each order runs the forward
-    recurrence once over indices 0..cap, so ``steps`` is cap + 1 per order.
-    The outer loop stops once two consecutive orders contribute below
-    rel_tol times the running sum, at max_order_N, or immediately after
-    order 0 when eps = 0.  The converged flag also drops when max_inner is
-    too small for the chains to have decayed.
+    ``nstar`` is :func:`detect_termination` of (p, lam).  Returns (orders,
+    steps, converged flag).  Each order runs the forward recurrence once
+    over indices 0..cap, where cap is the depth :func:`_required_cap`
+    gives for the point's z and chain parameters, at most max_inner; so
+    ``steps`` is cap + 1 per order.  The outer loop stops once two
+    consecutive orders contribute below rel_tol times the running sum, at
+    max_order_N, or immediately after order 0 when eps = 0.  The converged
+    flag also drops when max_inner is too small for the chains to have
+    decayed.
 
     For mu > 0 and z < -1 the alternating chains cancel, so the orders are
     those of the transformed parameters (:func:`_kummer_transformed`, whose
@@ -198,7 +219,7 @@ def _nested_orders(
     if p.mu > 0.0 and 0.5 * p.mu * x * x > 1.0:
         scale = math.exp(-0.5 * p.mu * x * x - p.eps * x)
         p = _kummer_transformed(p)
-    nstar = detect_termination(p, lam)
+        nstar = detect_termination(p, lam)
     half_ratio = p.Omega / (2.0 * p.mu)
     h = 0.5 * lam
 
@@ -207,31 +228,23 @@ def _nested_orders(
         beta = _chain_end(nstar, k)
         return half_ratio + 0.5 * k + h if beta is None else -float(beta)
 
+    a0, a1, a2 = a_of(0), a_of(1), a_of(2)
     gamma = p.gamma
     z = -0.5 * p.mu * x * x
     et = -0.5 * p.eps * x
-    a_mag = max(abs(a_of(0)), abs(a_of(1)), abs(a_of(2)))
-    need = _required_cap(z, a_mag, 1.0 + h, gamma + h, t.max_inner)
+    need = _required_cap(z, max(abs(a0), abs(a1), abs(a2)), 1.0 + h, gamma + h, t.max_inner)
     inner_ok = need <= t.max_inner
-    cap = min(t.max_inner, max(20, need))
-
-    # the parity rows zr[q][j] = z r_q(j-1) and w[q][j] = w_q(j) serve
-    # chain and weight 2m + q at offset m (module docstring)
-    chains = [(a_of(q), 1.0 + 0.5 * q + h, gamma + 0.5 * q + h) for q in (0, 1)]
-    weights = [(h + 0.5 * p.omega + 0.5 * q, 0.5 + h + 0.5 * q, gamma - 0.5 + h + 0.5 * q) for q in (0, 1)]
-    zr: list[list[float]] = [[0.0], [0.0]]
-    w: list[list[float]] = [[], []]
+    cap = min(t.max_inner, need)
 
     # order 0: g[i] = (a_0)_i z^i / ((b_0)_i (c_0)_i), the Kummer terms
-    _pole_guard(1.0 + h, cap, "chain", 0)
-    _pole_guard(gamma + h, cap, "chain", 0)
-    a, b, c = chains[0]
-    zr[0] += [z * (a + j) / ((b + j) * (c + j)) for j in range(cap)]
-    g = list(accumulate(zr[0][1:], mul, initial=1.0))
+    b0, c0 = 1.0 + h, gamma + h
+    _pole_guard(b0, cap, "chain", 0)
+    _pole_guard(c0, cap, "chain", 0)
+    zr0 = [0.0] + [z * (a0 + j) / ((b0 + j) * (c0 + j)) for j in range(cap)]
+    g = list(accumulate(zr0[1:], mul, initial=1.0))
     orders = [math.fsum(g)]
-    steps = cap + 1
     if et == 0.0:
-        return [scale * o for o in orders], steps, inner_ok
+        return [scale * o for o in orders], cap + 1, inner_ok
 
     # order n guards the offsets base + n/2 for the bases 1 + h, gamma + h
     # (chain n), h and gamma - 1 + h (weight n - 1); a guard fires only
@@ -239,43 +252,53 @@ def _nested_orders(
     # fire past the smallest base's last such order (one order of margin
     # for rounding)
     last_guarded = 1.0 - 2.0 * min(h, gamma - 1.0 + h)
+    if last_guarded >= 1:
+        _guard_order(1, h, gamma, cap)
+
+    # the parity rows zr_q[j] = z r_q(j-1) and w_q[j] = w_q(j) serve chain
+    # and weight 2m + q at offset m (module docstring); each is built one
+    # entry short of its first order, which appends that entry (weight 1's
+    # offsets are chain 0's, guarded above)
+    b1, c1 = 1.5 + h, gamma + 0.5 + h
+    zr1 = [0.0] + [z * (a1 + j) / ((b1 + j) * (c1 + j)) for j in range(cap - 1)]
+    weight0 = (h + 0.5 * p.omega, 0.5 + h, gamma - 0.5 + h)
+    weight1 = (h + 0.5 * p.omega + 0.5, 0.5 + h + 0.5, gamma - 0.5 + h + 0.5)
+    w0, w1 = ([(j + wn) / ((j + d1) * (j + d2)) for j in range(cap)] for wn, d1, d2 in (weight0, weight1))
+    # order n = 2m + q: chain row q at offset m, weight row 1 - q at
+    # offset m - 1 + q
+    by_parity = ((zr0, w1, (a0, b0, c0), weight1), (zr1, w0, (a1, b1, c1), weight0))
+
+    fsum = math.fsum
+    rel_tol = t.rel_tol
     streak = 0
     converged = False
     et_pow = 1.0
     running = orders[0]
     for n in range(1, t.max_order_N + 1):
         et_pow *= et
-        k = n - 1
-        if n <= last_guarded:
-            _pole_guard(1.0 + 0.5 * n + h, cap, "chain", n)
-            _pole_guard(gamma + 0.5 * n + h, cap, "chain", n)
-            _pole_guard(0.5 + h + 0.5 * k, cap, "weight", k)
-            _pole_guard(gamma - 0.5 + h + 0.5 * k, cap, "weight", k)
-        # g_n[i] = w_{n-1}(i) g_{n-1}[i] + z r_n(i-1) g_n[i-1], with chain n
-        # read from row n % 2 at offset n // 2, and weight k from row k % 2
-        m, q = divmod(n, 2)
-        mw, qw = divmod(k, 2)
-        row, wrow = zr[q], w[qw]
-        a, b, c = chains[q]
-        for j in range(len(row) - 1, m + cap):
-            row.append(z * (a + j) / ((b + j) * (c + j)))
-        wn, w1, w2 = weights[qw]
-        for j in range(len(wrow), mw + cap + 1):
-            wrow.append((j + wn) / ((j + w1) * (j + w2)))
+        if 1 < n <= last_guarded:
+            _guard_order(n, h, gamma, cap)
+        # g_n[i] = w_{n-1}(i) g_{n-1}[i] + z r_n(i-1) g_n[i-1]
+        row, wrow, (a, b, c), (wn, d1, d2) = by_parity[n & 1]
+        m = n >> 1
+        mw = (n - 1) >> 1
+        j = m + cap - 1
+        row.append(z * (a + j) / ((b + j) * (c + j)))
+        j = mw + cap
+        wrow.append((j + wn) / ((j + d1) * (j + d2)))
         acc = 0.0
         g = [acc := wj * gj + zj * acc for wj, gj, zj in zip(wrow[mw:], g, row[m:])]
-        steps += cap + 1
-        contrib = math.fsum(g) * et_pow
+        contrib = fsum(g) * et_pow
         orders.append(contrib)
         running += contrib
-        if abs(contrib) <= max(t.rel_tol * abs(running), _TINY):
+        if abs(contrib) <= max(rel_tol * abs(running), _TINY):
             streak += 1
             if streak >= 2:
                 converged = True
                 break
         else:
             streak = 0
-    return [scale * o for o in orders], steps, converged and inner_ok
+    return [scale * o for o in orders], (cap + 1) * len(orders), converged and inner_ok
 
 
 def betas_from_omega(p: GchParams, lam: float, count: int) -> tuple[Optional[int], ...]:
@@ -314,17 +337,19 @@ def _evaluate(
     x: float,
     t: NestedTruncation | None,
     pref: float,
+    nstar: Optional[int],
 ) -> EvalResult:
     """pref * (sum of the nested orders at root lam), with the per-order
-    decomposition scaled by pref on ``orders``."""
-    orders, steps, converged = _nested_orders(p, lam, x, t or NestedTruncation())
+    decomposition scaled by pref on ``orders``; ``nstar`` is
+    :func:`detect_termination` of (p, lam)."""
+    orders, steps, converged = _nested_orders(p, lam, x, t or _DEFAULT_TRUNCATION, nstar)
     scaled = tuple(pref * o for o in orders)
     return EvalResult(
         value=pref * math.fsum(orders),
         terms_used=steps,
         last_term_mag=abs(scaled[-1]) if len(scaled) > 1 else 0.0,
         converged=converged,
-        terminated_at=detect_termination(p, lam),
+        terminated_at=nstar,
         orders=scaled,
     )
 
@@ -358,7 +383,8 @@ def evaluate(
     if betas is not None:
         _check_beta_consistency(p, lam, betas)
     first = kind is SolutionKind.FIRST
-    beta0 = _chain_end(detect_termination(p, lam), 0)
+    nstar = detect_termination(p, lam)
+    beta0 = _chain_end(nstar, 0)
     if beta0 is not None:
         num = p.gamma + float(beta0) if first else float(beta0) + 2.0 - p.gamma
     else:
@@ -367,7 +393,7 @@ def evaluate(
     pref = _gamma_ratio(num, p.gamma if first else 2.0 - p.gamma, f"{kind.value}-kind prefactor")
     if not first:
         pref = real_power(-0.5 * p.mu * x * x, 1.0 - p.gamma) * pref
-    return _evaluate(p, lam, x, t, pref)
+    return _evaluate(p, lam, x, t, pref, nstar)
 
 
 def eval_general(
@@ -399,4 +425,4 @@ def eval_general(
     else:
         raise ValueError(f"lam={lam} is neither indicial root (0 or 1 - nu = {1.0 - p.nu})")
     validate(p, kind)
-    return _evaluate(p, lam, x, t, c0 * real_power(x, lam))
+    return _evaluate(p, lam, x, t, c0 * real_power(x, lam), detect_termination(p, lam))

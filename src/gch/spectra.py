@@ -21,6 +21,7 @@ substitutions are documented in the README).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -181,7 +182,14 @@ def make_state(system: QuantumSystem, i: int, beta_i: int) -> EigenState:
     Omega comes from the system's own correspondence (spectral formula
     route); it agrees with the termination condition -mu(2 beta + i) to
     rounding, which the test suite asserts as an independent cross-check.
+    ``i`` and ``beta_i`` must be nonnegative integers, of any type that
+    :func:`operator.index` accepts (the state holds them as int); anything
+    else raises ValueError.
     """
+    try:
+        i, beta_i = operator.index(i), operator.index(beta_i)
+    except TypeError:
+        raise ValueError("i and beta_i must be nonnegative integers") from None
     if i < 0 or beta_i < 0:
         raise ValueError("i and beta_i must be nonnegative integers")
     eigenvalue = system.eigenvalue(i, beta_i)

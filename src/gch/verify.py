@@ -173,7 +173,6 @@ def cross_validate(
     the sweep continues; the report carries the worst relative error.
     """
     grid = grid or GridSpec()
-    nt = nt or NestedTruncation()
     records: list[CrossRecord] = []
     max_rel = 0.0
     n_eval = 0

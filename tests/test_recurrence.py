@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -146,5 +147,18 @@ def test_coefficients_against_recurrence():
     assert cs[0] == 2.0
     assert cs[1] == coefficient_A(0, 0.0, p) * 2.0
     for n in range(1, 7):
-        assert cs[n + 1] == pytest.approx(
-            coefficient_A(n, 0.0, p) * cs[n] + coefficient_B(n, 0.0, p) * cs[n - 1], rel=1e-15)
+        # coefficients writes A_n and B_n out with the helpers' arithmetic
+        assert cs[n + 1] == coefficient_A(n, 0.0, p) * cs[n] + coefficient_B(n, 0.0, p) * cs[n - 1]
+
+
+def test_written_out_coefficients_raise_the_helper_pole():
+    # lam = -3 makes n + 1 + lam vanish at n = 2
+    from gch.params import coefficient_A
+    p = GchParams(1.5, -0.4, 0.9, 0.6, 1.3)
+    with pytest.raises(PoleError) as helper:
+        coefficient_A(2, -3.0, p)
+    message = f"^{re.escape(str(helper.value))}$"
+    with pytest.raises(PoleError, match=message):
+        coefficients(p, -3.0, 1.0, 8)
+    with pytest.raises(PoleError, match=message):
+        sum_series(p, -3.0, 1.0, 0.5)

@@ -425,7 +425,7 @@ def _backward_fold_orders(p, lam, x, t, a_of, order_cap):
     z = -0.5 * p.mu * x * x
     et = -0.5 * p.eps * x
     a_mag = max(abs(a_of(0)), abs(a_of(1)), abs(a_of(2)))
-    cap = min(t.max_inner, max(20, _required_cap(z, a_mag, 1.0 + h, gamma + h, t.max_inner)))
+    cap = min(t.max_inner, _required_cap(z, a_mag, 1.0 + h, gamma + h, t.max_inner))
 
     def r(k, i):
         return (a_of(k) + i) / ((1.0 + 0.5 * k + h + i) * (gamma + 0.5 * k + h + i))
@@ -522,6 +522,7 @@ def test_steps_linear_in_orders():
     (GchParams(2.0, 1.0, 1.5, 3.0, 0.25), 1.0, 330, 15),
     (GchParams(-1.0, 3.0, 0.5, 0.7, 1.2), 2.0, 1066, 41),
     (GchParams(2.0, 1.0, 1.5, 3.0, 0.25), 6.0, 3432, 33),           # transformed, z = -36
+    (GchParams(2.0, 1.0, 1.5, 3.0, 0.25), 0.5, 195, 13),            # depth 14, z = -0.25
 ])
 def test_step_counts_pinned(p, x, terms, orders):
     # terms_used is cap + 1 per order; pinned so that step and order counts
@@ -536,6 +537,19 @@ def test_weight_pole_inside_int_tol_raises():
     # weight 0's offset gamma - 1/2 is then within INT_TOL of -1
     with pytest.raises(PoleError, match="weight 0 denominator"):
         evaluate(GchParams(-1.0, 1.0, -2 + 1.5e-12, 0.3, 0.2), FIRST, 0.5)
+
+
+@pytest.mark.parametrize("nu,kind,message", [
+    (4 + 1.5e-12, SECOND, "chain 1 denominator offset -7.5"),
+    (2 + 1.5e-12, SECOND, "weight 0 denominator offset -7.5"),
+    (-6 + 1.5e-12, FIRST, "chain 1 denominator offset -1.9999999999992.* vanishes at index 2"),
+])
+def test_order_one_guards_fire_in_order(nu, kind, message):
+    # nu just outside INT_TOL of an integer puts an offset of chain 1 or
+    # weight 0 within INT_TOL of a nonpositive integer; order 1 checks
+    # chain 1 before weight 0, and both before their rows are built
+    with pytest.raises(PoleError, match=f"^{message}"):
+        evaluate(GchParams(-1.3, 1.0, nu, 0.4, 0.3), kind, 0.5)
 
 
 # ---------------------------------------------- mu > 0 through the transformation
@@ -578,6 +592,18 @@ def test_mu_positive_large_z_against_mpmath(eps, x):
     res = eval_general(GchParams(mu, eps, nu, Omega, omega), 0.0, 1.0, x)
     assert res.converged
     assert abs(res.value - float(ref)) <= 1e-12 * abs(float(ref))
+
+
+@pytest.mark.parametrize("mu", [0.01, -0.01])
+@pytest.mark.parametrize("eps", [4.0, -4.0])
+@pytest.mark.parametrize("x", [1.0, 2.0])
+def test_shallow_chains_many_orders_against_mpmath(mu, eps, x):
+    # |z| <= 0.02 needs chains only about 10 deep, while |eps x/2| up to 4
+    # takes 26 to 39 orders, whose chains must not need more
+    ref = float(_mp_first_kind(mu, eps, 1.5, 0.3, 0.25, x))
+    res = eval_general(GchParams(mu, eps, 1.5, 0.3, 0.25), 0.0, 1.0, x)
+    assert res.converged
+    assert abs(res.value - ref) <= 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("p", [

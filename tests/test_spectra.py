@@ -282,6 +282,23 @@ def test_make_state_rejects_negative_indices():
         make_state(SYSTEMS[0], -1, 0)
 
 
+@pytest.mark.parametrize("i,beta", [(0.5, 0), (0, 1.5), (1.0, 0), (0, 2.0), ("1", 0), (0, None)])
+def test_make_state_rejects_non_integer_indices(i, beta):
+    # Omega = 1.0 at (0.5, 0) ends no chain: not a bound state
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        make_state(RotatingOscillator(l_m=0, omega_c=2.0), i, beta)
+
+
+def test_make_state_takes_any_index_type():
+    class Two:
+        def __index__(self):
+            return 2
+
+    state = make_state(RotatingOscillator(l_m=0, omega_c=2.0), 0, Two())
+    assert (state.i, state.beta_i, state.eigenvalue) == (0, 2, 5.0)
+    assert type(state.beta_i) is int
+
+
 def test_system_validation():
     with pytest.raises(ValueError):
         RotatingOscillator(l_m=-1, omega_c=1.0)
