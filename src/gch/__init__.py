@@ -25,7 +25,7 @@ _EXPORTS = {
         "KindRestrictionError", "NonFiniteError", "NormalizationPole", "NoTermination",
         "PoleError", "TailNotDecayed",
     ),
-    "params": ("GchParams", "SolutionKind", "coefficient_A", "coefficient_B", "validate"),
+    "params": ("GchParams", "SolutionKind", "validate"),
     "recurrence": ("EvalResult", "Truncation", "coefficients", "detect_termination", "sum_series"),
     "series": ("NestedTruncation", "betas_from_omega", "eval_general", "evaluate"),
     "asymptotics": ("AsymptoticRegime", "asym_small_eps", "asym_small_mu", "erf", "erfi", "limit_value"),

@@ -1,4 +1,4 @@
-"""Parameter set, indicial roots, validation and recurrence coefficients.
+"""Parameter set, indicial roots and validation; the base of the value classes.
 
 Everything in this package evaluates solutions of
 
@@ -11,16 +11,22 @@ coefficients obey the three-term recurrence
 
     c_{n+1} = A_n c_n + B_n c_{n-1},      c_1 = A_0 c_0,
 
-with A_n, B_n as produced by :func:`coefficient_A` / :func:`coefficient_B`.
+with
+
+    A_n = -eps (n + omega + lam) / ((n+1+lam)(n+nu+lam)),
+    B_n = -(Omega + mu (n-1+lam)) / ((n+1+lam)(n+nu+lam)).
+
+eps = 0 makes every A_n vanish, so omega (which enters only there and in
+the eps*omega potential term) is then immaterial to the solution.
+:func:`gch.recurrence.coefficients` runs this recurrence.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from .errors import KindRestrictionError, NonFiniteError, PoleError
+from .errors import KindRestrictionError, NonFiniteError
 
 #: absolute tolerance used when testing whether a float is an integer
 INT_TOL = 1e-12
@@ -30,8 +36,58 @@ def _is_integer(value: float, tol: float = INT_TOL) -> bool:
     return abs(value - round(value)) <= tol
 
 
-@dataclass(frozen=True)
-class GchParams:
+#: binds one field of a value class in its ``__init__``, past the refusing ``__setattr__``
+_bind = object.__setattr__
+
+
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``__slots__``, in constructor order, and
+    binds each in a written-out ``__init__`` with :data:`_bind`, after its
+    checks.  From ``__slots__`` this base supplies the rest: assignment and
+    deletion raise AttributeError, equality and hash go by the field values
+    within one class (never equal to a tuple or to another class), the repr
+    is ``Class(field=value, ...)``, and copy and pickle rebuild through the
+    constructor.
+
+    Not a frozen data class: the standard library's data-class module
+    imports ``inspect``, about 12 ms of a process that keeps no bytecode
+    cache, and creating each such class costs about 1.2 ms more.  Not a
+    ``typing.NamedTuple``: its attribute reads take three times as long as
+    a slot read, and as a tuple it compares equal to a plain tuple of its
+    values.  Binding the fields in a loop here instead of a written-out
+    ``__init__`` would make each construction more than twice as slow.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class GchParams(_Frozen):
     """The five real ODE coefficients.
 
     ``mu`` and ``eps`` multiply x^2 and x in the damping term, ``nu`` is the
@@ -41,11 +97,14 @@ class GchParams:
     may leave ``Omega`` unresolved (NaN) until an eigenvalue fixes it.
     """
 
-    mu: float
-    eps: float
-    nu: float
-    Omega: float
-    omega: float
+    __slots__ = ("mu", "eps", "nu", "Omega", "omega")
+
+    def __init__(self, mu: float, eps: float, nu: float, Omega: float, omega: float) -> None:
+        _bind(self, "mu", mu)
+        _bind(self, "eps", eps)
+        _bind(self, "nu", nu)
+        _bind(self, "Omega", Omega)
+        _bind(self, "omega", omega)
 
     @property
     def gamma(self) -> float:
@@ -93,29 +152,3 @@ def validate(p: GchParams, kind: SolutionKind) -> float:
                 f"second kind requires nu not in {{2, 3, 4, ...}}; got nu={nu}"
             )
     return kind.lambda_of(nu)
-
-
-def coefficient_A(n: int, lam: float, p: GchParams) -> float:
-    """A_n = -eps (n + omega + lam) / ((n+1+lam)(n+nu+lam)).
-
-    eps = 0 makes every A_n vanish, so omega (which only enters here and
-    in the eps*omega potential term) is then immaterial to the solution.
-    Raises PoleError when a denominator factor is exactly zero.
-    """
-    den1 = n + 1.0 + lam
-    den2 = n + p.nu + lam
-    if den1 == 0.0 or den2 == 0.0:
-        raise PoleError(f"A_{n} denominator vanishes at lam={lam}, nu={p.nu}")
-    return -p.eps * (n + p.omega + lam) / (den1 * den2)
-
-
-def coefficient_B(n: int, lam: float, p: GchParams) -> float:
-    """B_n = -(Omega + mu (n-1+lam)) / ((n+1+lam)(n+nu+lam)).
-
-    Raises PoleError when a denominator factor is exactly zero.
-    """
-    den1 = n + 1.0 + lam
-    den2 = n + p.nu + lam
-    if den1 == 0.0 or den2 == 0.0:
-        raise PoleError(f"B_{n} denominator vanishes at lam={lam}, nu={p.nu}")
-    return -(p.Omega + p.mu * (n - 1.0 + lam)) / (den1 * den2)

@@ -21,11 +21,10 @@ such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, PoleError
-from .params import GchParams, _is_integer
+from .params import GchParams, _bind, _Frozen, _is_integer
 
 #: consecutive below-tolerance terms required before the sum is declared converged
 _STREAK = 3
@@ -34,22 +33,21 @@ _STREAK = 3
 _ABS_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
-class Truncation:
+class Truncation(_Frozen):
     """Caps and tolerances for direct summation."""
 
-    max_terms: int = 400
-    rel_tol: float = 1e-12
+    __slots__ = ("max_terms", "rel_tol")
 
-    def __post_init__(self) -> None:
-        if self.max_terms < 8:
+    def __init__(self, max_terms: int = 400, rel_tol: float = 1e-12) -> None:
+        if max_terms < 8:
             raise ValueError("max_terms must be at least 8")
-        if not 0.0 < self.rel_tol < 1.0:
+        if not 0.0 < rel_tol < 1.0:
             raise ValueError("rel_tol must lie in (0, 1)")
+        _bind(self, "max_terms", max_terms)
+        _bind(self, "rel_tol", rel_tol)
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(_Frozen):
     """Outcome of a series evaluation.
 
     ``terms_used`` counts the steps the evaluation ran: the recurrence
@@ -70,12 +68,23 @@ class EvalResult:
     ``value``.
     """
 
-    value: float
-    terms_used: int
-    last_term_mag: float
-    converged: bool
-    terminated_at: Optional[int] = None
-    orders: Optional[tuple[float, ...]] = None
+    __slots__ = ("value", "terms_used", "last_term_mag", "converged", "terminated_at", "orders")
+
+    def __init__(
+        self,
+        value: float,
+        terms_used: int,
+        last_term_mag: float,
+        converged: bool,
+        terminated_at: Optional[int] = None,
+        orders: Optional[tuple[float, ...]] = None,
+    ) -> None:
+        _bind(self, "value", value)
+        _bind(self, "terms_used", terms_used)
+        _bind(self, "last_term_mag", last_term_mag)
+        _bind(self, "converged", converged)
+        _bind(self, "terminated_at", terminated_at)
+        _bind(self, "orders", orders)
 
 
 def real_power(x: float, expo: float) -> float:
@@ -103,7 +112,7 @@ def real_power(x: float, expo: float) -> float:
 def coefficients(p: GchParams, lam: float, c0: float, count: int) -> list[float]:
     """First ``count`` series coefficients c_0 .. c_{count-1} from the recurrence.
 
-    A_n and B_n are :func:`coefficient_A` and :func:`coefficient_B`,
+    A_n and B_n are the recurrence coefficients of :mod:`gch.params`,
     written out on local copies of the parameters.
     """
     if count <= 0:
@@ -184,7 +193,7 @@ def sum_series(
         if streak >= _STREAK and n >= 2:
             break
 
-        # A_n c_n + B_n c_{n-1}, as coefficient_A and coefficient_B
+        # A_n c_n + B_n c_{n-1}, written out as in coefficients
         den1 = n + 1.0 + lam
         den2 = n + nu + lam
         if den1 == 0.0 or den2 == 0.0:

@@ -73,20 +73,18 @@ the transformed parameters' n* then decides which chains end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
 from typing import Optional
 
 from .errors import BetaMismatch, NormalizationPole, NoTermination, PoleError
-from .params import GchParams, SolutionKind, _is_integer, validate
+from .params import GchParams, SolutionKind, _bind, _Frozen, _is_integer, validate
 from .recurrence import EvalResult, detect_termination, real_power
 
 _TINY = 1e-300
 
 
-@dataclass(frozen=True)
-class NestedTruncation:
+class NestedTruncation(_Frozen):
     """Caps and tolerance for the doubly-infinite nested sums.
 
     ``max_order_N`` caps the outer order (the power of eps_tilde),
@@ -100,17 +98,18 @@ class NestedTruncation:
     order cap covers |eps_tilde| <= 4.
     """
 
-    max_order_N: int = 48
-    max_inner: int = 240
-    rel_tol: float = 1e-12
+    __slots__ = ("max_order_N", "max_inner", "rel_tol")
 
-    def __post_init__(self) -> None:
-        if self.max_order_N < 2:
+    def __init__(self, max_order_N: int = 48, max_inner: int = 240, rel_tol: float = 1e-12) -> None:
+        if max_order_N < 2:
             raise ValueError("max_order_N must be at least 2")
-        if self.max_inner < 4:
+        if max_inner < 4:
             raise ValueError("max_inner must be at least 4")
-        if self.rel_tol <= 0.0:
+        if rel_tol <= 0.0:
             raise ValueError("rel_tol must be positive")
+        _bind(self, "max_order_N", max_order_N)
+        _bind(self, "max_inner", max_inner)
+        _bind(self, "rel_tol", rel_tol)
 
 
 #: the truncation of a call that passes none

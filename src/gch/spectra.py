@@ -22,30 +22,29 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, Union
 
 from .errors import DegenerateCoupling, TailNotDecayed
-from .params import GchParams, SolutionKind
+from .params import GchParams, SolutionKind, _bind, _Frozen
 from .series import NestedTruncation, evaluate
 
 
-@dataclass(frozen=True)
-class RotatingOscillator:
+class RotatingOscillator(_Frozen):
     """Rotating harmonic oscillator; l_m rotational quantum number, omega_c coupling.
 
     Map: mu=-2, eps=sqrt(2/omega_c), nu=2(l_m+1), omega=l_m+1, x = r/sqrt(2 omega_c).
     Ladder: lambda_m = 2 beta_i + l_m + 1 + i, with Omega = 2(lambda_m - l_m - 1).
     """
 
-    l_m: int
-    omega_c: float
+    __slots__ = ("l_m", "omega_c")
 
-    def __post_init__(self) -> None:
-        if self.l_m < 0:
+    def __init__(self, l_m: int, omega_c: float) -> None:
+        if l_m < 0:
             raise ValueError("l_m must be a nonnegative integer")
-        if self.omega_c <= 0.0:
+        if omega_c <= 0.0:
             raise ValueError("omega_c must be positive")
+        _bind(self, "l_m", l_m)
+        _bind(self, "omega_c", omega_c)
 
     def params(self, Omega: float) -> GchParams:
         return GchParams(mu=-2.0, eps=math.sqrt(2.0 / self.omega_c), nu=2.0 * (self.l_m + 1),
@@ -65,8 +64,7 @@ class RotatingOscillator:
         return r / math.sqrt(2.0 * self.omega_c)
 
 
-@dataclass(frozen=True)
-class Confinement:
+class Confinement(_Frozen):
     """Potential -a/r + b r + c r^2 (c > 0) at reduced mass ``mass``, hbar = 1.
 
     Scales alpha_F = sqrt(2 mass c), beta_F = b sqrt(mass/(2c)).  Map: mu=-2,
@@ -76,19 +74,20 @@ class Confinement:
     - beta_F^2)/(2 mass), with Omega = (beta_F^2 + 2 mass E)/alpha_F - 2(l + 3/2).
     """
 
-    a: float
-    b: float
-    c: float
-    mass: float
-    l: int
+    __slots__ = ("a", "b", "c", "mass", "l")
 
-    def __post_init__(self) -> None:
-        if self.c <= 0.0:
+    def __init__(self, a: float, b: float, c: float, mass: float, l: int) -> None:
+        if c <= 0.0:
             raise ValueError("c must be positive")
-        if self.mass <= 0.0:
+        if mass <= 0.0:
             raise ValueError("mass must be positive")
-        if self.l < 0:
+        if l < 0:
             raise ValueError("l must be a nonnegative integer")
+        _bind(self, "a", a)
+        _bind(self, "b", b)
+        _bind(self, "c", c)
+        _bind(self, "mass", mass)
+        _bind(self, "l", l)
 
     @property
     def alpha_f(self) -> float:
@@ -120,25 +119,25 @@ class Confinement:
         return math.sqrt(self.alpha_f) * r
 
 
-@dataclass(frozen=True)
-class QQbar:
+class QQbar(_Frozen):
     """Spin-free scalar-confinement quark-antiquark system; E^2 ladder.
 
     Map: mu=-b, eps=-2m, nu=2(l+1), omega=l+1, x = r.
     Ladder: E^2 = 4 b (2 beta_i + i + l + 3/2), with Omega = E^2/4 - b (l + 3/2).
     """
 
-    m_q: float
-    b_slope: float
-    l: int
+    __slots__ = ("m_q", "b_slope", "l")
 
-    def __post_init__(self) -> None:
-        if self.m_q < 0.0:
+    def __init__(self, m_q: float, b_slope: float, l: int) -> None:
+        if m_q < 0.0:
             raise ValueError("quark mass must be nonnegative")
-        if self.b_slope <= 0.0:
+        if b_slope <= 0.0:
             raise ValueError("slope b must be positive")
-        if self.l < 0:
+        if l < 0:
             raise ValueError("l must be a nonnegative integer")
+        _bind(self, "m_q", m_q)
+        _bind(self, "b_slope", b_slope)
+        _bind(self, "l", l)
 
     def params(self, Omega: float) -> GchParams:
         return GchParams(mu=-self.b_slope, eps=-2.0 * self.m_q, nu=2.0 * (self.l + 1),
@@ -161,8 +160,7 @@ class QQbar:
 QuantumSystem = Union[RotatingOscillator, Confinement, QQbar]
 
 
-@dataclass(frozen=True)
-class EigenState:
+class EigenState(_Frozen):
     """One B-terminated bound state on the regular-at-origin branch.
 
     ``i`` is the termination order, ``beta_i`` the ladder index within it,
@@ -170,10 +168,13 @@ class EigenState:
     and ``gch`` the mapped coefficients with Omega resolved.
     """
 
-    i: int
-    beta_i: int
-    eigenvalue: float
-    gch: GchParams
+    __slots__ = ("i", "beta_i", "eigenvalue", "gch")
+
+    def __init__(self, i: int, beta_i: int, eigenvalue: float, gch: GchParams) -> None:
+        _bind(self, "i", i)
+        _bind(self, "beta_i", beta_i)
+        _bind(self, "eigenvalue", eigenvalue)
+        _bind(self, "gch", gch)
 
 
 def make_state(system: QuantumSystem, i: int, beta_i: int) -> EigenState:

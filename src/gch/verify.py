@@ -10,17 +10,15 @@ against direct recurrence summation point by point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import DomainError, GammaPole, GchError
-from .params import GchParams, SolutionKind, _is_integer, validate
+from .params import GchParams, SolutionKind, _bind, _Frozen, _is_integer, validate
 from .recurrence import real_power, sum_series
 from .series import NestedTruncation, eval_general
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(_Frozen):
     """Value of the differential operator applied to a truncated series.
 
     ``scale`` is the largest term mass among the three operator pieces
@@ -31,9 +29,12 @@ class ResidualReport:
     leaving every piece at roundoff size while the series is exact.
     """
 
-    x: float
-    residual: float
-    scale: float
+    __slots__ = ("x", "residual", "scale")
+
+    def __init__(self, x: float, residual: float, scale: float) -> None:
+        _bind(self, "x", x)
+        _bind(self, "residual", residual)
+        _bind(self, "scale", scale)
 
     @property
     def relative(self) -> float:
@@ -121,18 +122,29 @@ _GRID_OMEGA = (0.25, 1.0)
 _GRID_X = (0.1, 0.5, 1.0)
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Frozen):
     """Cartesian parameter grid for cross-validation; defaults reproduce the
     acceptance sweep (384 points, both kinds where valid)."""
 
-    mu: tuple[float, ...] = _GRID_MU
-    eps: tuple[float, ...] = _GRID_EPS
-    nu: tuple[float, ...] = _GRID_NU
-    Omega: tuple[float, ...] = _GRID_OMEGA_CAP
-    omega: tuple[float, ...] = _GRID_OMEGA
-    x: tuple[float, ...] = _GRID_X
-    kinds: tuple[SolutionKind, ...] = (SolutionKind.FIRST, SolutionKind.SECOND)
+    __slots__ = ("mu", "eps", "nu", "Omega", "omega", "x", "kinds")
+
+    def __init__(
+        self,
+        mu: tuple[float, ...] = _GRID_MU,
+        eps: tuple[float, ...] = _GRID_EPS,
+        nu: tuple[float, ...] = _GRID_NU,
+        Omega: tuple[float, ...] = _GRID_OMEGA_CAP,
+        omega: tuple[float, ...] = _GRID_OMEGA,
+        x: tuple[float, ...] = _GRID_X,
+        kinds: tuple[SolutionKind, ...] = (SolutionKind.FIRST, SolutionKind.SECOND),
+    ) -> None:
+        _bind(self, "mu", mu)
+        _bind(self, "eps", eps)
+        _bind(self, "nu", nu)
+        _bind(self, "Omega", Omega)
+        _bind(self, "omega", omega)
+        _bind(self, "x", x)
+        _bind(self, "kinds", kinds)
 
     def points(self):
         for mu in self.mu:
@@ -144,23 +156,42 @@ class GridSpec:
                                 yield GchParams(mu, eps, nu, omega_cap, omega), x
 
 
-@dataclass(frozen=True)
-class CrossRecord:
-    params: GchParams
-    kind: SolutionKind
-    x: float
-    oracle: Optional[float]
-    closed: Optional[float]
-    rel_err: Optional[float]
-    error: Optional[str] = None
+class CrossRecord(_Frozen):
+    __slots__ = ("params", "kind", "x", "oracle", "closed", "rel_err", "error")
+
+    def __init__(
+        self,
+        params: GchParams,
+        kind: SolutionKind,
+        x: float,
+        oracle: Optional[float],
+        closed: Optional[float],
+        rel_err: Optional[float],
+        error: Optional[str] = None,
+    ) -> None:
+        _bind(self, "params", params)
+        _bind(self, "kind", kind)
+        _bind(self, "x", x)
+        _bind(self, "oracle", oracle)
+        _bind(self, "closed", closed)
+        _bind(self, "rel_err", rel_err)
+        _bind(self, "error", error)
 
 
-@dataclass(frozen=True)
-class CrossReport:
-    records: tuple[CrossRecord, ...]
-    max_rel_err: float
-    n_evaluated: int
-    n_failed: int
+class CrossReport(_Frozen):
+    __slots__ = ("records", "max_rel_err", "n_evaluated", "n_failed")
+
+    def __init__(
+        self,
+        records: tuple[CrossRecord, ...],
+        max_rel_err: float,
+        n_evaluated: int,
+        n_failed: int,
+    ) -> None:
+        _bind(self, "records", records)
+        _bind(self, "max_rel_err", max_rel_err)
+        _bind(self, "n_evaluated", n_evaluated)
+        _bind(self, "n_failed", n_failed)
 
 
 def cross_validate(

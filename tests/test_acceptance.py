@@ -19,7 +19,7 @@ import time
 import pytest
 
 from gch.cli import main
-from gch.params import GchParams, SolutionKind, coefficient_B, validate
+from gch.params import GchParams, SolutionKind, validate
 from gch.recurrence import Truncation, coefficients, detect_termination, sum_series
 from gch.series import NestedTruncation, evaluate
 from gch.spectra import (
@@ -90,7 +90,9 @@ def test_criterion_3_termination_exactness():
         if abs(nstar + 1 + lam) < 1e-6 or abs(nstar + 0.9 + lam) < 1e-6:
             lam += 0.1  # keep recurrence denominators away from zero
         p = GchParams(mu, rng.uniform(-1, 1), 0.9, -(mu * (2 * b0 + lam)), rng.uniform(-1, 1))
-        assert abs(coefficient_B(nstar, lam, p)) <= 1e-15 * abs(mu)
+        # at eps = 0, c_{n*+1} = B_{n*} c_{n*-1}
+        cs = coefficients(GchParams(mu, 0.0, 0.9, p.Omega, p.omega), lam, 1.0, nstar + 2)
+        assert abs(cs[nstar + 1]) <= 1e-15 * abs(mu) * abs(cs[nstar - 1])
         assert detect_termination(p, lam) == nstar
     _report(3, "termination exactness", "100 constructed ladders, |B_(2b+1)| <= 1e-15 |mu|")
 

@@ -246,6 +246,15 @@ def test_cli_import_is_stdlib_only(gch_subprocess_env):
     assert r.stdout == b"[]\n"
 
 
+def test_gch_loads_no_dataclasses_or_inspect(gch_subprocess_env):
+    # the value classes are written out, so no gch module pays for these imports
+    code = ("import sys; import gch.cli, gch.series, gch.verify, gch.spectra, gch.asymptotics; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, env=gch_subprocess_env)
+    assert r.returncode == 0, r.stderr.decode()
+    assert r.stdout == b"[]\n"
+
+
 EVAL_ARGV = ["eval", "--mu", "-1", "--nu", "0.5", "--omega-cap", "0.7", "--x-count", "2"]
 ASYMPTOTE_ARGV = ["asymptote", "--mu", "-2", "--x-count", "2"]
 

@@ -19,10 +19,10 @@ def test_public_names():
         "KindRestrictionError", "NestedTruncation", "NonFiniteError", "NormalizationPole",
         "NoTermination", "PoleError", "QQbar", "ResidualReport", "RotatingOscillator", "SolutionKind",
         "TailNotDecayed", "Truncation",
-        "asym_small_eps", "asym_small_mu", "betas_from_omega", "coefficient_A", "coefficient_B",
-        "coefficients", "cross_validate", "detect_termination", "erf", "erfi", "eval_general",
-        "evaluate", "kummer_oracle", "limit_value", "make_state", "normalize", "ode_residual",
-        "radial_norm", "sum_series", "validate", "wavefunction", "wavefunction_result",
+        "asym_small_eps", "asym_small_mu", "betas_from_omega", "coefficients", "cross_validate",
+        "detect_termination", "erf", "erfi", "eval_general", "evaluate", "kummer_oracle",
+        "limit_value", "make_state", "normalize", "ode_residual", "radial_norm", "sum_series",
+        "validate", "wavefunction", "wavefunction_result",
     ]
 
 

@@ -1,6 +1,5 @@
 import math
 import random
-import re
 
 import pytest
 
@@ -71,11 +70,12 @@ def test_termination_kills_coefficient_b():
         mu = rng.choice([-1, 1]) * rng.uniform(0.1, 4.0)
         lam = rng.uniform(-1.5, 1.5)
         b0 = rng.randint(0, 10)
-        from gch.params import coefficient_B
         p = GchParams(mu, 0.4, 0.9, -(mu * (2 * b0 + lam)), 0.2)
         nstar = 2 * b0 + 1
         assert detect_termination(p, lam) == nstar
-        assert abs(coefficient_B(nstar, lam, p)) <= 1e-15 * abs(mu)
+        # at eps = 0, c_{n*+1} = B_{n*} c_{n*-1}
+        cs = coefficients(GchParams(mu, 0.0, 0.9, p.Omega, 0.2), lam, 1.0, nstar + 2)
+        assert abs(cs[nstar + 1]) <= 1e-15 * abs(mu) * abs(cs[nstar - 1])
 
 
 def test_eps_zero_kummer_reduction():
@@ -141,23 +141,27 @@ def test_truncation_validation():
 
 
 def test_coefficients_against_recurrence():
-    p = GchParams(1.5, -0.4, 0.9, 0.6, 1.3)
-    from gch.params import coefficient_A, coefficient_B
-    cs = coefficients(p, 0.0, 2.0, 8)
+    mu, eps, nu, Omega, omega = 1.5, -0.4, 0.9, 0.6, 1.3
+    cs = coefficients(GchParams(mu, eps, nu, Omega, omega), 0.0, 2.0, 8)
+
+    # A_n and B_n at lam = 0, in the arithmetic order of coefficients
+    def a(n):
+        return -eps * (n + omega) / ((n + 1.0) * (n + nu))
+
+    def b(n):
+        return -(Omega + mu * (n - 1.0)) / ((n + 1.0) * (n + nu))
+
     assert cs[0] == 2.0
-    assert cs[1] == coefficient_A(0, 0.0, p) * 2.0
+    assert cs[1] == a(0) * 2.0
+    assert cs[1] == pytest.approx(2.0 * 0.4 * 1.3 / 0.9, rel=1e-15)
     for n in range(1, 7):
-        # coefficients writes A_n and B_n out with the helpers' arithmetic
-        assert cs[n + 1] == coefficient_A(n, 0.0, p) * cs[n] + coefficient_B(n, 0.0, p) * cs[n - 1]
+        assert cs[n + 1] == a(n) * cs[n] + b(n) * cs[n - 1]
 
 
-def test_written_out_coefficients_raise_the_helper_pole():
+def test_coefficients_and_sum_series_raise_the_same_pole():
     # lam = -3 makes n + 1 + lam vanish at n = 2
-    from gch.params import coefficient_A
     p = GchParams(1.5, -0.4, 0.9, 0.6, 1.3)
-    with pytest.raises(PoleError) as helper:
-        coefficient_A(2, -3.0, p)
-    message = f"^{re.escape(str(helper.value))}$"
+    message = r"^A_2 denominator vanishes at lam=-3\.0, nu=0\.9$"
     with pytest.raises(PoleError, match=message):
         coefficients(p, -3.0, 1.0, 8)
     with pytest.raises(PoleError, match=message):
