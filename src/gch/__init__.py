@@ -23,11 +23,11 @@ _EXPORTS = {
     "errors": (
         "BetaMismatch", "DegenerateCoupling", "DomainError", "GammaPole", "GchError",
         "KindRestrictionError", "NonFiniteError", "NormalizationPole", "NoTermination",
-        "PoleError", "TailNotDecayed",
+        "PoleError", "SampleNotConverged", "TailNotDecayed",
     ),
     "params": ("GchParams", "SolutionKind", "validate"),
     "recurrence": ("EvalResult", "Truncation", "coefficients", "detect_termination", "sum_series"),
-    "series": ("NestedTruncation", "betas_from_omega", "eval_general", "evaluate"),
+    "series": ("NestedTruncation", "betas_from_omega", "eval_general", "evaluate", "evaluate_grid"),
     "asymptotics": ("AsymptoticRegime", "asym_small_eps", "asym_small_mu", "erf", "erfi", "limit_value"),
     "spectra": (
         "Confinement", "EigenState", "QQbar", "RotatingOscillator", "make_state", "normalize",

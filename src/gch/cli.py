@@ -260,7 +260,7 @@ def _system(args: argparse.Namespace) -> spectra.QuantumSystem:
 
 
 def cmd_eval(args: argparse.Namespace) -> Result:
-    from .series import betas_from_omega, evaluate
+    from .series import betas_from_omega, evaluate_grid
 
     p = _gch_params(args)
     kind = SolutionKind(args.kind)
@@ -269,12 +269,9 @@ def cmd_eval(args: argparse.Namespace) -> Result:
     xs = _x_grid(args)
     if args.variant == "poly":
         betas_from_omega(p, lam, 1)  # raises NoTermination unless Omega ends chain 0
-    rows = []
-    all_converged = True
-    for x in xs:
-        res = evaluate(p, kind, x, t=nt)
-        all_converged &= res.converged
-        rows.append((x, res.value, res.terms_used, res.last_term_mag, res.converged))
+    results = evaluate_grid(p, kind, xs, nt)
+    rows = [(x, res.value, res.terms_used, res.last_term_mag, res.converged) for x, res in zip(xs, results)]
+    all_converged = all(res.converged for res in results)
     return (EXIT_OK if all_converged else EXIT_NO_CONVERGENCE), EVAL_HEADER, rows, ""
 
 
@@ -299,14 +296,11 @@ def cmd_wavefunction(args: argparse.Namespace) -> Result:
     system = _system(args)
     state = spectra.make_state(system, args.state_i, args.state_beta)
     nt = _nested_trunc(args)
-    rows = []
-    all_converged = True
-    for r in _x_grid(args):
-        if r < 0:
-            raise ValueError("radial grid must be nonnegative")
-        value, converged = spectra.wavefunction_result(system, state, r, nt)
-        all_converged &= converged
-        rows.append((r, value, converged))
+    rs = _x_grid(args)
+    if rs[0] < 0:  # the grid ascends
+        raise ValueError("radial grid must be nonnegative")
+    rows = [(r, value, res.converged) for r, (value, res) in zip(rs, spectra._samples(system, state, rs, nt))]
+    all_converged = all(row[2] for row in rows)
     return (EXIT_OK if all_converged else EXIT_NO_CONVERGENCE), WAVEFUNCTION_HEADER, rows, ""
 
 

@@ -42,5 +42,9 @@ class TailNotDecayed(GchError):
     """The wavefunction has not decayed below threshold at the quadrature edge."""
 
 
+class SampleNotConverged(GchError):
+    """A quadrature sample is flagged as not converged by the series engine."""
+
+
 class GammaPole(GchError):
     """Lower Kummer-series parameter is a nonpositive integer."""

@@ -47,13 +47,19 @@ class Truncation(_Frozen):
         _bind(self, "rel_tol", rel_tol)
 
 
+#: the truncation of a call that passes none
+_DEFAULT_TRUNCATION = Truncation()
+
+
 class EvalResult(_Frozen):
     """Outcome of a series evaluation.
 
-    ``terms_used`` counts the steps the evaluation ran: the recurrence
-    terms summed by :func:`sum_series`, or for the closed form the entries
-    its forward recurrence produced, cap + 1 per order computed (order 0
-    included), where cap is the chain depth the point needed.
+    ``terms_used`` counts the terms the evaluation summed: the recurrence
+    terms of :func:`sum_series`, or for the closed form the order-vector
+    entries it used, cap + 1 per order (order 0 included), where cap is
+    the chain depth the point needed.  A point of a grid that reads its
+    orders off another point's vectors counts the entries it used, the
+    same count as its own engine run.
     ``last_term_mag`` is the magnitude of the last accumulated term (or, for
     the closed-form path, of the last order contribution) and serves as an
     a-posteriori error proxy.  ``terminated_at`` is the index n* with
@@ -162,8 +168,7 @@ def sum_series(
     Raises DomainError when x^lam is not real (x < 0 with fractional lam,
     or x = 0 with lam < 0).
     """
-    if t is None:
-        t = Truncation()
+    t = t or _DEFAULT_TRUNCATION
     xpow = real_power(x, lam)
     mu, eps, nu, Omega, omega = p.mu, p.eps, p.nu, p.Omega, p.omega
     rel_tol = t.rel_tol

@@ -68,16 +68,30 @@ there the engine evaluates e^{mu x^2/2 + eps x} y instead, which solves
 the same equation with transformed parameters and z > 0 (the analogue of
 Kummer's transformation, DLMF 13.2.39), and multiplies the result back;
 the transformed parameters' n* then decides which chains end.
+
+Points of one parameter set share the order vectors.  Every path to the
+entry g_n[i] takes exactly i chain steps, and each carries one factor z,
+while the weights carry none; so
+
+    g_n[i](z) = (z / z_ref)^i g_n[i](z_ref),
+
+and a point reads S_n(z) = sum_i T_n[i] (z / z_ref)^i off the vectors
+T_n = g_n(z_ref) of another point, summed over its own depth.  The depth
+never falls as |z| grows, so :func:`evaluate_grid` runs the engine once,
+at the point of largest |x| on each side of the transform test, and every
+other point there costs one dot product per order.  Its eps_tilde powers,
+transform factor, prefactor and stop rule stay its own.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from functools import partial
+from itertools import accumulate, repeat
 from operator import mul
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
-from .errors import BetaMismatch, NormalizationPole, NoTermination, PoleError
+from .errors import BetaMismatch, GchError, NormalizationPole, NoTermination, PoleError
 from .params import GchParams, SolutionKind, _bind, _Frozen, _is_integer, validate
 from .recurrence import EvalResult, detect_termination, real_power
 
@@ -145,19 +159,28 @@ def _guard_order(n: int, h: float, gamma: float, cap: int) -> None:
 def _required_cap(z: float, a_mag: float, b: float, c: float, hard_cap: int) -> int:
     """Chain depth at which Kummer-type terms have decayed ~18 digits.
 
-    Scans the upper envelope |z|^i (a_mag)_i / |(b)_i (c)_i| (all factors
-    taken positive, so neither sign cancellation nor polynomial
-    termination can hide a growing tail); returns hard_cap + 1 if the
-    envelope has not decayed within the hard cap.
+    Scans the upper envelope whose step i multiplies by |z| (a_mag + i)
+    over the smaller of chain 0's |(b + i)(c + i)| and chain 1's
+    |(b + 1/2 + i)(c + 1/2 + i)| (all factors taken positive, so neither
+    sign cancellation nor polynomial termination can hide a growing tail;
+    every chain is chain 0 or 1 shifted, so a denominator near zero in
+    any chain shows); returns hard_cap + 1 if the envelope has not
+    decayed within the hard cap.  The depth never falls as |z| grows.
     """
     az = abs(z)
     if az == 0.0:
         return 8
+    # where b and c are positive, chain 0's denominator is positive and
+    # the smaller of the two
+    both = b < 0.0 or c < 0.0
     t = 1.0
     peak = 1.0
     i = 0
     while i <= hard_cap:
-        ratio = az * (a_mag + i) / abs((b + i) * (c + i))
+        den = (b + i) * (c + i)
+        if both:
+            den = min(abs(den), abs((b + 0.5 + i) * (c + 0.5 + i)))
+        ratio = az * (a_mag + i) / den
         t *= ratio
         i += 1
         if t > peak:
@@ -190,114 +213,269 @@ def _chain_end(nstar: Optional[int], k: int) -> Optional[int]:
     return (nstar - 1 - k) // 2
 
 
-def _nested_orders(
-    p: GchParams,
-    lam: float,
-    x: float,
-    t: NestedTruncation,
-    nstar: Optional[int],
-) -> tuple[list[float], int, bool]:
-    """Per-order contributions S_n * eps_tilde^n of the bracketed series.
-
-    ``nstar`` is :func:`detect_termination` of (p, lam).  Returns (orders,
-    steps, converged flag).  Each order runs the forward recurrence once
-    over indices 0..cap, where cap is the depth :func:`_required_cap`
-    gives for the point's z and chain parameters, at most max_inner; so
-    ``steps`` is cap + 1 per order.  The outer loop stops once two
-    consecutive orders contribute below rel_tol times the running sum, at
-    max_order_N, or immediately after order 0 when eps = 0.  The converged
-    flag also drops when max_inner is too small for the chains to have
-    decayed.
-
-    For mu > 0 and z < -1 the alternating chains cancel, so the orders are
-    those of the transformed parameters (:func:`_kummer_transformed`, whose
-    z is positive) times e^{-mu x^2/2 - eps x}; which chains end is then
-    decided by the transformed parameters' n*.
-    """
-    scale = 1.0
-    if p.mu > 0.0 and 0.5 * p.mu * x * x > 1.0:
-        scale = math.exp(-0.5 * p.mu * x * x - p.eps * x)
-        p = _kummer_transformed(p)
-        nstar = detect_termination(p, lam)
+def _chain_a(p: GchParams, lam: float, nstar: Optional[int]) -> tuple[float, float, float]:
+    """Numerator parameters a_0, a_1, a_2: exactly -beta_k where chain k
+    ends, else the infinite-series value Omega/(2 mu) + k/2 + lam/2."""
     half_ratio = p.Omega / (2.0 * p.mu)
     h = 0.5 * lam
+    if nstar is None:
+        return half_ratio + h, half_ratio + 0.5 + h, half_ratio + 1.0 + h
+    return tuple([half_ratio + 0.5 * k + h if (beta := _chain_end(nstar, k)) is None else -float(beta)
+                  for k in range(3)])
 
-    def a_of(k: int) -> float:
-        # exactly -beta_k where chain k ends, else the infinite-series value
-        beta = _chain_end(nstar, k)
-        return half_ratio + 0.5 * k + h if beta is None else -float(beta)
 
-    a0, a1, a2 = a_of(0), a_of(1), a_of(2)
-    gamma = p.gamma
-    z = -0.5 * p.mu * x * x
-    et = -0.5 * p.eps * x
-    need = _required_cap(z, max(abs(a0), abs(a1), abs(a2)), 1.0 + h, gamma + h, t.max_inner)
-    inner_ok = need <= t.max_inner
-    cap = min(t.max_inner, need)
+def _orders(
+    p: GchParams,
+    lam: float,
+    a_k: tuple[float, float, float],
+    z: float,
+    cap: int,
+    et: float,
+    t: NestedTruncation,
+    table: Optional[list] = None,
+    total: Callable[[list[float]], float] = math.fsum,
+) -> Optional[tuple[list[float], bool]]:
+    """Order contributions S_n et^n of one point, and its converged flag.
 
-    # order 0: g[i] = (a_0)_i z^i / ((b_0)_i (c_0)_i), the Kummer terms
-    b0, c0 = 1.0 + h, gamma + h
-    _pole_guard(b0, cap, "chain", 0)
-    _pole_guard(c0, cap, "chain", 0)
-    zr0 = [0.0] + [z * (a0 + j) / ((b0 + j) * (c0 + j)) for j in range(cap)]
-    g = list(accumulate(zr0[1:], mul, initial=1.0))
-    orders = [math.fsum(g)]
+    S_n = total(g_n) of the order vectors g_n.  The sum stops right after
+    order 0 when et = 0, or once two consecutive orders contribute below
+    rel_tol times the running sum (converged), or at max_order_N (not
+    converged).
+
+    Unless ``table`` holds vectors, the engine builds g_0, g_1, ... at
+    chain argument z over the chain indices 0..cap, with ``a_k`` from
+    :func:`_chain_a` of (p, lam), and appends each to ``table`` unless it
+    is None; order n's pole guards run just before its vector is built.
+    A table that holds vectors, those of another point of the group, is
+    read instead (z and cap are then unused), and None is returned if the
+    point needs more orders than the table holds.
+    """
+    read = bool(table)
+    if read:
+        g = table[0]
+    else:
+        a0, a1, _ = a_k
+        gamma = p.gamma
+        h = 0.5 * lam
+        # order 0: g[i] = (a_0)_i z^i / ((b_0)_i (c_0)_i), the Kummer terms
+        b0, c0 = 1.0 + h, gamma + h
+        _pole_guard(b0, cap, "chain", 0)
+        _pole_guard(c0, cap, "chain", 0)
+        zr0 = [0.0] + [z * (a0 + j) / ((b0 + j) * (c0 + j)) for j in range(cap)]
+        g = list(accumulate(zr0[1:], mul, initial=1.0))
+        if table is not None:
+            table.append(g)
+    orders = [total(g)]
     if et == 0.0:
-        return [scale * o for o in orders], cap + 1, inner_ok
+        return orders, True
 
-    # order n guards the offsets base + n/2 for the bases 1 + h, gamma + h
-    # (chain n), h and gamma - 1 + h (weight n - 1); a guard fires only
-    # while its offset is <= 0, and the offsets grow with n, so none can
-    # fire past the smallest base's last such order (one order of margin
-    # for rounding)
-    last_guarded = 1.0 - 2.0 * min(h, gamma - 1.0 + h)
-    if last_guarded >= 1:
-        _guard_order(1, h, gamma, cap)
+    if not read:
+        # order n guards the offsets base + n/2 for the bases 1 + h, gamma + h
+        # (chain n), h and gamma - 1 + h (weight n - 1); a guard fires only
+        # while its offset is <= 0, and the offsets grow with n, so none can
+        # fire past the smallest base's last such order (one order of margin
+        # for rounding)
+        last_guarded = 1.0 - 2.0 * min(h, gamma - 1.0 + h)
+        if last_guarded >= 1:
+            _guard_order(1, h, gamma, cap)
 
-    # the parity rows zr_q[j] = z r_q(j-1) and w_q[j] = w_q(j) serve chain
-    # and weight 2m + q at offset m (module docstring); each is built one
-    # entry short of its first order, which appends that entry (weight 1's
-    # offsets are chain 0's, guarded above)
-    b1, c1 = 1.5 + h, gamma + 0.5 + h
-    zr1 = [0.0] + [z * (a1 + j) / ((b1 + j) * (c1 + j)) for j in range(cap - 1)]
-    weight0 = (h + 0.5 * p.omega, 0.5 + h, gamma - 0.5 + h)
-    weight1 = (h + 0.5 * p.omega + 0.5, 0.5 + h + 0.5, gamma - 0.5 + h + 0.5)
-    w0, w1 = ([(j + wn) / ((j + d1) * (j + d2)) for j in range(cap)] for wn, d1, d2 in (weight0, weight1))
-    # order n = 2m + q: chain row q at offset m, weight row 1 - q at
-    # offset m - 1 + q
-    by_parity = ((zr0, w1, (a0, b0, c0), weight1), (zr1, w0, (a1, b1, c1), weight0))
+        # the parity rows zr_q[j] = z r_q(j-1) and w_q[j] = w_q(j) serve chain
+        # and weight 2m + q at offset m (module docstring); each is built one
+        # entry short of its first order, which appends that entry (weight 1's
+        # offsets are chain 0's, guarded above)
+        b1, c1 = 1.5 + h, gamma + 0.5 + h
+        zr1 = [0.0] + [z * (a1 + j) / ((b1 + j) * (c1 + j)) for j in range(cap - 1)]
+        weight0 = (h + 0.5 * p.omega, 0.5 + h, gamma - 0.5 + h)
+        weight1 = (h + 0.5 * p.omega + 0.5, 0.5 + h + 0.5, gamma - 0.5 + h + 0.5)
+        w0, w1 = ([(j + wn) / ((j + d1) * (j + d2)) for j in range(cap)] for wn, d1, d2 in (weight0, weight1))
+        # order n = 2m + q: chain row q at offset m, weight row 1 - q at
+        # offset m - 1 + q
+        by_parity = ((zr0, w1, (a0, b0, c0), weight1), (zr1, w0, (a1, b1, c1), weight0))
 
-    fsum = math.fsum
     rel_tol = t.rel_tol
     streak = 0
-    converged = False
     et_pow = 1.0
     running = orders[0]
     for n in range(1, t.max_order_N + 1):
         et_pow *= et
-        if 1 < n <= last_guarded:
-            _guard_order(n, h, gamma, cap)
-        # g_n[i] = w_{n-1}(i) g_{n-1}[i] + z r_n(i-1) g_n[i-1]
-        row, wrow, (a, b, c), (wn, d1, d2) = by_parity[n & 1]
-        m = n >> 1
-        mw = (n - 1) >> 1
-        j = m + cap - 1
-        row.append(z * (a + j) / ((b + j) * (c + j)))
-        j = mw + cap
-        wrow.append((j + wn) / ((j + d1) * (j + d2)))
-        acc = 0.0
-        g = [acc := wj * gj + zj * acc for wj, gj, zj in zip(wrow[mw:], g, row[m:])]
-        contrib = fsum(g) * et_pow
+        if read:
+            if n == len(table):
+                return None
+            g = table[n]
+        else:
+            if 1 < n <= last_guarded:
+                _guard_order(n, h, gamma, cap)
+            # g_n[i] = w_{n-1}(i) g_{n-1}[i] + z r_n(i-1) g_n[i-1]
+            row, wrow, (a, b, c), (wn, d1, d2) = by_parity[n & 1]
+            m = n >> 1
+            mw = (n - 1) >> 1
+            j = m + cap - 1
+            row.append(z * (a + j) / ((b + j) * (c + j)))
+            j = mw + cap
+            wrow.append((j + wn) / ((j + d1) * (j + d2)))
+            acc = 0.0
+            g = [acc := wj * gj + zj * acc for wj, gj, zj in zip(wrow[mw:], g, row[m:])]
+            if table is not None:
+                table.append(g)
+        contrib = total(g) * et_pow
         orders.append(contrib)
         running += contrib
         if abs(contrib) <= max(rel_tol * abs(running), _TINY):
             streak += 1
             if streak >= 2:
-                converged = True
-                break
+                return orders, True
         else:
             streak = 0
-    return [scale * o for o in orders], (cap + 1) * len(orders), converged and inner_ok
+    return orders, False
+
+
+def _dot(powers: list[float], g: list[float]) -> float:
+    """S_n = sum_i g[i] powers[i], over the entries both lists have."""
+    return math.fsum(map(mul, g, powers))
+
+
+def _result(
+    p: GchParams,
+    far: bool,
+    nq: Optional[int],
+    nstar: Optional[int],
+    x: float,
+    pref: float,
+    et: float,
+    need: int,
+    got: tuple[list[float], bool],
+    t: NestedTruncation,
+) -> EvalResult:
+    """The result of a point from its orders and converged flag ``got``,
+    at chain depth ``need`` (capped at max_inner); ``far`` marks the
+    transformed parameters, whose n* is ``nq``."""
+    orders, converged = got
+    if far:
+        scale = math.exp(-0.5 * p.mu * x * x - p.eps * x)
+        orders = [scale * o for o in orders]
+    scaled = tuple([pref * o for o in orders])
+    max_inner = t.max_inner
+    return EvalResult(
+        value=pref * math.fsum(orders),
+        terms_used=(min(need, max_inner) + 1) * len(orders),
+        last_term_mag=abs(scaled[-1]) if len(scaled) > 1 else 0.0,
+        # with eps_tilde = 0 only order 0 is summed, and a chain 0 that
+        # ends within max_inner leaves no tail for the inner cap to cut
+        converged=converged and (need <= max_inner or (
+            et == 0.0 and (end0 := _chain_end(nq, 0)) is not None and end0 <= max_inner)),
+        terminated_at=nstar,
+        orders=scaled,
+    )
+
+
+def _group(
+    p: GchParams,
+    lam: float,
+    nstar: Optional[int],
+    xs: Sequence[float],
+    prefs: Sequence[float],
+    t: NestedTruncation,
+) -> list[EvalResult]:
+    """pref * (sum of the nested orders at root lam) at each point of xs,
+    which all lie on one side of the mu > 0 transform test.
+
+    Each point runs its chains to the depth :func:`_required_cap` gives for
+    its z and the chain parameters, at most max_inner, and sums the orders
+    by the rule of :func:`_orders`; ``converged`` also drops when max_inner
+    is too small for the chains to have decayed.  For mu > 0 and z < -1 the
+    alternating chains cancel, so the orders are those of the transformed
+    parameters (:func:`_kummer_transformed`, whose z is positive) times
+    e^{-mu x^2/2 - eps x}; which chains end is then decided by the
+    transformed parameters' n*.
+
+    The point of largest |x| runs the engine first and keeps its order
+    vectors as the table T.  Every other point reads S_n = sum_i T_n[i]
+    (z/z_ref)^i off the table, over its own depth (module docstring).  A
+    point whose depth exceeds the table's (z = 0 beside a tiny reference),
+    that needs more orders than the table holds, or whose value off the
+    table is not finite, runs the engine on its own.
+    """
+    n_pts = len(xs)
+    ref = 0 if n_pts == 1 else max(range(n_pts), key=[abs(x) for x in xs].__getitem__)
+    x_ref = xs[ref]
+    far = p.mu > 0.0 and 0.5 * p.mu * x_ref * x_ref > 1.0
+    if far:
+        q = _kummer_transformed(p)
+        nq = detect_termination(q, lam)
+    else:
+        q, nq = p, nstar
+    a = _chain_a(q, lam, nq)
+    h = 0.5 * lam
+    b, c, a_mag = 1.0 + h, q.gamma + h, max(map(abs, a))
+    max_inner = t.max_inner
+    half_mu, half_eps = -0.5 * q.mu, -0.5 * q.eps
+    z_ref = half_mu * x_ref * x_ref
+    need_ref = _required_cap(z_ref, a_mag, b, c, max_inner)
+    cap_ref = min(need_ref, max_inner)
+    # a lone point keeps no vectors: holding them costs it fresh memory
+    table = [] if n_pts > 1 else None
+    et = half_eps * x_ref
+    first = _result(p, far, nq, nstar, x_ref, prefs[ref], et, need_ref,
+                    _orders(q, lam, a, z_ref, cap_ref, et, t, table), t)
+    if n_pts == 1:
+        return [first]
+    out = []
+    for i, (x, pref) in enumerate(zip(xs, prefs)):
+        if i == ref:
+            out.append(first)
+            continue
+        z = half_mu * x * x
+        et = half_eps * x
+        need, cap, total = need_ref, cap_ref, math.fsum
+        if z != z_ref:
+            need = _required_cap(z, a_mag, b, c, max_inner)
+            cap = min(need, max_inner)
+            total = partial(_dot, list(accumulate(repeat(z / z_ref, cap), mul, initial=1.0)))
+        got = _orders(q, lam, a, z, cap, et, t, table, total) if cap <= cap_ref else None
+        res = None if got is None else _result(p, far, nq, nstar, x, pref, et, need, got, t)
+        if res is None or not math.isfinite(res.value):
+            res = _group(p, lam, nstar, (x,), (pref,), t)[0]
+        out.append(res)
+    return out
+
+
+def _results(
+    p: GchParams,
+    lam: float,
+    nstar: Optional[int],
+    pref_of: Callable[[float], float],
+    xs: Sequence[float],
+    t: NestedTruncation | None,
+) -> list[EvalResult]:
+    """pref_of(x) * (sum of the nested orders at root lam) at each x, in
+    order; ``nstar`` is :func:`detect_termination` of (p, lam).
+
+    The points are grouped by the transform test, and each group shares
+    one table (:func:`_group`).  When any point raises, every point is
+    evaluated on its own in input order, so the call raises what the first
+    failing point raises by itself.
+    """
+    if not xs:
+        return []
+    t = t or _DEFAULT_TRUNCATION
+    try:
+        if len(xs) == 1:
+            return _group(p, lam, nstar, xs, (pref_of(xs[0]),), t)
+        prefs = [pref_of(x) for x in xs]
+        if p.mu > 0.0:
+            far = [0.5 * p.mu * x * x > 1.0 for x in xs]
+            if any(far) and not all(far):
+                out: list = [None] * len(xs)
+                for side in (False, True):
+                    idx = [i for i, f in enumerate(far) if f is side]
+                    for i, res in zip(idx, _group(p, lam, nstar, [xs[i] for i in idx], [prefs[i] for i in idx], t)):
+                        out[i] = res
+                return out
+        return _group(p, lam, nstar, xs, prefs, t)
+    except (GchError, ArithmeticError, ValueError):
+        if len(xs) == 1:
+            raise
+        return [_group(p, lam, nstar, (x,), (pref_of(x),), t)[0] for x in xs]
 
 
 def betas_from_omega(p: GchParams, lam: float, count: int) -> tuple[Optional[int], ...]:
@@ -330,27 +508,31 @@ def _check_beta_consistency(p: GchParams, lam: float, betas: tuple[Optional[int]
             )
 
 
-def _evaluate(
+def _normalisation(
     p: GchParams,
-    lam: float,
-    x: float,
-    t: NestedTruncation | None,
-    pref: float,
-    nstar: Optional[int],
-) -> EvalResult:
-    """pref * (sum of the nested orders at root lam), with the per-order
-    decomposition scaled by pref on ``orders``; ``nstar`` is
-    :func:`detect_termination` of (p, lam)."""
-    orders, steps, converged = _nested_orders(p, lam, x, t or _DEFAULT_TRUNCATION, nstar)
-    scaled = tuple(pref * o for o in orders)
-    return EvalResult(
-        value=pref * math.fsum(orders),
-        terms_used=steps,
-        last_term_mag=abs(scaled[-1]) if len(scaled) > 1 else 0.0,
-        converged=converged,
-        terminated_at=nstar,
-        orders=scaled,
-    )
+    kind: SolutionKind,
+    betas: Optional[tuple[Optional[int], ...]] = None,
+) -> tuple[float, Optional[int], Callable[[float], float]]:
+    """(lam, n*, x -> prefactor) of the normalised closed form of ``kind``;
+    ``betas`` is checked as :func:`evaluate` documents."""
+    lam = validate(p, kind)
+    if p.mu == 0.0:
+        raise PoleError("closed-form evaluation requires mu != 0")
+    if betas is not None:
+        _check_beta_consistency(p, lam, betas)
+    first = kind is SolutionKind.FIRST
+    nstar = detect_termination(p, lam)
+    beta0 = _chain_end(nstar, 0)
+    if beta0 is not None:
+        num = p.gamma + float(beta0) if first else float(beta0) + 2.0 - p.gamma
+    else:
+        half_ratio = p.Omega / (2.0 * p.mu)
+        num = p.gamma - half_ratio if first else 1.0 - half_ratio
+    pref = _gamma_ratio(num, p.gamma if first else 2.0 - p.gamma, f"{kind.value}-kind prefactor")
+    if first:
+        return lam, nstar, lambda x: pref
+    expo = 1.0 - p.gamma
+    return lam, nstar, lambda x: real_power(-0.5 * p.mu * x * x, expo) * pref
 
 
 def evaluate(
@@ -360,7 +542,8 @@ def evaluate(
     betas: Optional[tuple[Optional[int], ...]] = None,
     t: NestedTruncation | None = None,
 ) -> EvalResult:
-    """Normalised closed form of either kind.
+    """Normalised closed form of either kind; the one-point case of
+    :func:`evaluate_grid`.
 
     Chain k ends at beta_k = (n* - 1 - k)/2 wherever that is a nonnegative
     integer, n* = 1 - lam - Omega/mu (see the module docstring).  The
@@ -376,23 +559,57 @@ def evaluate(
     coincide and the second kind is no longer independent of the first;
     the logarithmic companion solution is out of scope.
     """
-    lam = validate(p, kind)
+    lam, nstar, pref_of = _normalisation(p, kind, betas)
+    return _group(p, lam, nstar, (x,), (pref_of(x),), t or _DEFAULT_TRUNCATION)[0]
+
+
+def evaluate_grid(
+    p: GchParams,
+    kind: SolutionKind,
+    xs: Sequence[float],
+    t: NestedTruncation | None = None,
+) -> list[EvalResult]:
+    """:func:`evaluate` at each x of ``xs``, in input order.
+
+    The points on each side of the mu > 0 transform test share one table:
+    the point of largest |x| runs the engine, exactly as :func:`evaluate`
+    does there, and every other point reads its orders off that point's
+    order vectors with one dot product per order (module docstring).  So
+    each result has the flags, depth, order count and ``terminated_at`` of
+    its own :func:`evaluate` call, and its value agrees with it to rounding
+    (the point of largest |x|, and any point at the same |x|, bit for
+    bit).  Where any point raises, the call raises what the first such x
+    raises in :func:`evaluate`.  Nothing is kept between calls.
+    """
+    lam, nstar, pref_of = _normalisation(p, kind)
+    return _results(p, lam, nstar, pref_of, xs, t)
+
+
+def _unnormalised(p: GchParams, lam: float, c0: float) -> tuple[float, Optional[int], Callable[[float], float]]:
+    """(lam, n*, x -> c0 x^lam) of :func:`eval_general`, after its checks."""
     if p.mu == 0.0:
-        raise PoleError("closed-form evaluation requires mu != 0")
-    if betas is not None:
-        _check_beta_consistency(p, lam, betas)
-    first = kind is SolutionKind.FIRST
-    nstar = detect_termination(p, lam)
-    beta0 = _chain_end(nstar, 0)
-    if beta0 is not None:
-        num = p.gamma + float(beta0) if first else float(beta0) + 2.0 - p.gamma
+        raise PoleError("closed-form evaluation requires mu != 0 (Omega/(2 mu) appears)")
+    if lam == 0.0:
+        kind = SolutionKind.FIRST
+    elif abs(lam - (1.0 - p.nu)) <= 1e-12:
+        kind = SolutionKind.SECOND
     else:
-        half_ratio = p.Omega / (2.0 * p.mu)
-        num = p.gamma - half_ratio if first else 1.0 - half_ratio
-    pref = _gamma_ratio(num, p.gamma if first else 2.0 - p.gamma, f"{kind.value}-kind prefactor")
-    if not first:
-        pref = real_power(-0.5 * p.mu * x * x, 1.0 - p.gamma) * pref
-    return _evaluate(p, lam, x, t, pref, nstar)
+        raise ValueError(f"lam={lam} is neither indicial root (0 or 1 - nu = {1.0 - p.nu})")
+    validate(p, kind)
+    return lam, detect_termination(p, lam), lambda x: c0 * real_power(x, lam)
+
+
+def _general(
+    p: GchParams,
+    lam: float,
+    c0: float,
+    xs: Sequence[float],
+    t: NestedTruncation | None,
+) -> list[EvalResult]:
+    """:func:`eval_general` at each x of ``xs``, in input order, from one
+    table per transform branch as in :func:`evaluate_grid`."""
+    lam, nstar, pref_of = _unnormalised(p, lam, c0)
+    return _results(p, lam, nstar, pref_of, xs, t)
 
 
 def eval_general(
@@ -415,13 +632,5 @@ def eval_general(
     lam and c0, times e^{-mu x^2/2 - eps x}, so ``orders`` is then the
     transformed decomposition; see :class:`EvalResult`.
     """
-    if p.mu == 0.0:
-        raise PoleError("closed-form evaluation requires mu != 0 (Omega/(2 mu) appears)")
-    if lam == 0.0:
-        kind = SolutionKind.FIRST
-    elif abs(lam - (1.0 - p.nu)) <= 1e-12:
-        kind = SolutionKind.SECOND
-    else:
-        raise ValueError(f"lam={lam} is neither indicial root (0 or 1 - nu = {1.0 - p.nu})")
-    validate(p, kind)
-    return _evaluate(p, lam, x, t, c0 * real_power(x, lam), detect_termination(p, lam))
+    lam, nstar, pref_of = _unnormalised(p, lam, c0)
+    return _group(p, lam, nstar, (x,), (pref_of(x),), t or _DEFAULT_TRUNCATION)[0]

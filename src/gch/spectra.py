@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
-from .errors import DegenerateCoupling, TailNotDecayed
+from .errors import DegenerateCoupling, SampleNotConverged, TailNotDecayed
 from .params import GchParams, SolutionKind, _bind, _Frozen
-from .series import NestedTruncation, evaluate
+from .recurrence import EvalResult
+from .series import NestedTruncation, evaluate, evaluate_grid
 
 
 class RotatingOscillator(_Frozen):
@@ -197,6 +198,18 @@ def make_state(system: QuantumSystem, i: int, beta_i: int) -> EigenState:
     return EigenState(i, beta_i, eigenvalue, system.params(system.omega_cap(eigenvalue)))
 
 
+def _samples(
+    system: QuantumSystem,
+    state: EigenState,
+    rs: Sequence[float],
+    t: NestedTruncation | None,
+) -> list[tuple[float, EvalResult]]:
+    """(unnormalised reduced radial value, its evaluation) at each r of rs,
+    from one :func:`~gch.series.evaluate_grid` call."""
+    results = evaluate_grid(state.gch, SolutionKind.FIRST, [system.x_of(r) for r in rs], t)
+    return [(system.envelope(r) * res.value, res) for r, res in zip(rs, results)]
+
+
 def wavefunction_result(
     system: QuantumSystem,
     state: EigenState,
@@ -227,20 +240,19 @@ def wavefunction(
     return wavefunction_result(system, state, r, t)[0]
 
 
-def _radial_samples(fn: Callable[[float], float], r_max: float, n_points: int) -> tuple[list[float], list[float]]:
+def _radial_grid(r_max: float, n_points: int) -> list[float]:
     """Uniform grid on [0, r_max] with an odd number (n_points, or one more)
-    of points, and fn on it."""
+    of points."""
     if r_max <= 0.0 or n_points < 3:
         raise ValueError("need r_max > 0 and at least 3 quadrature points")
     n = n_points if n_points % 2 == 1 else n_points + 1
     h = r_max / (n - 1)
-    grid = [i * h for i in range(n - 1)] + [r_max]
-    return grid, [fn(r) for r in grid]
+    return [i * h for i in range(n - 1)] + [r_max]
 
 
 def _simpson(grid: list[float], vals: list[float]) -> float:
     """Composite-Simpson value of integral vals^2 r^2 dr over a grid from
-    :func:`_radial_samples`."""
+    :func:`_radial_grid`."""
     last = len(grid) - 1
     terms = [v * v * r * r * (1.0 if i in (0, last) else 4.0 if i % 2 else 2.0)
              for i, (r, v) in enumerate(zip(grid, vals))]
@@ -249,7 +261,8 @@ def _simpson(grid: list[float], vals: list[float]) -> float:
 
 def radial_norm(fn: Callable[[float], float], r_max: float, n_points: int) -> float:
     """Composite-Simpson value of integral_0^{r_max} fn(r)^2 r^2 dr."""
-    return _simpson(*_radial_samples(fn, r_max, n_points))
+    grid = _radial_grid(r_max, n_points)
+    return _simpson(grid, [fn(r) for r in grid])
 
 
 def normalize(
@@ -261,13 +274,22 @@ def normalize(
 ) -> float:
     """Normalisation constant N = 1/sqrt(integral Psi^2 r^2 dr) on [0, r_max].
 
+    The samples come from one :func:`~gch.series.evaluate_grid` call.
     Raises TailNotDecayed unless |Psi(r_max)| has fallen below 1e-10 of the
-    sampled peak.
+    sampled peak, and then SampleNotConverged if the engine flags any
+    sample as not converged.
     """
-    grid, vals = _radial_samples(lambda r: wavefunction(system, state, r, t), r_max, n_points)
+    grid = _radial_grid(r_max, n_points)
+    samples = _samples(system, state, grid, t)
+    vals = [v for v, _ in samples]
     peak = max(abs(v) for v in vals)
     if peak == 0.0 or abs(vals[-1]) > 1e-10 * peak:
         raise TailNotDecayed(
             f"|Psi({r_max})| = {abs(vals[-1]):.3e} exceeds 1e-10 of peak {peak:.3e}"
+        )
+    bad = [r for r, (_, res) in zip(grid, samples) if not res.converged]
+    if bad:
+        raise SampleNotConverged(
+            f"{len(bad)} of {len(grid)} samples are not converged, the first at r = {bad[0]!r}"
         )
     return 1.0 / math.sqrt(_simpson(grid, vals))

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from .errors import DomainError, GammaPole, GchError
 from .params import GchParams, SolutionKind, _bind, _Frozen, _is_integer, validate
 from .recurrence import real_power, sum_series
-from .series import NestedTruncation, eval_general
+from .series import NestedTruncation, _general
 
 
 class ResidualReport(_Frozen):
@@ -146,14 +146,19 @@ class GridSpec(_Frozen):
         _bind(self, "x", x)
         _bind(self, "kinds", kinds)
 
-    def points(self):
+    def param_sets(self):
+        """Each parameter set of the grid, in the order of :meth:`points`."""
         for mu in self.mu:
             for eps in self.eps:
                 for nu in self.nu:
                     for omega_cap in self.Omega:
                         for omega in self.omega:
-                            for x in self.x:
-                                yield GchParams(mu, eps, nu, omega_cap, omega), x
+                            yield GchParams(mu, eps, nu, omega_cap, omega)
+
+    def points(self):
+        for p in self.param_sets():
+            for x in self.x:
+                yield p, x
 
 
 class CrossRecord(_Frozen):
@@ -194,38 +199,47 @@ class CrossReport(_Frozen):
         _bind(self, "n_failed", n_failed)
 
 
+def _records(p: GchParams, kind: SolutionKind, xs: Sequence[float], nt: NestedTruncation | None) -> list:
+    """The record of each x of xs: the closed form against the oracle, or
+    the GchError that the first of validate, the oracle and the closed
+    form raises there."""
+    try:
+        lam = validate(p, kind)
+        oracles = [sum_series(p, lam, 1.0, x).value for x in xs]
+        closed = _general(p, lam, 1.0, xs, nt)
+    except GchError as exc:
+        if len(xs) == 1:
+            return [CrossRecord(p, kind, xs[0], None, None, None, f"{type(exc).__name__}: {exc}")]
+        return [_records(p, kind, (x,), nt)[0] for x in xs]
+    out = []
+    for x, oracle, res in zip(xs, oracles, closed):
+        diff = abs(res.value - oracle)
+        rel = 0.0 if diff == 0.0 else diff / abs(oracle) if oracle != 0.0 else math.inf
+        out.append(CrossRecord(p, kind, x, oracle, res.value, rel))
+    return out
+
+
 def cross_validate(
     grid: GridSpec | None = None,
     nt: NestedTruncation | None = None,
 ) -> CrossReport:
     """Closed form vs direct recurrence on every grid point.
 
-    Per-point failures (kind restrictions, domain errors) are recorded and
-    the sweep continues; the report carries the worst relative error.
+    The closed form takes each parameter set's x axis in one grid call per
+    kind.  Per-point failures (kind restrictions, domain errors) are
+    recorded and the sweep continues; the report carries the worst
+    relative error.
     """
     grid = grid or GridSpec()
     records: list[CrossRecord] = []
-    max_rel = 0.0
-    n_eval = 0
-    n_failed = 0
-    for p, x in grid.points():
-        for kind in grid.kinds:
-            try:
-                lam = validate(p, kind)
-                oracle = sum_series(p, lam, 1.0, x).value
-                closed = eval_general(p, lam, 1.0, x, nt).value
-            except GchError as exc:
-                n_failed += 1
-                records.append(CrossRecord(p, kind, x, None, None, None, f"{type(exc).__name__}: {exc}"))
-                continue
-            diff = abs(closed - oracle)
-            rel = 0.0 if diff == 0.0 else diff / abs(oracle) if oracle != 0.0 else math.inf
-            records.append(CrossRecord(p, kind, x, oracle, closed, rel))
-            n_eval += 1
-            max_rel = max(max_rel, rel)
+    for p in grid.param_sets():
+        # records go point by point, each point's kinds in grid order
+        for same_x in zip(*[_records(p, kind, grid.x, nt) for kind in grid.kinds]):
+            records.extend(same_x)
+    rel_errs = [rec.rel_err for rec in records if rec.error is None]
     return CrossReport(
         records=tuple(records),
-        max_rel_err=max_rel,
-        n_evaluated=n_eval,
-        n_failed=n_failed,
+        max_rel_err=max([0.0, *rel_errs]),
+        n_evaluated=len(rel_errs),
+        n_failed=len(records) - len(rel_errs),
     )

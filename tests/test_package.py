@@ -17,10 +17,10 @@ def test_public_names():
         "AsymptoticRegime", "BetaMismatch", "Confinement", "CrossReport", "DegenerateCoupling",
         "DomainError", "EigenState", "EvalResult", "GammaPole", "GchError", "GchParams", "GridSpec",
         "KindRestrictionError", "NestedTruncation", "NonFiniteError", "NormalizationPole",
-        "NoTermination", "PoleError", "QQbar", "ResidualReport", "RotatingOscillator", "SolutionKind",
-        "TailNotDecayed", "Truncation",
+        "NoTermination", "PoleError", "QQbar", "ResidualReport", "RotatingOscillator",
+        "SampleNotConverged", "SolutionKind", "TailNotDecayed", "Truncation",
         "asym_small_eps", "asym_small_mu", "betas_from_omega", "coefficients", "cross_validate",
-        "detect_termination", "erf", "erfi", "eval_general", "evaluate", "kummer_oracle",
+        "detect_termination", "erf", "erfi", "eval_general", "evaluate", "evaluate_grid", "kummer_oracle",
         "limit_value", "make_state", "normalize", "ode_residual", "radial_norm", "sum_series",
         "validate", "wavefunction", "wavefunction_result",
     ]
