@@ -21,19 +21,19 @@ __version__ = "0.1.0"
 #: submodule -> the names it exports at package level
 _EXPORTS = {
     "errors": (
-        "BetaMismatch", "DegenerateCoupling", "DomainError", "GammaPole", "GchError",
+        "BetaMismatch", "DegenerateCoupling", "DomainError", "GchError",
         "KindRestrictionError", "NonFiniteError", "NormalizationPole", "NoTermination",
         "PoleError", "SampleNotConverged", "TailNotDecayed",
     ),
     "params": ("GchParams", "SolutionKind", "validate"),
     "recurrence": ("EvalResult", "Truncation", "coefficients", "detect_termination", "sum_series"),
     "series": ("NestedTruncation", "betas_from_omega", "eval_general", "evaluate", "evaluate_grid"),
-    "asymptotics": ("AsymptoticRegime", "asym_small_eps", "asym_small_mu", "erf", "erfi", "limit_value"),
+    "asymptotics": ("AsymptoticRegime", "asym_small_eps", "asym_small_mu", "erfi", "limit_value"),
     "spectra": (
         "Confinement", "EigenState", "QQbar", "RotatingOscillator", "make_state", "normalize",
         "radial_norm", "wavefunction", "wavefunction_result",
     ),
-    "verify": ("CrossReport", "GridSpec", "ResidualReport", "cross_validate", "kummer_oracle", "ode_residual"),
+    "verify": ("CrossReport", "GridSpec", "ResidualReport", "cross_validate", "ode_residual"),
     "cli": (),
 }
 

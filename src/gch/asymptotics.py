@@ -1,4 +1,4 @@
-"""Large-index limiting forms of the series and the error function they need.
+"""Large-index limiting forms of the series, and the erfi they need.
 
 When the recurrence index is large the coefficient pair degenerates to
 A ~ -eps/n, B ~ -mu/n, and one of the two channels dominates depending on
@@ -7,11 +7,9 @@ x(exp(-eps x) - 1) for the A-dominated regime, and
 
     1 + sqrt(-pi mu x^2 / 2) Erf(sqrt(-mu x^2 / 2)) exp(-mu x^2 / 2)
 
-for the B-dominated one.  erf is implemented locally (Kummer-transformed
-series below |y| = 3, Lentz-evaluated continued fraction beyond) so the
-values are bit-stable across platforms; the square roots are kept real for
-mu > 0 through erfi, or, once that cancels, the asymptotic expansion of
-the Dawson function.
+for the B-dominated one.  erf is the standard library's; the square roots
+are kept real for mu > 0 through erfi, or, once that cancels, the
+asymptotic expansion of the Dawson function.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ import math
 from enum import Enum
 
 _SQRT_PI = math.sqrt(math.pi)
-_ERF_SWITCH = 3.0
 #: y = sqrt(mu/2) x from which asym_small_eps (mu > 0) sums the Dawson
 #: expansion instead of the cancelling erfi form
 _DAWSON_SWITCH = 6.0
@@ -31,56 +28,6 @@ class AsymptoticRegime(Enum):
 
     SMALL_MU = "small-mu"
     SMALL_EPS = "small-eps"
-
-
-def _erf_series(y: float) -> float:
-    # erf(y) = (2/sqrt(pi)) y e^{-y^2} sum_k (2y^2)^k / (1*3*...*(2k+1)),
-    # an all-positive series, free of the alternating-sum cancellation.
-    y2 = y * y
-    term = 1.0
-    total = 1.0
-    k = 0
-    while True:
-        term *= 2.0 * y2 / (2.0 * k + 3.0)
-        total += term
-        k += 1
-        if term <= 1e-17 * total or k > 500:
-            break
-    return 2.0 / _SQRT_PI * y * math.exp(-y2) * total
-
-
-def _erfc_cf(y: float) -> float:
-    # continued fraction erfc(y) = e^{-y^2}/sqrt(pi) / (y + (1/2)/(y + 1/(y + (3/2)/(y + ...))))
-    # evaluated by the modified Lentz algorithm; y >= _ERF_SWITCH.
-    tiny = 1e-300
-    f = y
-    c = f
-    d = 0.0
-    for j in range(1, 300):
-        a = 0.5 * j
-        d = y + a * d
-        if d == 0.0:
-            d = tiny
-        c = y + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-y * y) / (_SQRT_PI * f)
-
-
-def erf(y: float) -> float:
-    """Error function, odd, |erf| <= 1; series below |y|=3, continued fraction beyond."""
-    if y != y:
-        return y
-    ay = abs(y)
-    if ay < _ERF_SWITCH:
-        return _erf_series(y)
-    val = 1.0 - _erfc_cf(ay)
-    return val if y > 0 else -val
 
 
 def erfi(y: float) -> float:
@@ -143,7 +90,7 @@ def asym_small_eps(mu: float, x: float) -> float:
         return 1.0
     if s > 0.0:
         rt = math.sqrt(s)
-        return 1.0 + _SQRT_PI * rt * erf(rt) * math.exp(s)
+        return 1.0 + _SQRT_PI * rt * math.erf(rt) * math.exp(s)
     rt = math.sqrt(-s)
     if rt >= _DAWSON_SWITCH:
         return _dawson_tail(rt)

@@ -44,7 +44,3 @@ class TailNotDecayed(GchError):
 
 class SampleNotConverged(GchError):
     """A quadrature sample is flagged as not converged by the series engine."""
-
-
-class GammaPole(GchError):
-    """Lower Kummer-series parameter is a nonpositive integer."""

@@ -20,8 +20,9 @@ such.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import DomainError, PoleError
 from .params import GchParams, _bind, _Frozen, _is_integer
@@ -115,18 +116,18 @@ def real_power(x: float, expo: float) -> float:
     raise DomainError(f"({x})**({expo}) is not real")
 
 
-def coefficients(p: GchParams, lam: float, c0: float, count: int) -> list[float]:
-    """First ``count`` series coefficients c_0 .. c_{count-1} from the recurrence.
+def _coefficients(p: GchParams, lam: float, c0: float) -> Iterator[float]:
+    """c_0, c_1, c_2, ... from c_{n+1} = A_n c_n + B_n c_{n-1}, without end.
 
     A_n and B_n are the recurrence coefficients of :mod:`gch.params`,
-    written out on local copies of the parameters.
+    written out on local copies of the parameters.  Step n runs only when
+    c_{n+1} is asked for, and raises PoleError if A_n's denominator
+    vanishes.
     """
-    if count <= 0:
-        return []
     mu, eps, nu, Omega, omega = p.mu, p.eps, p.nu, p.Omega, p.omega
-    out = [c0]
     c_prev, c_cur = 0.0, c0
-    for n in range(count - 1):
+    for n in itertools.count():
+        yield c_cur
         den1 = n + 1.0 + lam
         den2 = n + nu + lam
         if den1 == 0.0 or den2 == 0.0:
@@ -135,9 +136,12 @@ def coefficients(p: GchParams, lam: float, c0: float, count: int) -> list[float]
         c_next = -eps * (n + omega + lam) / den * c_cur
         if n:
             c_next += -(Omega + mu * (n - 1.0 + lam)) / den * c_prev
-        out.append(c_next)
         c_prev, c_cur = c_cur, c_next
-    return out
+
+
+def coefficients(p: GchParams, lam: float, c0: float, count: int) -> list[float]:
+    """First ``count`` series coefficients c_0 .. c_{count-1} from the recurrence."""
+    return list(itertools.islice(_coefficients(p, lam, c0), max(count, 0)))
 
 
 def detect_termination(p: GchParams, lam: float) -> Optional[int]:
@@ -155,22 +159,20 @@ def detect_termination(p: GchParams, lam: float) -> Optional[int]:
 def sum_series(
     p: GchParams,
     lam: float,
-    c0: float,
     x: float,
     t: Truncation | None = None,
 ) -> EvalResult:
-    """Sum y(x) = sum_n c_n x^(n+lam) directly from the recurrence.
+    """Sum y(x) = sum_n c_n x^(n+lam), c_0 = 1, directly from the recurrence.
 
-    Linear in c0.  Stops after three consecutive terms fall below
-    rel_tol * |partial sum| (or below 1e-300); if the cap is reached
-    first the partial value is still returned with ``converged=False``.
+    Stops after three consecutive terms fall below rel_tol * |partial sum|
+    (or below 1e-300); if the cap is reached first the partial value is
+    still returned with ``converged=False``.
 
     Raises DomainError when x^lam is not real (x < 0 with fractional lam,
     or x = 0 with lam < 0).
     """
     t = t or _DEFAULT_TRUNCATION
     xpow = real_power(x, lam)
-    mu, eps, nu, Omega, omega = p.mu, p.eps, p.nu, p.Omega, p.omega
     rel_tol = t.rel_tol
 
     total = 0.0
@@ -179,10 +181,10 @@ def sum_series(
     last_mag = 0.0
     n_used = 0
 
-    c_prev = 0.0  # c_{n-1}
-    c_cur = c0
     pw = 1.0  # x^n
-    for n in range(t.max_terms):
+    # the coefficients come first, so the step past the last term still
+    # runs (and raises at a pole) before the cap ends the loop
+    for c_cur, n in zip(_coefficients(p, lam, 1.0), range(t.max_terms)):
         term = c_cur * pw * xpow
         s = total + term
         if abs(total) >= abs(term):
@@ -197,17 +199,6 @@ def sum_series(
         streak = streak + 1 if last_mag <= bar else 0
         if streak >= _STREAK and n >= 2:
             break
-
-        # A_n c_n + B_n c_{n-1}, written out as in coefficients
-        den1 = n + 1.0 + lam
-        den2 = n + nu + lam
-        if den1 == 0.0 or den2 == 0.0:
-            raise PoleError(f"A_{n} denominator vanishes at lam={lam}, nu={nu}")
-        den = den1 * den2
-        c_next = -eps * (n + omega + lam) / den * c_cur
-        if n:
-            c_next += -(Omega + mu * (n - 1.0 + lam)) / den * c_prev
-        c_prev, c_cur = c_cur, c_next
         pw *= x
 
     terminated = detect_termination(p, lam) if p.mu != 0.0 else None

@@ -585,52 +585,45 @@ def evaluate_grid(
     return _results(p, lam, nstar, pref_of, xs, t)
 
 
-def _unnormalised(p: GchParams, lam: float, c0: float) -> tuple[float, Optional[int], Callable[[float], float]]:
-    """(lam, n*, x -> c0 x^lam) of :func:`eval_general`, after its checks."""
-    if p.mu == 0.0:
-        raise PoleError("closed-form evaluation requires mu != 0 (Omega/(2 mu) appears)")
-    if lam == 0.0:
-        kind = SolutionKind.FIRST
-    elif abs(lam - (1.0 - p.nu)) <= 1e-12:
-        kind = SolutionKind.SECOND
-    else:
-        raise ValueError(f"lam={lam} is neither indicial root (0 or 1 - nu = {1.0 - p.nu})")
-    validate(p, kind)
-    return lam, detect_termination(p, lam), lambda x: c0 * real_power(x, lam)
-
-
 def _general(
     p: GchParams,
     lam: float,
-    c0: float,
     xs: Sequence[float],
     t: NestedTruncation | None,
 ) -> list[EvalResult]:
     """:func:`eval_general` at each x of ``xs``, in input order, from one
-    table per transform branch as in :func:`evaluate_grid`."""
-    lam, nstar, pref_of = _unnormalised(p, lam, c0)
-    return _results(p, lam, nstar, pref_of, xs, t)
+    table per transform branch as in :func:`evaluate_grid`; lam is the
+    root :func:`validate` returned for p, and only mu is checked here."""
+    if p.mu == 0.0:
+        raise PoleError("closed-form evaluation requires mu != 0 (Omega/(2 mu) appears)")
+    return _results(p, lam, detect_termination(p, lam), lambda x: real_power(x, lam), xs, t)
 
 
 def eval_general(
     p: GchParams,
     lam: float,
-    c0: float,
     x: float,
     t: NestedTruncation | None = None,
 ) -> EvalResult:
-    """Unnormalised series c0 * x^lam * [S_0 + S_1 et + sum_n S_n et^n].
+    """Unnormalised series x^lam * [S_0 + S_1 et + sum_n S_n et^n], c_0 = 1.
 
     lam must be an indicial root: 0 (validated as the first kind) or
     1 - nu (the second kind); any other value raises ValueError.  Unlike
     :func:`evaluate` no Gamma normalisation enters, so this stays finite
     where that normalisation has a pole, and it is what the recurrence
     oracle is compared with.  The per-order decomposition (already scaled
-    by c0 x^lam and the eps_tilde powers) is exposed on ``orders``.  For
+    by x^lam and the eps_tilde powers) is exposed on ``orders``.  For
     mu > 0 and z = -mu x^2/2 < -1 the sum is taken over the transformed
     parameters (-mu, -eps, nu, Omega - mu(1+nu), nu - omega) with the same
-    lam and c0, times e^{-mu x^2/2 - eps x}, so ``orders`` is then the
+    lam, times e^{-mu x^2/2 - eps x}, so ``orders`` is then the
     transformed decomposition; see :class:`EvalResult`.
     """
-    lam, nstar, pref_of = _unnormalised(p, lam, c0)
-    return _group(p, lam, nstar, (x,), (pref_of(x),), t or _DEFAULT_TRUNCATION)[0]
+    if p.mu != 0.0:  # mu = 0 is refused by _general, ahead of the checks of lam
+        if lam == 0.0:
+            kind = SolutionKind.FIRST
+        elif abs(lam - (1.0 - p.nu)) <= 1e-12:
+            kind = SolutionKind.SECOND
+        else:
+            raise ValueError(f"lam={lam} is neither indicial root (0 or 1 - nu = {1.0 - p.nu})")
+        validate(p, kind)
+    return _general(p, lam, (x,), t)[0]

@@ -1,10 +1,9 @@
 """Independent correctness instruments.
 
-Three checks live here, deliberately sharing no code with the evaluators
+Two checks live here, deliberately sharing no code with the evaluators
 they police: an ODE residual computed analytically from a coefficient
-list, a from-scratch confluent-hypergeometric summation used as the
-eps = 0 oracle, and a grid sweep comparing the closed-form nested sums
-against direct recurrence summation point by point.
+list, and a grid sweep comparing the closed-form nested sums against
+direct recurrence summation point by point.
 """
 
 from __future__ import annotations
@@ -12,8 +11,8 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .errors import DomainError, GammaPole, GchError
-from .params import GchParams, SolutionKind, _bind, _Frozen, _is_integer, validate
+from .errors import DomainError, GchError
+from .params import GchParams, SolutionKind, _bind, _Frozen, validate
 from .recurrence import real_power, sum_series
 from .series import NestedTruncation, _general
 
@@ -77,41 +76,6 @@ def ode_residual(coeffs: Sequence[float], lam: float, p: GchParams, x: float) ->
         abs(c_y) * math.fsum(abs(t) for t in y_terms),
     )
     return ResidualReport(x=x, residual=residual, scale=scale)
-
-
-def kummer_oracle(a: float, gamma: float, z: float) -> float:
-    """sum_m (a)_m z^m / ((1)_m (gamma)_m) by direct compensated summation.
-
-    Written from scratch on purpose: this is the independent reference for
-    every eps = 0 reduction, so it shares nothing with the nested-sum
-    machinery.  Requires gamma away from the nonpositive integers and
-    |z| <= 50.
-    """
-    if _is_integer(gamma) and round(gamma) <= 0:
-        raise GammaPole(f"gamma = {gamma} is a nonpositive integer")
-    if abs(z) > 50.0:
-        raise DomainError("kummer_oracle is specified for |z| <= 50")
-    total = 0.0
-    comp = 0.0
-    term = 1.0
-    m = 0
-    streak = 0
-    while m < 1000:
-        s = total + term
-        if abs(total) >= abs(term):
-            comp += (total - s) + term
-        else:
-            comp += (term - s) + total
-        total = s
-        m += 1
-        term *= z * (a + m - 1.0) / (m * (gamma + m - 1.0))
-        if abs(term) <= 1e-14 * abs(total + comp):
-            streak += 1
-            if streak >= 3:
-                break
-        else:
-            streak = 0
-    return total + comp
 
 
 _GRID_MU = (-2.0, -0.5, 0.5, 2.0)
@@ -205,8 +169,8 @@ def _records(p: GchParams, kind: SolutionKind, xs: Sequence[float], nt: NestedTr
     form raises there."""
     try:
         lam = validate(p, kind)
-        oracles = [sum_series(p, lam, 1.0, x).value for x in xs]
-        closed = _general(p, lam, 1.0, xs, nt)
+        oracles = [sum_series(p, lam, x).value for x in xs]
+        closed = _general(p, lam, xs, nt)
     except GchError as exc:
         if len(xs) == 1:
             return [CrossRecord(p, kind, xs[0], None, None, None, f"{type(exc).__name__}: {exc}")]

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import time
 
+import mpmath as mp
 import pytest
 
 from gch.cli import main
@@ -29,7 +30,7 @@ from gch.spectra import (
     make_state,
     wavefunction,
 )
-from gch.verify import cross_validate, kummer_oracle, ode_residual
+from gch.verify import cross_validate, ode_residual
 from gch.asymptotics import asym_small_eps
 
 OSC = RotatingOscillator(l_m=0, omega_c=2.0)
@@ -73,7 +74,8 @@ def test_criterion_2_kummer_reduction():
         assert abs(z) <= 5.0
         draws += 1
         closed = evaluate(p, SolutionKind.FIRST, x).value
-        want = math.gamma(gamma - a) / math.gamma(gamma) * kummer_oracle(a, gamma, z)
+        with mp.workdps(40):
+            want = float(mp.gamma(gamma - a) / mp.gamma(gamma) * mp.hyp1f1(a, gamma, z))
         rel = abs(closed - want) / abs(want)
         worst = max(worst, rel)
         assert rel <= 1e-12, (p, x, rel)
@@ -193,12 +195,12 @@ def test_criterion_6_asymptotic_identity():
 
     # degenerate stated point: B_1 = 0 makes the true solution constant
     p_stated = GchParams(-1.0, 0.0, 1.0, 0.0, 1.0)
-    res = sum_series(p_stated, 0.0, 1.0, 6.0, TIGHT)
+    res = sum_series(p_stated, 0.0, 6.0, TIGHT)
     assert res.value == 1.0 and res.terminated_at == 1
 
     # leading growth at the non-terminating neighbour, frozen tolerance
     p = GchParams(-1.0, 0.0, 1.0, -1.0, 1.0)
-    y6 = sum_series(p, 0.0, 1.0, 6.0, Truncation(max_terms=600, rel_tol=1e-14)).value
+    y6 = sum_series(p, 0.0, 6.0, Truncation(max_terms=600, rel_tol=1e-14)).value
     ratio = math.log(abs(y6)) / math.log(abs(asym_small_eps(-1.0, 6.0)))
     assert 1.0 - LEADING_GROWTH_DELTA <= ratio <= 1.0 + LEADING_GROWTH_DELTA
     _report(6, "asymptotic identity", f"series identity worst {worst:.2e} <= 1e-10; "

@@ -7,38 +7,11 @@ from gch.asymptotics import (
     AsymptoticRegime,
     asym_small_eps,
     asym_small_mu,
-    erf,
     erfi,
     limit_value,
 )
 
 mp.mp.dps = 30
-
-
-def test_erf_special_values():
-    assert erf(0.0) == 0.0
-    assert abs(erf(10.0) - 1.0) < 1e-12
-    assert erf(1.0) == pytest.approx(0.8427007929497149, abs=1e-13)
-
-
-def test_erf_odd():
-    for y in (0.3, 1.7, 2.9, 4.2):
-        assert erf(-y) == -erf(y)
-
-
-def test_erf_against_reference():
-    # dense grid spanning the series/continued-fraction switch
-    worst = 0.0
-    y = -6.0
-    while y <= 6.0:
-        worst = max(worst, abs(erf(y) - float(mp.erf(y))))
-        y += 0.01
-    assert worst < 1e-12
-
-
-def test_erf_bounded():
-    for y in (-50.0, -8.0, 3.0001, 35.0):
-        assert abs(erf(y)) <= 1.0
 
 
 def test_erfi_against_reference():
@@ -114,3 +87,16 @@ def test_asym_small_eps_mu_positive_against_mpmath(x):
         got = asym_small_eps(mu, x)
         assert math.isfinite(got)
         assert abs(got - want) <= mp.mpf("1e-12") * abs(want)
+
+
+@pytest.mark.parametrize("y", [0.5, 1.0, 2.0, 2.9, 3.0, 3.1, 4.0, 6.0, 10.0, 15.0, 20.0])
+def test_asym_small_eps_mu_negative_against_mpmath(y):
+    # 1 + sqrt(pi) y erf(y) e^{y^2} at y = sqrt(-mu/2) x, on both sides of y = 3
+    mu = -0.7
+    x = y / math.sqrt(0.35)
+    with mp.workdps(50):
+        yy = mp.sqrt(-mp.mpf(mu) / 2) * x
+        want = 1 + mp.sqrt(mp.pi) * yy * mp.erf(yy) * mp.exp(yy * yy)
+        got = asym_small_eps(mu, x)
+        assert math.isfinite(got)
+        assert abs(got - want) <= mp.mpf("1e-13") * abs(want)

@@ -57,7 +57,7 @@ def test_one_point_grid_is_evaluate(p, kind, x):
 @pytest.mark.parametrize("p,kind,x", ONE_POINT)
 def test_one_point_general_grid_is_eval_general(p, kind, x):
     lam = kind.lambda_of(p.nu)
-    assert _general(p, lam, 1.0, [x], None) == [eval_general(p, lam, 1.0, x)]
+    assert _general(p, lam, [x], None) == [eval_general(p, lam, x)]
 
 
 def test_reference_point_is_bit_identical():
@@ -134,7 +134,7 @@ def test_domain_error_at_first_failing_x():
     assert str(grid.value) == str(per_point.value)
     # x^lam with fractional lam fails at the first negative x
     with pytest.raises(DomainError, match=r"^\(-0\.3\)\*\*"):
-        _general(p, 1.0 - p.nu, 1.0, [0.2, 0.7, -0.3, -0.9], None)
+        _general(p, 1.0 - p.nu, [0.2, 0.7, -0.3, -0.9], None)
 
 
 def test_pole_error_while_building_a_table_falls_back_to_points():
@@ -162,8 +162,8 @@ def _records_point_by_point(spec):
         for kind in spec.kinds:
             try:
                 lam = validate(p, kind)
-                oracle = sum_series(p, lam, 1.0, x).value
-                closed = eval_general(p, lam, 1.0, x).value
+                oracle = sum_series(p, lam, x).value
+                closed = eval_general(p, lam, x).value
             except GchError as exc:
                 records.append(CrossRecord(p, kind, x, None, None, None, f"{type(exc).__name__}: {exc}"))
                 continue
@@ -248,7 +248,7 @@ def test_depth_sees_chain_one_near_a_pole(x, depth, ref):
     # read from chain 0 alone the depth was 10 and 22 and the values off by
     # 2.7e-12 and 8.4e-12 while converged.  ref: the raw recurrence summed
     # in 80-digit arithmetic (400 terms; 100 digits agree to 1e-80)
-    res = eval_general(GchParams(-1.3, 1.0, -20 + 1e-10, 0.4, 0.3), 0.0, 1.0, x)
+    res = eval_general(GchParams(-1.3, 1.0, -20 + 1e-10, 0.4, 0.3), 0.0, x)
     assert res.converged
     assert _depth(res) == depth
     assert abs(res.value - float(ref)) <= 1e-13 * abs(float(ref))
@@ -263,4 +263,4 @@ def test_depth_never_falls_as_z_grows(a_mag, b, c):
 
 def test_sum_series_default_truncation():
     p = GchParams(-2.0, 1.0, 1.5, 0.3, 0.25)
-    assert sum_series(p, 0.0, 1.0, 0.7) == sum_series(p, 0.0, 1.0, 0.7, Truncation())
+    assert sum_series(p, 0.0, 0.7) == sum_series(p, 0.0, 0.7, Truncation())

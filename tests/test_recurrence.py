@@ -1,27 +1,28 @@
 import math
 import random
 
+import mpmath as mp
 import pytest
 
 from gch.errors import DomainError, PoleError
 from gch.params import GchParams
 from gch.recurrence import _ABS_FLOOR, Truncation, coefficients, detect_termination, real_power, sum_series
-from gch.verify import kummer_oracle, ode_residual
+from gch.verify import ode_residual
 
 TIGHT = Truncation(max_terms=500, rel_tol=1e-14)
 
 
 def test_x_zero_returns_c0():
     p = GchParams(-1.3, 0.7, 0.9, 0.4, 1.1)
-    res = sum_series(p, 0.0, 5.0, 0.0)
-    assert res.value == 5.0
+    res = sum_series(p, 0.0, 0.0)
+    assert res.value == 1.0
     assert res.converged
 
 
 def test_eps_zero_series_is_even():
     p = GchParams(2.0, 0.0, 0.8, 1.3, 0.5)
-    a = sum_series(p, 0.0, 1.0, 0.7, TIGHT)
-    b = sum_series(p, 0.0, 1.0, -0.7, TIGHT)
+    a = sum_series(p, 0.0, 0.7, TIGHT)
+    b = sum_series(p, 0.0, -0.7, TIGHT)
     assert a.value == b.value
 
 
@@ -29,7 +30,7 @@ def test_golden_point():
     # frozen from a max_terms=500, rel_tol=1e-14 self-run; 20-digit
     # high-precision recurrence agrees (0.86031086346992481151)
     p = GchParams(2.0, 1.0, 1.5, 3.0, 0.25)
-    res = sum_series(p, 0.0, 1.0, 0.4, TIGHT)
+    res = sum_series(p, 0.0, 0.4, TIGHT)
     assert res.value == pytest.approx(0.8603108634699248, rel=1e-13)
     assert res.converged
     # the same coefficients nearly annihilate the differential operator
@@ -42,12 +43,11 @@ def test_linearity_in_c0():
     for _ in range(20):
         p = GchParams(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.3, 2.5),
                       rng.uniform(-2, 2), rng.uniform(-1, 1))
-        x = rng.uniform(0.1, 1.0)
         a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
-        va = sum_series(p, 0.0, a, x, TIGHT).value
-        vb = sum_series(p, 0.0, b, x, TIGHT).value
-        vab = sum_series(p, 0.0, a + b, x, TIGHT).value
-        assert vab == pytest.approx(va + vb, rel=1e-13, abs=1e-14)
+        ca = coefficients(p, 0.0, a, 40)
+        cb = coefficients(p, 0.0, b, 40)
+        for u, v, w in zip(ca, cb, coefficients(p, 0.0, a + b, 40)):
+            assert abs(w - (u + v)) <= 1e-13 * (abs(u) + abs(v))
 
 
 def test_detect_termination_examples():
@@ -80,7 +80,7 @@ def test_termination_kills_coefficient_b():
 
 def test_eps_zero_kummer_reduction():
     # with eps = 0 the series collapses to the confluent-hypergeometric sum
-    # in z = -mu x^2/2; checked against the independent oracle summation
+    # in z = -mu x^2/2; checked against mpmath's hyp1f1
     rng = random.Random(23)
     for _ in range(25):
         mu = rng.choice([-1, 1]) * rng.uniform(0.2, 3.0)
@@ -90,20 +90,21 @@ def test_eps_zero_kummer_reduction():
         x = rng.uniform(0.05, math.sqrt(10.0 / abs(mu)))
         z = -0.5 * mu * x * x
         assert abs(z) <= 5.0
-        lhs = sum_series(p, 0.0, 1.0, x, TIGHT).value
-        rhs = kummer_oracle(Om / (2.0 * mu), p.gamma, z)
+        lhs = sum_series(p, 0.0, x, TIGHT).value
+        with mp.workdps(40):
+            rhs = float(mp.hyp1f1(Om / (2.0 * mu), p.gamma, z))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_domain_error_negative_base():
     p = GchParams(1.0, 1.0, 0.5, 1.0, 1.0)
     with pytest.raises(DomainError):
-        sum_series(p, 0.5, 1.0, -0.3)
+        sum_series(p, 0.5, -0.3)
 
 
 def test_integer_lambda_negative_x_ok():
     p = GchParams(1.0, 1.0, -0.5, 1.0, 1.0)  # second kind lam = 1.5? use explicit integer lam
-    res = sum_series(p, 2.0, 1.0, -0.4, TIGHT)
+    res = sum_series(p, 2.0, -0.4, TIGHT)
     assert math.isfinite(res.value)
 
 
@@ -119,7 +120,7 @@ def test_real_power():
 
 def test_cap_hit_reports_not_converged():
     p = GchParams(-2.0, 1.5, 1.0, 0.7, 0.3)
-    res = sum_series(p, 0.0, 1.0, 3.0, Truncation(max_terms=8, rel_tol=1e-12))
+    res = sum_series(p, 0.0, 3.0, Truncation(max_terms=8, rel_tol=1e-12))
     assert not res.converged
     assert res.terms_used == 8
     assert math.isfinite(res.value)
@@ -128,7 +129,7 @@ def test_cap_hit_reports_not_converged():
 def test_converged_invariant():
     p = GchParams(1.0, -0.6, 1.2, -0.8, 0.5)
     t = Truncation()
-    res = sum_series(p, 0.0, 1.0, 0.9, t)
+    res = sum_series(p, 0.0, 0.9, t)
     assert res.converged
     assert res.value == 0.0 or res.last_term_mag <= max(t.rel_tol * abs(res.value), _ABS_FLOOR)
 
@@ -165,4 +166,14 @@ def test_coefficients_and_sum_series_raise_the_same_pole():
     with pytest.raises(PoleError, match=message):
         coefficients(p, -3.0, 1.0, 8)
     with pytest.raises(PoleError, match=message):
-        sum_series(p, -3.0, 1.0, 0.5)
+        sum_series(p, -3.0, 0.5)
+
+
+def test_sum_series_runs_the_step_past_its_last_term():
+    # nu = -7 makes n + nu + lam vanish at n = 7: the first 8 coefficients
+    # exist, but a sum capped at 8 terms still takes step 7 and raises
+    p = GchParams(1.0, 1.0, -7.0, 1.0, 0.5)
+    assert len(coefficients(p, 0.0, 1.0, 8)) == 8
+    for x in (0.5, 3.0):
+        with pytest.raises(PoleError, match=r"^A_7 denominator"):
+            sum_series(p, 0.0, x, Truncation(max_terms=8))

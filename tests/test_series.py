@@ -15,11 +15,15 @@ from gch.series import (
     eval_general,
     evaluate,
 )
-from gch.verify import kummer_oracle
-
 TIGHT = Truncation(max_terms=500, rel_tol=1e-14)
 NT = NestedTruncation(max_order_N=40, max_inner=80, rel_tol=1e-13)
 FIRST, SECOND = SolutionKind.FIRST, SolutionKind.SECOND
+
+
+def _kummer(a, b, z):
+    """Kummer's M(a; b; z) = 1F1(a; b; z), from mpmath at 40 digits."""
+    with mp.workdps(40):
+        return float(mp.hyp1f1(a, b, z))
 
 
 # ------------------------------------------------- literal nested-sum checks
@@ -72,7 +76,7 @@ def _literal_orders(p, lam, x, cap=60):
     (GchParams(-0.5, -1.2, -0.7, 1.0, -0.7), 0.0, 0.8),     # B-terminating chain family
 ])
 def test_engine_matches_literal_transliteration(params, lam, x):
-    res = eval_general(params, lam, 1.0, x, NT)
+    res = eval_general(params, lam, x, NT)
     lit = _literal_orders(params, lam, x)
     et = -0.5 * params.eps * x
     xpow = x ** lam
@@ -84,8 +88,8 @@ def test_engine_matches_literal_transliteration(params, lam, x):
 
 def test_eval_general_matches_oracle_spec_point():
     p = GchParams(2.0, 1.0, 1.5, 3.0, 0.25)
-    closed = eval_general(p, 0.0, 1.0, 0.4, NT).value
-    oracle = sum_series(p, 0.0, 1.0, 0.4, TIGHT).value
+    closed = eval_general(p, 0.0, 0.4, NT).value
+    oracle = sum_series(p, 0.0, 0.4, TIGHT).value
     assert closed == pytest.approx(oracle, rel=1e-9)
 
 
@@ -96,34 +100,34 @@ def test_eval_general_random_sweep():
                       rng.choice([0.5, 1.5, 0.25]), rng.uniform(-2, 2), rng.uniform(-1, 1))
         lam = rng.choice([0.0, 1.0 - p.nu])
         x = rng.uniform(0.05, 1.2)
-        closed = eval_general(p, lam, 1.0, x, NT).value
-        oracle = sum_series(p, lam, 1.0, x, TIGHT).value
+        closed = eval_general(p, lam, x, NT).value
+        oracle = sum_series(p, lam, x, TIGHT).value
         assert closed == pytest.approx(oracle, rel=1e-10, abs=1e-13)
 
 
 def test_eval_general_requires_mu():
     with pytest.raises(PoleError):
-        eval_general(GchParams(0.0, 1.0, 1.0, 1.0, 1.0), 0.0, 1.0, 0.5)
+        eval_general(GchParams(0.0, 1.0, 1.0, 1.0, 1.0), 0.0, 0.5)
 
 
 def test_eval_general_rejects_non_root_lam():
     # nu = 0.5: the roots are 0 and 0.5
     with pytest.raises(ValueError, match="indicial root"):
-        eval_general(GchParams(-1.0, 0.8, 0.5, 0.7, 1.2), 0.25, 1.0, 0.6, NT)
+        eval_general(GchParams(-1.0, 0.8, 0.5, 0.7, 1.2), 0.25, 0.6, NT)
 
 
 def test_order_decomposition_scales_with_eps():
     p = GchParams(-1.5, 0.8, 1.2, 0.9, 0.4)
     doubled = GchParams(p.mu, 2.0 * p.eps, p.nu, p.Omega, p.omega)
-    r1 = eval_general(p, 0.0, 1.0, 0.7, NT)
-    r2 = eval_general(doubled, 0.0, 1.0, 0.7, NT)
+    r1 = eval_general(p, 0.0, 0.7, NT)
+    r2 = eval_general(doubled, 0.0, 0.7, NT)
     for n in range(min(len(r1.orders), len(r2.orders), 8)):
         assert r2.orders[n] == pytest.approx(2.0 ** n * r1.orders[n], rel=1e-12, abs=1e-250)
 
 
 def test_x_zero_is_c0():
     p = GchParams(1.7, 0.9, 0.6, -0.4, 0.8)
-    assert eval_general(p, 0.0, 3.25, 0.0, NT).value == 3.25
+    assert eval_general(p, 0.0, 0.0, NT).value == 1.0
 
 
 # ------------------------------------------------------------ QW / RW, infinite
@@ -136,7 +140,7 @@ def test_qw_prefactor_at_origin():
 
 def test_qw_eps_zero_is_kummer():
     p = GchParams(2.0, 0.0, 1.0, 2.0, 1.0)
-    want = math.sqrt(math.pi) * kummer_oracle(0.5, 1.0, -1.0)
+    want = math.sqrt(math.pi) * _kummer(0.5, 1.0, -1.0)
     assert evaluate(p, FIRST, 1.0, t=NT).value == pytest.approx(want, rel=1e-13)
 
 
@@ -144,7 +148,7 @@ def test_qw_matches_oracle_with_prefactor():
     p = GchParams(-1.0, 0.5, 0.5, 1.0, 2.0)
     c0 = math.gamma(p.gamma - p.Omega / (2 * p.mu)) / math.gamma(p.gamma)
     closed = evaluate(p, FIRST, 0.3, t=NT).value
-    oracle = sum_series(p, 0.0, c0, 0.3, TIGHT).value
+    oracle = c0 * sum_series(p, 0.0, 0.3, TIGHT).value
     assert closed == pytest.approx(oracle, rel=1e-9)
 
 
@@ -168,7 +172,7 @@ def test_rw_eps_zero_kummer_composition():
     gamma = p.gamma
     z = 0.25
     want = z ** (1 - gamma) * math.gamma(1 - p.Omega / (2 * p.mu)) / math.gamma(2 - gamma) \
-        * kummer_oracle(p.Omega / (2 * p.mu) + 1 - gamma, 2 - gamma, z)
+        * _kummer(p.Omega / (2 * p.mu) + 1 - gamma, 2 - gamma, z)
     assert evaluate(p, SECOND, 0.5, t=NT).value == pytest.approx(want, rel=1e-12)
 
 
@@ -178,7 +182,7 @@ def test_rw_matches_oracle():
     lam = 1.0 - p.nu
     c0 = (-0.5 * p.mu) ** (1 - gamma) * math.gamma(1 - p.Omega / (2 * p.mu)) / math.gamma(2 - gamma)
     closed = evaluate(p, SECOND, 0.6, t=NT).value
-    oracle = sum_series(p, lam, c0, 0.6, TIGHT).value
+    oracle = c0 * sum_series(p, lam, 0.6, TIGHT).value
     assert closed == pytest.approx(oracle, rel=1e-9)
 
 
@@ -232,7 +236,7 @@ def test_qw_poly_matches_oracle_generic():
     seq = betas_from_omega(p, 0.0, NT.max_order_N + 1)
     c0 = math.gamma(p.gamma + 2) / math.gamma(p.gamma)
     closed = evaluate(p, FIRST, 0.7, seq, NT).value
-    oracle = sum_series(p, 0.0, c0, 0.7, TIGHT).value
+    oracle = c0 * sum_series(p, 0.0, 0.7, TIGHT).value
     assert closed == pytest.approx(oracle, rel=1e-9)
 
 
@@ -242,7 +246,7 @@ def test_qw_poly_equals_general_on_derived_betas():
     seq = betas_from_omega(p, 0.0, NT.max_order_N + 1)
     c0 = math.gamma(p.gamma + 1) / math.gamma(p.gamma)
     a = evaluate(p, FIRST, 0.9, seq, NT).value
-    b = eval_general(p, 0.0, c0, 0.9, NT).value
+    b = c0 * eval_general(p, 0.0, 0.9, NT).value
     assert a == pytest.approx(b, rel=1e-13)
 
 
@@ -302,7 +306,7 @@ def test_rw_poly_matches_oracle():
     seq = betas_from_omega(p, lam, NT.max_order_N + 1)
     c0 = (-0.5 * mu) ** (1 - gamma) * math.gamma(1 + 2 - gamma) / math.gamma(2 - gamma)
     closed = evaluate(p, SECOND, 0.5, seq, NT).value
-    oracle = sum_series(p, lam, c0, 0.5, TIGHT).value
+    oracle = c0 * sum_series(p, lam, 0.5, TIGHT).value
     assert closed == pytest.approx(oracle, rel=1e-9)
 
 
@@ -337,13 +341,34 @@ def test_kummer_reduction_both_kinds_tight():
         z = -0.5 * mu * x * x
         gamma = p.gamma
         qw = evaluate(p, FIRST, x, t=NT).value
-        want = math.gamma(gamma - Om / (2 * mu)) / math.gamma(gamma) * kummer_oracle(Om / (2 * mu), gamma, z)
+        want = math.gamma(gamma - Om / (2 * mu)) / math.gamma(gamma) * _kummer(Om / (2 * mu), gamma, z)
         assert qw == pytest.approx(want, rel=1e-12)
         if mu < 0:  # RW needs z > 0
             rw = evaluate(p, SECOND, x, t=NT).value
             want = z ** (1 - gamma) * math.gamma(1 - Om / (2 * mu)) / math.gamma(2 - gamma) \
-                * kummer_oracle(Om / (2 * mu) + 1 - gamma, 2 - gamma, z)
+                * _kummer(Om / (2 * mu) + 1 - gamma, 2 - gamma, z)
             assert rw == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("mu", [2.0, 0.7, -0.7, -2.0])
+@pytest.mark.parametrize("az", [4.0, 16.0, 36.0])
+def test_kummer_reduction_large_z_against_mpmath(mu, az):
+    # eps = 0 at |z| = 4, 16, 36: both kinds against 40-digit hyp1f1 with
+    # the Gamma prefactors, the second kind only where z > 0
+    nu, Om = 1.5, 3.0
+    p = GchParams(mu, 0.0, nu, Om, 0.25)
+    x = math.sqrt(2.0 * az / abs(mu))
+    with mp.workdps(40):
+        z = -mp.mpf(mu) * mp.mpf(x) ** 2 / 2
+        gamma, a = (1 + mp.mpf(nu)) / 2, mp.mpf(Om) / (2 * mp.mpf(mu))
+        wants = {FIRST: mp.gamma(gamma - a) / mp.gamma(gamma) * mp.hyp1f1(a, gamma, z)}
+        if mu < 0:
+            wants[SECOND] = (z ** (1 - gamma) * mp.gamma(1 - a) / mp.gamma(2 - gamma)
+                             * mp.hyp1f1(a + 1 - gamma, 2 - gamma, z))
+    for kind, want in wants.items():
+        res = evaluate(p, kind, x)
+        assert res.converged, kind
+        assert abs(res.value - float(want)) <= 1e-13 * abs(float(want)), kind
 
 
 def test_nested_truncation_validation():
@@ -378,8 +403,8 @@ def test_default_truncations_cover_wide_domain():
         x = rng.uniform(0.05, 2.0)
         if lam == 0.0 and rng.random() < 0.3:
             x = -x
-        o = sum_series(p, lam, 1.0, x)
-        c = eval_general(p, lam, 1.0, x)
+        o = sum_series(p, lam, x)
+        c = eval_general(p, lam, x)
         assert o.converged and c.converged, (p, lam, x)
         assert c.value == pytest.approx(o.value, rel=2e-9, abs=1e-12), (p, lam, x)
         checked += 1
@@ -391,11 +416,11 @@ def test_inner_cap_shortfall_drops_converged_flag():
     p = GchParams(0.4, -1.7, 0.25, 59.0, 0.5)
     small = NestedTruncation(max_order_N=40, max_inner=24, rel_tol=1e-12)
     big = NestedTruncation(max_order_N=60, max_inner=400, rel_tol=1e-12)
-    r_small = eval_general(p, 0.0, 1.0, 1.9, small)
-    r_big = eval_general(p, 0.0, 1.0, 1.9, big)
+    r_small = eval_general(p, 0.0, 1.9, small)
+    r_big = eval_general(p, 0.0, 1.9, big)
     assert not r_small.converged
     assert r_big.converged
-    oracle = sum_series(p, 0.0, 1.0, 1.9, Truncation(max_terms=1000, rel_tol=1e-14))
+    oracle = sum_series(p, 0.0, 1.9, Truncation(max_terms=1000, rel_tol=1e-14))
     assert r_big.value == pytest.approx(oracle.value, rel=1e-9)
 
 
@@ -492,7 +517,7 @@ def test_forward_recurrence_matches_backward_fold(p, lam, x, seq):
         return half_ratio + 0.5 * k + 0.5 * lam
 
     if seq is None:
-        res = eval_general(p, lam, 1.0, x, t)
+        res = eval_general(p, lam, x, t)
         pref, order_cap = x ** lam, t.max_order_N
     elif lam == 0.0:
         res = evaluate(p, FIRST, x, seq, t)
@@ -513,7 +538,7 @@ def test_steps_linear_in_orders():
     # a quadratic refold would need sum_n (n+1)(cap+1) steps, far above this
     t = NestedTruncation()
     for p, x in ((GchParams(-1.0, 3.0, 0.5, 0.7, 1.2), 2.0), (GchParams(2.0, 1.0, 1.5, 3.0, 0.25), 6.0)):
-        res = eval_general(p, 0.0, 1.0, x, t)
+        res = eval_general(p, 0.0, x, t)
         assert len(res.orders) >= 10
         assert res.terms_used <= len(res.orders) * (t.max_inner + 1)
 
@@ -589,7 +614,7 @@ def test_mu_positive_large_z_against_mpmath(eps, x):
         with mp.workdps(60):
             kummer = mp.hyp1f1(mp.mpf(Omega) / (2 * mu), (1 + mp.mpf(nu)) / 2, -mu * mp.mpf(x) ** 2 / 2)
             assert abs(ref - kummer) <= mp.mpf(10) ** -45 * abs(kummer)
-    res = eval_general(GchParams(mu, eps, nu, Omega, omega), 0.0, 1.0, x)
+    res = eval_general(GchParams(mu, eps, nu, Omega, omega), 0.0, x)
     assert res.converged
     assert abs(res.value - float(ref)) <= 1e-12 * abs(float(ref))
 
@@ -601,7 +626,7 @@ def test_shallow_chains_many_orders_against_mpmath(mu, eps, x):
     # |z| <= 0.02 needs chains only about 10 deep, while |eps x/2| up to 4
     # takes 26 to 39 orders, whose chains must not need more
     ref = float(_mp_first_kind(mu, eps, 1.5, 0.3, 0.25, x))
-    res = eval_general(GchParams(mu, eps, 1.5, 0.3, 0.25), 0.0, 1.0, x)
+    res = eval_general(GchParams(mu, eps, 1.5, 0.3, 0.25), 0.0, x)
     assert res.converged
     assert abs(res.value - ref) <= 1e-12 * abs(ref)
 
@@ -616,8 +641,8 @@ def test_kummer_transformation_identity(p):
     q = _kummer_transformed(p)
     for lam in (0.0, 1.0 - p.nu):
         for x in (0.3, 0.8, 1.2):
-            y = sum_series(p, lam, 1.0, x, TIGHT).value
-            u = sum_series(q, lam, 1.0, x, TIGHT).value
+            y = sum_series(p, lam, x, TIGHT).value
+            u = sum_series(q, lam, x, TIGHT).value
             assert y == pytest.approx(math.exp(-0.5 * p.mu * x * x - p.eps * x) * u, rel=1e-12)
 
 
@@ -629,4 +654,4 @@ def test_transformed_poly_class_matches_oracle():
     for x in (2.2, 3.0):
         res = evaluate(p, FIRST, x, seq)
         assert res.converged
-        assert res.value == pytest.approx(sum_series(p, 0.0, c0, x, TIGHT).value, rel=1e-11)
+        assert res.value == pytest.approx(c0 * sum_series(p, 0.0, x, TIGHT).value, rel=1e-11)

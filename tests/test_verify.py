@@ -3,12 +3,14 @@ import random
 
 import pytest
 
-from gch.errors import DomainError, GammaPole
-from gch.params import GchParams, SolutionKind
-from gch.recurrence import Truncation, coefficients
+import gch.series
+import gch.verify
+from gch.errors import DomainError
+from gch.params import GchParams, SolutionKind, validate
+from gch.recurrence import Truncation, coefficients, sum_series
 from gch.series import NestedTruncation
-from gch.spectra import Confinement, QQbar, RotatingOscillator, make_state
-from gch.verify import GridSpec, cross_validate, kummer_oracle, ode_residual
+from gch.spectra import RotatingOscillator, make_state
+from gch.verify import GridSpec, cross_validate, ode_residual
 
 
 # ------------------------------------------------------------- ode_residual
@@ -53,41 +55,30 @@ def test_residual_domain_guard():
     assert ode_residual([1.0, 2.0], 2.0, p, 0.0).residual == 0.0
 
 
-# ------------------------------------------------------------ kummer_oracle
+# ------------------------------------------------- the sweep's oracle at eps = 0
+
+# with eps = 0, sum_series sums Kummer's M(Omega/(2 mu); gamma; z) in
+# z = -mu x^2/2, gamma = (1 + nu)/2
+
+TIGHT = Truncation(max_terms=500, rel_tol=1e-14)
+
 
 def test_kummer_exponential():
-    # equal upper and lower parameter collapses to e^z
-    assert kummer_oracle(0.7, 0.7, 1.0) == pytest.approx(math.e, rel=1e-14)
+    # M(a; a; z) = e^z: Omega/(2 mu) = gamma = 0.7 at z = 1
+    p = GchParams(-2.0, 0.0, 0.4, -2.8, 0.3)
+    assert sum_series(p, 0.0, 1.0, TIGHT).value == pytest.approx(math.e, rel=1e-14)
 
 
 def test_kummer_constant():
-    assert kummer_oracle(0.0, 1.3, 0.9) == 1.0
+    # M(0; gamma; z) = 1: Omega = 0 leaves only c_0, here at gamma = 1.3, z = 0.9
+    p = GchParams(-2.0, 0.0, 1.6, 0.0, 0.3)
+    assert sum_series(p, 0.0, math.sqrt(0.9), TIGHT).value == 1.0
 
 
 def test_kummer_frozen_value():
-    # frozen from a deep compensated run; 20-digit reference
-    # 0.64503527044915006811
-    assert kummer_oracle(0.5, 1.0, -1.0) == pytest.approx(0.6450352704491501, rel=1e-14)
-
-
-def test_kummer_gamma_pole():
-    with pytest.raises(GammaPole):
-        kummer_oracle(0.5, -2.0, 1.0)
-    with pytest.raises(DomainError):
-        kummer_oracle(0.5, 1.0, 100.0)
-
-
-def test_kummer_contiguous_relation():
-    # a M(a+1;g;z) - a M(a;g;z) - (z a / g) M(a+1;g+1;z) = 0
-    rng = random.Random(8)
-    for _ in range(25):
-        a = rng.uniform(-3, 3)
-        g = rng.uniform(0.3, 4.0)
-        z = rng.uniform(-5, 5)
-        lhs = a * kummer_oracle(a + 1, g, z) - a * kummer_oracle(a, g, z) \
-            - z * (a / g) * kummer_oracle(a + 1, g + 1, z)
-        scale = max(abs(a * kummer_oracle(a + 1, g, z)), 1.0)
-        assert abs(lhs) <= 1e-10 * scale
+    # M(1/2; 1; -1); 20-digit reference 0.64503527044915006811
+    p = GchParams(2.0, 0.0, 1.0, 2.0, 0.3)
+    assert sum_series(p, 0.0, 1.0, TIGHT).value == pytest.approx(0.6450352704491501, rel=1e-14)
 
 
 # ------------------------------------------------------------ cross_validate
@@ -124,3 +115,19 @@ def test_cross_validate_monotone_in_order_cap():
         errs.append(cross_validate(None, nt).max_rel_err)
     assert errs[0] >= errs[1] >= errs[2]
     assert errs[2] <= 1e-9
+
+
+def test_cross_validate_validates_once_per_kind(monkeypatch):
+    # the closed form reuses the root the sweep validated
+    calls = []
+
+    def counting(p, kind):
+        calls.append(kind)
+        return validate(p, kind)
+
+    monkeypatch.setattr(gch.verify, "validate", counting)
+    monkeypatch.setattr(gch.series, "validate", counting)
+    grid = GridSpec(mu=(-1.0,), eps=(0.5,), nu=(0.5,), Omega=(1.0,), omega=(0.25,), x=(0.5,))
+    rep = cross_validate(grid)
+    assert rep.n_evaluated == 2
+    assert calls == [SolutionKind.FIRST, SolutionKind.SECOND]
