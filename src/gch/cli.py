@@ -11,8 +11,8 @@ value counts as not given, and keys the subcommand does not declare are
 ignored.  Float options, as flags or file values, must be finite: NaN and
 infinities exit 2.
 
-Exit codes: 0 ok, 1 tolerance failure, 2 config/validation error,
-3 non-convergence.
+Exit codes: 0 ok, 1 tolerance failure, 2 config/validation error (a
+float overflow too), 3 non-convergence.
 """
 
 from __future__ import annotations
@@ -392,7 +392,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code, header, rows, summary = handler(args)
         # opened once the rows exist, so a failed command writes no file
         out = open(args.output, "w", encoding="utf-8", newline="\n") if args.output else sys.stdout
-    except (GchError, ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
+    except (GchError, ValueError, OSError, ArithmeticError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if summary:

@@ -77,19 +77,21 @@ while the weights carry none; so
 
 and a point reads S_n(z) = sum_i T_n[i] (z / z_ref)^i off the vectors
 T_n = g_n(z_ref) of another point, summed over its own depth.  The depth
-never falls as |z| grows, so :func:`evaluate_grid` runs the engine once,
-at the point of largest |x| on each side of the transform test, and every
-other point there costs one dot product per order.  Its eps_tilde powers,
-transform factor, prefactor and stop rule stay its own.
+never falls as |z| grows, so :func:`evaluate_grid` runs one engine, at
+the point of largest |x| on each side of the transform test, and every
+point there costs one dot product per order.  The engine's table grows
+as far as any point reads: a point that needs more orders than those
+before it extends the same table.  Its eps_tilde powers, transform
+factor, prefactor and stop rule stay its own.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, count, repeat
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import BetaMismatch, GchError, NormalizationPole, NoTermination, PoleError
 from .params import GchParams, SolutionKind, _bind, _Frozen, _is_integer, validate
@@ -224,99 +226,98 @@ def _chain_a(p: GchParams, lam: float, nstar: Optional[int]) -> tuple[float, flo
                   for k in range(3)])
 
 
-def _orders(
+def _engine(
     p: GchParams,
     lam: float,
     a_k: tuple[float, float, float],
     z: float,
     cap: int,
-    et: float,
-    t: NestedTruncation,
-    table: Optional[list] = None,
-    total: Callable[[list[float]], float] = math.fsum,
-) -> Optional[tuple[list[float], bool]]:
-    """Order contributions S_n et^n of one point, and its converged flag.
+    table: Optional[list],
+) -> Iterator[list[float]]:
+    """The order vectors g_0, g_1, ... at chain argument z, over the chain
+    indices 0..cap, with ``a_k`` from :func:`_chain_a` of (p, lam).
 
-    S_n = total(g_n) of the order vectors g_n.  The sum stops right after
-    order 0 when et = 0, or once two consecutive orders contribute below
-    rel_tol times the running sum (converged), or at max_order_N (not
-    converged).
-
-    Unless ``table`` holds vectors, the engine builds g_0, g_1, ... at
-    chain argument z over the chain indices 0..cap, with ``a_k`` from
-    :func:`_chain_a` of (p, lam), and appends each to ``table`` unless it
-    is None; order n's pole guards run just before its vector is built.
-    A table that holds vectors, those of another point of the group, is
-    read instead (z and cap are then unused), and None is returned if the
-    point needs more orders than the table holds.
+    Each vector is appended to ``table``, unless it is None, before it is
+    yielded, and order n's pole guards run just before its vector is
+    built; so a reader that stops after order n builds and guards nothing
+    past it.
     """
-    read = bool(table)
-    if read:
-        g = table[0]
-    else:
-        a0, a1, _ = a_k
-        gamma = p.gamma
-        h = 0.5 * lam
-        # order 0: g[i] = (a_0)_i z^i / ((b_0)_i (c_0)_i), the Kummer terms
-        b0, c0 = 1.0 + h, gamma + h
-        _pole_guard(b0, cap, "chain", 0)
-        _pole_guard(c0, cap, "chain", 0)
-        zr0 = [0.0] + [z * (a0 + j) / ((b0 + j) * (c0 + j)) for j in range(cap)]
-        g = list(accumulate(zr0[1:], mul, initial=1.0))
+    a0, a1, _ = a_k
+    gamma = p.gamma
+    h = 0.5 * lam
+    # order 0: g[i] = (a_0)_i z^i / ((b_0)_i (c_0)_i), the Kummer terms
+    b0, c0 = 1.0 + h, gamma + h
+    _pole_guard(b0, cap, "chain", 0)
+    _pole_guard(c0, cap, "chain", 0)
+    zr0 = [0.0] + [z * (a0 + j) / ((b0 + j) * (c0 + j)) for j in range(cap)]
+    g = list(accumulate(zr0[1:], mul, initial=1.0))
+    if table is not None:
+        table.append(g)
+    yield g
+
+    # order n guards the offsets base + n/2 for the bases 1 + h, gamma + h
+    # (chain n), h and gamma - 1 + h (weight n - 1); a guard fires only
+    # while its offset is <= 0, and the offsets grow with n, so none can
+    # fire past the smallest base's last such order (one order of margin
+    # for rounding)
+    last_guarded = 1.0 - 2.0 * min(h, gamma - 1.0 + h)
+    if last_guarded >= 1:
+        _guard_order(1, h, gamma, cap)
+
+    # the parity rows zr_q[j] = z r_q(j-1) and w_q[j] = w_q(j) serve chain
+    # and weight 2m + q at offset m (module docstring); each is built one
+    # entry short of its first order, which appends that entry (weight 1's
+    # offsets are chain 0's, guarded above)
+    b1, c1 = 1.5 + h, gamma + 0.5 + h
+    zr1 = [0.0] + [z * (a1 + j) / ((b1 + j) * (c1 + j)) for j in range(cap - 1)]
+    weight0 = (h + 0.5 * p.omega, 0.5 + h, gamma - 0.5 + h)
+    weight1 = (h + 0.5 * p.omega + 0.5, 0.5 + h + 0.5, gamma - 0.5 + h + 0.5)
+    w0, w1 = ([(j + wn) / ((j + d1) * (j + d2)) for j in range(cap)] for wn, d1, d2 in (weight0, weight1))
+    # order n = 2m + q: chain row q at offset m, weight row 1 - q at
+    # offset m - 1 + q
+    by_parity = ((zr0, w1, (a0, b0, c0), weight1), (zr1, w0, (a1, b1, c1), weight0))
+
+    for n in count(1):
+        if 1 < n <= last_guarded:
+            _guard_order(n, h, gamma, cap)
+        # g_n[i] = w_{n-1}(i) g_{n-1}[i] + z r_n(i-1) g_n[i-1]
+        row, wrow, (a, b, c), (wn, d1, d2) = by_parity[n & 1]
+        m = n >> 1
+        mw = (n - 1) >> 1
+        j = m + cap - 1
+        row.append(z * (a + j) / ((b + j) * (c + j)))
+        j = mw + cap
+        wrow.append((j + wn) / ((j + d1) * (j + d2)))
+        acc = 0.0
+        g = [acc := wj * gj + zj * acc for wj, gj, zj in zip(wrow[mw:], g, row[m:])]
         if table is not None:
             table.append(g)
-    orders = [total(g)]
+        yield g
+
+
+def _sum_orders(
+    vectors: Iterator[list[float]],
+    et: float,
+    t: NestedTruncation,
+    total: Callable[[list[float]], float] = math.fsum,
+) -> tuple[list[float], bool]:
+    """Order contributions S_n et^n read off the order vectors g_n, with
+    S_n = total(g_n), and the converged flag.
+
+    The sum stops right after order 0 when et = 0, or once two consecutive
+    orders contribute below rel_tol times the running sum (converged), or
+    at max_order_N (not converged); no vector past the last order summed
+    is drawn from ``vectors``.
+    """
+    orders = [total(next(vectors))]
     if et == 0.0:
         return orders, True
-
-    if not read:
-        # order n guards the offsets base + n/2 for the bases 1 + h, gamma + h
-        # (chain n), h and gamma - 1 + h (weight n - 1); a guard fires only
-        # while its offset is <= 0, and the offsets grow with n, so none can
-        # fire past the smallest base's last such order (one order of margin
-        # for rounding)
-        last_guarded = 1.0 - 2.0 * min(h, gamma - 1.0 + h)
-        if last_guarded >= 1:
-            _guard_order(1, h, gamma, cap)
-
-        # the parity rows zr_q[j] = z r_q(j-1) and w_q[j] = w_q(j) serve chain
-        # and weight 2m + q at offset m (module docstring); each is built one
-        # entry short of its first order, which appends that entry (weight 1's
-        # offsets are chain 0's, guarded above)
-        b1, c1 = 1.5 + h, gamma + 0.5 + h
-        zr1 = [0.0] + [z * (a1 + j) / ((b1 + j) * (c1 + j)) for j in range(cap - 1)]
-        weight0 = (h + 0.5 * p.omega, 0.5 + h, gamma - 0.5 + h)
-        weight1 = (h + 0.5 * p.omega + 0.5, 0.5 + h + 0.5, gamma - 0.5 + h + 0.5)
-        w0, w1 = ([(j + wn) / ((j + d1) * (j + d2)) for j in range(cap)] for wn, d1, d2 in (weight0, weight1))
-        # order n = 2m + q: chain row q at offset m, weight row 1 - q at
-        # offset m - 1 + q
-        by_parity = ((zr0, w1, (a0, b0, c0), weight1), (zr1, w0, (a1, b1, c1), weight0))
-
     rel_tol = t.rel_tol
     streak = 0
     et_pow = 1.0
     running = orders[0]
-    for n in range(1, t.max_order_N + 1):
+    for _, g in zip(range(t.max_order_N), vectors):
         et_pow *= et
-        if read:
-            if n == len(table):
-                return None
-            g = table[n]
-        else:
-            if 1 < n <= last_guarded:
-                _guard_order(n, h, gamma, cap)
-            # g_n[i] = w_{n-1}(i) g_{n-1}[i] + z r_n(i-1) g_n[i-1]
-            row, wrow, (a, b, c), (wn, d1, d2) = by_parity[n & 1]
-            m = n >> 1
-            mw = (n - 1) >> 1
-            j = m + cap - 1
-            row.append(z * (a + j) / ((b + j) * (c + j)))
-            j = mw + cap
-            wrow.append((j + wn) / ((j + d1) * (j + d2)))
-            acc = 0.0
-            g = [acc := wj * gj + zj * acc for wj, gj, zj in zip(wrow[mw:], g, row[m:])]
-            if table is not None:
-                table.append(g)
         contrib = total(g) * et_pow
         orders.append(contrib)
         running += contrib
@@ -381,23 +382,22 @@ def _group(
 
     Each point runs its chains to the depth :func:`_required_cap` gives for
     its z and the chain parameters, at most max_inner, and sums the orders
-    by the rule of :func:`_orders`; ``converged`` also drops when max_inner
-    is too small for the chains to have decayed.  For mu > 0 and z < -1 the
-    alternating chains cancel, so the orders are those of the transformed
-    parameters (:func:`_kummer_transformed`, whose z is positive) times
-    e^{-mu x^2/2 - eps x}; which chains end is then decided by the
-    transformed parameters' n*.
+    by the rule of :func:`_sum_orders`; ``converged`` also drops when
+    max_inner is too small for the chains to have decayed.  For mu > 0 and
+    z < -1 the alternating chains cancel, so the orders are those of the
+    transformed parameters (:func:`_kummer_transformed`, whose z is
+    positive) times e^{-mu x^2/2 - eps x}; which chains end is then decided
+    by the transformed parameters' n*.
 
-    The point of largest |x| runs the engine first and keeps its order
-    vectors as the table T.  Every other point reads S_n = sum_i T_n[i]
-    (z/z_ref)^i off the table, over its own depth (module docstring).  A
-    point whose depth exceeds the table's (z = 0 beside a tiny reference),
-    that needs more orders than the table holds, or whose value off the
-    table is not finite, runs the engine on its own.
+    The group has one engine, at the z and depth of its point of largest
+    |x|, and one table T of the vectors it has built.  The points are
+    walked in input order, and each reads S_n = sum_i T_n[i] (z/z_ref)^i,
+    over its own depth, off the table and then off the engine (module
+    docstring); so the table grows as far as any point reads.  A point
+    whose depth exceeds the table's (z = 0 beside a tiny reference), or
+    whose value off the table is not finite, runs the engine on its own.
     """
-    n_pts = len(xs)
-    ref = 0 if n_pts == 1 else max(range(n_pts), key=[abs(x) for x in xs].__getitem__)
-    x_ref = xs[ref]
+    x_ref = max(xs, key=abs)
     far = p.mu > 0.0 and 0.5 * p.mu * x_ref * x_ref > 1.0
     if far:
         q = _kummer_transformed(p)
@@ -413,28 +413,24 @@ def _group(
     need_ref = _required_cap(z_ref, a_mag, b, c, max_inner)
     cap_ref = min(need_ref, max_inner)
     # a lone point keeps no vectors: holding them costs it fresh memory
-    table = [] if n_pts > 1 else None
-    et = half_eps * x_ref
-    first = _result(p, far, nq, nstar, x_ref, prefs[ref], et, need_ref,
-                    _orders(q, lam, a, z_ref, cap_ref, et, t, table), t)
-    if n_pts == 1:
-        return [first]
+    table = [] if len(xs) > 1 else None
+    engine = _engine(q, lam, a, z_ref, cap_ref, table)
     out = []
-    for i, (x, pref) in enumerate(zip(xs, prefs)):
-        if i == ref:
-            out.append(first)
-            continue
+    for x, pref in zip(xs, prefs):
         z = half_mu * x * x
         et = half_eps * x
-        need, cap, total = need_ref, cap_ref, math.fsum
-        if z != z_ref:
+        if z == z_ref:
+            need, total = need_ref, math.fsum
+        else:
             need = _required_cap(z, a_mag, b, c, max_inner)
-            cap = min(need, max_inner)
-            total = partial(_dot, list(accumulate(repeat(z / z_ref, cap), mul, initial=1.0)))
-        got = _orders(q, lam, a, z, cap, et, t, table, total) if cap <= cap_ref else None
-        res = None if got is None else _result(p, far, nq, nstar, x, pref, et, need, got, t)
-        if res is None or not math.isfinite(res.value):
-            res = _group(p, lam, nstar, (x,), (pref,), t)[0]
+            total = partial(_dot, list(accumulate(repeat(z / z_ref, min(need, max_inner)), mul, initial=1.0)))
+        cap = min(need, max_inner)
+        if cap <= cap_ref:
+            vectors = engine if table is None else chain(table, engine)
+            res = _result(p, far, nq, nstar, x, pref, et, need, _sum_orders(vectors, et, t, total), t)
+        if cap > cap_ref or z != z_ref and not math.isfinite(res.value):
+            got = _sum_orders(_engine(q, lam, a, z, cap, None), et, t)
+            res = _result(p, far, nq, nstar, x, pref, et, need, got, t)
         out.append(res)
     return out
 
@@ -462,16 +458,14 @@ def _results(
         if len(xs) == 1:
             return _group(p, lam, nstar, xs, (pref_of(xs[0]),), t)
         prefs = [pref_of(x) for x in xs]
-        if p.mu > 0.0:
-            far = [0.5 * p.mu * x * x > 1.0 for x in xs]
-            if any(far) and not all(far):
-                out: list = [None] * len(xs)
-                for side in (False, True):
-                    idx = [i for i, f in enumerate(far) if f is side]
-                    for i, res in zip(idx, _group(p, lam, nstar, [xs[i] for i in idx], [prefs[i] for i in idx], t)):
-                        out[i] = res
-                return out
-        return _group(p, lam, nstar, xs, prefs, t)
+        sides: dict = {}
+        for i, x in enumerate(xs):
+            sides.setdefault(p.mu > 0.0 and 0.5 * p.mu * x * x > 1.0, []).append(i)
+        out: list = [None] * len(xs)
+        for idx in sides.values():
+            for i, res in zip(idx, _group(p, lam, nstar, [xs[i] for i in idx], [prefs[i] for i in idx], t)):
+                out[i] = res
+        return out
     except (GchError, ArithmeticError, ValueError):
         if len(xs) == 1:
             raise
@@ -571,12 +565,13 @@ def evaluate_grid(
 ) -> list[EvalResult]:
     """:func:`evaluate` at each x of ``xs``, in input order.
 
-    The points on each side of the mu > 0 transform test share one table:
-    the point of largest |x| runs the engine, exactly as :func:`evaluate`
-    does there, and every other point reads its orders off that point's
-    order vectors with one dot product per order (module docstring).  So
-    each result has the flags, depth, order count and ``terminated_at`` of
-    its own :func:`evaluate` call, and its value agrees with it to rounding
+    The points on each side of the mu > 0 transform test share one table
+    and one engine, at the point of largest |x|, exactly as
+    :func:`evaluate` runs it there; every other point reads its orders off
+    that point's order vectors with one dot product per order (module
+    docstring), and the table grows as far as any point reads.  So each
+    result has the flags, depth, order count and ``terminated_at`` of its
+    own :func:`evaluate` call, and its value agrees with it to rounding
     (the point of largest |x|, and any point at the same |x|, bit for
     bit).  Where any point raises, the call raises what the first such x
     raises in :func:`evaluate`.  Nothing is kept between calls.

@@ -27,7 +27,7 @@ from typing import Callable, Sequence, Union
 from .errors import DegenerateCoupling, SampleNotConverged, TailNotDecayed
 from .params import GchParams, SolutionKind, _bind, _Frozen
 from .recurrence import EvalResult
-from .series import NestedTruncation, evaluate, evaluate_grid
+from .series import NestedTruncation, evaluate_grid
 
 
 class RotatingOscillator(_Frozen):
@@ -219,8 +219,8 @@ def wavefunction_result(
     """(unnormalised reduced radial value, converged flag)."""
     if r < 0.0:
         raise ValueError("r must be nonnegative")
-    res = evaluate(state.gch, SolutionKind.FIRST, system.x_of(r), t=t)
-    return system.envelope(r) * res.value, res.converged
+    [(value, res)] = _samples(system, state, (r,), t)
+    return value, res.converged
 
 
 def wavefunction(

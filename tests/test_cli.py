@@ -457,3 +457,15 @@ def test_config_defaults_do_not_leak_across_calls(tmp_path, capsys):
     with_file = _run(EVAL_ARGV + _config(tmp_path, {"kind": "second", "x_count": 4, "format": "json"}), capsys)
     assert with_file[0] == 0 and with_file[1] != plain[1]
     assert _run(EVAL_ARGV, capsys) == plain
+
+
+def test_float_overflow_exit2(gch_subprocess_env):
+    # e^{-mu x^2/2 - eps x} of the transformed sum overflows at eps x = 3000
+    argv = [sys.executable, "-m", "gch.cli", "eval", "--mu", "0.01", "--epsilon", "-100", "--nu", "1.5",
+            "--omega-cap", "1", "--omega", "0.3", "--x-stop", "30", "--x-count", "3"]
+    r = subprocess.run(argv, capture_output=True, env=gch_subprocess_env)
+    assert r.returncode == 2
+    err = r.stderr.decode().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert b"Traceback" not in r.stderr
+    assert r.stdout == b""

@@ -5,6 +5,7 @@ import math
 import mpmath as mp
 import pytest
 
+from gch import series
 from gch.errors import DomainError, GchError, PoleError, SampleNotConverged, TailNotDecayed
 from gch.params import GchParams, SolutionKind, validate
 from gch.recurrence import Truncation, sum_series
@@ -107,6 +108,32 @@ def test_point_needing_more_orders_than_the_reference():
     xs = [1.24, 0.5, 1.26]
     grid = _assert_matches_points(GchParams(-2.0, 0.4, 2.0, 4.0, 0.5), FIRST, xs)
     assert len(grid[0].orders) == 15 > len(grid[2].orders) == 14
+
+
+def test_one_engine_run_per_side(monkeypatch):
+    # each engine run guards chain 0's two offsets once; the point that
+    # needs more orders than the reference extends the same table
+    calls = []
+    guard = series._pole_guard
+
+    def counting(offset, cap, what, k):
+        calls.append((what, k))
+        return guard(offset, cap, what, k)
+
+    monkeypatch.setattr(series, "_pole_guard", counting)
+    evaluate_grid(GchParams(-2.0, 0.4, 2.0, 4.0, 0.5), FIRST, [1.24, 0.5, 1.26])
+    assert calls.count(("chain", 0)) == 2
+
+
+def test_value_off_the_table_not_finite_runs_its_own_engine():
+    # the reference's order vectors at x = 50 overflow; x = 30 is finite on
+    # its own, though not converged
+    p = GchParams(-2.0, 0.0, 1.5, -3.0, 0.25)
+    grid = evaluate_grid(p, FIRST, [30.0, 50.0])
+    res = evaluate(p, FIRST, 30.0)
+    assert grid[0] == res
+    assert res.value == 3.2610390924448743e+239 and not res.converged
+    assert grid[1].value == math.inf
 
 
 def test_grid_under_a_given_truncation():
