@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 #: submodule -> the names it exports at package level
 _EXPORTS = {
     "errors": (
-        "BetaMismatch", "DegenerateCoupling", "DomainError", "GchError",
+        "BetaMismatch", "DegenerateCoupling", "DomainError", "FloatOverflow", "GchError",
         "KindRestrictionError", "NonFiniteError", "NormalizationPole", "NoTermination",
         "PoleError", "SampleNotConverged", "TailNotDecayed",
     ),

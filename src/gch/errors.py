@@ -22,6 +22,12 @@ class DomainError(GchError):
     negative base, or a pole at x = 0)."""
 
 
+class FloatOverflow(GchError, OverflowError):
+    """A float the evaluation needs overflows: a Gamma-function
+    normalisation, or the factor e^{-mu x^2/2 - eps x} of the transformed
+    sum.  Also an OverflowError, so handlers of the builtin still catch it."""
+
+
 class NormalizationPole(GchError):
     """A gamma-function normalisation prefactor sits at a pole."""
 

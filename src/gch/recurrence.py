@@ -126,12 +126,14 @@ def _coefficients(p: GchParams, lam: float, c0: float) -> Iterator[float]:
     """
     mu, eps, nu, Omega, omega = p.mu, p.eps, p.nu, p.Omega, p.omega
     c_prev, c_cur = 0.0, c0
-    for n in itertools.count():
+    # a float index: CPython 3.11 specialises float + float, not int +
+    # float, and an index far below 2**53 is exact either way
+    for n in itertools.count(0.0):
         yield c_cur
         den1 = n + 1.0 + lam
         den2 = n + nu + lam
         if den1 == 0.0 or den2 == 0.0:
-            raise PoleError(f"A_{n} denominator vanishes at lam={lam}, nu={nu}")
+            raise PoleError(f"A_{int(n)} denominator vanishes at lam={lam}, nu={nu}")
         den = den1 * den2
         c_next = -eps * (n + omega + lam) / den * c_cur
         if n:
@@ -195,7 +197,10 @@ def sum_series(
         last_mag = abs(term)
         n_used = n + 1
 
-        bar = max(rel_tol * abs(total + comp), _ABS_FLOOR)
+        # max(bar, _ABS_FLOOR) without the builtin call; a NaN bar stays NaN
+        bar = rel_tol * abs(total + comp)
+        if bar < _ABS_FLOOR:
+            bar = _ABS_FLOOR
         streak = streak + 1 if last_mag <= bar else 0
         if streak >= _STREAK and n >= 2:
             break

@@ -93,7 +93,7 @@ from itertools import accumulate, chain, count, repeat
 from operator import mul
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import BetaMismatch, GchError, NormalizationPole, NoTermination, PoleError
+from .errors import BetaMismatch, FloatOverflow, GchError, NormalizationPole, NoTermination, PoleError
 from .params import GchParams, SolutionKind, _bind, _Frozen, _is_integer, validate
 from .recurrence import EvalResult, detect_termination, real_power
 
@@ -139,6 +139,8 @@ def _gamma_ratio(num_arg: float, den_arg: float, what: str) -> float:
         den = math.gamma(den_arg)
     except ValueError as exc:
         raise NormalizationPole(f"{what}: gamma pole at Gamma({num_arg})/Gamma({den_arg})") from exc
+    except OverflowError as exc:
+        raise FloatOverflow(f"{what}: Gamma({num_arg})/Gamma({den_arg}) overflows") from exc
     return num / den
 
 
@@ -177,21 +179,24 @@ def _required_cap(z: float, a_mag: float, b: float, c: float, hard_cap: int) -> 
     both = b < 0.0 or c < 0.0
     t = 1.0
     peak = 1.0
-    i = 0
-    while i <= hard_cap:
+    # a float index: CPython 3.11 specialises float + float, not int +
+    # float, and an index far below 2**53 is exact either way
+    i = 0.0
+    last = float(hard_cap)
+    while i <= last:
         den = (b + i) * (c + i)
         if both:
             den = min(abs(den), abs((b + 0.5 + i) * (c + 0.5 + i)))
         ratio = az * (a_mag + i) / den
         t *= ratio
-        i += 1
+        i += 1.0
         if t > peak:
             peak = t
             if peak > 1e280:  # keep the scan itself finite
                 t *= 1e-280
                 peak *= 1e-280
         elif ratio < 0.95 and t <= 1e-18 * peak:
-            return i
+            return int(i)
     return hard_cap + 1
 
 
@@ -241,6 +246,10 @@ def _engine(
     yielded, and order n's pole guards run just before its vector is
     built; so a reader that stops after order n builds and guards nothing
     past it.
+
+    Each order fetches everything it reads by its parity, rows and
+    parameters alike, as one flat tuple: one lookup and one unpack per
+    order, where a nested tuple costs an unpack per level.
     """
     a0, a1, _ = a_k
     gamma = p.gamma
@@ -249,7 +258,9 @@ def _engine(
     b0, c0 = 1.0 + h, gamma + h
     _pole_guard(b0, cap, "chain", 0)
     _pole_guard(c0, cap, "chain", 0)
-    zr0 = [0.0] + [z * (a0 + j) / ((b0 + j) * (c0 + j)) for j in range(cap)]
+    # float indices: CPython 3.11 specialises float + float, not int +
+    # float, and an index far below 2**53 is exact either way
+    zr0 = [0.0] + [z * (a0 + j) / ((b0 + j) * (c0 + j)) for j in map(float, range(cap))]
     g = list(accumulate(zr0[1:], mul, initial=1.0))
     if table is not None:
         table.append(g)
@@ -269,24 +280,27 @@ def _engine(
     # entry short of its first order, which appends that entry (weight 1's
     # offsets are chain 0's, guarded above)
     b1, c1 = 1.5 + h, gamma + 0.5 + h
-    zr1 = [0.0] + [z * (a1 + j) / ((b1 + j) * (c1 + j)) for j in range(cap - 1)]
+    zr1 = [0.0] + [z * (a1 + j) / ((b1 + j) * (c1 + j)) for j in map(float, range(cap - 1))]
     weight0 = (h + 0.5 * p.omega, 0.5 + h, gamma - 0.5 + h)
     weight1 = (h + 0.5 * p.omega + 0.5, 0.5 + h + 0.5, gamma - 0.5 + h + 0.5)
-    w0, w1 = ([(j + wn) / ((j + d1) * (j + d2)) for j in range(cap)] for wn, d1, d2 in (weight0, weight1))
+    w0, w1 = ([(j + wn) / ((j + d1) * (j + d2)) for j in map(float, range(cap))]
+              for wn, d1, d2 in (weight0, weight1))
     # order n = 2m + q: chain row q at offset m, weight row 1 - q at
     # offset m - 1 + q
-    by_parity = ((zr0, w1, (a0, b0, c0), weight1), (zr1, w0, (a1, b1, c1), weight0))
+    by_parity = ((zr0, w1, a0, b0, c0, *weight1), (zr1, w0, a1, b1, c1, *weight0))
+    # the rows' next indices m + cap - 1 and mw + cap, as floats
+    row_end, wrow_end = cap - 1.0, float(cap)
 
     for n in count(1):
         if 1 < n <= last_guarded:
             _guard_order(n, h, gamma, cap)
         # g_n[i] = w_{n-1}(i) g_{n-1}[i] + z r_n(i-1) g_n[i-1]
-        row, wrow, (a, b, c), (wn, d1, d2) = by_parity[n & 1]
+        row, wrow, a, b, c, wn, d1, d2 = by_parity[n & 1]
         m = n >> 1
         mw = (n - 1) >> 1
-        j = m + cap - 1
+        j = m + row_end
         row.append(z * (a + j) / ((b + j) * (c + j)))
-        j = mw + cap
+        j = mw + wrow_end
         wrow.append((j + wn) / ((j + d1) * (j + d2)))
         acc = 0.0
         g = [acc := wj * gj + zj * acc for wj, gj, zj in zip(wrow[mw:], g, row[m:])]
@@ -321,7 +335,11 @@ def _sum_orders(
         contrib = total(g) * et_pow
         orders.append(contrib)
         running += contrib
-        if abs(contrib) <= max(rel_tol * abs(running), _TINY):
+        # max(lim, _TINY) without the builtin call; a NaN lim stays NaN
+        lim = rel_tol * abs(running)
+        if lim < _TINY:
+            lim = _TINY
+        if abs(contrib) <= lim:
             streak += 1
             if streak >= 2:
                 return orders, True
@@ -352,7 +370,11 @@ def _result(
     transformed parameters, whose n* is ``nq``."""
     orders, converged = got
     if far:
-        scale = math.exp(-0.5 * p.mu * x * x - p.eps * x)
+        expo = -0.5 * p.mu * x * x - p.eps * x
+        try:
+            scale = math.exp(expo)
+        except OverflowError as exc:
+            raise FloatOverflow(f"transform factor e^({expo}) overflows at x={x}") from exc
         orders = [scale * o for o in orders]
     scaled = tuple([pref * o for o in orders])
     max_inner = t.max_inner
@@ -488,7 +510,12 @@ def betas_from_omega(p: GchParams, lam: float, count: int) -> tuple[Optional[int
         raise NoTermination(
             f"beta_0 = {0.5 * (-p.Omega / p.mu - lam)} is not a nonnegative integer; Omega={p.Omega} does not terminate"
         )
-    return tuple(_chain_end(nstar, k) for k in range(count))
+    # chain 0 ends, so n* - 1 is even, and the chains that end are the
+    # even k = 0, 2, ..., n* - 1
+    betas: list = [None] * count
+    for k in range(0, min(count, nstar), 2):
+        betas[k] = (nstar - 1 - k) // 2
+    return tuple(betas)
 
 
 def _check_beta_consistency(p: GchParams, lam: float, betas: tuple[Optional[int], ...]) -> None:

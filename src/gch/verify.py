@@ -9,6 +9,7 @@ direct recurrence summation point by point.
 from __future__ import annotations
 
 import math
+from itertools import count
 from typing import Optional, Sequence
 
 from .errors import DomainError, GchError
@@ -58,7 +59,9 @@ def ode_residual(coeffs: Sequence[float], lam: float, p: GchParams, x: float) ->
     yp_terms: list[float] = []
     ypp_terms: list[float] = []
     xpow = real_power(x, lam)  # x^(n+lam), advanced each term
-    for n, c in enumerate(coeffs):
+    # a float index: CPython 3.11 specialises float + float, not int +
+    # float, and an index far below 2**53 is exact either way
+    for n, c in zip(count(0.0), coeffs):
         e = n + lam
         y_terms.append(c * xpow)
         yp_terms.append(c * e * xpow / x)
@@ -71,9 +74,9 @@ def ode_residual(coeffs: Sequence[float], lam: float, p: GchParams, x: float) ->
     piece3 = c_y * math.fsum(y_terms)
     residual = math.fsum((piece1, piece2, piece3))
     scale = max(
-        abs(x) * math.fsum(abs(t) for t in ypp_terms),
-        abs(c_yp) * math.fsum(abs(t) for t in yp_terms),
-        abs(c_y) * math.fsum(abs(t) for t in y_terms),
+        abs(x) * math.fsum(map(abs, ypp_terms)),
+        abs(c_yp) * math.fsum(map(abs, yp_terms)),
+        abs(c_y) * math.fsum(map(abs, y_terms)),
     )
     return ResidualReport(x=x, residual=residual, scale=scale)
 
@@ -163,20 +166,44 @@ class CrossReport(_Frozen):
         _bind(self, "n_failed", n_failed)
 
 
+def _failed(p: GchParams, kind: SolutionKind, x: float, exc: GchError) -> CrossRecord:
+    return CrossRecord(p, kind, x, None, None, None, f"{type(exc).__name__}: {exc}")
+
+
+def _closed(p: GchParams, lam: float, xs: Sequence[float], nt: NestedTruncation | None) -> list:
+    """The closed form at each x of xs from one grid call, or, where that
+    call raises, each x's own result or GchError."""
+    try:
+        return _general(p, lam, xs, nt)
+    except GchError as exc:
+        if len(xs) == 1:
+            return [exc]
+        return [_closed(p, lam, (x,), nt)[0] for x in xs]
+
+
 def _records(p: GchParams, kind: SolutionKind, xs: Sequence[float], nt: NestedTruncation | None) -> list:
     """The record of each x of xs: the closed form against the oracle, or
     the GchError that the first of validate, the oracle and the closed
-    form raises there."""
+    form raises there.  validate runs once, the oracle once per x, and the
+    closed form takes the xs whose oracle succeeded in one grid call."""
     try:
         lam = validate(p, kind)
-        oracles = [sum_series(p, lam, x).value for x in xs]
-        closed = _general(p, lam, xs, nt)
     except GchError as exc:
-        if len(xs) == 1:
-            return [CrossRecord(p, kind, xs[0], None, None, None, f"{type(exc).__name__}: {exc}")]
-        return [_records(p, kind, (x,), nt)[0] for x in xs]
+        return [_failed(p, kind, x, exc) for x in xs]
+    oracles: list = []
+    for x in xs:
+        try:
+            oracles.append(sum_series(p, lam, x).value)
+        except GchError as exc:
+            oracles.append(exc)
+    ok = [x for x, oracle in zip(xs, oracles) if not isinstance(oracle, GchError)]
+    closed = iter(_closed(p, lam, ok, nt) if ok else ())
     out = []
-    for x, oracle, res in zip(xs, oracles, closed):
+    for x, oracle in zip(xs, oracles):
+        res = oracle if isinstance(oracle, GchError) else next(closed)
+        if isinstance(res, GchError):
+            out.append(_failed(p, kind, x, res))
+            continue
         diff = abs(res.value - oracle)
         rel = 0.0 if diff == 0.0 else diff / abs(oracle) if oracle != 0.0 else math.inf
         out.append(CrossRecord(p, kind, x, oracle, res.value, rel))

@@ -5,7 +5,7 @@ import math
 import mpmath as mp
 import pytest
 
-from gch import series
+from gch import series, verify
 from gch.errors import DomainError, GchError, PoleError, SampleNotConverged, TailNotDecayed
 from gch.params import GchParams, SolutionKind, validate
 from gch.recurrence import Truncation, sum_series
@@ -221,6 +221,26 @@ def test_cross_validate_records_failures_per_point():
         (3.0, -0.5, "first", ""), (3.0, -0.5, "second", "KindRestrictionError"),
     ]
     assert (report.n_evaluated, report.n_failed) == (5, 3)
+
+
+def test_cross_validate_failing_point_redoes_nothing(monkeypatch):
+    # the second kind's x^lam fails at x = -1: validate still runs once per
+    # kind and the oracle once per point, and the other points keep theirs
+    calls = {"sum_series": 0, "validate": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(verify, "sum_series", counting("sum_series", sum_series))
+    monkeypatch.setattr(verify, "validate", counting("validate", validate))
+    spec = GridSpec(mu=(2.0,), eps=(1.0,), nu=(1.5,), Omega=(3.0,), omega=(0.25,), x=(0.1, 0.5, -1.0))
+    report = cross_validate(spec)
+    assert calls == {"sum_series": 6, "validate": 2}
+    assert report.records == _records_point_by_point(spec)
+    assert [r.error.split(":")[0] for r in report.records if r.error] == ["DomainError"]
 
 
 def test_wavefunction_result_is_a_one_point_grid():

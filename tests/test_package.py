@@ -15,7 +15,7 @@ def test_public_names():
     # every public name added or removed shows up as a change to this list
     assert gch.__all__ == [
         "AsymptoticRegime", "BetaMismatch", "Confinement", "CrossReport", "DegenerateCoupling",
-        "DomainError", "EigenState", "EvalResult", "GchError", "GchParams", "GridSpec",
+        "DomainError", "EigenState", "EvalResult", "FloatOverflow", "GchError", "GchParams", "GridSpec",
         "KindRestrictionError", "NestedTruncation", "NonFiniteError", "NormalizationPole",
         "NoTermination", "PoleError", "QQbar", "ResidualReport", "RotatingOscillator",
         "SampleNotConverged", "SolutionKind", "TailNotDecayed", "Truncation",

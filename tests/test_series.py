@@ -1,10 +1,11 @@
 import math
 import random
+import re
 
 import mpmath as mp
 import pytest
 
-from gch.errors import BetaMismatch, DomainError, KindRestrictionError, NoTermination, PoleError
+from gch.errors import BetaMismatch, DomainError, FloatOverflow, GchError, KindRestrictionError, NoTermination, PoleError
 from gch.params import GchParams, SolutionKind
 from gch.recurrence import Truncation, sum_series
 from gch.series import (
@@ -202,6 +203,11 @@ def test_rw_kind_restriction():
 def test_betas_from_omega_examples():
     seq = betas_from_omega(GchParams(1.0, 0, 0.5, -4.0, 0), 0.0, 3)
     assert seq == (2, None, 1)
+    # n* = 5: counts below, at and far past it
+    assert betas_from_omega(GchParams(1.0, 0, 0.5, -4.0, 0), 0.0, 4) == (2, None, 1, None)
+    assert betas_from_omega(GchParams(1.0, 0, 0.5, -4.0, 0), 0.0, 5) == (2, None, 1, None, 0)
+    seq = betas_from_omega(GchParams(1.0, 0, 0.5, -4.0, 0), 0.0, 49)
+    assert seq == (2, None, 1, None, 0) + (None,) * 44
     seq = betas_from_omega(GchParams(-2.0, 0, 0.5, 12.0, 0), 0.0, 1)
     assert seq == (3,)
     with pytest.raises(NoTermination):
@@ -543,18 +549,39 @@ def test_steps_linear_in_orders():
         assert res.terms_used <= len(res.orders) * (t.max_inner + 1)
 
 
-@pytest.mark.parametrize("p,x,terms,orders", [
-    (GchParams(2.0, 1.0, 1.5, 3.0, 0.25), 1.0, 330, 15),
-    (GchParams(-1.0, 3.0, 0.5, 0.7, 1.2), 2.0, 1066, 41),
-    (GchParams(2.0, 1.0, 1.5, 3.0, 0.25), 6.0, 3432, 33),           # transformed, z = -36
-    (GchParams(2.0, 1.0, 1.5, 3.0, 0.25), 0.5, 195, 13),            # depth 14, z = -0.25
-])
-def test_step_counts_pinned(p, x, terms, orders):
+_PINNED_STEPS = [
+    (GchParams(2.0, 1.0, 1.5, 3.0, 0.25), FIRST, 1.0, 330, 15, 1.077701392708421),
+    (GchParams(-1.0, 3.0, 0.5, 0.7, 1.2), FIRST, 2.0, 1066, 41, 0.02706950954442871),
+    (GchParams(2.0, 1.0, 1.5, 3.0, 0.25), FIRST, 6.0, 3432, 33, 0.10605954083167235),  # transformed, z = -36
+    (GchParams(2.0, 1.0, 1.5, 3.0, 0.25), FIRST, 0.5, 195, 13, 1.5839348800841226),   # depth 14, z = -0.25
+    (GchParams(-1.0, 0.4, 0.5, 0.7, 1.2), SECOND, 1.0, 238, 14, 0.4694615098265719),
+    (GchParams(0.5, 0.3, 1.5, -1.0, 0.0), FIRST, 1.0, 150, 10, 1.4866255088075082),  # B-terminated, n* = 3
+]
+
+
+@pytest.mark.parametrize("p,kind,x,terms,orders,value", _PINNED_STEPS,
+                         ids=[f"p{i}-{row[2]}-{row[3]}-{row[4]}" for i, row in enumerate(_PINNED_STEPS)])
+def test_step_counts_pinned(p, kind, x, terms, orders, value):
     # terms_used is cap + 1 per order; pinned so that step and order counts
-    # stay comparable across changes to the engine
-    res = evaluate(p, FIRST, x)
+    # stay comparable across changes to the engine, and the value bit for
+    # bit, so that a change meant to leave the arithmetic alone shows any
+    # bit it moves
+    res = evaluate(p, kind, x)
     assert (res.terms_used, len(res.orders)) == (terms, orders)
+    assert res.value == value
     assert res.converged
+
+
+@pytest.mark.parametrize("p,kind,x,message", [
+    (GchParams(0.01, 0.0, 1.5, -10.0, 0.0), FIRST, 1.0, "first-kind prefactor: Gamma(501.25)/Gamma(1.25)"),
+    (GchParams(-0.01, 0.0, 0.5, 10.0, 0.0), SECOND, 1.0, "second-kind prefactor: Gamma(501.0)/Gamma(1.25)"),
+    (GchParams(0.01, -100.0, 1.5, 1.0, 0.3), FIRST, 15.0, "transform factor e^(1498.875)"),
+], ids=["gamma-first", "gamma-second", "transform-factor"])
+def test_float_overflow_is_a_gch_error(p, kind, x, message):
+    # the Gamma normalisation and the transform factor overflow a float
+    with pytest.raises(FloatOverflow, match=f"^{re.escape(message)} overflows") as info:
+        evaluate(p, kind, x)
+    assert isinstance(info.value, GchError) and isinstance(info.value, OverflowError)
 
 
 def test_weight_pole_inside_int_tol_raises():

@@ -10,7 +10,7 @@ from gch.params import GchParams, SolutionKind, validate
 from gch.recurrence import Truncation, coefficients, sum_series
 from gch.series import NestedTruncation
 from gch.spectra import RotatingOscillator, make_state
-from gch.verify import GridSpec, cross_validate, ode_residual
+from gch.verify import GridSpec, ResidualReport, cross_validate, ode_residual
 
 
 # ------------------------------------------------------------- ode_residual
@@ -46,6 +46,15 @@ def test_residual_linearity():
     rb = ode_residual(b, 0.0, p, x).residual
     rab = ode_residual(ab, 0.0, p, x).residual
     assert rab == pytest.approx(ra + rb, rel=1e-11, abs=1e-13)
+
+
+def test_residual_and_oracle_pinned():
+    # bit for bit, so that a change meant to leave the arithmetic alone
+    # shows any bit it moves (second kind, lam = 1 - nu)
+    p = GchParams(-1.0, 0.4, 0.5, 0.7, 1.2)
+    rep = ode_residual(coefficients(p, 0.5, 1.0, 80), 0.5, p, 0.5)
+    assert rep == ResidualReport(x=0.5, residual=1.1102230246251565e-16, scale=0.758207439143075)
+    assert sum_series(p, 0.5, 0.5).value == 0.5536441244885795
 
 
 def test_residual_domain_guard():
@@ -105,6 +114,15 @@ def test_cross_validate_reports_invalid_points():
     assert rep.n_evaluated == 1
     failures = [r for r in rep.records if r.error is not None]
     assert "KindRestrictionError" in failures[0].error
+
+
+def test_cross_validate_records_float_overflow():
+    # e^{-mu x^2/2 - eps x} of the transformed sum overflows at x = 15
+    grid = GridSpec(mu=(0.01,), eps=(-100.0,), nu=(1.5,), Omega=(1.0,), omega=(0.3,),
+                    x=(15.0,), kinds=(SolutionKind.FIRST,))
+    rep = cross_validate(grid)
+    assert (rep.n_evaluated, rep.n_failed) == (0, 1)
+    assert rep.records[0].error.startswith("FloatOverflow: transform factor")
 
 
 def test_cross_validate_monotone_in_order_cap():
