@@ -229,6 +229,8 @@ def _x_grid(args: argparse.Namespace) -> list[float]:
     if count == 1:
         return [start]
     step = (stop - start) / (count - 1)
+    if not math.isfinite(step):
+        raise ValueError(f"x-stop - x-start overflows: the x grid step is {step}")
     return [start + i * step for i in range(count)]
 
 

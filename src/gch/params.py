@@ -24,6 +24,7 @@ the eps*omega potential term) is then immaterial to the solution.
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 
 from .errors import KindRestrictionError, NonFiniteError
@@ -38,6 +39,21 @@ def _is_integer(value: float, tol: float = INT_TOL) -> bool:
 
 #: binds one field of a value class in its ``__init__``, past the refusing ``__setattr__``
 _bind = object.__setattr__
+
+
+def _index(name: str, value: int) -> int:
+    """``value`` as an int, through ``operator.index``; ValueError naming
+    ``name`` for a float or any other non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _require_finite(name: str, value: float) -> None:
+    """NonFiniteError unless ``value`` is a finite real."""
+    if not math.isfinite(value):
+        raise NonFiniteError(f"{name}={value!r} is not a finite real")
 
 
 class _Frozen:
@@ -123,6 +139,16 @@ class SolutionKind(Enum):
         return 0.0 if self is SolutionKind.FIRST else 1.0 - nu
 
 
+def check_finite(p: GchParams) -> None:
+    """NonFiniteError, naming the first such coefficient, if any of the
+    five is NaN or infinite."""
+    # one sum settles the common case: it is finite only if every term is
+    if math.isfinite(p.mu + p.eps + p.nu + p.Omega + p.omega):
+        return
+    for name in p.__slots__:
+        _require_finite(f"parameter {name}", getattr(p, name))
+
+
 def validate(p: GchParams, kind: SolutionKind) -> float:
     """Check finiteness and the kind's nu-restriction; return the kind's root.
 
@@ -137,9 +163,7 @@ def validate(p: GchParams, kind: SolutionKind) -> float:
     KindRestrictionError
         if the nu-restriction of ``kind`` is violated.
     """
-    for name in ("mu", "eps", "nu", "Omega", "omega"):
-        if not math.isfinite(getattr(p, name)):
-            raise NonFiniteError(f"parameter {name}={getattr(p, name)!r} is not a finite real")
+    check_finite(p)
     nu = p.nu
     if kind is SolutionKind.FIRST:
         if _is_integer(nu) and round(nu) <= 0:

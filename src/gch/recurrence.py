@@ -25,7 +25,7 @@ import math
 from typing import Iterator, Optional
 
 from .errors import DomainError, PoleError
-from .params import GchParams, _bind, _Frozen, _is_integer
+from .params import GchParams, _bind, _Frozen, _index, _is_integer, _require_finite, check_finite
 
 #: consecutive below-tolerance terms required before the sum is declared converged
 _STREAK = 3
@@ -40,6 +40,7 @@ class Truncation(_Frozen):
     __slots__ = ("max_terms", "rel_tol")
 
     def __init__(self, max_terms: int = 400, rel_tol: float = 1e-12) -> None:
+        max_terms = _index("max_terms", max_terms)
         if max_terms < 8:
             raise ValueError("max_terms must be at least 8")
         if not 0.0 < rel_tol < 1.0:
@@ -149,7 +150,11 @@ def coefficients(p: GchParams, lam: float, c0: float, count: int) -> list[float]
 def detect_termination(p: GchParams, lam: float) -> Optional[int]:
     """Index n* with B_{n*} = 0, i.e. n* = 1 - lam - Omega/mu, if it is a
     positive integer (within 1e-12); None otherwise.  The package's one
-    termination test: the closed form ends its chains by this n*."""
+    termination test: the closed form ends its chains by this n*.
+
+    Raises NonFiniteError, as :func:`~gch.params.validate` does, if any
+    parameter is NaN or infinite."""
+    check_finite(p)
     if p.mu == 0.0:
         raise PoleError("termination detection requires mu != 0")
     nstar = 1.0 - lam - p.Omega / p.mu
@@ -170,9 +175,12 @@ def sum_series(
     (or below 1e-300); if the cap is reached first the partial value is
     still returned with ``converged=False``.
 
-    Raises DomainError when x^lam is not real (x < 0 with fractional lam,
-    or x = 0 with lam < 0).
+    Raises NonFiniteError, before any term, for a non-finite x or
+    parameter, and DomainError when x^lam is not real (x < 0 with
+    fractional lam, or x = 0 with lam < 0).
     """
+    _require_finite("x", x)
+    check_finite(p)
     t = t or _DEFAULT_TRUNCATION
     xpow = real_power(x, lam)
     rel_tol = t.rel_tol

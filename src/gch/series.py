@@ -57,11 +57,13 @@ and w_{2m+q}(i) = w_q(i + m) for q = 0, 1.  This holds for chains that
 end too: beta_{k+2} = beta_k - 1, so the exact integer a_q = -beta_q
 shifted by m is a_{q+2m}, and chains past n* keep reading the same row.
 So each point builds zr_q[j] = z r_q(j-1) and w_q[j] once; order n =
-2m + q reads chain row q at offset m and weight row (n-1) % 2 at offset
-(n-1) // 2, and appends to each of the two the one entry that it reads
-beyond the order before.  A step is then g_n[i] = w g_{n-1}[i] +
-zr g_n[i-1], with no division, and order 0 is the running product of
-row 0.
+2m + q reads chain row q from index m and weight row (n-1) % 2 from index
+(n-1) // 2, cap + 1 entries of each.  The engine keeps each row as a
+window over just those entries: order n appends to its two rows the one
+entry it reads beyond the order before, zips them whole, and then drops
+each row's head, the one entry no later order reads.  A step is then
+g_n[i] = w g_{n-1}[i] + zr g_n[i-1], with no division, and order 0 is
+the running product of row 0.
 
 For mu > 0 the chains alternate in sign and cancel once |z| grows, so
 there the engine evaluates e^{mu x^2/2 + eps x} y instead, which solves
@@ -89,12 +91,12 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from itertools import accumulate, chain, count, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from operator import mul
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import BetaMismatch, FloatOverflow, GchError, NormalizationPole, NoTermination, PoleError
-from .params import GchParams, SolutionKind, _bind, _Frozen, _is_integer, validate
+from .params import GchParams, SolutionKind, _bind, _Frozen, _index, _is_integer, _require_finite, validate
 from .recurrence import EvalResult, detect_termination, real_power
 
 _TINY = 1e-300
@@ -104,25 +106,29 @@ class NestedTruncation(_Frozen):
     """Caps and tolerance for the doubly-infinite nested sums.
 
     ``max_order_N`` caps the outer order (the power of eps_tilde),
-    ``max_inner`` caps every chain index, and ``rel_tol`` stops the outer
-    sum once two consecutive orders contribute less than rel_tol times the
-    running total.  Each point runs its chains to the depth at which the
-    upper envelope of its Kummer-type terms has decayed 18 digits
-    (:func:`_required_cap`), and to ``max_inner`` where that depth is
-    larger, so a large cap costs easy points nothing; the default reaches
-    |z| of about 100 with Kummer-type chain parameters, and the default
-    order cap covers |eps_tilde| <= 4.
+    ``max_inner`` caps every chain index, and ``rel_tol``, in (0, 1), stops
+    the outer sum once two consecutive orders contribute less than rel_tol
+    times the running total; the caps must be integers.  Each point runs
+    its chains to the depth at which the upper envelope of its Kummer-type
+    terms has decayed 18 digits (:func:`_required_cap`), and to
+    ``max_inner`` where that depth is larger, so a large cap costs easy
+    points nothing; the default reaches |z| of about 100 with Kummer-type
+    chain parameters, and the default order cap covers |eps_tilde| <= 4.
     """
 
     __slots__ = ("max_order_N", "max_inner", "rel_tol")
 
     def __init__(self, max_order_N: int = 48, max_inner: int = 240, rel_tol: float = 1e-12) -> None:
+        max_order_N = _index("max_order_N", max_order_N)
+        max_inner = _index("max_inner", max_inner)
         if max_order_N < 2:
             raise ValueError("max_order_N must be at least 2")
         if max_inner < 4:
             raise ValueError("max_inner must be at least 4")
         if rel_tol <= 0.0:
             raise ValueError("rel_tol must be positive")
+        if not rel_tol < 1.0:  # a NaN too
+            raise ValueError("rel_tol must lie in (0, 1)")
         _bind(self, "max_order_N", max_order_N)
         _bind(self, "max_inner", max_inner)
         _bind(self, "rel_tol", rel_tol)
@@ -179,6 +185,7 @@ def _required_cap(z: float, a_mag: float, b: float, c: float, hard_cap: int) -> 
     both = b < 0.0 or c < 0.0
     t = 1.0
     peak = 1.0
+    floor = 1e-18  # 1e-18 * peak, updated with peak
     # a float index: CPython 3.11 specialises float + float, not int +
     # float, and an index far below 2**53 is exact either way
     i = 0.0
@@ -195,7 +202,8 @@ def _required_cap(z: float, a_mag: float, b: float, c: float, hard_cap: int) -> 
             if peak > 1e280:  # keep the scan itself finite
                 t *= 1e-280
                 peak *= 1e-280
-        elif ratio < 0.95 and t <= 1e-18 * peak:
+            floor = 1e-18 * peak
+        elif ratio < 0.95 and t <= floor:
             return int(i)
     return hard_cap + 1
 
@@ -254,14 +262,15 @@ def _engine(
     a0, a1, _ = a_k
     gamma = p.gamma
     h = 0.5 * lam
+    # float indices: CPython 3.11 specialises float + float, not int +
+    # float, and an index far below 2**53 is exact either way
+    js = list(map(float, range(cap)))
     # order 0: g[i] = (a_0)_i z^i / ((b_0)_i (c_0)_i), the Kummer terms
     b0, c0 = 1.0 + h, gamma + h
     _pole_guard(b0, cap, "chain", 0)
     _pole_guard(c0, cap, "chain", 0)
-    # float indices: CPython 3.11 specialises float + float, not int +
-    # float, and an index far below 2**53 is exact either way
-    zr0 = [0.0] + [z * (a0 + j) / ((b0 + j) * (c0 + j)) for j in map(float, range(cap))]
-    g = list(accumulate(zr0[1:], mul, initial=1.0))
+    zr0 = [z * (a0 + j) / ((b0 + j) * (c0 + j)) for j in js]
+    g = list(accumulate(zr0, mul, initial=1.0))
     if table is not None:
         table.append(g)
     yield g
@@ -276,34 +285,36 @@ def _engine(
         _guard_order(1, h, gamma, cap)
 
     # the parity rows zr_q[j] = z r_q(j-1) and w_q[j] = w_q(j) serve chain
-    # and weight 2m + q at offset m (module docstring); each is built one
-    # entry short of its first order, which appends that entry (weight 1's
-    # offsets are chain 0's, guarded above)
+    # and weight 2m + q from index m (module docstring); each row is a
+    # window one entry short of what its next order reads, which appends
+    # that entry and, after its step, drops the head no later order reads.
+    # zr_0 starts past z r_0(-1), which order 2 does not read, and zr_1
+    # keeps z r_1(-1) as a 0.0 that order 1 multiplies by acc = 0
+    # (weight 1's offsets are chain 0's, guarded above)
     b1, c1 = 1.5 + h, gamma + 0.5 + h
-    zr1 = [0.0] + [z * (a1 + j) / ((b1 + j) * (c1 + j)) for j in map(float, range(cap - 1))]
+    zr1 = [0.0] + [z * (a1 + j) / ((b1 + j) * (c1 + j)) for j in js[:-1]]
     weight0 = (h + 0.5 * p.omega, 0.5 + h, gamma - 0.5 + h)
     weight1 = (h + 0.5 * p.omega + 0.5, 0.5 + h + 0.5, gamma - 0.5 + h + 0.5)
-    w0, w1 = ([(j + wn) / ((j + d1) * (j + d2)) for j in map(float, range(cap))]
-              for wn, d1, d2 in (weight0, weight1))
-    # order n = 2m + q: chain row q at offset m, weight row 1 - q at
-    # offset m - 1 + q
+    w0, w1 = ([(j + wn) / ((j + d1) * (j + d2)) for j in js] for wn, d1, d2 in (weight0, weight1))
+    # order n = 2m + q: chain row q, weight row 1 - q
     by_parity = ((zr0, w1, a0, b0, c0, *weight1), (zr1, w0, a1, b1, c1, *weight0))
-    # the rows' next indices m + cap - 1 and mw + cap, as floats
-    row_end, wrow_end = cap - 1.0, float(cap)
+    # the arguments of the entries order n appends: m + cap - 1 to its
+    # chain row, (n - 1) // 2 + cap to its weight row; order n's chain
+    # argument is order n - 1's weight argument, and its weight argument
+    # is one past order n - 1's chain argument
+    jr, jw = cap - 1.0, float(cap)
 
     for n in count(1):
         if 1 < n <= last_guarded:
             _guard_order(n, h, gamma, cap)
         # g_n[i] = w_{n-1}(i) g_{n-1}[i] + z r_n(i-1) g_n[i-1]
         row, wrow, a, b, c, wn, d1, d2 = by_parity[n & 1]
-        m = n >> 1
-        mw = (n - 1) >> 1
-        j = m + row_end
-        row.append(z * (a + j) / ((b + j) * (c + j)))
-        j = mw + wrow_end
-        wrow.append((j + wn) / ((j + d1) * (j + d2)))
+        row.append(z * (a + jr) / ((b + jr) * (c + jr)))
+        wrow.append((jw + wn) / ((jw + d1) * (jw + d2)))
         acc = 0.0
-        g = [acc := wj * gj + zj * acc for wj, gj, zj in zip(wrow[mw:], g, row[m:])]
+        g = [acc := wj * gj + zj * acc for wj, gj, zj in zip(wrow, g, row)]
+        del row[0], wrow[0]
+        jr, jw = jw, jr + 1.0
         if table is not None:
             table.append(g)
         yield g
@@ -330,16 +341,18 @@ def _sum_orders(
     streak = 0
     et_pow = 1.0
     running = orders[0]
-    for _, g in zip(range(t.max_order_N), vectors):
+    for g in islice(vectors, t.max_order_N):
         et_pow *= et
         contrib = total(g) * et_pow
         orders.append(contrib)
         running += contrib
-        # max(lim, _TINY) without the builtin call; a NaN lim stays NaN
-        lim = rel_tol * abs(running)
+        # |contrib| <= max(rel_tol |running|, _TINY) without a builtin
+        # call; a NaN lim stays NaN and passes nothing, and -0.0 meets
+        # the floor
+        lim = rel_tol * (running if running >= 0.0 else -running)
         if lim < _TINY:
             lim = _TINY
-        if abs(contrib) <= lim:
+        if -lim <= contrib <= lim:
             streak += 1
             if streak >= 2:
                 return orders, True
@@ -578,8 +591,10 @@ def evaluate(
     The second kind needs z^(1-gamma) to be real (z >= 0, or an integer
     exponent; DomainError otherwise).  At nu = 1 the indicial roots
     coincide and the second kind is no longer independent of the first;
-    the logarithmic companion solution is out of scope.
+    the logarithmic companion solution is out of scope.  A non-finite x
+    raises NonFiniteError before any work.
     """
+    _require_finite("x", x)
     lam, nstar, pref_of = _normalisation(p, kind, betas)
     return _group(p, lam, nstar, (x,), (pref_of(x),), t or _DEFAULT_TRUNCATION)[0]
 
@@ -601,8 +616,12 @@ def evaluate_grid(
     own :func:`evaluate` call, and its value agrees with it to rounding
     (the point of largest |x|, and any point at the same |x|, bit for
     bit).  Where any point raises, the call raises what the first such x
-    raises in :func:`evaluate`.  Nothing is kept between calls.
+    raises in :func:`evaluate`, except that a non-finite x anywhere in
+    ``xs`` raises NonFiniteError before any work.  Nothing is kept between
+    calls.
     """
+    for x in xs:
+        _require_finite("x", x)
     lam, nstar, pref_of = _normalisation(p, kind)
     return _results(p, lam, nstar, pref_of, xs, t)
 
@@ -638,8 +657,10 @@ def eval_general(
     mu > 0 and z = -mu x^2/2 < -1 the sum is taken over the transformed
     parameters (-mu, -eps, nu, Omega - mu(1+nu), nu - omega) with the same
     lam, times e^{-mu x^2/2 - eps x}, so ``orders`` is then the
-    transformed decomposition; see :class:`EvalResult`.
+    transformed decomposition; see :class:`EvalResult`.  A non-finite x
+    raises NonFiniteError before any work.
     """
+    _require_finite("x", x)
     if p.mu != 0.0:  # mu = 0 is refused by _general, ahead of the checks of lam
         if lam == 0.0:
             kind = SolutionKind.FIRST

@@ -25,7 +25,7 @@ import operator
 from typing import Callable, Sequence, Union
 
 from .errors import DegenerateCoupling, SampleNotConverged, TailNotDecayed
-from .params import GchParams, SolutionKind, _bind, _Frozen
+from .params import GchParams, SolutionKind, _bind, _Frozen, _require_finite
 from .recurrence import EvalResult
 from .series import NestedTruncation, evaluate_grid
 
@@ -242,7 +242,8 @@ def wavefunction(
 
 def _radial_grid(r_max: float, n_points: int) -> list[float]:
     """Uniform grid on [0, r_max] with an odd number (n_points, or one more)
-    of points."""
+    of points; NonFiniteError for a non-finite r_max."""
+    _require_finite("r_max", r_max)
     if r_max <= 0.0 or n_points < 3:
         raise ValueError("need r_max > 0 and at least 3 quadrature points")
     n = n_points if n_points % 2 == 1 else n_points + 1

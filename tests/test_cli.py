@@ -469,3 +469,24 @@ def test_float_overflow_exit2(gch_subprocess_env):
     assert len(err) == 1 and err[0].startswith("error:")
     assert b"Traceback" not in r.stderr
     assert r.stdout == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--mu", "-1", "--nu", "1.5", "--omega-cap", "1", "--x-start=-1e308", "--x-stop", "1e308",
+     "--x-count", "3"],
+    ["asymptote", "--regime", "small-eps", "--mu", "-2", "--x-start=-1.5e308", "--x-stop", "1.5e308",
+     "--x-count", "2"],
+], ids=["eval", "asymptote"])
+def test_overflowing_x_grid_exit2(capsys, argv):
+    # x-stop - x-start overflows to inf: no row is printed
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: x-stop - x-start overflows: the x grid step is inf\n"
+
+
+def test_rel_tol_outside_unit_interval_exit2(capsys):
+    assert main(["eval", "--mu", "-1", "--nu", "1.5", "--omega-cap", "1", "--rel-tol", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rel_tol must lie in (0, 1)\n"

@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 
 from gch import series, verify
-from gch.errors import DomainError, GchError, PoleError, SampleNotConverged, TailNotDecayed
+from gch.errors import DomainError, GchError, NonFiniteError, PoleError, SampleNotConverged, TailNotDecayed
 from gch.params import GchParams, SolutionKind, validate
 from gch.recurrence import Truncation, sum_series
 from gch.series import NestedTruncation, _general, _required_cap, eval_general, evaluate, evaluate_grid
@@ -311,3 +311,40 @@ def test_depth_never_falls_as_z_grows(a_mag, b, c):
 def test_sum_series_default_truncation():
     p = GchParams(-2.0, 1.0, 1.5, 0.3, 0.25)
     assert sum_series(p, 0.0, 0.7) == sum_series(p, 0.0, 0.7, Truncation())
+
+
+# ------------------------------------------------------ grids pinned bit for bit
+
+@pytest.mark.parametrize("p,xs,pinned", [
+    # the points after the first read the table while the engine is still
+    # extending it (21, then 41, then 31 orders)
+    (GchParams(-1.0, 3.0, 0.5, 0.7, 1.2), [0.5, 2.0, 1.2],
+     [(-0.28211889716104266, 273, 21), (0.02706950954442871, 1066, 41), (-0.151024197837918, 589, 31)]),
+    # mu x^2/2 = 1 at x = 1: two points on each side of the transform test
+    (GchParams(2.0, 1.0, 1.5, 3.0, 0.25), [0.4, 6.0, 3.0, 0.9],
+     [(1.6823225239705368, 168, 12), (0.10605954083167235, 3432, 33), (0.27947107262160736, 1225, 25),
+      (1.1725615039914754, 300, 15)]),
+], ids=["extending-table", "both-sides"])
+def test_grid_pinned_bit_for_bit(p, xs, pinned):
+    grid = evaluate_grid(p, FIRST, xs)
+    assert [(r.value, r.terms_used, len(r.orders)) for r in grid] == pinned
+    assert all(r.converged for r in grid)
+
+
+@pytest.mark.parametrize("xs", [[math.nan], [0.5, math.inf], [1.0, 2.0, -math.inf, math.nan]])
+def test_non_finite_x_refused_before_any_work(monkeypatch, xs):
+    def no_work(*args):
+        raise AssertionError("the engine ran")
+    monkeypatch.setattr(series, "_results", no_work)
+    monkeypatch.setattr(series, "_group", no_work)
+    p = GchParams(-1.0, 0.5, 1.5, 1.0, 0.25)
+    bad = next(x for x in xs if not math.isfinite(x))
+    message = f"^x={bad!r} is not a finite real$"
+    with pytest.raises(NonFiniteError, match=message):
+        evaluate_grid(p, FIRST, xs)
+    with pytest.raises(NonFiniteError, match=message):
+        evaluate_grid(p, SECOND, xs)
+    with pytest.raises(NonFiniteError, match=message):
+        evaluate(p, FIRST, bad)
+    with pytest.raises(NonFiniteError, match=message):
+        eval_general(p, 0.0, bad)

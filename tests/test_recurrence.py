@@ -1,11 +1,13 @@
 import math
 import random
+import re
 
 import mpmath as mp
 import pytest
 
-from gch.errors import DomainError, PoleError
-from gch.params import GchParams
+from gch import recurrence
+from gch.errors import DomainError, NonFiniteError, PoleError
+from gch.params import GchParams, SolutionKind, validate
 from gch.recurrence import _ABS_FLOOR, Truncation, coefficients, detect_termination, real_power, sum_series
 from gch.verify import ode_residual
 
@@ -177,3 +179,32 @@ def test_sum_series_runs_the_step_past_its_last_term():
     for x in (0.5, 3.0):
         with pytest.raises(PoleError, match=r"^A_7 denominator"):
             sum_series(p, 0.0, x, Truncation(max_terms=8))
+
+
+def _no_terms(*args):
+    raise AssertionError("a coefficient was generated")
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_sum_series_refuses_non_finite_x_before_any_term(monkeypatch, x):
+    monkeypatch.setattr(recurrence, "_coefficients", _no_terms)
+    with pytest.raises(NonFiniteError, match=f"^x={x!r} is not a finite real$"):
+        sum_series(GchParams(-1.0, 0.5, 1.5, 1.0, 0.25), 0.0, x)
+
+
+@pytest.mark.parametrize("p,name", [
+    (GchParams(math.nan, 0.0, 1.5, 1.0, 0.0), "mu"),
+    (GchParams(math.inf, 0.0, 1.5, 1.0, 0.0), "mu"),
+    (GchParams(-1.0, 0.5, 1.5, 1.0, math.inf), "omega"),
+    (GchParams(-1.0, 0.5, 1.5, -math.inf, 0.25), "Omega"),
+], ids=["nan-mu", "inf-mu", "inf-omega", "inf-Omega"])
+def test_non_finite_parameters_refused_as_validate_refuses_them(monkeypatch, p, name):
+    with pytest.raises(NonFiniteError) as expected:
+        validate(p, SolutionKind.FIRST)
+    assert str(expected.value).startswith(f"parameter {name}=")
+    message = f"^{re.escape(str(expected.value))}$"
+    with pytest.raises(NonFiniteError, match=message):
+        detect_termination(p, 0.0)
+    monkeypatch.setattr(recurrence, "_coefficients", _no_terms)
+    with pytest.raises(NonFiniteError, match=message):
+        sum_series(p, 0.0, 1.0)

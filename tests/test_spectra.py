@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from gch.errors import DegenerateCoupling, TailNotDecayed
+from gch.errors import DegenerateCoupling, NonFiniteError, TailNotDecayed
 from gch.recurrence import detect_termination
 from gch.series import NestedTruncation
 from gch.spectra import (
@@ -306,3 +306,14 @@ def test_system_validation():
         Confinement(a=0.0, b=1.0, c=-1.0, mass=1.0, l=0)
     with pytest.raises(ValueError):
         QQbar(m_q=-0.1, b_slope=1.0, l=0)
+
+
+@pytest.mark.parametrize("r_max", [math.nan, math.inf])
+def test_radial_norm_and_normalize_refuse_non_finite_r_max(r_max):
+    system = QQbar(m_q=0.0, b_slope=1.0, l=0)
+    state = make_state(system, 0, 2)
+    message = f"^r_max={r_max!r} is not a finite real$"
+    with pytest.raises(NonFiniteError, match=message):
+        radial_norm(lambda r: r, r_max, 7)
+    with pytest.raises(NonFiniteError, match=message):
+        normalize(system, state, r_max, 7, NT)

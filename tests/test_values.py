@@ -7,6 +7,7 @@ copy and pickle.
 """
 
 import copy
+import math
 import pickle
 import re
 
@@ -135,8 +136,8 @@ def test_not_equal_to_tuple_or_subclass(cls, _fields, values, _changed, _repr):
 @pytest.mark.parametrize("one,other", [
     (GchParams(1.0, 0.2, 0.5, 1.0, 0), Confinement(1.0, 0.2, 0.5, 1.0, 0)),
     (Truncation(8, 0.5), RotatingOscillator(8, 0.5)),
-    (NestedTruncation(48, 240, 1), ResidualReport(48, 240, 1)),
-    (NestedTruncation(48, 240, 1), QQbar(48, 240, 1)),
+    (NestedTruncation(48, 240, 0.5), ResidualReport(48, 240, 0.5)),
+    (NestedTruncation(48, 240, 0.5), QQbar(48, 240, 0.5)),
     (ResidualReport(48, 240, 1), QQbar(48, 240, 1)),
     (EigenState((), 0.0, 1, 0), CrossReport((), 0.0, 1, 0)),
 ], ids=["params-confinement", "truncation-oscillator", "nested-residual", "nested-qqbar",
@@ -157,6 +158,15 @@ def test_repr_pinned(cls, _fields, values, _changed, pinned):
     (lambda: NestedTruncation(max_order_N=1), "max_order_N must be at least 2"),
     (lambda: NestedTruncation(max_inner=3), "max_inner must be at least 4"),
     (lambda: NestedTruncation(rel_tol=0.0), "rel_tol must be positive"),
+    (lambda: NestedTruncation(rel_tol=1.0), "rel_tol must lie in (0, 1)"),
+    (lambda: NestedTruncation(rel_tol=5.0), "rel_tol must lie in (0, 1)"),
+    (lambda: NestedTruncation(rel_tol=math.inf), "rel_tol must lie in (0, 1)"),
+    (lambda: NestedTruncation(rel_tol=math.nan), "rel_tol must lie in (0, 1)"),
+    (lambda: Truncation(rel_tol=math.nan), "rel_tol must lie in (0, 1)"),
+    (lambda: NestedTruncation(max_order_N=10.0), "max_order_N must be an integer, got 10.0"),
+    (lambda: NestedTruncation(max_inner=40.0), "max_inner must be an integer, got 40.0"),
+    (lambda: NestedTruncation(max_inner="40"), "max_inner must be an integer, got '40'"),
+    (lambda: Truncation(max_terms=50.0), "max_terms must be an integer, got 50.0"),
     (lambda: RotatingOscillator(l_m=-1, omega_c=1.0), "l_m must be a nonnegative integer"),
     (lambda: RotatingOscillator(l_m=0, omega_c=0.0), "omega_c must be positive"),
     (lambda: Confinement(a=1.0, b=0.2, c=0.0, mass=1.0, l=0), "c must be positive"),
