@@ -29,7 +29,7 @@ from enum import Enum
 
 from .errors import KindRestrictionError, NonFiniteError
 
-#: absolute tolerance used when testing whether a float is an integer
+#: absolute tolerance of the integer tests; :func:`validate` refuses nu within 2 * INT_TOL of a forbidden integer
 INT_TOL = 1e-12
 
 
@@ -155,6 +155,8 @@ def validate(p: GchParams, kind: SolutionKind) -> float:
     The first-kind series requires nu not in {0, -1, -2, ...} and the
     second-kind series requires nu not in {2, 3, 4, ...}; outside those sets
     every recurrence denominator (n+1+lam)(n+nu+lam) with n >= 0 is nonzero.
+    nu within 2 * INT_TOL of such an integer is refused too: then no chain
+    offset of the closed form lies within INT_TOL of a nonpositive integer.
 
     Raises
     ------
@@ -165,13 +167,14 @@ def validate(p: GchParams, kind: SolutionKind) -> float:
     """
     check_finite(p)
     nu = p.nu
+    # 2 * INT_TOL: the chains' denominator offsets are (nu - k)/2 plus integers
     if kind is SolutionKind.FIRST:
-        if _is_integer(nu) and round(nu) <= 0:
+        if _is_integer(nu, 2.0 * INT_TOL) and round(nu) <= 0:
             raise KindRestrictionError(
                 f"first kind requires nu not in {{0, -1, -2, ...}}; got nu={nu}"
             )
     else:
-        if _is_integer(nu) and round(nu) >= 2:
+        if _is_integer(nu, 2.0 * INT_TOL) and round(nu) >= 2:
             raise KindRestrictionError(
                 f"second kind requires nu not in {{2, 3, 4, ...}}; got nu={nu}"
             )

@@ -24,7 +24,7 @@ import itertools
 import math
 from typing import Iterator, Optional
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, FloatOverflow, PoleError
 from .params import GchParams, _bind, _Frozen, _index, _is_integer, _require_finite, check_finite
 
 #: consecutive below-tolerance terms required before the sum is declared converged
@@ -100,21 +100,21 @@ def real_power(x: float, expo: float) -> float:
 
     Negative x with non-integer exponent and x = 0 with negative exponent
     raise DomainError; integer exponents of negative x follow the usual
-    sign rule.
+    sign rule.  A power past the float range raises FloatOverflow.
     """
     if expo == 0.0:
         return 1.0
-    if x > 0.0:
-        return math.pow(x, expo)
     if x == 0.0:
         if expo > 0.0:
             return 0.0
         raise DomainError(f"0**({expo}) diverges")
-    if _is_integer(expo):
-        k = round(expo)
-        mag = math.pow(-x, float(k))
-        return -mag if k % 2 else mag
-    raise DomainError(f"({x})**({expo}) is not real")
+    if x < 0.0 and not _is_integer(expo):
+        raise DomainError(f"({x})**({expo}) is not real")
+    try:
+        mag = math.pow(abs(x), expo if x > 0.0 else float(round(expo)))
+    except OverflowError as exc:
+        raise FloatOverflow(f"({x})**({expo}) overflows") from exc
+    return -mag if x < 0.0 and round(expo) % 2 else mag
 
 
 def _coefficients(p: GchParams, lam: float, c0: float) -> Iterator[float]:
@@ -153,10 +153,12 @@ def detect_termination(p: GchParams, lam: float) -> Optional[int]:
     termination test: the closed form ends its chains by this n*.
 
     Raises NonFiniteError, as :func:`~gch.params.validate` does, if any
-    parameter is NaN or infinite."""
+    parameter is NaN or infinite, and PoleError for mu = 0: the package's
+    one refusal of it, which the closed-form evaluators reach through
+    this function."""
     check_finite(p)
     if p.mu == 0.0:
-        raise PoleError("termination detection requires mu != 0")
+        raise PoleError("mu must be nonzero: Omega/mu enters n* and the closed form")
     nstar = 1.0 - lam - p.Omega / p.mu
     if _is_integer(nstar) and round(nstar) >= 1:
         return int(round(nstar))

@@ -65,6 +65,13 @@ each row's head, the one entry no later order reads.  A step is then
 g_n[i] = w g_{n-1}[i] + zr g_n[i-1], with no division, and order 0 is
 the running product of row 0.
 
+No row checks its denominators.  Each chain or weight offset that
+depends on nu is +-(nu - k)/2 plus an integer, for an integer k, and
+:func:`validate` has refused nu within 2 * INT_TOL of the kind's
+forbidden integers; so no offset lies within INT_TOL of a nonpositive
+integer.  A point whose sums leave the float range raises FloatOverflow
+naming its x.
+
 For mu > 0 the chains alternate in sign and cancel once |z| grows, so
 there the engine evaluates e^{mu x^2/2 + eps x} y instead, which solves
 the same equation with transformed parameters and z > 0 (the analogue of
@@ -95,8 +102,8 @@ from itertools import accumulate, chain, count, islice, repeat
 from operator import mul
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import BetaMismatch, FloatOverflow, GchError, NormalizationPole, NoTermination, PoleError
-from .params import GchParams, SolutionKind, _bind, _Frozen, _index, _is_integer, _require_finite, validate
+from .errors import BetaMismatch, FloatOverflow, GchError, NormalizationPole, NoTermination
+from .params import GchParams, SolutionKind, _bind, _Frozen, _index, _require_finite, validate
 from .recurrence import EvalResult, detect_termination, real_power
 
 _TINY = 1e-300
@@ -139,7 +146,8 @@ _DEFAULT_TRUNCATION = NestedTruncation()
 
 
 def _gamma_ratio(num_arg: float, den_arg: float, what: str) -> float:
-    """Gamma(num_arg)/Gamma(den_arg) for normalisation prefactors."""
+    """Gamma(num_arg)/Gamma(den_arg) for normalisation prefactors;
+    FloatOverflow where a Gamma or the ratio leaves the float range."""
     try:
         num = math.gamma(num_arg)
         den = math.gamma(den_arg)
@@ -147,23 +155,10 @@ def _gamma_ratio(num_arg: float, den_arg: float, what: str) -> float:
         raise NormalizationPole(f"{what}: gamma pole at Gamma({num_arg})/Gamma({den_arg})") from exc
     except OverflowError as exc:
         raise FloatOverflow(f"{what}: Gamma({num_arg})/Gamma({den_arg}) overflows") from exc
-    return num / den
-
-
-def _pole_guard(offset: float, cap: int, what: str, k: int) -> None:
-    """Reject chain offsets that make a denominator (offset + i) vanish for
-    some index i in 0..cap; validation rules exclude these for both roots."""
-    if offset <= 0.0 and _is_integer(offset) and -round(offset) <= cap:
-        raise PoleError(f"{what} {k} denominator offset {offset} vanishes at index {int(-round(offset))}")
-
-
-def _guard_order(n: int, h: float, gamma: float, cap: int) -> None:
-    """Pole guards of order n: chain n, then weight n - 1."""
-    _pole_guard(1.0 + 0.5 * n + h, cap, "chain", n)
-    _pole_guard(gamma + 0.5 * n + h, cap, "chain", n)
-    k = n - 1
-    _pole_guard(0.5 + h + 0.5 * k, cap, "weight", k)
-    _pole_guard(gamma - 0.5 + h + 0.5 * k, cap, "weight", k)
+    # den is 0.0 where Gamma(den_arg) underflows
+    if den == 0.0 or not math.isfinite(ratio := num / den):
+        raise FloatOverflow(f"{what}: Gamma({num_arg})/Gamma({den_arg}) overflows")
+    return ratio
 
 
 def _required_cap(z: float, a_mag: float, b: float, c: float, hard_cap: int) -> int:
@@ -251,9 +246,7 @@ def _engine(
     indices 0..cap, with ``a_k`` from :func:`_chain_a` of (p, lam).
 
     Each vector is appended to ``table``, unless it is None, before it is
-    yielded, and order n's pole guards run just before its vector is
-    built; so a reader that stops after order n builds and guards nothing
-    past it.
+    yielded; so a reader that stops after order n builds nothing past it.
 
     Each order fetches everything it reads by its parity, rows and
     parameters alike, as one flat tuple: one lookup and one unpack per
@@ -267,22 +260,11 @@ def _engine(
     js = list(map(float, range(cap)))
     # order 0: g[i] = (a_0)_i z^i / ((b_0)_i (c_0)_i), the Kummer terms
     b0, c0 = 1.0 + h, gamma + h
-    _pole_guard(b0, cap, "chain", 0)
-    _pole_guard(c0, cap, "chain", 0)
     zr0 = [z * (a0 + j) / ((b0 + j) * (c0 + j)) for j in js]
     g = list(accumulate(zr0, mul, initial=1.0))
     if table is not None:
         table.append(g)
     yield g
-
-    # order n guards the offsets base + n/2 for the bases 1 + h, gamma + h
-    # (chain n), h and gamma - 1 + h (weight n - 1); a guard fires only
-    # while its offset is <= 0, and the offsets grow with n, so none can
-    # fire past the smallest base's last such order (one order of margin
-    # for rounding)
-    last_guarded = 1.0 - 2.0 * min(h, gamma - 1.0 + h)
-    if last_guarded >= 1:
-        _guard_order(1, h, gamma, cap)
 
     # the parity rows zr_q[j] = z r_q(j-1) and w_q[j] = w_q(j) serve chain
     # and weight 2m + q from index m (module docstring); each row is a
@@ -290,7 +272,6 @@ def _engine(
     # that entry and, after its step, drops the head no later order reads.
     # zr_0 starts past z r_0(-1), which order 2 does not read, and zr_1
     # keeps z r_1(-1) as a 0.0 that order 1 multiplies by acc = 0
-    # (weight 1's offsets are chain 0's, guarded above)
     b1, c1 = 1.5 + h, gamma + 0.5 + h
     zr1 = [0.0] + [z * (a1 + j) / ((b1 + j) * (c1 + j)) for j in js[:-1]]
     weight0 = (h + 0.5 * p.omega, 0.5 + h, gamma - 0.5 + h)
@@ -305,8 +286,6 @@ def _engine(
     jr, jw = cap - 1.0, float(cap)
 
     for n in count(1):
-        if 1 < n <= last_guarded:
-            _guard_order(n, h, gamma, cap)
         # g_n[i] = w_{n-1}(i) g_{n-1}[i] + z r_n(i-1) g_n[i-1]
         row, wrow, a, b, c, wn, d1, d2 = by_parity[n & 1]
         row.append(z * (a + jr) / ((b + jr) * (c + jr)))
@@ -460,12 +439,18 @@ def _group(
             need = _required_cap(z, a_mag, b, c, max_inner)
             total = partial(_dot, list(accumulate(repeat(z / z_ref, min(need, max_inner)), mul, initial=1.0)))
         cap = min(need, max_inner)
-        if cap <= cap_ref:
-            vectors = engine if table is None else chain(table, engine)
-            res = _result(p, far, nq, nstar, x, pref, et, need, _sum_orders(vectors, et, t, total), t)
-        if cap > cap_ref or z != z_ref and not math.isfinite(res.value):
-            got = _sum_orders(_engine(q, lam, a, z, cap, None), et, t)
-            res = _result(p, far, nq, nstar, x, pref, et, need, got, t)
+        try:
+            if cap <= cap_ref:
+                vectors = engine if table is None else chain(table, engine)
+                res = _result(p, far, nq, nstar, x, pref, et, need, _sum_orders(vectors, et, t, total), t)
+            if cap > cap_ref or z != z_ref and not math.isfinite(res.value):
+                got = _sum_orders(_engine(q, lam, a, z, cap, None), et, t)
+                res = _result(p, far, nq, nstar, x, pref, et, need, got, t)
+        except FloatOverflow:
+            raise
+        except (ValueError, OverflowError) as exc:
+            # math.fsum met infinities of both signs, or left the float range
+            raise FloatOverflow(f"nested sum overflows at x={x}") from exc
         out.append(res)
     return out
 
@@ -550,12 +535,10 @@ def _normalisation(
     """(lam, n*, x -> prefactor) of the normalised closed form of ``kind``;
     ``betas`` is checked as :func:`evaluate` documents."""
     lam = validate(p, kind)
-    if p.mu == 0.0:
-        raise PoleError("closed-form evaluation requires mu != 0")
+    nstar = detect_termination(p, lam)  # refuses mu = 0
     if betas is not None:
         _check_beta_consistency(p, lam, betas)
     first = kind is SolutionKind.FIRST
-    nstar = detect_termination(p, lam)
     beta0 = _chain_end(nstar, 0)
     if beta0 is not None:
         num = p.gamma + float(beta0) if first else float(beta0) + 2.0 - p.gamma
@@ -634,9 +617,8 @@ def _general(
 ) -> list[EvalResult]:
     """:func:`eval_general` at each x of ``xs``, in input order, from one
     table per transform branch as in :func:`evaluate_grid`; lam is the
-    root :func:`validate` returned for p, and only mu is checked here."""
-    if p.mu == 0.0:
-        raise PoleError("closed-form evaluation requires mu != 0 (Omega/(2 mu) appears)")
+    root :func:`validate` returned for p, and :func:`detect_termination`
+    refuses mu = 0."""
     return _results(p, lam, detect_termination(p, lam), lambda x: real_power(x, lam), xs, t)
 
 
@@ -648,8 +630,10 @@ def eval_general(
 ) -> EvalResult:
     """Unnormalised series x^lam * [S_0 + S_1 et + sum_n S_n et^n], c_0 = 1.
 
-    lam must be an indicial root: 0 (validated as the first kind) or
-    1 - nu (the second kind); any other value raises ValueError.  Unlike
+    lam must be an indicial root: 0 (the first kind) or, within 1e-12,
+    1 - nu (the second kind), and the series runs at the root that
+    :func:`validate` returns for that kind; any other lam raises
+    ValueError, and mu = 0 raises PoleError.  Unlike
     :func:`evaluate` no Gamma normalisation enters, so this stays finite
     where that normalisation has a pole, and it is what the recurrence
     oracle is compared with.  The per-order decomposition (already scaled
@@ -661,12 +645,10 @@ def eval_general(
     raises NonFiniteError before any work.
     """
     _require_finite("x", x)
-    if p.mu != 0.0:  # mu = 0 is refused by _general, ahead of the checks of lam
-        if lam == 0.0:
-            kind = SolutionKind.FIRST
-        elif abs(lam - (1.0 - p.nu)) <= 1e-12:
-            kind = SolutionKind.SECOND
-        else:
-            raise ValueError(f"lam={lam} is neither indicial root (0 or 1 - nu = {1.0 - p.nu})")
-        validate(p, kind)
-    return _general(p, lam, (x,), t)[0]
+    if lam == 0.0:
+        kind = SolutionKind.FIRST
+    elif abs(lam - (1.0 - p.nu)) <= 1e-12:
+        kind = SolutionKind.SECOND
+    else:
+        raise ValueError(f"lam={lam} is neither indicial root (0 or 1 - nu = {1.0 - p.nu})")
+    return _general(p, validate(p, kind), (x,), t)[0]

@@ -9,7 +9,9 @@ coefficients, ``eigenvalue(i, beta_i)`` is the closed-form ladder that
 B-termination, Omega = -mu (2 beta + i + lam), quantises,
 ``omega_cap(eigenvalue)`` is the Omega an eigenvalue corresponds to, and
 ``envelope(r)`` and ``x_of(r)`` give the factor and the series argument of
-the radial function.
+the radial function.  Each constructor takes the angular momentum as an
+integer (through ``operator.index``) and refuses a NaN or infinite float
+field with NonFiniteError.
 
 The radial factors returned by :func:`wavefunction` are the reduced
 functions u(r) = r * R(r), so all three systems share the r^(l+1)
@@ -25,7 +27,7 @@ import operator
 from typing import Callable, Sequence, Union
 
 from .errors import DegenerateCoupling, SampleNotConverged, TailNotDecayed
-from .params import GchParams, SolutionKind, _bind, _Frozen, _require_finite
+from .params import GchParams, SolutionKind, _bind, _Frozen, _index, _require_finite
 from .recurrence import EvalResult
 from .series import NestedTruncation, evaluate_grid
 
@@ -40,6 +42,8 @@ class RotatingOscillator(_Frozen):
     __slots__ = ("l_m", "omega_c")
 
     def __init__(self, l_m: int, omega_c: float) -> None:
+        l_m = _index("l_m", l_m)
+        _require_finite("omega_c", omega_c)
         if l_m < 0:
             raise ValueError("l_m must be a nonnegative integer")
         if omega_c <= 0.0:
@@ -78,6 +82,9 @@ class Confinement(_Frozen):
     __slots__ = ("a", "b", "c", "mass", "l")
 
     def __init__(self, a: float, b: float, c: float, mass: float, l: int) -> None:
+        l = _index("l", l)
+        for name, value in (("a", a), ("b", b), ("c", c), ("mass", mass)):
+            _require_finite(name, value)
         if c <= 0.0:
             raise ValueError("c must be positive")
         if mass <= 0.0:
@@ -130,6 +137,9 @@ class QQbar(_Frozen):
     __slots__ = ("m_q", "b_slope", "l")
 
     def __init__(self, m_q: float, b_slope: float, l: int) -> None:
+        l = _index("l", l)
+        _require_finite("m_q", m_q)
+        _require_finite("b_slope", b_slope)
         if m_q < 0.0:
             raise ValueError("quark mass must be nonnegative")
         if b_slope <= 0.0:

@@ -114,18 +114,13 @@ class GridSpec(_Frozen):
         _bind(self, "kinds", kinds)
 
     def param_sets(self):
-        """Each parameter set of the grid, in the order of :meth:`points`."""
+        """Each parameter set of the grid, the last axis (omega) fastest."""
         for mu in self.mu:
             for eps in self.eps:
                 for nu in self.nu:
                     for omega_cap in self.Omega:
                         for omega in self.omega:
                             yield GchParams(mu, eps, nu, omega_cap, omega)
-
-    def points(self):
-        for p in self.param_sets():
-            for x in self.x:
-                yield p, x
 
 
 class CrossRecord(_Frozen):

@@ -132,6 +132,15 @@ def test_verify_empty_grid_exits_two(tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
+def test_verify_no_kinds_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"kinds": []}}))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: verification grid is empty\n"
+    assert captured.out == ""
+
+
 def test_verify_config_grid_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grid": {
@@ -469,6 +478,21 @@ def test_float_overflow_exit2(gch_subprocess_env):
     assert len(err) == 1 and err[0].startswith("error:")
     assert b"Traceback" not in r.stderr
     assert r.stdout == b""
+
+
+@pytest.mark.parametrize("argv,message", [
+    # the order vectors at x = 40 hold infinities of both signs
+    (["--mu", "-2", "--epsilon", "1", "--nu", "1.5", "--omega-cap", "-3", "--omega", "0.25",
+      "--x-stop", "40", "--x-count", "3"], "nested sum overflows at x=40.0"),
+    (["--mu", "0", "--nu", "1.5", "--omega-cap", "1"], "mu must be nonzero: Omega/mu enters n* and the closed form"),
+    (["--mu", "0", "--nu", "1.5", "--omega-cap", "1", "--variant", "poly"],
+     "mu must be nonzero: Omega/mu enters n* and the closed form"),
+], ids=["order-vectors-overflow", "mu-zero", "mu-zero-poly"])
+def test_eval_refusals_exit2(argv, message, capsys):
+    assert main(["eval", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 
 from gch import series, verify
-from gch.errors import DomainError, GchError, NonFiniteError, PoleError, SampleNotConverged, TailNotDecayed
+from gch.errors import DomainError, FloatOverflow, GchError, NonFiniteError, SampleNotConverged, TailNotDecayed
 from gch.params import GchParams, SolutionKind, validate
 from gch.recurrence import Truncation, sum_series
 from gch.series import NestedTruncation, _general, _required_cap, eval_general, evaluate, evaluate_grid
@@ -111,18 +111,21 @@ def test_point_needing_more_orders_than_the_reference():
 
 
 def test_one_engine_run_per_side(monkeypatch):
-    # each engine run guards chain 0's two offsets once; the point that
-    # needs more orders than the reference extends the same table
+    # the point that needs more orders than the reference extends the same
+    # table; at mu > 0 the points past the transform test share a second
     calls = []
-    guard = series._pole_guard
+    engine = series._engine
 
-    def counting(offset, cap, what, k):
-        calls.append((what, k))
-        return guard(offset, cap, what, k)
+    def counting(p, lam, a_k, z, cap, table):
+        calls.append(z)
+        return engine(p, lam, a_k, z, cap, table)
 
-    monkeypatch.setattr(series, "_pole_guard", counting)
+    monkeypatch.setattr(series, "_engine", counting)
     evaluate_grid(GchParams(-2.0, 0.4, 2.0, 4.0, 0.5), FIRST, [1.24, 0.5, 1.26])
-    assert calls.count(("chain", 0)) == 2
+    assert len(calls) == 1
+    calls.clear()
+    evaluate_grid(GchParams(2.0, 0.4, 1.5, 3.0, 0.5), FIRST, [0.3, 2.0, 0.9, 1.5])
+    assert len(calls) == 2
 
 
 def test_value_off_the_table_not_finite_runs_its_own_engine():
@@ -164,19 +167,17 @@ def test_domain_error_at_first_failing_x():
         _general(p, 1.0 - p.nu, [0.2, 0.7, -0.3, -0.9], None)
 
 
-def test_pole_error_while_building_a_table_falls_back_to_points():
-    # offsets of chains 1 and 3 lie within INT_TOL of -5 and -4: their
-    # guards fire once the depth reaches index 4, so the nearest points
-    # evaluate and the farther ones raise
-    p = GchParams(-1.3, 1.0, -12 + 1.5e-12, 0.4, 0.3)
-    near = [evaluate(p, FIRST, x) for x in (1e-4, 1e-5)]
-    assert [_depth(r) for r in near] == [3, 2]
-    assert evaluate_grid(p, FIRST, [1e-4, 1e-5]) == near
-    with pytest.raises(PoleError) as per_point:
-        evaluate(p, FIRST, 0.5)
-    with pytest.raises(PoleError) as grid:
-        evaluate_grid(p, FIRST, [1e-4, 0.5, 1e-5, 0.01])
-    assert str(grid.value) == str(per_point.value)
+def test_error_while_building_a_table_falls_back_to_points():
+    # the table is built at x = 40, whose order vectors hold infinities
+    # of both signs; once it raises, the grid evaluates each point on its
+    # own, x = 1 first, which is finite, and raises what x = 40 raises
+    p = GchParams(-2.0, 1.0, 1.5, -3.0, 0.25)
+    assert math.isfinite(evaluate(p, FIRST, 1.0).value)
+    with pytest.raises(FloatOverflow) as per_point:
+        evaluate(p, FIRST, 40.0)
+    with pytest.raises(FloatOverflow) as grid:
+        evaluate_grid(p, FIRST, [1.0, 40.0, 0.5, 3.0])
+    assert str(grid.value) == str(per_point.value) == "nested sum overflows at x=40.0"
 
 
 # ------------------------------------------------------------------ callers
@@ -185,7 +186,7 @@ def _records_point_by_point(spec):
     """cross_validate's records computed the way they were before the grid
     call: each point and kind on its own, the first error recorded."""
     records = []
-    for p, x in spec.points():
+    for p, x in ((p, x) for p in spec.param_sets() for x in spec.x):
         for kind in spec.kinds:
             try:
                 lam = validate(p, kind)

@@ -62,7 +62,7 @@ def test_detect_termination_examples():
 
 
 def test_detect_termination_requires_mu():
-    with pytest.raises(PoleError):
+    with pytest.raises(PoleError, match=r"^mu must be nonzero: Omega/mu enters n\* and the closed form$"):
         detect_termination(GchParams(0.0, 1, 1, 1, 1), 0.0)
 
 

@@ -5,6 +5,7 @@ import re
 import mpmath as mp
 import pytest
 
+from gch import series
 from gch.errors import BetaMismatch, DomainError, FloatOverflow, GchError, KindRestrictionError, NoTermination, PoleError
 from gch.params import GchParams, SolutionKind
 from gch.recurrence import Truncation, sum_series
@@ -15,6 +16,7 @@ from gch.series import (
     betas_from_omega,
     eval_general,
     evaluate,
+    evaluate_grid,
 )
 TIGHT = Truncation(max_terms=500, rel_tol=1e-14)
 NT = NestedTruncation(max_order_N=40, max_inner=80, rel_tol=1e-13)
@@ -106,9 +108,42 @@ def test_eval_general_random_sweep():
         assert closed == pytest.approx(oracle, rel=1e-10, abs=1e-13)
 
 
+MU_ZERO = "^mu must be nonzero: Omega/mu enters n\\* and the closed form$"
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: evaluate(p, FIRST, 0.5),
+    lambda p: evaluate(p, SECOND, 0.5, betas=(0,)),
+    lambda p: evaluate_grid(p, SECOND, [0.2, 0.5]),
+    lambda p: eval_general(p, 1.0 - p.nu, 0.5),
+], ids=["evaluate", "evaluate-betas", "evaluate_grid", "eval_general-second"])
+def test_mu_zero_is_refused_with_one_message(call):
+    # detect_termination is the one place that refuses mu = 0
+    # (test_detect_termination_requires_mu); the evaluators reach it right
+    # after validate, ahead of the betas check
+    with pytest.raises(PoleError, match=MU_ZERO):
+        call(GchParams(0.0, 1.0, 0.5, 1.0, 1.0))
+
+
 def test_eval_general_requires_mu():
-    with pytest.raises(PoleError):
+    with pytest.raises(PoleError, match=MU_ZERO):
         eval_general(GchParams(0.0, 1.0, 1.0, 1.0, 1.0), 0.0, 0.5)
+
+
+def test_eval_general_runs_at_the_validated_root(monkeypatch):
+    # a lam within 1e-12 of 1 - nu selects the second kind, and the series
+    # runs at the root validate returns, not at the lam given
+    p = GchParams(-1.0, 0.8, 0.5, 0.7, 1.2)
+    seen = []
+    general = series._general
+
+    def recording(p, lam, xs, t):
+        seen.append(lam)
+        return general(p, lam, xs, t)
+
+    monkeypatch.setattr(series, "_general", recording)
+    assert eval_general(p, 0.5 + 4e-13, 0.6, NT) == eval_general(p, 0.5, 0.6, NT)
+    assert seen == [0.5, 0.5]
 
 
 def test_eval_general_rejects_non_root_lam():
@@ -576,32 +611,79 @@ def test_step_counts_pinned(p, kind, x, terms, orders, value):
     (GchParams(0.01, 0.0, 1.5, -10.0, 0.0), FIRST, 1.0, "first-kind prefactor: Gamma(501.25)/Gamma(1.25)"),
     (GchParams(-0.01, 0.0, 0.5, 10.0, 0.0), SECOND, 1.0, "second-kind prefactor: Gamma(501.0)/Gamma(1.25)"),
     (GchParams(0.01, -100.0, 1.5, 1.0, 0.3), FIRST, 15.0, "transform factor e^(1498.875)"),
-], ids=["gamma-first", "gamma-second", "transform-factor"])
+    # Gamma(-199.65) and Gamma(-200.65) underflow to 0.0
+    (GchParams(-1.0, 0.5, -400.3, 0.4, 0.3), FIRST, 0.5,
+     "first-kind prefactor: Gamma(-199.45000000000002)/Gamma(-199.65)"),
+    (GchParams(-1.0, 0.5, 404.3, 0.4, 0.3), SECOND, 0.5, "second-kind prefactor: Gamma(1.2)/Gamma(-200.65)"),
+    # the order vectors at z = 1600 hold infinities of both signs
+    (GchParams(-2.0, 1.0, 1.5, -3.0, 0.25), FIRST, 40.0, "nested sum"),
+], ids=["gamma-first", "gamma-second", "transform-factor", "gamma-underflow-first", "gamma-underflow-second",
+        "order-vectors"])
 def test_float_overflow_is_a_gch_error(p, kind, x, message):
-    # the Gamma normalisation and the transform factor overflow a float
+    # the Gamma normalisation, the transform factor and the order sums
+    # overflow a float
     with pytest.raises(FloatOverflow, match=f"^{re.escape(message)} overflows") as info:
         evaluate(p, kind, x)
     assert isinstance(info.value, GchError) and isinstance(info.value, OverflowError)
 
 
+def test_power_past_the_float_range_is_a_float_overflow():
+    # x^lam = 14^281.5 overflows, in the closed form and in the oracle alike
+    p = GchParams(-1.0, 0.5, -280.5, 0.4, 0.3)
+    message = r"^\(14\.0\)\*\*\(281\.5\) overflows$"
+    with pytest.raises(FloatOverflow, match=message):
+        eval_general(p, 281.5, 14.0)
+    with pytest.raises(FloatOverflow, match=message):
+        sum_series(p, 281.5, 14.0)
+
+
 def test_weight_pole_inside_int_tol_raises():
-    # validate accepts nu = -2 + 1.5e-12, farther than INT_TOL from -2, but
-    # weight 0's offset gamma - 1/2 is then within INT_TOL of -1
-    with pytest.raises(PoleError, match="weight 0 denominator"):
-        evaluate(GchParams(-1.0, 1.0, -2 + 1.5e-12, 0.3, 0.2), FIRST, 0.5)
+    # nu = -2 + 1.5e-12 would put weight 0's offset gamma - 1/2 within
+    # INT_TOL of -1; validate refuses it at every x, before any chain is built
+    p = GchParams(-1.0, 1.0, -2 + 1.5e-12, 0.3, 0.2)
+    for x in (0.0, 1e-5, 0.5, 3.0):
+        with pytest.raises(KindRestrictionError, match=r"^first kind requires nu not in \{0, -1, -2, \.\.\.\}"):
+            evaluate(p, FIRST, x)
+    with pytest.raises(KindRestrictionError):
+        evaluate_grid(p, FIRST, [1e-5, 0.5])
+    with pytest.raises(KindRestrictionError):
+        eval_general(p, 0.0, 0.5)
 
 
-@pytest.mark.parametrize("nu,kind,message", [
-    (4 + 1.5e-12, SECOND, "chain 1 denominator offset -7.5"),
-    (2 + 1.5e-12, SECOND, "weight 0 denominator offset -7.5"),
-    (-6 + 1.5e-12, FIRST, "chain 1 denominator offset -1.9999999999992.* vanishes at index 2"),
-])
-def test_order_one_guards_fire_in_order(nu, kind, message):
-    # nu just outside INT_TOL of an integer puts an offset of chain 1 or
-    # weight 0 within INT_TOL of a nonpositive integer; order 1 checks
-    # chain 1 before weight 0, and both before their rows are built
-    with pytest.raises(PoleError, match=f"^{message}"):
-        evaluate(GchParams(-1.3, 1.0, nu, 0.4, 0.3), kind, 0.5)
+@pytest.mark.parametrize("nu,kind", [(4 + 1.5e-12, SECOND), (2 + 1.5e-12, SECOND), (-6 + 1.5e-12, FIRST)])
+def test_chain_offset_inside_int_tol_is_refused(nu, kind):
+    # nu within 2 * INT_TOL of a forbidden integer would put an offset of
+    # chain 1 or weight 0 within INT_TOL of a nonpositive integer; validate
+    # refuses nu at every x
+    p = GchParams(-1.3, 1.0, nu, 0.4, 0.3)
+    for x in (0.0, 0.5, 4.0):
+        with pytest.raises(KindRestrictionError, match=f"^{kind.value} kind requires"):
+            evaluate(p, kind, x)
+
+
+def test_sweep_near_the_forbidden_integers():
+    # each kind over each of its forbidden integers k up to |k| = 300:
+    # within 2e-12 of k validate refuses nu at every x; from 2.05e-12 to
+    # 1e-10 away the closed form raises no PoleError and no bare float
+    # error (a GchError such as FloatOverflow may remain)
+    rng = random.Random(18)
+    t = NestedTruncation(max_inner=400)
+    for kind, ks in ((FIRST, range(0, -301, -1)), (SECOND, range(2, 301))):
+        for k in ks:
+            # the second kind's z^(1 - gamma) is real only for mu < 0
+            mu = rng.uniform(0.2, 2.5) * (-1.0 if kind is SECOND else rng.choice([-1.0, 1.0]))
+            eps, Omega, omega = rng.uniform(-2.0, 2.0), rng.uniform(-4.0, 4.0), rng.uniform(-1.0, 1.5)
+            near = k + rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 2e-12)
+            assert abs(near - k) <= 2e-12
+            for x in (0.0, rng.uniform(0.0, 14.0)):
+                with pytest.raises(KindRestrictionError):
+                    evaluate(GchParams(mu, eps, near, Omega, omega), kind, x, t=t)
+            band = k + rng.choice([-1.0, 1.0]) * rng.uniform(2.05e-12, 1e-10)
+            assert abs(band - k) >= 2.05e-12
+            try:
+                evaluate(GchParams(mu, eps, band, Omega, omega), kind, rng.uniform(0.0, 14.0), t=t)
+            except GchError as exc:
+                assert not isinstance(exc, PoleError), exc
 
 
 # ---------------------------------------------- mu > 0 through the transformation

@@ -13,6 +13,7 @@ import re
 
 import pytest
 
+from gch.errors import NonFiniteError
 from gch.params import GchParams, SolutionKind
 from gch.recurrence import EvalResult, Truncation
 from gch.series import NestedTruncation
@@ -137,11 +138,9 @@ def test_not_equal_to_tuple_or_subclass(cls, _fields, values, _changed, _repr):
     (GchParams(1.0, 0.2, 0.5, 1.0, 0), Confinement(1.0, 0.2, 0.5, 1.0, 0)),
     (Truncation(8, 0.5), RotatingOscillator(8, 0.5)),
     (NestedTruncation(48, 240, 0.5), ResidualReport(48, 240, 0.5)),
-    (NestedTruncation(48, 240, 0.5), QQbar(48, 240, 0.5)),
     (ResidualReport(48, 240, 1), QQbar(48, 240, 1)),
     (EigenState((), 0.0, 1, 0), CrossReport((), 0.0, 1, 0)),
-], ids=["params-confinement", "truncation-oscillator", "nested-residual", "nested-qqbar",
-        "residual-qqbar", "state-report"])
+], ids=["params-confinement", "truncation-oscillator", "nested-residual", "residual-qqbar", "state-report"])
 def test_classes_with_equal_values_differ(one, other):
     assert one != other and other != one
 
@@ -175,9 +174,29 @@ def test_repr_pinned(cls, _fields, values, _changed, pinned):
     (lambda: QQbar(m_q=-0.1, b_slope=1.0, l=0), "quark mass must be nonnegative"),
     (lambda: QQbar(m_q=0.3, b_slope=0.0, l=0), "slope b must be positive"),
     (lambda: QQbar(m_q=0.3, b_slope=1.0, l=-1), "l must be a nonnegative integer"),
+    (lambda: RotatingOscillator(l_m=0.5, omega_c=2.0), "l_m must be an integer, got 0.5"),
+    (lambda: Confinement(a=1.0, b=0.2, c=0.5, mass=1.0, l=0.5), "l must be an integer, got 0.5"),
+    (lambda: QQbar(m_q=0.3, b_slope=1.0, l=1.5), "l must be an integer, got 1.5"),
 ])
 def test_validation_messages(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: RotatingOscillator(l_m=0, omega_c=math.inf), "omega_c=inf is not a finite real"),
+    (lambda: RotatingOscillator(l_m=0, omega_c=math.nan), "omega_c=nan is not a finite real"),
+    (lambda: Confinement(a=math.nan, b=0.2, c=0.5, mass=1.0, l=0), "a=nan is not a finite real"),
+    (lambda: Confinement(a=1.0, b=-math.inf, c=0.5, mass=1.0, l=0), "b=-inf is not a finite real"),
+    (lambda: Confinement(a=1.0, b=0.2, c=math.inf, mass=1.0, l=0), "c=inf is not a finite real"),
+    (lambda: Confinement(a=1.0, b=0.2, c=0.5, mass=math.nan, l=0), "mass=nan is not a finite real"),
+    (lambda: QQbar(m_q=math.nan, b_slope=1.0, l=0), "m_q=nan is not a finite real"),
+    (lambda: QQbar(m_q=0.3, b_slope=math.inf, l=0), "b_slope=inf is not a finite real"),
+])
+def test_non_finite_fields_refused(make, message):
+    # the sign checks pass a NaN, and an infinite coupling maps onto a
+    # degenerate parameter set
+    with pytest.raises(NonFiniteError, match=f"^{re.escape(message)}$"):
         make()
 
 

@@ -117,12 +117,26 @@ def test_cross_validate_reports_invalid_points():
 
 
 def test_cross_validate_records_float_overflow():
-    # e^{-mu x^2/2 - eps x} of the transformed sum overflows at x = 15
-    grid = GridSpec(mu=(0.01,), eps=(-100.0,), nu=(1.5,), Omega=(1.0,), omega=(0.3,),
-                    x=(15.0,), kinds=(SolutionKind.FIRST,))
-    rep = cross_validate(grid)
-    assert (rep.n_evaluated, rep.n_failed) == (0, 1)
-    assert rep.records[0].error.startswith("FloatOverflow: transform factor")
+    # e^{-mu x^2/2 - eps x} of the transformed sum overflows at x = 15, not
+    # at x = 1: the grid call raises, and each x is then evaluated alone
+    axes = dict(mu=(0.01,), eps=(-100.0,), nu=(1.5,), Omega=(1.0,), omega=(0.3,), kinds=(SolutionKind.FIRST,))
+    rep = cross_validate(GridSpec(x=(1.0, 15.0), **axes))
+    assert (rep.n_evaluated, rep.n_failed) == (1, 1)
+    assert rep.records[0].error is None
+    assert rep.records[1].error.startswith("FloatOverflow: transform factor")
+    assert rep.records == tuple(rec for x in (1.0, 15.0) for rec in cross_validate(GridSpec(x=(x,), **axes)).records)
+
+
+@pytest.mark.parametrize("grid,errors", [
+    # the order vectors at x = 40 hold infinities of both signs
+    (GridSpec((-2.0,), (1.0,), (1.5,), (-3.0,), (0.25,), (1.0, 40.0), (SolutionKind.FIRST,)),
+     [None, "FloatOverflow: nested sum overflows at x=40.0"]),
+    # the oracle's x^lam = 14^281.5 overflows
+    (GridSpec((-1.0,), (0.5,), (-280.5,), (0.4,), (0.3,), (14.0,), (SolutionKind.SECOND,)),
+     ["FloatOverflow: (14.0)**(281.5) overflows"]),
+], ids=["order-vectors", "oracle-power"])
+def test_cross_validate_records_float_overflow_of_sums(grid, errors):
+    assert [rec.error for rec in cross_validate(grid).records] == errors
 
 
 def test_cross_validate_monotone_in_order_cap():
