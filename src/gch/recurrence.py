@@ -144,7 +144,7 @@ def _coefficients(p: GchParams, lam: float, c0: float) -> Iterator[float]:
 
 def coefficients(p: GchParams, lam: float, c0: float, count: int) -> list[float]:
     """First ``count`` series coefficients c_0 .. c_{count-1} from the recurrence."""
-    return list(itertools.islice(_coefficients(p, lam, c0), max(count, 0)))
+    return list(itertools.islice(_coefficients(p, lam, c0), max(_index("count", count), 0)))
 
 
 def detect_termination(p: GchParams, lam: float) -> Optional[int]:

@@ -146,17 +146,28 @@ _DEFAULT_TRUNCATION = NestedTruncation()
 
 
 def _gamma_ratio(num_arg: float, den_arg: float, what: str) -> float:
-    """Gamma(num_arg)/Gamma(den_arg) for normalisation prefactors;
-    FloatOverflow where a Gamma or the ratio leaves the float range."""
+    """Gamma(num_arg)/Gamma(den_arg) for normalisation prefactors.
+
+    Where a Gamma overflows, the denominator underflows or their quotient
+    leaves the float range, the ratio is exp(lgamma(num_arg) -
+    lgamma(den_arg)) with the signs of the two Gammas; FloatOverflow where
+    that is not finite either."""
     try:
-        num = math.gamma(num_arg)
-        den = math.gamma(den_arg)
+        try:
+            ratio = math.gamma(num_arg) / math.gamma(den_arg)
+        except (OverflowError, ZeroDivisionError):
+            ratio = math.inf
+        if not math.isfinite(ratio):
+            # Gamma(a) < 0 where a < 0 and floor(a) is odd
+            num_neg, den_neg = (a < 0.0 and math.floor(a) % 2 == 1 for a in (num_arg, den_arg))
+            ratio = math.exp(math.lgamma(num_arg) - math.lgamma(den_arg))
+            if num_neg != den_neg:
+                ratio = -ratio
     except ValueError as exc:
         raise NormalizationPole(f"{what}: gamma pole at Gamma({num_arg})/Gamma({den_arg})") from exc
     except OverflowError as exc:
         raise FloatOverflow(f"{what}: Gamma({num_arg})/Gamma({den_arg}) overflows") from exc
-    # den is 0.0 where Gamma(den_arg) underflows
-    if den == 0.0 or not math.isfinite(ratio := num / den):
+    if not math.isfinite(ratio):
         raise FloatOverflow(f"{what}: Gamma({num_arg})/Gamma({den_arg}) overflows")
     return ratio
 
@@ -303,7 +314,7 @@ def _sum_orders(
     vectors: Iterator[list[float]],
     et: float,
     t: NestedTruncation,
-    total: Callable[[list[float]], float] = math.fsum,
+    total: Callable[[list[float]], float],
 ) -> tuple[list[float], bool]:
     """Order contributions S_n et^n read off the order vectors g_n, with
     S_n = total(g_n), and the converged flag.
@@ -345,42 +356,44 @@ def _dot(powers: list[float], g: list[float]) -> float:
     return math.fsum(map(mul, g, powers))
 
 
-def _result(
-    p: GchParams,
-    far: bool,
-    nq: Optional[int],
-    nstar: Optional[int],
-    x: float,
-    pref: float,
-    et: float,
-    need: int,
-    got: tuple[list[float], bool],
-    t: NestedTruncation,
-) -> EvalResult:
-    """The result of a point from its orders and converged flag ``got``,
-    at chain depth ``need`` (capped at max_inner); ``far`` marks the
-    transformed parameters, whose n* is ``nq``."""
-    orders, converged = got
-    if far:
-        expo = -0.5 * p.mu * x * x - p.eps * x
-        try:
-            scale = math.exp(expo)
-        except OverflowError as exc:
-            raise FloatOverflow(f"transform factor e^({expo}) overflows at x={x}") from exc
-        orders = [scale * o for o in orders]
-    scaled = tuple([pref * o for o in orders])
-    max_inner = t.max_inner
-    return EvalResult(
-        value=pref * math.fsum(orders),
-        terms_used=(min(need, max_inner) + 1) * len(orders),
-        last_term_mag=abs(scaled[-1]) if len(scaled) > 1 else 0.0,
-        # with eps_tilde = 0 only order 0 is summed, and a chain 0 that
-        # ends within max_inner leaves no tail for the inner cap to cut
-        converged=converged and (need <= max_inner or (
-            et == 0.0 and (end0 := _chain_end(nq, 0)) is not None and end0 <= max_inner)),
-        terminated_at=nstar,
-        orders=scaled,
-    )
+def _outcome(
+    p: GchParams, far: bool, nq: Optional[int], nstar: Optional[int], t: NestedTruncation,
+    x: float, pref: float, et: float, need: int,
+    vectors: Iterator[list[float]], total: Callable[[list[float]], float],
+) -> EvalResult | FloatOverflow:
+    """The result of a point from the order vectors it reads, each summed
+    by ``total``, at chain depth ``need`` (capped at max_inner), or the
+    FloatOverflow it raises.  The first line of parameters is the group's:
+    ``far`` marks the transformed parameters, whose n* is ``nq``."""
+    try:
+        orders, converged = _sum_orders(vectors, et, t, total)
+        if far:
+            expo = -0.5 * p.mu * x * x - p.eps * x
+            try:
+                scale = math.exp(expo)
+            except OverflowError as exc:
+                raise FloatOverflow(f"transform factor e^({expo}) overflows at x={x}") from exc
+            orders = [scale * o for o in orders]
+        scaled = tuple([pref * o for o in orders])
+        max_inner = t.max_inner
+        return EvalResult(
+            value=pref * math.fsum(orders),
+            terms_used=(min(need, max_inner) + 1) * len(orders),
+            last_term_mag=abs(scaled[-1]) if len(scaled) > 1 else 0.0,
+            # with eps_tilde = 0 only order 0 is summed, and a chain 0 that
+            # ends within max_inner leaves no tail for the inner cap to cut
+            converged=converged and (need <= max_inner or (
+                et == 0.0 and (end0 := _chain_end(nq, 0)) is not None and end0 <= max_inner)),
+            terminated_at=nstar,
+            orders=scaled,
+        )
+    except FloatOverflow as exc:
+        return exc
+    except (ValueError, OverflowError) as exc:
+        # math.fsum met infinities of both signs, or left the float range
+        err = FloatOverflow(f"nested sum overflows at x={x}")
+        err.__cause__ = exc
+        return err
 
 
 def _group(
@@ -390,9 +403,10 @@ def _group(
     xs: Sequence[float],
     prefs: Sequence[float],
     t: NestedTruncation,
-) -> list[EvalResult]:
-    """pref * (sum of the nested orders at root lam) at each point of xs,
-    which all lie on one side of the mu > 0 transform test.
+) -> list:
+    """The outcome at each point of xs, which all lie on one side of the
+    mu > 0 transform test: pref * (sum of the nested orders at root lam),
+    or the GchError the point raises when evaluated alone.
 
     Each point runs its chains to the depth :func:`_required_cap` gives for
     its z and the chain parameters, at most max_inner, and sums the orders
@@ -401,7 +415,7 @@ def _group(
     z < -1 the alternating chains cancel, so the orders are those of the
     transformed parameters (:func:`_kummer_transformed`, whose z is
     positive) times e^{-mu x^2/2 - eps x}; which chains end is then decided
-    by the transformed parameters' n*.
+    by the transformed parameters' n*, whose error is every point's.
 
     The group has one engine, at the z and depth of its point of largest
     |x|, and one table T of the vectors it has built.  The points are
@@ -409,13 +423,17 @@ def _group(
     over its own depth, off the table and then off the engine (module
     docstring); so the table grows as far as any point reads.  A point
     whose depth exceeds the table's (z = 0 beside a tiny reference), or
-    whose value off the table is not finite, runs the engine on its own.
+    whose read off the table raises or is not finite, runs the engine on
+    its own; a point at z_ref reads what its own run would.
     """
     x_ref = max(xs, key=abs)
     far = p.mu > 0.0 and 0.5 * p.mu * x_ref * x_ref > 1.0
     if far:
         q = _kummer_transformed(p)
-        nq = detect_termination(q, lam)
+        try:
+            nq = detect_termination(q, lam)
+        except GchError as exc:
+            return [exc] * len(xs)
     else:
         q, nq = p, nstar
     a = _chain_a(q, lam, nq)
@@ -429,6 +447,7 @@ def _group(
     # a lone point keeps no vectors: holding them costs it fresh memory
     table = [] if len(xs) > 1 else None
     engine = _engine(q, lam, a, z_ref, cap_ref, table)
+    outcome = partial(_outcome, p, far, nq, nstar, t)
     out = []
     for x, pref in zip(xs, prefs):
         z = half_mu * x * x
@@ -439,18 +458,11 @@ def _group(
             need = _required_cap(z, a_mag, b, c, max_inner)
             total = partial(_dot, list(accumulate(repeat(z / z_ref, min(need, max_inner)), mul, initial=1.0)))
         cap = min(need, max_inner)
-        try:
-            if cap <= cap_ref:
-                vectors = engine if table is None else chain(table, engine)
-                res = _result(p, far, nq, nstar, x, pref, et, need, _sum_orders(vectors, et, t, total), t)
-            if cap > cap_ref or z != z_ref and not math.isfinite(res.value):
-                got = _sum_orders(_engine(q, lam, a, z, cap, None), et, t)
-                res = _result(p, far, nq, nstar, x, pref, et, need, got, t)
-        except FloatOverflow:
-            raise
-        except (ValueError, OverflowError) as exc:
-            # math.fsum met infinities of both signs, or left the float range
-            raise FloatOverflow(f"nested sum overflows at x={x}") from exc
+        res = None
+        if cap <= cap_ref:
+            res = outcome(x, pref, et, need, engine if table is None else chain(table, engine), total)
+        if z != z_ref and not (isinstance(res, EvalResult) and math.isfinite(res.value)):
+            res = outcome(x, pref, et, need, _engine(q, lam, a, z, cap, None), math.fsum)
         out.append(res)
     return out
 
@@ -462,34 +474,38 @@ def _results(
     pref_of: Callable[[float], float],
     xs: Sequence[float],
     t: NestedTruncation | None,
-) -> list[EvalResult]:
-    """pref_of(x) * (sum of the nested orders at root lam) at each x, in
-    order; ``nstar`` is :func:`detect_termination` of (p, lam).
+) -> list:
+    """The outcome at each x, in order: pref_of(x) * (sum of the nested
+    orders at root lam), or the GchError that x raises when evaluated
+    alone; ``nstar`` is :func:`detect_termination` of (p, lam).
 
-    The points are grouped by the transform test, and each group shares
-    one table (:func:`_group`).  When any point raises, every point is
-    evaluated on its own in input order, so the call raises what the first
-    failing point raises by itself.
+    Each point's prefactor comes first, and its error is the point's
+    outcome.  The other points are grouped by the transform test, and each
+    group shares one table (:func:`_group`).
     """
-    if not xs:
-        return []
     t = t or _DEFAULT_TRUNCATION
-    try:
-        if len(xs) == 1:
-            return _group(p, lam, nstar, xs, (pref_of(xs[0]),), t)
-        prefs = [pref_of(x) for x in xs]
-        sides: dict = {}
-        for i, x in enumerate(xs):
+    # each entry holds the point's prefactor until its group replaces it
+    out: list = []
+    sides: dict = {}
+    for i, x in enumerate(xs):
+        try:
+            out.append(pref_of(x))
+        except GchError as exc:
+            out.append(exc)
+        else:
             sides.setdefault(p.mu > 0.0 and 0.5 * p.mu * x * x > 1.0, []).append(i)
-        out: list = [None] * len(xs)
-        for idx in sides.values():
-            for i, res in zip(idx, _group(p, lam, nstar, [xs[i] for i in idx], [prefs[i] for i in idx], t)):
-                out[i] = res
-        return out
-    except (GchError, ArithmeticError, ValueError):
-        if len(xs) == 1:
-            raise
-        return [_group(p, lam, nstar, (x,), (pref_of(x),), t)[0] for x in xs]
+    for idx in sides.values():
+        for i, res in zip(idx, _group(p, lam, nstar, [xs[i] for i in idx], [out[i] for i in idx], t)):
+            out[i] = res
+    return out
+
+
+def _raise_first(outcomes: list) -> list[EvalResult]:
+    """``outcomes``, where none is a GchError; else the first one raises."""
+    for res in outcomes:
+        if isinstance(res, GchError):
+            raise res
+    return outcomes
 
 
 def betas_from_omega(p: GchParams, lam: float, count: int) -> tuple[Optional[int], ...]:
@@ -501,6 +517,7 @@ def betas_from_omega(p: GchParams, lam: float, count: int) -> tuple[Optional[int
     alternate with absent ones.  Raises NoTermination unless chain 0 ends,
     i.e. unless Omega is one of the eigenvalues -mu(2 beta_0 + lam).
     """
+    count = _index("count", count)
     if count < 1:
         raise ValueError("count must be positive")
     nstar = detect_termination(p, lam)
@@ -508,12 +525,9 @@ def betas_from_omega(p: GchParams, lam: float, count: int) -> tuple[Optional[int
         raise NoTermination(
             f"beta_0 = {0.5 * (-p.Omega / p.mu - lam)} is not a nonnegative integer; Omega={p.Omega} does not terminate"
         )
-    # chain 0 ends, so n* - 1 is even, and the chains that end are the
-    # even k = 0, 2, ..., n* - 1
-    betas: list = [None] * count
-    for k in range(0, min(count, nstar), 2):
-        betas[k] = (nstar - 1 - k) // 2
-    return tuple(betas)
+    # no chain k >= n* ends, so only those below n* take a call
+    ends = [_chain_end(nstar, k) for k in range(min(count, nstar))]
+    return tuple(ends + [None] * (count - len(ends)))
 
 
 def _check_beta_consistency(p: GchParams, lam: float, betas: tuple[Optional[int], ...]) -> None:
@@ -549,7 +563,14 @@ def _normalisation(
     if first:
         return lam, nstar, lambda x: pref
     expo = 1.0 - p.gamma
-    return lam, nstar, lambda x: real_power(-0.5 * p.mu * x * x, expo) * pref
+
+    def pref_of(x: float) -> float:
+        value = real_power(-0.5 * p.mu * x * x, expo) * pref
+        if math.isinf(value):
+            raise FloatOverflow(f"second-kind prefactor z^({expo}) * {pref} overflows at x={x}")
+        return value
+
+    return lam, nstar, pref_of
 
 
 def evaluate(
@@ -579,7 +600,7 @@ def evaluate(
     """
     _require_finite("x", x)
     lam, nstar, pref_of = _normalisation(p, kind, betas)
-    return _group(p, lam, nstar, (x,), (pref_of(x),), t or _DEFAULT_TRUNCATION)[0]
+    return _raise_first(_group(p, lam, nstar, (x,), (pref_of(x),), t or _DEFAULT_TRUNCATION))[0]
 
 
 def evaluate_grid(
@@ -598,15 +619,15 @@ def evaluate_grid(
     result has the flags, depth, order count and ``terminated_at`` of its
     own :func:`evaluate` call, and its value agrees with it to rounding
     (the point of largest |x|, and any point at the same |x|, bit for
-    bit).  Where any point raises, the call raises what the first such x
-    raises in :func:`evaluate`, except that a non-finite x anywhere in
-    ``xs`` raises NonFiniteError before any work.  Nothing is kept between
-    calls.
+    bit).  Each point's outcome is its own, so a failing x costs the
+    others nothing; the call raises what the first failing x raises in
+    :func:`evaluate`, except that a non-finite x anywhere in ``xs`` raises
+    NonFiniteError before any work.  Nothing is kept between calls.
     """
     for x in xs:
         _require_finite("x", x)
     lam, nstar, pref_of = _normalisation(p, kind)
-    return _results(p, lam, nstar, pref_of, xs, t)
+    return _raise_first(_results(p, lam, nstar, pref_of, xs, t))
 
 
 def _general(
@@ -614,12 +635,15 @@ def _general(
     lam: float,
     xs: Sequence[float],
     t: NestedTruncation | None,
-) -> list[EvalResult]:
-    """:func:`eval_general` at each x of ``xs``, in input order, from one
-    table per transform branch as in :func:`evaluate_grid`; lam is the
-    root :func:`validate` returned for p, and :func:`detect_termination`
-    refuses mu = 0."""
-    return _results(p, lam, detect_termination(p, lam), lambda x: real_power(x, lam), xs, t)
+) -> list:
+    """The outcome of :func:`eval_general` at each x of ``xs``, in input
+    order, as in :func:`_results`; lam is the root :func:`validate`
+    returned for p, and the PoleError of mu = 0 is every point's."""
+    try:
+        nstar = detect_termination(p, lam)
+    except GchError as exc:
+        return [exc] * len(xs)
+    return _results(p, lam, nstar, lambda x: real_power(x, lam), xs, t)
 
 
 def eval_general(
@@ -651,4 +675,4 @@ def eval_general(
         kind = SolutionKind.SECOND
     else:
         raise ValueError(f"lam={lam} is neither indicial root (0 or 1 - nu = {1.0 - p.nu})")
-    return _general(p, validate(p, kind), (x,), t)[0]
+    return _raise_first(_general(p, validate(p, kind), (x,), t))[0]

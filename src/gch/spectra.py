@@ -254,6 +254,7 @@ def _radial_grid(r_max: float, n_points: int) -> list[float]:
     """Uniform grid on [0, r_max] with an odd number (n_points, or one more)
     of points; NonFiniteError for a non-finite r_max."""
     _require_finite("r_max", r_max)
+    n_points = _index("n_points", n_points)
     if r_max <= 0.0 or n_points < 3:
         raise ValueError("need r_max > 0 and at least 3 quadrature points")
     n = n_points if n_points % 2 == 1 else n_points + 1

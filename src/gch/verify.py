@@ -2,8 +2,8 @@
 
 Two checks live here, deliberately sharing no code with the evaluators
 they police: an ODE residual computed analytically from a coefficient
-list, and a grid sweep comparing the closed-form nested sums against
-direct recurrence summation point by point.
+list, and a grid sweep comparing the closed-form nested sums, one grid
+call per parameter set and kind, against direct recurrence summation.
 """
 
 from __future__ import annotations
@@ -165,17 +165,6 @@ def _failed(p: GchParams, kind: SolutionKind, x: float, exc: GchError) -> CrossR
     return CrossRecord(p, kind, x, None, None, None, f"{type(exc).__name__}: {exc}")
 
 
-def _closed(p: GchParams, lam: float, xs: Sequence[float], nt: NestedTruncation | None) -> list:
-    """The closed form at each x of xs from one grid call, or, where that
-    call raises, each x's own result or GchError."""
-    try:
-        return _general(p, lam, xs, nt)
-    except GchError as exc:
-        if len(xs) == 1:
-            return [exc]
-        return [_closed(p, lam, (x,), nt)[0] for x in xs]
-
-
 def _records(p: GchParams, kind: SolutionKind, xs: Sequence[float], nt: NestedTruncation | None) -> list:
     """The record of each x of xs: the closed form against the oracle, or
     the GchError that the first of validate, the oracle and the closed
@@ -192,7 +181,7 @@ def _records(p: GchParams, kind: SolutionKind, xs: Sequence[float], nt: NestedTr
         except GchError as exc:
             oracles.append(exc)
     ok = [x for x, oracle in zip(xs, oracles) if not isinstance(oracle, GchError)]
-    closed = iter(_closed(p, lam, ok, nt) if ok else ())
+    closed = iter(_general(p, lam, ok, nt))
     out = []
     for x, oracle in zip(xs, oracles):
         res = oracle if isinstance(oracle, GchError) else next(closed)

@@ -1,14 +1,18 @@
 """evaluate_grid against the per-point calls, and the callers that use it."""
 
 import math
+import random
+import re
 
 import mpmath as mp
 import pytest
 
 from gch import series, verify
-from gch.errors import DomainError, FloatOverflow, GchError, NonFiniteError, SampleNotConverged, TailNotDecayed
+from gch.errors import (
+    DomainError, FloatOverflow, GchError, NonFiniteError, PoleError, SampleNotConverged, TailNotDecayed,
+)
 from gch.params import GchParams, SolutionKind, validate
-from gch.recurrence import Truncation, sum_series
+from gch.recurrence import EvalResult, Truncation, sum_series
 from gch.series import NestedTruncation, _general, _required_cap, eval_general, evaluate, evaluate_grid
 from gch.spectra import Confinement, QQbar, RotatingOscillator, make_state, normalize, wavefunction_result
 from gch.verify import CrossRecord, GridSpec, cross_validate
@@ -110,17 +114,23 @@ def test_point_needing_more_orders_than_the_reference():
     assert len(grid[0].orders) == 15 > len(grid[2].orders) == 14
 
 
-def test_one_engine_run_per_side(monkeypatch):
-    # the point that needs more orders than the reference extends the same
-    # table; at mu > 0 the points past the transform test share a second
-    calls = []
+def _engine_runs(monkeypatch):
+    """The chain arguments z of the engine runs made from here on."""
+    runs = []
     engine = series._engine
 
     def counting(p, lam, a_k, z, cap, table):
-        calls.append(z)
+        runs.append(z)
         return engine(p, lam, a_k, z, cap, table)
 
     monkeypatch.setattr(series, "_engine", counting)
+    return runs
+
+
+def test_one_engine_run_per_side(monkeypatch):
+    # the point that needs more orders than the reference extends the same
+    # table; at mu > 0 the points past the transform test share a second
+    calls = _engine_runs(monkeypatch)
     evaluate_grid(GchParams(-2.0, 0.4, 2.0, 4.0, 0.5), FIRST, [1.24, 0.5, 1.26])
     assert len(calls) == 1
     calls.clear()
@@ -162,15 +172,20 @@ def test_domain_error_at_first_failing_x():
     with pytest.raises(DomainError) as grid:
         evaluate_grid(p, SECOND, [0.0, 0.5, 1.0, 3.0])
     assert str(grid.value) == str(per_point.value)
-    # x^lam with fractional lam fails at the first negative x
-    with pytest.raises(DomainError, match=r"^\(-0\.3\)\*\*"):
-        _general(p, 1.0 - p.nu, [0.2, 0.7, -0.3, -0.9], None)
+    # x^lam with fractional lam fails at each negative x, and only there;
+    # the other points keep their own results
+    xs = [0.2, 0.7, -0.3, -0.9]
+    outcomes = _general(p, 1.0 - p.nu, xs, None)
+    assert outcomes[:2] == [eval_general(p, 1.0 - p.nu, x) for x in xs[:2]]
+    assert [f"{type(e).__name__}: {e}" for e in outcomes[2:]] == [
+        "DomainError: (-0.3)**(0.5) is not real", "DomainError: (-0.9)**(0.5) is not real"]
 
 
 def test_error_while_building_a_table_falls_back_to_points():
     # the table is built at x = 40, whose order vectors hold infinities
-    # of both signs; once it raises, the grid evaluates each point on its
-    # own, x = 1 first, which is finite, and raises what x = 40 raises
+    # of both signs; x = 40 reads what its own run would, so its error is
+    # its outcome, and the nearer points read finite values off the same
+    # table: the call raises what x = 40 raises on its own
     p = GchParams(-2.0, 1.0, 1.5, -3.0, 0.25)
     assert math.isfinite(evaluate(p, FIRST, 1.0).value)
     with pytest.raises(FloatOverflow) as per_point:
@@ -178,6 +193,102 @@ def test_error_while_building_a_table_falls_back_to_points():
     with pytest.raises(FloatOverflow) as grid:
         evaluate_grid(p, FIRST, [1.0, 40.0, 0.5, 3.0])
     assert str(grid.value) == str(per_point.value) == "nested sum overflows at x=40.0"
+
+
+def test_failing_point_costs_the_others_nothing(monkeypatch):
+    # x = 40 raises while the table is built at its z; the other points
+    # read the same table, and nothing runs again
+    runs = _engine_runs(monkeypatch)
+    p = GchParams(-2.0, 1.0, 1.5, -3.0, 0.25)
+    with pytest.raises(FloatOverflow, match=r"^nested sum overflows at x=40\.0$"):
+        evaluate_grid(p, FIRST, [1.0, 40.0, 0.5, 3.0])
+    assert len(runs) == 1
+    runs.clear()
+    rep = cross_validate(GridSpec((-2.0,), (1.0,), (1.5,), (-3.0,), (0.25,), (1.0, 40.0, 0.5, 3.0), (FIRST,)))
+    assert [r.error for r in rep.records] == [None, "FloatOverflow: nested sum overflows at x=40.0", None, None]
+    assert len(runs) == 1
+
+
+def test_read_that_raises_runs_alone(monkeypatch):
+    # the transform factor overflows at each x: the reference x = 16 keeps
+    # its error, and each other point's read raises and then runs alone
+    runs = _engine_runs(monkeypatch)
+    xs = (15.0, 15.5, 16.0, 14.5)
+    rep = cross_validate(GridSpec((0.01,), (-100.0,), (1.5,), (1.0,), (0.3,), xs, (FIRST,)))
+    assert [r.error for r in rep.records] == [
+        f"FloatOverflow: transform factor e^({expo}) overflows at x={x}"
+        for expo, x in zip((1498.875, 1548.79875, 1598.72, 1448.94875), xs)]
+    assert len(runs) == 4
+
+
+# the second kind's z^(1 - gamma) is not real at mu > 0, and at x = 1 the
+# transformed parameters' Omega - mu (1 + nu) is -inf as well
+HUGE_MU = GchParams(1e308, 0.5, 1.9, 1.0, 0.3)
+
+
+@pytest.mark.parametrize("xs,message", [
+    ([1.0], "(-5e+307)**(-0.44999999999999996) is not real"),
+    ([1e-160, 1.0], "(-5e-13)**(-0.44999999999999996) is not real"),
+    ([1.0, 1e-160], "(-5e+307)**(-0.44999999999999996) is not real"),
+])
+def test_prefactor_error_before_the_transformed_parameters(xs, message):
+    # a point's prefactor fails before its side's transformed parameters
+    # are set up, so their NonFiniteError shows at no point
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        evaluate_grid(HUGE_MU, SECOND, xs)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        evaluate(HUGE_MU, SECOND, xs[0])
+
+
+def _outcome_of(call):
+    try:
+        return call()
+    except GchError as exc:
+        return exc
+
+
+def _assert_same_outcome(got, alone, where):
+    """got is what alone is: the same error, or a result with its flags,
+    depth, order count and termination index, and its value to 1e-12 of
+    sum |orders|."""
+    if isinstance(alone, GchError):
+        assert (type(got), str(got)) == (type(alone), str(alone)), where
+        return
+    assert isinstance(got, EvalResult), (where, got)
+    assert (got.converged, got.terms_used, len(got.orders), got.terminated_at) == (
+        alone.converged, alone.terms_used, len(alone.orders), alone.terminated_at), where
+    if got.value != alone.value and not (math.isnan(got.value) and math.isnan(alone.value)):
+        assert abs(got.value - alone.value) <= 1e-12 * math.fsum(abs(o) for o in alone.orders), where
+
+
+def test_grid_outcomes_are_the_points_own():
+    # random grids, a third of them failing at some points: prefactors
+    # that are not real (second kind at mu > 0 or x < 0), and transform
+    # factors and order vectors past the float range.  |mu| >= 0.5 keeps
+    # |Omega/(2 mu)| <= 10; at |mu| of 0.01 to 0.1 the terms of a chain can
+    # cancel by more digits than a float holds, and then grid and point
+    # values differ beyond this bound, both wrong while converged, in grids
+    # where no point fails (ROADMAP open item 2)
+    rng = random.Random(19)
+    for _ in range(25):
+        p = GchParams(rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-0.3, 0.5),
+                      rng.choice((rng.uniform(-3.0, 3.0), rng.uniform(-100.0, 100.0))),
+                      rng.uniform(-2.9, 1.9), rng.uniform(-10.0, 10.0), rng.uniform(-2.0, 2.0))
+        xs = [rng.choice((-1.0, 1.0, 1.0)) * rng.uniform(0.0, rng.choice((4.0, 45.0)))
+              for _ in range(rng.randint(2, 6))]
+        for kind in (FIRST, SECOND):
+            where = (p, kind, xs)
+            alone = [_outcome_of(lambda: evaluate(p, kind, x)) for x in xs]
+            first_error = next((e for e in alone if isinstance(e, GchError)), None)
+            grid = _outcome_of(lambda: evaluate_grid(p, kind, xs))
+            if first_error is not None:
+                _assert_same_outcome(grid, first_error, where)
+            else:
+                for got, own in zip(grid, alone):
+                    _assert_same_outcome(got, own, where)
+            lam = validate(p, kind)
+            for x, got in zip(xs, _general(p, lam, xs, None)):
+                _assert_same_outcome(got, _outcome_of(lambda: eval_general(p, lam, x)), where)
 
 
 # ------------------------------------------------------------------ callers
@@ -242,6 +353,19 @@ def test_cross_validate_failing_point_redoes_nothing(monkeypatch):
     assert calls == {"sum_series": 6, "validate": 2}
     assert report.records == _records_point_by_point(spec)
     assert [r.error.split(":")[0] for r in report.records if r.error] == ["DomainError"]
+
+
+def test_cross_validate_records_mu_zero_per_point():
+    # the oracle sums at mu = 0, and the closed form refuses it at each
+    # point whose oracle succeeded; the second kind's x^lam fails at x < 0
+    spec = GridSpec(mu=(0.0,), eps=(1.0,), nu=(1.5,), Omega=(3.0,), omega=(0.25,), x=(0.5, -0.5))
+    report = cross_validate(spec)
+    assert report.records == _records_point_by_point(spec)
+    assert [(r.error or "").split(":")[0] for r in report.records] == [
+        "PoleError", "PoleError", "PoleError", "DomainError"]
+    p = GchParams(0.0, 1.0, 1.5, 3.0, 0.25)
+    assert [type(res) for res in _general(p, 0.0, [0.5, 1.0], None)] == [PoleError, PoleError]
+    assert _general(p, 0.0, [], None) == []
 
 
 def test_wavefunction_result_is_a_one_point_grid():

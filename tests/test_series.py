@@ -11,6 +11,7 @@ from gch.params import GchParams, SolutionKind
 from gch.recurrence import Truncation, sum_series
 from gch.series import (
     NestedTruncation,
+    _gamma_ratio,
     _kummer_transformed,
     _required_cap,
     betas_from_omega,
@@ -611,13 +612,14 @@ def test_step_counts_pinned(p, kind, x, terms, orders, value):
     (GchParams(0.01, 0.0, 1.5, -10.0, 0.0), FIRST, 1.0, "first-kind prefactor: Gamma(501.25)/Gamma(1.25)"),
     (GchParams(-0.01, 0.0, 0.5, 10.0, 0.0), SECOND, 1.0, "second-kind prefactor: Gamma(501.0)/Gamma(1.25)"),
     (GchParams(0.01, -100.0, 1.5, 1.0, 0.3), FIRST, 15.0, "transform factor e^(1498.875)"),
-    # Gamma(-199.65) and Gamma(-200.65) underflow to 0.0
-    (GchParams(-1.0, 0.5, -400.3, 0.4, 0.3), FIRST, 0.5,
-     "first-kind prefactor: Gamma(-199.45000000000002)/Gamma(-199.65)"),
+    # Gamma(-200.65) underflows to 0.0, and the ratio is -6.4e375
     (GchParams(-1.0, 0.5, 404.3, 0.4, 0.3), SECOND, 0.5, "second-kind prefactor: Gamma(1.2)/Gamma(-200.65)"),
+    # z^(1 - gamma) = 2e75 times Gamma(151)/Gamma(0.75) = 4.7e262
+    (GchParams(-1.0, 0.5, 1.5, 300.0, 0.3), SECOND, 1e-150,
+     "second-kind prefactor z^(-0.25) * 4.6624009163186755e+262"),
     # the order vectors at z = 1600 hold infinities of both signs
     (GchParams(-2.0, 1.0, 1.5, -3.0, 0.25), FIRST, 40.0, "nested sum"),
-], ids=["gamma-first", "gamma-second", "transform-factor", "gamma-underflow-first", "gamma-underflow-second",
+], ids=["gamma-first", "gamma-second", "transform-factor", "gamma-underflow-second", "prefactor-power",
         "order-vectors"])
 def test_float_overflow_is_a_gch_error(p, kind, x, message):
     # the Gamma normalisation, the transform factor and the order sums
@@ -625,6 +627,37 @@ def test_float_overflow_is_a_gch_error(p, kind, x, message):
     with pytest.raises(FloatOverflow, match=f"^{re.escape(message)} overflows") as info:
         evaluate(p, kind, x)
     assert isinstance(info.value, GchError) and isinstance(info.value, OverflowError)
+
+
+@pytest.mark.parametrize("num_arg,den_arg", [
+    (300.7, 300.5),                  # both Gammas overflow
+    (171.7, 171.2),                  # the numerator overflows
+    (-199.45000000000002, -199.65),  # both underflow to 0.0
+    (-199.45, -200.65),              # Gammas of opposite signs
+    (-185.5, -185.25),
+])
+def test_gamma_ratio_past_the_gamma_range(num_arg, den_arg):
+    # the ratio is finite where Gamma itself leaves the float range
+    with mp.workdps(40):
+        ref = float(mp.gamma(num_arg) / mp.gamma(den_arg))
+    assert _gamma_ratio(num_arg, den_arg, "ratio") == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("num_arg,den_arg", [(1.2, 0.75), (170.5, 2.5), (-3.5, 1.25), (0.5, -170.25)])
+def test_gamma_ratio_in_the_gamma_range_keeps_its_bits(num_arg, den_arg):
+    assert _gamma_ratio(num_arg, den_arg, "ratio") == math.gamma(num_arg) / math.gamma(den_arg)
+
+
+@pytest.mark.parametrize("nu", [600.0, 400.0, -400.3])
+def test_first_kind_prefactor_past_the_gamma_range(nu):
+    # the prefactor Gamma(gamma - Omega/(2 mu))/Gamma(gamma) times the
+    # unnormalised series; Gamma(gamma) overflows, or underflows to 0.0
+    p = GchParams(-1.0, 0.5, nu, 0.4, 0.3)
+    res, general = evaluate(p, FIRST, 0.5), eval_general(p, 0.0, 0.5)
+    assert res.converged and general.converged
+    with mp.workdps(40):
+        ratio = float(mp.gamma(p.gamma - p.Omega / (2.0 * p.mu)) / mp.gamma(p.gamma))
+    assert res.value == pytest.approx(ratio * general.value, rel=1e-12)
 
 
 def test_power_past_the_float_range_is_a_float_overflow():

@@ -15,12 +15,13 @@ import pytest
 
 from gch.errors import NonFiniteError
 from gch.params import GchParams, SolutionKind
-from gch.recurrence import EvalResult, Truncation
-from gch.series import NestedTruncation
-from gch.spectra import Confinement, EigenState, QQbar, RotatingOscillator
+from gch.recurrence import EvalResult, Truncation, coefficients
+from gch.series import NestedTruncation, betas_from_omega
+from gch.spectra import Confinement, EigenState, QQbar, RotatingOscillator, make_state, normalize, radial_norm
 from gch.verify import CrossRecord, CrossReport, GridSpec, ResidualReport
 
 P = GchParams(-2.0, 1.0, 1.5, 0.3, 0.25)
+OSCILLATOR = RotatingOscillator(l_m=0, omega_c=2.0)
 RECORD = CrossRecord(P, SolutionKind.SECOND, 0.5, 1.25, 1.25, 0.0)
 
 #: class, field names, field values, the same values with one field changed, pinned repr
@@ -177,6 +178,10 @@ def test_repr_pinned(cls, _fields, values, _changed, pinned):
     (lambda: RotatingOscillator(l_m=0.5, omega_c=2.0), "l_m must be an integer, got 0.5"),
     (lambda: Confinement(a=1.0, b=0.2, c=0.5, mass=1.0, l=0.5), "l must be an integer, got 0.5"),
     (lambda: QQbar(m_q=0.3, b_slope=1.0, l=1.5), "l must be an integer, got 1.5"),
+    (lambda: betas_from_omega(GchParams(0.5, 0.3, 1.5, -1.0, 0.0), 0.0, 2.0), "count must be an integer, got 2.0"),
+    (lambda: coefficients(P, 0.0, 1.0, 3.0), "count must be an integer, got 3.0"),
+    (lambda: normalize(OSCILLATOR, make_state(OSCILLATOR, 0, 0), 10.0, 41.0), "n_points must be an integer, got 41.0"),
+    (lambda: radial_norm(lambda r: r, 1.0, 3.0), "n_points must be an integer, got 3.0"),
 ])
 def test_validation_messages(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -118,7 +118,8 @@ def test_cross_validate_reports_invalid_points():
 
 def test_cross_validate_records_float_overflow():
     # e^{-mu x^2/2 - eps x} of the transformed sum overflows at x = 15, not
-    # at x = 1: the grid call raises, and each x is then evaluated alone
+    # at x = 1: the error is x = 15's outcome in the grid call, and x = 1
+    # keeps its result
     axes = dict(mu=(0.01,), eps=(-100.0,), nu=(1.5,), Omega=(1.0,), omega=(0.3,), kinds=(SolutionKind.FIRST,))
     rep = cross_validate(GridSpec(x=(1.0, 15.0), **axes))
     assert (rep.n_evaluated, rep.n_failed) == (1, 1)
