@@ -11,14 +11,17 @@ value counts as not given, and keys the subcommand does not declare are
 ignored.  Float options, as flags or file values, must be finite: NaN and
 infinities exit 2.
 
-Exit codes: 0 ok, 1 tolerance failure, 2 config/validation error (a
-float overflow too), 3 non-convergence.
+Exit codes: 0 ok, 1 tolerance failure (or a verify sweep that evaluated
+no point), 2 config/validation error (a float overflow too), 3
+non-convergence.  A reader that closes the output early ends nothing but
+the output: the exit code stays the command's.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
@@ -346,7 +349,7 @@ def cmd_verify(args: argparse.Namespace) -> Result:
     nt = _nested_trunc(args)
     report = cross_validate(spec, nt)
     rows = []
-    ok = True
+    ok = report.n_evaluated > 0  # a sweep that checked no point passes nothing
     coeffs_of: dict = {}  # (params, kind) -> coefficients, the same at every x
     for rec in report.records:
         p = rec.params
@@ -399,7 +402,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     if summary:
         print(summary, file=sys.stderr)
-    _emit(args.command, header, rows, args.format, out)
+    try:
+        _emit(args.command, header, rows, args.format, out)
+        out.flush()
+    except BrokenPipeError:
+        # the reader closed early (``gch eval ... | head -1``): the rest of
+        # the output, and the flush at exit, go to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if out is not sys.stdout:
         out.close()
     return code

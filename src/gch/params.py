@@ -157,6 +157,9 @@ def validate(p: GchParams, kind: SolutionKind) -> float:
     every recurrence denominator (n+1+lam)(n+nu+lam) with n >= 0 is nonzero.
     nu within 2 * INT_TOL of such an integer is refused too: then no chain
     offset of the closed form lies within INT_TOL of a nonpositive integer.
+    The second kind also refuses nu <= -2**53: every such float is an
+    integer, and there (1 + nu)/2 + (1 - nu)/2, the series' c_0 = 1,
+    rounds away from 1 (to 0 for most of them).
 
     Raises
     ------
@@ -178,4 +181,6 @@ def validate(p: GchParams, kind: SolutionKind) -> float:
             raise KindRestrictionError(
                 f"second kind requires nu not in {{2, 3, 4, ...}}; got nu={nu}"
             )
+        if nu <= -2.0 ** 53:
+            raise KindRestrictionError(f"second kind requires nu > -2**53; got nu={nu}")
     return kind.lambda_of(nu)

@@ -97,6 +97,7 @@ factor, prefactor and stop rule stay its own.
 from __future__ import annotations
 
 import math
+import sys
 from functools import partial
 from itertools import accumulate, chain, count, islice, repeat
 from operator import mul
@@ -148,14 +149,16 @@ _DEFAULT_TRUNCATION = NestedTruncation()
 def _gamma_ratio(num_arg: float, den_arg: float, what: str) -> float:
     """Gamma(num_arg)/Gamma(den_arg) for normalisation prefactors.
 
-    Where a Gamma overflows, the denominator underflows or their quotient
-    leaves the float range, the ratio is exp(lgamma(num_arg) -
-    lgamma(den_arg)) with the signs of the two Gammas; FloatOverflow where
-    that is not finite either."""
+    Where a Gamma overflows or falls below the smallest normal float (a
+    subnormal Gamma has lost digits, one that underflowed to 0.0 all of
+    them), or their quotient leaves the float range, the ratio is
+    exp(lgamma(num_arg) - lgamma(den_arg)) with the signs of the two
+    Gammas; FloatOverflow where that is not finite either."""
     try:
         try:
-            ratio = math.gamma(num_arg) / math.gamma(den_arg)
-        except (OverflowError, ZeroDivisionError):
+            num, den = math.gamma(num_arg), math.gamma(den_arg)
+            ratio = num / den if min(abs(num), abs(den)) >= sys.float_info.min else math.inf
+        except OverflowError:
             ratio = math.inf
         if not math.isfinite(ratio):
             # Gamma(a) < 0 where a < 0 and floor(a) is odd
@@ -221,9 +224,14 @@ def _kummer_transformed(p: GchParams) -> GchParams:
     e^{mu x^2/2 + eps x} y solves it with (-mu, -eps, nu, Omega - mu(1+nu),
     nu - omega): the analogue of Kummer's transformation (DLMF 13.2.39).
     Both Frobenius solutions map onto the same root lam with the same
-    leading coefficient, since the factor is 1 at x = 0.
+    leading coefficient, since the factor is 1 at x = 0.  FloatOverflow
+    where a transformed parameter leaves the float range.
     """
-    return GchParams(-p.mu, -p.eps, p.nu, p.Omega - p.mu * (1.0 + p.nu), p.nu - p.omega)
+    q = GchParams(-p.mu, -p.eps, p.nu, p.Omega - p.mu * (1.0 + p.nu), p.nu - p.omega)
+    for name, value in (("Omega - mu(1+nu)", q.Omega), ("nu - omega", q.omega)):
+        if math.isinf(value):
+            raise FloatOverflow(f"transformed parameter {name}={value} overflows")
+    return q
 
 
 def _chain_end(nstar: Optional[int], k: int) -> Optional[int]:
@@ -396,77 +404,6 @@ def _outcome(
         return err
 
 
-def _group(
-    p: GchParams,
-    lam: float,
-    nstar: Optional[int],
-    xs: Sequence[float],
-    prefs: Sequence[float],
-    t: NestedTruncation,
-) -> list:
-    """The outcome at each point of xs, which all lie on one side of the
-    mu > 0 transform test: pref * (sum of the nested orders at root lam),
-    or the GchError the point raises when evaluated alone.
-
-    Each point runs its chains to the depth :func:`_required_cap` gives for
-    its z and the chain parameters, at most max_inner, and sums the orders
-    by the rule of :func:`_sum_orders`; ``converged`` also drops when
-    max_inner is too small for the chains to have decayed.  For mu > 0 and
-    z < -1 the alternating chains cancel, so the orders are those of the
-    transformed parameters (:func:`_kummer_transformed`, whose z is
-    positive) times e^{-mu x^2/2 - eps x}; which chains end is then decided
-    by the transformed parameters' n*, whose error is every point's.
-
-    The group has one engine, at the z and depth of its point of largest
-    |x|, and one table T of the vectors it has built.  The points are
-    walked in input order, and each reads S_n = sum_i T_n[i] (z/z_ref)^i,
-    over its own depth, off the table and then off the engine (module
-    docstring); so the table grows as far as any point reads.  A point
-    whose depth exceeds the table's (z = 0 beside a tiny reference), or
-    whose read off the table raises or is not finite, runs the engine on
-    its own; a point at z_ref reads what its own run would.
-    """
-    x_ref = max(xs, key=abs)
-    far = p.mu > 0.0 and 0.5 * p.mu * x_ref * x_ref > 1.0
-    if far:
-        q = _kummer_transformed(p)
-        try:
-            nq = detect_termination(q, lam)
-        except GchError as exc:
-            return [exc] * len(xs)
-    else:
-        q, nq = p, nstar
-    a = _chain_a(q, lam, nq)
-    h = 0.5 * lam
-    b, c, a_mag = 1.0 + h, q.gamma + h, max(map(abs, a))
-    max_inner = t.max_inner
-    half_mu, half_eps = -0.5 * q.mu, -0.5 * q.eps
-    z_ref = half_mu * x_ref * x_ref
-    need_ref = _required_cap(z_ref, a_mag, b, c, max_inner)
-    cap_ref = min(need_ref, max_inner)
-    # a lone point keeps no vectors: holding them costs it fresh memory
-    table = [] if len(xs) > 1 else None
-    engine = _engine(q, lam, a, z_ref, cap_ref, table)
-    outcome = partial(_outcome, p, far, nq, nstar, t)
-    out = []
-    for x, pref in zip(xs, prefs):
-        z = half_mu * x * x
-        et = half_eps * x
-        if z == z_ref:
-            need, total = need_ref, math.fsum
-        else:
-            need = _required_cap(z, a_mag, b, c, max_inner)
-            total = partial(_dot, list(accumulate(repeat(z / z_ref, min(need, max_inner)), mul, initial=1.0)))
-        cap = min(need, max_inner)
-        res = None
-        if cap <= cap_ref:
-            res = outcome(x, pref, et, need, engine if table is None else chain(table, engine), total)
-        if z != z_ref and not (isinstance(res, EvalResult) and math.isfinite(res.value)):
-            res = outcome(x, pref, et, need, _engine(q, lam, a, z, cap, None), math.fsum)
-        out.append(res)
-    return out
-
-
 def _results(
     p: GchParams,
     lam: float,
@@ -477,14 +414,35 @@ def _results(
 ) -> list:
     """The outcome at each x, in order: pref_of(x) * (sum of the nested
     orders at root lam), or the GchError that x raises when evaluated
-    alone; ``nstar`` is :func:`detect_termination` of (p, lam).
+    alone; ``nstar`` is :func:`detect_termination` of (p, lam).  Every
+    evaluator reaches its points through here, one point or many.
 
     Each point's prefactor comes first, and its error is the point's
-    outcome.  The other points are grouped by the transform test, and each
-    group shares one table (:func:`_group`).
+    outcome.  Each point runs its chains to the depth
+    :func:`_required_cap` gives for its z and the chain parameters, at most
+    max_inner, and sums the orders by the rule of :func:`_sum_orders`;
+    ``converged`` also drops when max_inner is too small for the chains to
+    have decayed.  For mu > 0 and z < -1 the alternating chains cancel, so
+    there the orders are those of the transformed parameters
+    (:func:`_kummer_transformed`, whose z is positive) times
+    e^{-mu x^2/2 - eps x}; which chains end is then decided by the
+    transformed parameters' n*, whose error, like an overflow of the
+    transformed parameters, is the outcome of every point on that side.
+
+    The points on each side of that transform test share one engine, at
+    the z and depth of the side's point of largest |x|, and one table T of
+    the vectors it has built.  The points are walked in input order, and
+    each reads S_n = sum_i T_n[i] (z/z_ref)^i, over its own depth, off the
+    table and then off the engine (module docstring); so the table grows
+    as far as any point reads.  A point deeper than the table is z = 0
+    beside a tiny reference, where every entry past index 0 is multiplied
+    by 0 and index 0 does not depend on z; so every point reads the table,
+    and a point whose read raises or is not finite runs the engine on its
+    own.  A point at z_ref reads what its own run would, and a side of one
+    point keeps no table: holding the vectors costs it fresh memory.
     """
     t = t or _DEFAULT_TRUNCATION
-    # each entry holds the point's prefactor until its group replaces it
+    # each entry holds the point's prefactor until its side replaces it
     out: list = []
     sides: dict = {}
     for i, x in enumerate(xs):
@@ -494,8 +452,39 @@ def _results(
             out.append(exc)
         else:
             sides.setdefault(p.mu > 0.0 and 0.5 * p.mu * x * x > 1.0, []).append(i)
-    for idx in sides.values():
-        for i, res in zip(idx, _group(p, lam, nstar, [xs[i] for i in idx], [out[i] for i in idx], t)):
+    max_inner = t.max_inner
+    h = 0.5 * lam
+    for far, idx in sides.items():
+        q, nq = p, nstar
+        if far:
+            try:
+                q = _kummer_transformed(p)
+                nq = detect_termination(q, lam)
+            except GchError as exc:
+                for i in idx:
+                    out[i] = exc
+                continue
+        a = _chain_a(q, lam, nq)
+        b, c, a_mag = 1.0 + h, q.gamma + h, max(map(abs, a))
+        half_mu, half_eps = -0.5 * q.mu, -0.5 * q.eps
+        x_ref = max([xs[i] for i in idx], key=abs)
+        z_ref = half_mu * x_ref * x_ref
+        need_ref = _required_cap(z_ref, a_mag, b, c, max_inner)
+        table = [] if len(idx) > 1 else None
+        engine = _engine(q, lam, a, z_ref, min(need_ref, max_inner), table)
+        outcome = partial(_outcome, p, far, nq, nstar, t)
+        for i in idx:
+            x = xs[i]
+            z = half_mu * x * x
+            et = half_eps * x
+            if z == z_ref:
+                need, total = need_ref, math.fsum
+            else:
+                need = _required_cap(z, a_mag, b, c, max_inner)
+                total = partial(_dot, list(accumulate(repeat(z / z_ref, min(need, max_inner)), mul, initial=1.0)))
+            res = outcome(x, out[i], et, need, engine if table is None else chain(table, engine), total)
+            if z != z_ref and not (isinstance(res, EvalResult) and math.isfinite(res.value)):
+                res = outcome(x, out[i], et, need, _engine(q, lam, a, z, min(need, max_inner), None), math.fsum)
             out[i] = res
     return out
 
@@ -600,7 +589,7 @@ def evaluate(
     """
     _require_finite("x", x)
     lam, nstar, pref_of = _normalisation(p, kind, betas)
-    return _raise_first(_group(p, lam, nstar, (x,), (pref_of(x),), t or _DEFAULT_TRUNCATION))[0]
+    return _raise_first(_results(p, lam, nstar, pref_of, (x,), t))[0]
 
 
 def evaluate_grid(

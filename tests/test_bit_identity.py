@@ -1,22 +1,30 @@
-"""One digest over the bits of many closed-form results.
+"""Two digests over the bits of many closed-form results.
 
 A change that is meant to leave every value as it was (a speed-up, a
-refactor) keeps this digest.  A change that moves bits on purpose must
-recompute DIGEST, with ``python tests/test_bit_identity.py``, and say in
-CHANGES.md which results moved and why.
+refactor) keeps both digests.  A change that moves bits on purpose must
+recompute them, with ``python tests/test_bit_identity.py``, and say in
+CHANGES.md which results moved and why.  DIGEST covers random points and
+grids and the default ``cross_validate`` sweep; EDGE_DIGEST covers the
+grids where points take different paths to their outcomes: x = 0 beside a
+tiny reference, grids on both sides of the mu > 0 transform test and grids
+with failing points, each also point by point.
 """
 
 import hashlib
 import random
 
-from gch.params import GchParams, SolutionKind
-from gch.series import evaluate, evaluate_grid
-from gch.verify import cross_validate
+from gch.errors import GchError
+from gch.params import GchParams, SolutionKind, validate
+from gch.series import _general, eval_general, evaluate, evaluate_grid
+from gch.verify import GridSpec, cross_validate
 
 FIRST, SECOND = SolutionKind.FIRST, SolutionKind.SECOND
 
 #: SHA-256 of the newline-joined reprs of :func:`reprs`
 DIGEST = "b175c7f7f39c40eaf6c380d6f46a3a7c0aa97ec9d7e6ca934f138d0ceb095d00"
+
+#: SHA-256 of the newline-joined lines of :func:`edge_reprs`
+EDGE_DIGEST = "213b019ac460fba18d5f3a9420118df21b1239ef120c7d68e9c6c53bc2743858"
 
 
 def _params(rng: random.Random, kind: SolutionKind, mu: float) -> GchParams:
@@ -57,13 +65,69 @@ def reprs():
     yield from map(repr, cross_validate().records)
 
 
-def digest() -> str:
-    return hashlib.sha256("\n".join(reprs()).encode()).hexdigest()
+def _outcome(outcome) -> str:
+    """The repr of a result or a list of results, or an error's class and
+    message."""
+    if isinstance(outcome, GchError):
+        return f"{type(outcome).__name__}: {outcome}"
+    return repr(outcome)
+
+
+def _called(call, *args) -> str:
+    try:
+        return _outcome(call(*args))
+    except GchError as exc:
+        return _outcome(exc)
+
+
+def _edge_xs(rng: random.Random, mu: float) -> list[float]:
+    """x = 0 beside a tiny reference, a grid across mu x^2/2 = 1, or a grid
+    with points far enough out to overflow."""
+    shape = rng.randrange(3)
+    if shape == 0:
+        tiny = 10.0 ** rng.uniform(-9.0, -5.0)
+        xs = [0.0, tiny, -tiny * rng.uniform(0.1, 0.9)]
+    elif shape == 1:
+        x_t = (2.0 / abs(mu)) ** 0.5
+        xs = [rng.choice((-1.0, 1.0)) * x_t * rng.uniform(0.2, 2.5) for _ in range(rng.randrange(2, 6))]
+    else:
+        xs = [rng.uniform(-3.0, 3.0) for _ in range(rng.randrange(1, 4))] + [rng.uniform(30.0, 60.0)]
+    rng.shuffle(xs)
+    return xs
+
+
+def edge_reprs():
+    """The lines EDGE_DIGEST covers: each grid's outcome through
+    evaluate_grid and through the outcome list of eval_general, then each
+    of its points through evaluate and eval_general."""
+    rng = random.Random(20261020)
+    for _ in range(60):
+        kind = rng.choice([FIRST, SECOND])
+        mu = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.5)
+        p = _params(rng, kind, mu)
+        xs = _edge_xs(rng, mu)
+        lam = validate(p, kind)
+        yield _called(evaluate_grid, p, kind, xs)
+        yield from map(_outcome, _general(p, lam, xs, None))
+        for x in xs:
+            yield _called(evaluate, p, kind, x)
+            yield _called(eval_general, p, lam, x)
+    spec = GridSpec((-2.0, 2.0), (1.0,), (1.5,), (-3.0,), (0.25,), (0.0, 1e-7, -0.5, 1.5, 40.0), (FIRST, SECOND))
+    yield from map(repr, cross_validate(spec).records)
+
+
+def digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def test_results_keep_their_bits():
-    assert digest() == DIGEST
+    assert digest(reprs()) == DIGEST
+
+
+def test_edge_results_keep_their_bits():
+    assert digest(edge_reprs()) == EDGE_DIGEST
 
 
 if __name__ == "__main__":
-    print(digest())
+    print("DIGEST", digest(reprs()))
+    print("EDGE_DIGEST", digest(edge_reprs()))

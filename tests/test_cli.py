@@ -153,6 +153,44 @@ def test_verify_config_grid_override(tmp_path, capsys):
     assert all(line.endswith("ok") for line in lines[1:])
 
 
+# one parameter set whose first kind validate refuses at nu = 0
+FAILING_GRID = {"mu": [-1.0], "eps": [0.5], "nu": [0.0], "omega_cap": [1.0], "omega": [0.25],
+                "x": [0.5], "kinds": ["first"]}
+
+
+def test_verify_with_no_point_evaluated_fails(tmp_path, capsys):
+    # every record failed: a sweep that checked nothing does not pass
+    code = main(["verify", *_config(tmp_path, {"grid": {"nu": [0.0], "kinds": ["first"]}})])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "verify: 0 points, max_rel_err=0.000e+00, tolerance=1.0e-09, FAIL\n"
+
+
+@pytest.mark.parametrize("fmt,rows", [
+    ("csv", "mu,epsilon,nu,omega_cap,omega,x,kind,rel_err,rel_residual,status\n"
+            "-1.0,0.5,0.0,1.0,0.25,0.5,first,,,KindRestrictionError\n"),
+    ("json", '{"command":"verify","rows":[{"epsilon":0.5,"kind":"first","mu":-1.0,"nu":0.0,"omega":0.25,'
+             '"omega_cap":1.0,"rel_err":"","rel_residual":"","status":"KindRestrictionError","x":0.5}]}\n'),
+], ids=["csv", "json"])
+def test_verify_failed_record_row(tmp_path, capsys, fmt, rows):
+    # a failed record has no error figures, and its error class as status
+    assert main(["verify", "--format", fmt, *_config(tmp_path, {"grid": FAILING_GRID})]) == 1
+    assert capsys.readouterr().out == rows
+
+
+def test_reader_closing_early_keeps_the_exit_code(gch_subprocess_env):
+    # gch eval ... | head -1: 5000 rows overrun the pipe once the reader
+    # has gone; the command still exits 0, with no traceback
+    argv = [sys.executable, "-m", "gch.cli", "eval", "--mu", "-1", "--nu", "1.5", "--omega-cap", "1",
+            "--x-count", "5000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=gch_subprocess_env)
+    assert proc.stdout.readline() == b"x,value,terms_used,est_error,converged\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert b"Traceback" not in err and err == b""
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -487,7 +525,9 @@ def test_float_overflow_exit2(gch_subprocess_env):
     (["--mu", "0", "--nu", "1.5", "--omega-cap", "1"], "mu must be nonzero: Omega/mu enters n* and the closed form"),
     (["--mu", "0", "--nu", "1.5", "--omega-cap", "1", "--variant", "poly"],
      "mu must be nonzero: Omega/mu enters n* and the closed form"),
-], ids=["order-vectors-overflow", "mu-zero", "mu-zero-poly"])
+    (["--mu", "-1", "--nu=-1e16", "--omega-cap", "0.4", "--kind", "second"],
+     "second kind requires nu > -2**53; got nu=-1e+16"),
+], ids=["order-vectors-overflow", "mu-zero", "mu-zero-poly", "second-kind-nu-past-2**53"])
 def test_eval_refusals_exit2(argv, message, capsys):
     assert main(["eval", *argv]) == 2
     captured = capsys.readouterr()

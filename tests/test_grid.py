@@ -98,12 +98,17 @@ def test_grid_matches_points(p, kind, xs):
     _assert_matches_points(p, kind, xs)
 
 
-def test_zero_beside_a_tiny_reference():
-    # z = 0 takes depth 8, more than the tiny reference's table holds
+def test_zero_beside_a_tiny_reference(monkeypatch):
+    # z = 0 takes depth 8, more than the tiny reference's table holds; it
+    # still reads the table, whose entries past index 0 it multiplies by
+    # (0/z_ref)^i = 0, and index 0 does not depend on z: one engine run
     p = GchParams(-2.0, 1.0, 1.5, 3.0, 0.25)
     xs = [0.0, 1e-6, -3e-7]
     grid = _assert_matches_points(p, FIRST, xs)
     assert _depth(grid[0]) == 8 > _depth(grid[1])
+    runs = _engine_runs(monkeypatch)
+    assert evaluate_grid(p, FIRST, xs) == grid
+    assert len(runs) == 1
 
 
 def test_point_needing_more_orders_than_the_reference():
@@ -136,6 +141,23 @@ def test_one_engine_run_per_side(monkeypatch):
     calls.clear()
     evaluate_grid(GchParams(2.0, 0.4, 1.5, 3.0, 0.5), FIRST, [0.3, 2.0, 0.9, 1.5])
     assert len(calls) == 2
+
+
+def test_every_evaluator_reaches_its_points_through_results(monkeypatch):
+    # one route from a point to its outcome, for one point or many
+    calls = []
+    results = series._results
+
+    def recording(p, lam, nstar, pref_of, xs, t):
+        calls.append(list(xs))
+        return results(p, lam, nstar, pref_of, xs, t)
+
+    monkeypatch.setattr(series, "_results", recording)
+    p = GchParams(-1.0, 0.5, 1.5, 1.0, 0.25)
+    evaluate(p, FIRST, 0.5)
+    evaluate_grid(p, SECOND, [0.5, 1.0])
+    eval_general(p, 0.0, 0.7)
+    assert calls == [[0.5], [0.5, 1.0], [0.7]]
 
 
 def test_value_off_the_table_not_finite_runs_its_own_engine():
@@ -226,6 +248,17 @@ def test_read_that_raises_runs_alone(monkeypatch):
 HUGE_MU = GchParams(1e308, 0.5, 1.9, 1.0, 0.3)
 
 
+def test_transformed_parameter_overflow_is_each_far_points_outcome():
+    # the caller's Omega = 1 is finite; Omega - mu (1 + nu) overflows.
+    # mu x^2/2 = 5e-13 at x = 1e-160: that point keeps its own value
+    message = "transformed parameter Omega - mu(1+nu)=-inf overflows"
+    near, *far = _general(HUGE_MU, 0.0, [1e-160, 1.0, 2.0], None)
+    assert near == eval_general(HUGE_MU, 0.0, 1e-160)
+    assert [(type(e), str(e)) for e in far] == [(FloatOverflow, message)] * 2
+    with pytest.raises(FloatOverflow, match=f"^{re.escape(message)}$"):
+        evaluate(HUGE_MU, FIRST, 1.0)
+
+
 @pytest.mark.parametrize("xs,message", [
     ([1.0], "(-5e+307)**(-0.44999999999999996) is not real"),
     ([1e-160, 1.0], "(-5e-13)**(-0.44999999999999996) is not real"),
@@ -233,7 +266,7 @@ HUGE_MU = GchParams(1e308, 0.5, 1.9, 1.0, 0.3)
 ])
 def test_prefactor_error_before_the_transformed_parameters(xs, message):
     # a point's prefactor fails before its side's transformed parameters
-    # are set up, so their NonFiniteError shows at no point
+    # are set up, so their FloatOverflow shows at no point
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         evaluate_grid(HUGE_MU, SECOND, xs)
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
@@ -461,7 +494,6 @@ def test_non_finite_x_refused_before_any_work(monkeypatch, xs):
     def no_work(*args):
         raise AssertionError("the engine ran")
     monkeypatch.setattr(series, "_results", no_work)
-    monkeypatch.setattr(series, "_group", no_work)
     p = GchParams(-1.0, 0.5, 1.5, 1.0, 0.25)
     bad = next(x for x in xs if not math.isfinite(x))
     message = f"^x={bad!r} is not a finite real$"

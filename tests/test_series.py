@@ -19,6 +19,8 @@ from gch.series import (
     evaluate,
     evaluate_grid,
 )
+from gch.verify import GridSpec, cross_validate
+
 TIGHT = Truncation(max_terms=500, rel_tol=1e-14)
 NT = NestedTruncation(max_order_N=40, max_inner=80, rel_tol=1e-13)
 FIRST, SECOND = SolutionKind.FIRST, SolutionKind.SECOND
@@ -635,6 +637,7 @@ def test_float_overflow_is_a_gch_error(p, kind, x, message):
     (-199.45000000000002, -199.65),  # both underflow to 0.0
     (-199.45, -200.65),              # Gammas of opposite signs
     (-185.5, -185.25),
+    (-177.45, -177.75),              # both subnormal: 1e-323/5e-324 = 2.0, not 3.39
 ])
 def test_gamma_ratio_past_the_gamma_range(num_arg, den_arg):
     # the ratio is finite where Gamma itself leaves the float range
@@ -648,10 +651,11 @@ def test_gamma_ratio_in_the_gamma_range_keeps_its_bits(num_arg, den_arg):
     assert _gamma_ratio(num_arg, den_arg, "ratio") == math.gamma(num_arg) / math.gamma(den_arg)
 
 
-@pytest.mark.parametrize("nu", [600.0, 400.0, -400.3])
+@pytest.mark.parametrize("nu", [600.0, 400.0, -400.3, -356.5])
 def test_first_kind_prefactor_past_the_gamma_range(nu):
     # the prefactor Gamma(gamma - Omega/(2 mu))/Gamma(gamma) times the
-    # unnormalised series; Gamma(gamma) overflows, or underflows to 0.0
+    # unnormalised series; Gamma(gamma) overflows, underflows to 0.0, or
+    # is subnormal
     p = GchParams(-1.0, 0.5, nu, 0.4, 0.3)
     res, general = evaluate(p, FIRST, 0.5), eval_general(p, 0.0, 0.5)
     assert res.converged and general.converged
@@ -692,6 +696,21 @@ def test_chain_offset_inside_int_tol_is_refused(nu, kind):
     for x in (0.0, 0.5, 4.0):
         with pytest.raises(KindRestrictionError, match=f"^{kind.value} kind requires"):
             evaluate(p, kind, x)
+
+
+@pytest.mark.parametrize("nu", [-2.0 ** 53, -1e16, -1e300])
+def test_second_kind_refuses_nu_past_the_float_integers(nu):
+    # below -2**53 every float is an integer, and (1 + nu)/2 + (1 - nu)/2,
+    # the series' c_0 = 1, rounds to 0.5 or 0.0: the chain depth divided by
+    # it.  validate refuses nu there, at every entry point
+    p = GchParams(-1.0, 0.5, nu, 0.4, 0.3)
+    message = f"second kind requires nu > -2**53; got nu={nu}"
+    for call in (lambda: evaluate(p, SECOND, 0.5), lambda: evaluate_grid(p, SECOND, [0.5, 1.0]),
+                 lambda: eval_general(p, 1.0 - nu, 0.5)):
+        with pytest.raises(KindRestrictionError, match=f"^{re.escape(message)}$"):
+            call()
+    (record,) = cross_validate(GridSpec((-1.0,), (0.5,), (nu,), (0.4,), (0.3,), (0.5,), (SECOND,))).records
+    assert record.error == f"KindRestrictionError: {message}"
 
 
 def test_sweep_near_the_forbidden_integers():
