@@ -63,7 +63,9 @@ window over just those entries: order n appends to its two rows the one
 entry it reads beyond the order before, zips them whole, and then drops
 each row's head, the one entry no later order reads.  A step is then
 g_n[i] = w g_{n-1}[i] + zr g_n[i-1], with no division, and order 0 is
-the running product of row 0.
+the running product of row 0.  :func:`_side` derives the parameters of
+both rows once per side; :func:`_outcome` sums a point's orders and
+decides why the sum stopped: on tolerance, the order cap or the inner cap.
 
 No row checks its denominators.  Each chain or weight offset that
 depends on nu is +-(nu - k)/2 plus an integer, for an integer k, and
@@ -175,21 +177,23 @@ def _gamma_ratio(num_arg: float, den_arg: float, what: str) -> float:
     return ratio
 
 
-def _required_cap(z: float, a_mag: float, b: float, c: float, hard_cap: int) -> int:
+def _required_cap(z: float, a_mag: float, chains: tuple, hard_cap: int) -> int:
     """Chain depth at which Kummer-type terms have decayed ~18 digits.
 
     Scans the upper envelope whose step i multiplies by |z| (a_mag + i)
-    over the smaller of chain 0's |(b + i)(c + i)| and chain 1's
-    |(b + 1/2 + i)(c + 1/2 + i)| (all factors taken positive, so neither
-    sign cancellation nor polynomial termination can hide a growing tail;
-    every chain is chain 0 or 1 shifted, so a denominator near zero in
-    any chain shows); returns hard_cap + 1 if the envelope has not
-    decayed within the hard cap.  The depth never falls as |z| grows.
+    over the smaller of chain 0's |(b_0 + i)(c_0 + i)| and chain 1's
+    |(b_1 + i)(c_1 + i)|, with a_mag and ``chains`` from :func:`_side`
+    (all factors taken positive, so neither sign cancellation nor
+    polynomial termination can hide a growing tail; every chain is chain
+    0 or 1 shifted, so a denominator near zero in any chain shows);
+    returns hard_cap + 1 if the envelope has not decayed within the hard
+    cap.  The depth never falls as |z| grows.
     """
     az = abs(z)
     if az == 0.0:
         return 8
-    # where b and c are positive, chain 0's denominator is positive and
+    (_, b, c), (_, b1, c1) = chains
+    # where b_0 and c_0 are positive, chain 0's denominator is positive and
     # the smaller of the two
     both = b < 0.0 or c < 0.0
     t = 1.0
@@ -202,7 +206,7 @@ def _required_cap(z: float, a_mag: float, b: float, c: float, hard_cap: int) -> 
     while i <= last:
         den = (b + i) * (c + i)
         if both:
-            den = min(abs(den), abs((b + 0.5 + i) * (c + 0.5 + i)))
+            den = min(abs(den), abs((b1 + i) * (c1 + i)))
         ratio = az * (a_mag + i) / den
         t *= ratio
         i += 1.0
@@ -242,27 +246,29 @@ def _chain_end(nstar: Optional[int], k: int) -> Optional[int]:
     return (nstar - 1 - k) // 2
 
 
-def _chain_a(p: GchParams, lam: float, nstar: Optional[int]) -> tuple[float, float, float]:
-    """Numerator parameters a_0, a_1, a_2: exactly -beta_k where chain k
-    ends, else the infinite-series value Omega/(2 mu) + k/2 + lam/2."""
-    half_ratio = p.Omega / (2.0 * p.mu)
+def _side(q: GchParams, lam: float, nq: Optional[int]) -> tuple[float, tuple, tuple]:
+    """(a_mag, chains, weights) of a side with parameters q and n* = nq.
+
+    ``chains`` is ((a_0, b_0, c_0), (a_1, b_1, c_1)), where a_k is exactly
+    -beta_k if chain k ends (:func:`_chain_end`) and Omega/(2 mu) + k/2 +
+    lam/2 otherwise; ``weights`` holds the offsets (numerator, first and
+    second denominator) of w_0 and w_1, so w_k(j) = (j + wn)/((j + d1)(j +
+    d2)); every other chain and weight is one of these shifted (module
+    docstring).  a_mag is the largest |a_k| of chains 0 to 2."""
+    half_ratio = q.Omega / (2.0 * q.mu)
     h = 0.5 * lam
-    if nstar is None:
-        return half_ratio + h, half_ratio + 0.5 + h, half_ratio + 1.0 + h
-    return tuple([half_ratio + 0.5 * k + h if (beta := _chain_end(nstar, k)) is None else -float(beta)
-                  for k in range(3)])
+    gamma = q.gamma
+    a0, a1, a2 = [half_ratio + 0.5 * k + h if (beta := _chain_end(nq, k)) is None else -float(beta)
+                  for k in range(3)]
+    wn = h + 0.5 * q.omega
+    return (max(abs(a0), abs(a1), abs(a2)),
+            ((a0, 1.0 + h, gamma + h), (a1, 1.5 + h, gamma + 0.5 + h)),
+            ((wn, 0.5 + h, gamma - 0.5 + h), (wn + 0.5, 0.5 + h + 0.5, gamma - 0.5 + h + 0.5)))
 
 
-def _engine(
-    p: GchParams,
-    lam: float,
-    a_k: tuple[float, float, float],
-    z: float,
-    cap: int,
-    table: Optional[list],
-) -> Iterator[list[float]]:
+def _engine(chains: tuple, weights: tuple, z: float, cap: int, table: Optional[list]) -> Iterator[list[float]]:
     """The order vectors g_0, g_1, ... at chain argument z, over the chain
-    indices 0..cap, with ``a_k`` from :func:`_chain_a` of (p, lam).
+    indices 0..cap, with ``chains`` and ``weights`` from :func:`_side`.
 
     Each vector is appended to ``table``, unless it is None, before it is
     yielded; so a reader that stops after order n builds nothing past it.
@@ -271,14 +277,11 @@ def _engine(
     parameters alike, as one flat tuple: one lookup and one unpack per
     order, where a nested tuple costs an unpack per level.
     """
-    a0, a1, _ = a_k
-    gamma = p.gamma
-    h = 0.5 * lam
+    (a0, b0, c0), (a1, b1, c1) = chains
     # float indices: CPython 3.11 specialises float + float, not int +
     # float, and an index far below 2**53 is exact either way
     js = list(map(float, range(cap)))
     # order 0: g[i] = (a_0)_i z^i / ((b_0)_i (c_0)_i), the Kummer terms
-    b0, c0 = 1.0 + h, gamma + h
     zr0 = [z * (a0 + j) / ((b0 + j) * (c0 + j)) for j in js]
     g = list(accumulate(zr0, mul, initial=1.0))
     if table is not None:
@@ -291,13 +294,10 @@ def _engine(
     # that entry and, after its step, drops the head no later order reads.
     # zr_0 starts past z r_0(-1), which order 2 does not read, and zr_1
     # keeps z r_1(-1) as a 0.0 that order 1 multiplies by acc = 0
-    b1, c1 = 1.5 + h, gamma + 0.5 + h
     zr1 = [0.0] + [z * (a1 + j) / ((b1 + j) * (c1 + j)) for j in js[:-1]]
-    weight0 = (h + 0.5 * p.omega, 0.5 + h, gamma - 0.5 + h)
-    weight1 = (h + 0.5 * p.omega + 0.5, 0.5 + h + 0.5, gamma - 0.5 + h + 0.5)
-    w0, w1 = ([(j + wn) / ((j + d1) * (j + d2)) for j in js] for wn, d1, d2 in (weight0, weight1))
+    w0, w1 = ([(j + wn) / ((j + d1) * (j + d2)) for j in js] for wn, d1, d2 in weights)
     # order n = 2m + q: chain row q, weight row 1 - q
-    by_parity = ((zr0, w1, a0, b0, c0, *weight1), (zr1, w0, a1, b1, c1, *weight0))
+    by_parity = ((zr0, w1, *chains[0], *weights[1]), (zr1, w0, *chains[1], *weights[0]))
     # the arguments of the entries order n appends: m + cap - 1 to its
     # chain row, (n - 1) // 2 + cap to its weight row; order n's chain
     # argument is order n - 1's weight argument, and its weight argument
@@ -318,47 +318,6 @@ def _engine(
         yield g
 
 
-def _sum_orders(
-    vectors: Iterator[list[float]],
-    et: float,
-    t: NestedTruncation,
-    total: Callable[[list[float]], float],
-) -> tuple[list[float], bool]:
-    """Order contributions S_n et^n read off the order vectors g_n, with
-    S_n = total(g_n), and the converged flag.
-
-    The sum stops right after order 0 when et = 0, or once two consecutive
-    orders contribute below rel_tol times the running sum (converged), or
-    at max_order_N (not converged); no vector past the last order summed
-    is drawn from ``vectors``.
-    """
-    orders = [total(next(vectors))]
-    if et == 0.0:
-        return orders, True
-    rel_tol = t.rel_tol
-    streak = 0
-    et_pow = 1.0
-    running = orders[0]
-    for g in islice(vectors, t.max_order_N):
-        et_pow *= et
-        contrib = total(g) * et_pow
-        orders.append(contrib)
-        running += contrib
-        # |contrib| <= max(rel_tol |running|, _TINY) without a builtin
-        # call; a NaN lim stays NaN and passes nothing, and -0.0 meets
-        # the floor
-        lim = rel_tol * (running if running >= 0.0 else -running)
-        if lim < _TINY:
-            lim = _TINY
-        if -lim <= contrib <= lim:
-            streak += 1
-            if streak >= 2:
-                return orders, True
-        else:
-            streak = 0
-    return orders, False
-
-
 def _dot(powers: list[float], g: list[float]) -> float:
     """S_n = sum_i g[i] powers[i], over the entries both lists have."""
     return math.fsum(map(mul, g, powers))
@@ -369,12 +328,46 @@ def _outcome(
     x: float, pref: float, et: float, need: int,
     vectors: Iterator[list[float]], total: Callable[[list[float]], float],
 ) -> EvalResult | FloatOverflow:
-    """The result of a point from the order vectors it reads, each summed
-    by ``total``, at chain depth ``need`` (capped at max_inner), or the
-    FloatOverflow it raises.  The first line of parameters is the group's:
-    ``far`` marks the transformed parameters, whose n* is ``nq``."""
+    """The result of a point, or the FloatOverflow it raises: the one place
+    that sums a point's orders and decides why the sum stopped.
+
+    Order n contributes S_n et^n, with S_n = total(g_n) over chain depth
+    ``need`` capped at max_inner, and no vector past the last order summed
+    is drawn from ``vectors``.  The sum stops on tolerance right after
+    order 0 when et = 0, or once two consecutive orders contribute below
+    rel_tol times the running sum; otherwise on the order cap, after
+    max_order_N orders past order 0.  It is converged if it stopped on
+    tolerance and the inner cap cut no chain: need <= max_inner, or, with
+    only order 0 summed, a chain 0 that ends within max_inner.  The first
+    line of parameters is the group's: ``far`` marks the transformed
+    parameters, whose n* is ``nq``."""
     try:
-        orders, converged = _sum_orders(vectors, et, t, total)
+        orders = [total(next(vectors))]
+        rel_tol = t.rel_tol
+        streak = 0
+        et_pow = 1.0
+        running = orders[0]
+        for g in islice(vectors, 0 if et == 0.0 else t.max_order_N):
+            et_pow *= et
+            contrib = total(g) * et_pow
+            orders.append(contrib)
+            running += contrib
+            # |contrib| <= max(rel_tol |running|, _TINY) without a builtin
+            # call; a NaN lim stays NaN and passes nothing, and -0.0 meets
+            # the floor
+            lim = rel_tol * (running if running >= 0.0 else -running)
+            if lim < _TINY:
+                lim = _TINY
+            if -lim <= contrib <= lim:
+                streak += 1
+                if streak >= 2:
+                    break
+            else:
+                streak = 0
+        max_inner = t.max_inner
+        on_tol = et == 0.0 or streak >= 2  # else on the order cap
+        inner_cut = need > max_inner and not (
+            et == 0.0 and (end0 := _chain_end(nq, 0)) is not None and end0 <= max_inner)
         if far:
             expo = -0.5 * p.mu * x * x - p.eps * x
             try:
@@ -383,15 +376,11 @@ def _outcome(
                 raise FloatOverflow(f"transform factor e^({expo}) overflows at x={x}") from exc
             orders = [scale * o for o in orders]
         scaled = tuple([pref * o for o in orders])
-        max_inner = t.max_inner
         return EvalResult(
             value=pref * math.fsum(orders),
             terms_used=(min(need, max_inner) + 1) * len(orders),
             last_term_mag=abs(scaled[-1]) if len(scaled) > 1 else 0.0,
-            # with eps_tilde = 0 only order 0 is summed, and a chain 0 that
-            # ends within max_inner leaves no tail for the inner cap to cut
-            converged=converged and (need <= max_inner or (
-                et == 0.0 and (end0 := _chain_end(nq, 0)) is not None and end0 <= max_inner)),
+            converged=on_tol and not inner_cut,
             terminated_at=nstar,
             orders=scaled,
         )
@@ -418,11 +407,11 @@ def _results(
     evaluator reaches its points through here, one point or many.
 
     Each point's prefactor comes first, and its error is the point's
-    outcome.  Each point runs its chains to the depth
-    :func:`_required_cap` gives for its z and the chain parameters, at most
-    max_inner, and sums the orders by the rule of :func:`_sum_orders`;
-    ``converged`` also drops when max_inner is too small for the chains to
-    have decayed.  For mu > 0 and z < -1 the alternating chains cancel, so
+    outcome.  Each side derives its chain parameters once
+    (:func:`_side`), and each point runs its chains to the depth
+    :func:`_required_cap` gives for its z and those parameters, at most
+    max_inner; :func:`_outcome` sums its orders and decides where it
+    stopped.  For mu > 0 and z < -1 the alternating chains cancel, so
     there the orders are those of the transformed parameters
     (:func:`_kummer_transformed`, whose z is positive) times
     e^{-mu x^2/2 - eps x}; which chains end is then decided by the
@@ -453,7 +442,6 @@ def _results(
         else:
             sides.setdefault(p.mu > 0.0 and 0.5 * p.mu * x * x > 1.0, []).append(i)
     max_inner = t.max_inner
-    h = 0.5 * lam
     for far, idx in sides.items():
         q, nq = p, nstar
         if far:
@@ -464,14 +452,13 @@ def _results(
                 for i in idx:
                     out[i] = exc
                 continue
-        a = _chain_a(q, lam, nq)
-        b, c, a_mag = 1.0 + h, q.gamma + h, max(map(abs, a))
+        a_mag, chains, weights = _side(q, lam, nq)
         half_mu, half_eps = -0.5 * q.mu, -0.5 * q.eps
         x_ref = max([xs[i] for i in idx], key=abs)
         z_ref = half_mu * x_ref * x_ref
-        need_ref = _required_cap(z_ref, a_mag, b, c, max_inner)
+        need_ref = _required_cap(z_ref, a_mag, chains, max_inner)
         table = [] if len(idx) > 1 else None
-        engine = _engine(q, lam, a, z_ref, min(need_ref, max_inner), table)
+        engine = _engine(chains, weights, z_ref, min(need_ref, max_inner), table)
         outcome = partial(_outcome, p, far, nq, nstar, t)
         for i in idx:
             x = xs[i]
@@ -480,11 +467,11 @@ def _results(
             if z == z_ref:
                 need, total = need_ref, math.fsum
             else:
-                need = _required_cap(z, a_mag, b, c, max_inner)
+                need = _required_cap(z, a_mag, chains, max_inner)
                 total = partial(_dot, list(accumulate(repeat(z / z_ref, min(need, max_inner)), mul, initial=1.0)))
             res = outcome(x, out[i], et, need, engine if table is None else chain(table, engine), total)
             if z != z_ref and not (isinstance(res, EvalResult) and math.isfinite(res.value)):
-                res = outcome(x, out[i], et, need, _engine(q, lam, a, z, min(need, max_inner), None), math.fsum)
+                res = outcome(x, out[i], et, need, _engine(chains, weights, z, min(need, max_inner), None), math.fsum)
             out[i] = res
     return out
 

@@ -124,9 +124,9 @@ def _engine_runs(monkeypatch):
     runs = []
     engine = series._engine
 
-    def counting(p, lam, a_k, z, cap, table):
+    def counting(chains, weights, z, cap, table):
         runs.append(z)
-        return engine(p, lam, a_k, z, cap, table)
+        return engine(chains, weights, z, cap, table)
 
     monkeypatch.setattr(series, "_engine", counting)
     return runs
@@ -462,7 +462,8 @@ def test_depth_sees_chain_one_near_a_pole(x, depth, ref):
 @pytest.mark.parametrize("a_mag,b,c", [(1.8, 1.0, 1.25), (0.7, 1.0, -4.5 + 1e-9), (2.2, -0.75, 1.0), (9.0, 1.0, 3.0)])
 def test_depth_never_falls_as_z_grows(a_mag, b, c):
     # the grid reads nearer points off the table of the farthest one
-    depths = [_required_cap(z, a_mag, b, c, 240) for z in (0.001 * 1.2 ** k for k in range(60))]
+    chains = ((0.0, b, c), (0.0, b + 0.5, c + 0.5))
+    depths = [_required_cap(z, a_mag, chains, 240) for z in (0.001 * 1.2 ** k for k in range(60))]
     assert depths == sorted(depths)
 
 

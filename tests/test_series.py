@@ -494,7 +494,8 @@ def _backward_fold_orders(p, lam, x, t, a_of, order_cap):
     z = -0.5 * p.mu * x * x
     et = -0.5 * p.eps * x
     a_mag = max(abs(a_of(0)), abs(a_of(1)), abs(a_of(2)))
-    cap = min(t.max_inner, _required_cap(z, a_mag, 1.0 + h, gamma + h, t.max_inner))
+    chains = ((a_of(0), 1.0 + h, gamma + h), (a_of(1), 1.5 + h, gamma + 0.5 + h))
+    cap = min(t.max_inner, _required_cap(z, a_mag, chains, t.max_inner))
 
     def r(k, i):
         return (a_of(k) + i) / ((1.0 + 0.5 * k + h + i) * (gamma + 0.5 * k + h + i))
