@@ -9,13 +9,17 @@ x(exp(-eps x) - 1) for the A-dominated regime, and
 
 for the B-dominated one.  erf is the standard library's; the square roots
 are kept real for mu > 0 through erfi, or, once that cancels, the
-asymptotic expansion of the Dawson function.
+asymptotic expansion of the Dawson function.  A form whose value leaves
+the float range raises FloatOverflow naming the form and x.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from typing import Callable
+
+from .errors import FloatOverflow
 
 _SQRT_PI = math.sqrt(math.pi)
 #: y = sqrt(mu/2) x from which asym_small_eps (mu > 0) sums the Dawson
@@ -68,9 +72,21 @@ def _dawson_tail(y: float) -> float:
     return -total
 
 
+def _in_range(form: str, x: float, value: Callable[[], float]) -> float:
+    """value(), or FloatOverflow naming the limiting form and x where it
+    leaves the float range."""
+    try:
+        v = value()
+    except OverflowError as exc:
+        raise FloatOverflow(f"{form} limiting form overflows at x={x}") from exc
+    if math.isinf(v):
+        raise FloatOverflow(f"{form} limiting form overflows at x={x}")
+    return v
+
+
 def asym_small_mu(epsilon: float, x: float) -> float:
     """Limiting form x (e^{-eps x} - 1) of the A-dominated channel, as displayed."""
-    return x * math.expm1(-epsilon * x)
+    return _in_range("small-mu", x, lambda: x * math.expm1(-epsilon * x))
 
 
 def asym_small_eps(mu: float, x: float) -> float:
@@ -90,7 +106,7 @@ def asym_small_eps(mu: float, x: float) -> float:
         return 1.0
     if s > 0.0:
         rt = math.sqrt(s)
-        return 1.0 + _SQRT_PI * rt * math.erf(rt) * math.exp(s)
+        return _in_range("small-eps", x, lambda: 1.0 + _SQRT_PI * rt * math.erf(rt) * math.exp(s))
     rt = math.sqrt(-s)
     if rt >= _DAWSON_SWITCH:
         return _dawson_tail(rt)

@@ -24,8 +24,9 @@ class DomainError(GchError):
 
 class FloatOverflow(GchError, OverflowError):
     """A float the evaluation needs overflows: a Gamma-function
-    normalisation, or the factor e^{-mu x^2/2 - eps x} of the transformed
-    sum.  Also an OverflowError, so handlers of the builtin still catch it."""
+    normalisation, the factor e^{-mu x^2/2 - eps x} of the transformed
+    sum, Omega/mu, a limiting form or a ladder eigenvalue.  Also an
+    OverflowError, so handlers of the builtin still catch it."""
 
 
 class NormalizationPole(GchError):

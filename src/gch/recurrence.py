@@ -153,13 +153,15 @@ def detect_termination(p: GchParams, lam: float) -> Optional[int]:
     termination test: the closed form ends its chains by this n*.
 
     Raises NonFiniteError, as :func:`~gch.params.validate` does, if any
-    parameter is NaN or infinite, and PoleError for mu = 0: the package's
-    one refusal of it, which the closed-form evaluators reach through
-    this function."""
+    parameter is NaN or infinite; PoleError for mu = 0, the package's one
+    refusal of it, which the closed-form evaluators reach through this
+    function; and FloatOverflow where Omega/mu leaves the float range."""
     check_finite(p)
     if p.mu == 0.0:
         raise PoleError("mu must be nonzero: Omega/mu enters n* and the closed form")
     nstar = 1.0 - lam - p.Omega / p.mu
+    if math.isinf(nstar):
+        raise FloatOverflow(f"Omega/mu = {p.Omega}/{p.mu} overflows: n* is not finite")
     if _is_integer(nstar) and round(nstar) >= 1:
         return int(round(nstar))
     return None

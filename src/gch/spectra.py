@@ -26,7 +26,7 @@ import math
 import operator
 from typing import Callable, Sequence, Union
 
-from .errors import DegenerateCoupling, SampleNotConverged, TailNotDecayed
+from .errors import DegenerateCoupling, FloatOverflow, SampleNotConverged, TailNotDecayed
 from .params import GchParams, SolutionKind, _bind, _Frozen, _index, _require_finite
 from .recurrence import EvalResult
 from .series import NestedTruncation, evaluate_grid
@@ -196,7 +196,8 @@ def make_state(system: QuantumSystem, i: int, beta_i: int) -> EigenState:
     rounding, which the test suite asserts as an independent cross-check.
     ``i`` and ``beta_i`` must be nonnegative integers, of any type that
     :func:`operator.index` accepts (the state holds them as int); anything
-    else raises ValueError.
+    else raises ValueError.  An eigenvalue or Omega that leaves the float
+    range raises FloatOverflow.
     """
     try:
         i, beta_i = operator.index(i), operator.index(beta_i)
@@ -205,7 +206,10 @@ def make_state(system: QuantumSystem, i: int, beta_i: int) -> EigenState:
     if i < 0 or beta_i < 0:
         raise ValueError("i and beta_i must be nonnegative integers")
     eigenvalue = system.eigenvalue(i, beta_i)
-    return EigenState(i, beta_i, eigenvalue, system.params(system.omega_cap(eigenvalue)))
+    Omega = system.omega_cap(eigenvalue)
+    if not (math.isfinite(eigenvalue) and math.isfinite(Omega)):
+        raise FloatOverflow(f"state (i={i}, beta_i={beta_i}) overflows: eigenvalue={eigenvalue}, Omega={Omega}")
+    return EigenState(i, beta_i, eigenvalue, system.params(Omega))
 
 
 def _samples(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import pytest
@@ -10,6 +11,7 @@ from gch.asymptotics import (
     erfi,
     limit_value,
 )
+from gch.errors import FloatOverflow
 
 mp.mp.dps = 30
 
@@ -100,3 +102,14 @@ def test_asym_small_eps_mu_negative_against_mpmath(y):
         got = asym_small_eps(mu, x)
         assert math.isfinite(got)
         assert abs(got - want) <= mp.mpf("1e-13") * abs(want)
+
+
+@pytest.mark.parametrize("regime,mu,epsilon,x", [
+    (AsymptoticRegime.SMALL_MU, 0.0, -1.0, 800.0),      # e^800 overflows
+    (AsymptoticRegime.SMALL_MU, 0.0, -1e-298, 1e300),   # x times a finite expm1 is inf
+    (AsymptoticRegime.SMALL_EPS, -1.0, 0.0, 50.0),      # e^1250 overflows
+    (AsymptoticRegime.SMALL_EPS, -1.0, 0.0, 1e200),     # s = inf, which returned inf
+], ids=["small-mu-exp", "small-mu-product", "small-eps-exp", "small-eps-inf"])
+def test_limiting_form_past_the_float_range_is_a_float_overflow(regime, mu, epsilon, x):
+    with pytest.raises(FloatOverflow, match=f"^{regime.value} limiting form overflows at x={re.escape(repr(x))}$"):
+        limit_value(regime, mu, epsilon, x)

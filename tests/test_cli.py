@@ -99,6 +99,18 @@ def test_spectrum_degenerate_coupling_exit2(capsys):
     assert "beta_F = 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_spectrum_overflowed_ladder_exit2(capsys, fmt):
+    # E^2 = 4 b (2 beta + 3/2) is inf: no row, in place of inf rows (and
+    # JSON's invalid Infinity)
+    code = main(["spectrum", "--system", "qqbar", "--mass", "0.1", "--b-slope", "1e308", "--beta-max", "2",
+                 "--format", fmt])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: state (i=0, beta_i=0) overflows: eigenvalue=inf, Omega=inf\n"
+
+
 def test_wavefunction_rows(tmp_path):
     code, body = run_to_file(tmp_path, "w.csv", [
         "wavefunction", "--system", "oscillator", "--coupling", "2", "--l", "0",
@@ -164,6 +176,17 @@ def test_verify_with_no_point_evaluated_fails(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == "verify: 0 points, max_rel_err=0.000e+00, tolerance=1.0e-09, FAIL\n"
+
+
+def test_verify_omega_over_mu_overflow_fails_its_rows(tmp_path, capsys):
+    # Omega/mu = 1e10/1e-300 overflows, and Omega = 1e10 overflows the
+    # prefactor at mu = -1: every row fails on its own, and the sweep ends
+    code = main(["verify", *_config(tmp_path, {"grid": {"mu": [1e-300, -1.0], "omega_cap": [1e10]}})])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "verify: 0 points, max_rel_err=0.000e+00, tolerance=1.0e-09, FAIL\n"
+    rows = captured.out.splitlines()[1:]
+    assert len(rows) == 192 and {row.rsplit(",", 1)[1] for row in rows} == {"FloatOverflow"}
 
 
 @pytest.mark.parametrize("fmt,rows", [
@@ -527,7 +550,9 @@ def test_float_overflow_exit2(gch_subprocess_env):
      "mu must be nonzero: Omega/mu enters n* and the closed form"),
     (["--mu", "-1", "--nu=-1e16", "--omega-cap", "0.4", "--kind", "second"],
      "second kind requires nu > -2**53; got nu=-1e+16"),
-], ids=["order-vectors-overflow", "mu-zero", "mu-zero-poly", "second-kind-nu-past-2**53"])
+    (["--mu", "1e-300", "--nu", "1.5", "--omega-cap", "1e10"],
+     "Omega/mu = 10000000000.0/1e-300 overflows: n* is not finite"),
+], ids=["order-vectors-overflow", "mu-zero", "mu-zero-poly", "second-kind-nu-past-2**53", "omega-over-mu"])
 def test_eval_refusals_exit2(argv, message, capsys):
     assert main(["eval", *argv]) == 2
     captured = capsys.readouterr()
@@ -547,6 +572,15 @@ def test_overflowing_x_grid_exit2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: x-stop - x-start overflows: the x grid step is inf\n"
+
+
+def test_asymptote_overflow_names_its_x_exit2(capsys):
+    # e^{-mu x^2/2} overflows at x = 50, not at x = 0 or 25
+    argv = ["asymptote", "--regime", "small-eps", "--mu", "-1", "--x-start", "0", "--x-stop", "50", "--x-count", "3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: small-eps limiting form overflows at x=50.0\n"
 
 
 def test_rel_tol_outside_unit_interval_exit2(capsys):

@@ -6,9 +6,10 @@ import mpmath as mp
 import pytest
 
 from gch import recurrence
-from gch.errors import DomainError, NonFiniteError, PoleError
+from gch.errors import DomainError, FloatOverflow, NonFiniteError, PoleError
 from gch.params import GchParams, SolutionKind, validate
 from gch.recurrence import _ABS_FLOOR, Truncation, coefficients, detect_termination, real_power, sum_series
+from gch.series import betas_from_omega, eval_general
 from gch.verify import ode_residual
 
 TIGHT = Truncation(max_terms=500, rel_tol=1e-14)
@@ -208,3 +209,16 @@ def test_non_finite_parameters_refused_as_validate_refuses_them(monkeypatch, p, 
     monkeypatch.setattr(recurrence, "_coefficients", _no_terms)
     with pytest.raises(NonFiniteError, match=message):
         sum_series(p, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: detect_termination(p, 0.0),
+    lambda p: sum_series(p, 0.0, 0.5),
+    lambda p: betas_from_omega(p, 0.0, 3),
+    lambda p: eval_general(p, 0.0, 0.5),
+], ids=["detect_termination", "sum_series", "betas_from_omega", "eval_general"])
+def test_omega_over_mu_overflow_is_a_float_overflow(call):
+    # n* = 1 - lam - Omega/mu is not finite; round() of it raised a bare
+    # OverflowError
+    with pytest.raises(FloatOverflow, match=r"^Omega/mu = 10000000000\.0/1e-300 overflows: n\* is not finite$"):
+        call(GchParams(1e-300, 0.5, 1.5, 1e10, 0.3))

@@ -622,8 +622,10 @@ def test_step_counts_pinned(p, kind, x, terms, orders, value):
      "second-kind prefactor z^(-0.25) * 4.6624009163186755e+262"),
     # the order vectors at z = 1600 hold infinities of both signs
     (GchParams(-2.0, 1.0, 1.5, -3.0, 0.25), FIRST, 40.0, "nested sum"),
+    # n* = 1 - lam - Omega/mu is not finite
+    (GchParams(1e-300, 0.5, 1.5, 1e10, 0.3), FIRST, 0.5, "Omega/mu = 10000000000.0/1e-300"),
 ], ids=["gamma-first", "gamma-second", "transform-factor", "gamma-underflow-second", "prefactor-power",
-        "order-vectors"])
+        "order-vectors", "omega-over-mu"])
 def test_float_overflow_is_a_gch_error(p, kind, x, message):
     # the Gamma normalisation, the transform factor and the order sums
     # overflow a float

@@ -1,8 +1,9 @@
 import math
+import re
 
 import pytest
 
-from gch.errors import DegenerateCoupling, NonFiniteError, TailNotDecayed
+from gch.errors import DegenerateCoupling, FloatOverflow, NonFiniteError, TailNotDecayed
 from gch.recurrence import detect_termination
 from gch.series import NestedTruncation
 from gch.spectra import (
@@ -287,6 +288,25 @@ def test_make_state_rejects_non_integer_indices(i, beta):
     # Omega = 1.0 at (0.5, 0) ends no chain: not a bound state
     with pytest.raises(ValueError, match="nonnegative integers"):
         make_state(RotatingOscillator(l_m=0, omega_c=2.0), i, beta)
+
+
+@pytest.mark.parametrize("system,i,beta,message", [
+    # E^2 = 4 b (2 beta + 3/2) overflows
+    (QQbar(0.1, 1e308, 0), 0, 2, "state (i=0, beta_i=2) overflows: eigenvalue=inf, Omega=inf"),
+    # alpha_F = sqrt(2 mass c) overflows, and Omega = inf/inf
+    (Confinement(1.0, 1e-300, 1e300, 1e300, 0), 0, 0, "state (i=0, beta_i=0) overflows: eigenvalue=inf, Omega=nan"),
+], ids=["qqbar-eigenvalue", "confinement-omega"])
+def test_make_state_refuses_a_ladder_value_past_the_float_range(system, i, beta, message):
+    with pytest.raises(FloatOverflow, match=f"^{re.escape(message)}$"):
+        make_state(system, i, beta)
+
+
+def test_make_state_leaves_an_overflowed_eps_to_validate():
+    # eps = sqrt(2/omega_c) is inf; the ladder itself is finite
+    state = make_state(RotatingOscillator(l_m=0, omega_c=1e-320), 0, 1)
+    assert (state.eigenvalue, state.gch.Omega, state.gch.eps) == (3.0, 4.0, math.inf)
+    with pytest.raises(NonFiniteError, match="^parameter eps=inf is not a finite real$"):
+        wavefunction(RotatingOscillator(l_m=0, omega_c=1e-320), state, 1.0)
 
 
 def test_make_state_takes_any_index_type():

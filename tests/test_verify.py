@@ -135,7 +135,10 @@ def test_cross_validate_records_float_overflow():
     # the oracle's x^lam = 14^281.5 overflows
     (GridSpec((-1.0,), (0.5,), (-280.5,), (0.4,), (0.3,), (14.0,), (SolutionKind.SECOND,)),
      ["FloatOverflow: (14.0)**(281.5) overflows"]),
-], ids=["order-vectors", "oracle-power"])
+    # n* = 1 - lam - Omega/mu is not finite
+    (GridSpec((1e-300,), (0.5,), (1.5,), (1e10,), (0.3,), (0.5,), (SolutionKind.FIRST,)),
+     ["FloatOverflow: Omega/mu = 10000000000.0/1e-300 overflows: n* is not finite"]),
+], ids=["order-vectors", "oracle-power", "omega-over-mu"])
 def test_cross_validate_records_float_overflow_of_sums(grid, errors):
     assert [rec.error for rec in cross_validate(grid).records] == errors
 
