@@ -205,7 +205,10 @@ def make_state(system: QuantumSystem, i: int, beta_i: int) -> EigenState:
         raise ValueError("i and beta_i must be nonnegative integers") from None
     if i < 0 or beta_i < 0:
         raise ValueError("i and beta_i must be nonnegative integers")
-    eigenvalue = system.eigenvalue(i, beta_i)
+    try:
+        eigenvalue = system.eigenvalue(i, beta_i)
+    except OverflowError as exc:  # an index past the float range
+        raise FloatOverflow(f"state (i={i}, beta_i={beta_i}) overflows: {exc}") from exc
     Omega = system.omega_cap(eigenvalue)
     if not (math.isfinite(eigenvalue) and math.isfinite(Omega)):
         raise FloatOverflow(f"state (i={i}, beta_i={beta_i}) overflows: eigenvalue={eigenvalue}, Omega={Omega}")

@@ -295,7 +295,10 @@ def test_make_state_rejects_non_integer_indices(i, beta):
     (QQbar(0.1, 1e308, 0), 0, 2, "state (i=0, beta_i=2) overflows: eigenvalue=inf, Omega=inf"),
     # alpha_F = sqrt(2 mass c) overflows, and Omega = inf/inf
     (Confinement(1.0, 1e-300, 1e300, 1e300, 0), 0, 0, "state (i=0, beta_i=0) overflows: eigenvalue=inf, Omega=nan"),
-], ids=["qqbar-eigenvalue", "confinement-omega"])
+    # 2 beta cannot be a float
+    (RotatingOscillator(0, 1.0), 0, 10 ** 400,
+     f"state (i=0, beta_i={10 ** 400}) overflows: int too large to convert to float"),
+], ids=["qqbar-eigenvalue", "confinement-omega", "index-past-the-float-range"])
 def test_make_state_refuses_a_ladder_value_past_the_float_range(system, i, beta, message):
     with pytest.raises(FloatOverflow, match=f"^{re.escape(message)}$"):
         make_state(system, i, beta)
