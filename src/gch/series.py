@@ -101,9 +101,9 @@ from __future__ import annotations
 import math
 import sys
 from functools import partial
-from itertools import accumulate, chain, count, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import mul
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BetaMismatch, FloatOverflow, GchError, NormalizationPole, NoTermination
 from .params import GchParams, SolutionKind, _bind, _Frozen, _index, _require_finite, validate
@@ -123,7 +123,8 @@ class NestedTruncation(_Frozen):
     terms has decayed 18 digits (:func:`_required_cap`), and to
     ``max_inner`` where that depth is larger, so a large cap costs easy
     points nothing; the default reaches |z| of about 100 with Kummer-type
-    chain parameters, and the default order cap covers |eps_tilde| <= 4.
+    chain parameters.  Some points near |eps_tilde| = 4 need more orders
+    than the default cap: they are flagged as not converged, not covered.
     """
 
     __slots__ = ("max_order_N", "max_inner", "rel_tol")
@@ -146,6 +147,8 @@ class NestedTruncation(_Frozen):
 
 #: the truncation of a call that passes none
 _DEFAULT_TRUNCATION = NestedTruncation()
+#: the chain indices 0.0, 1.0, ... below the default max_inner, as floats
+_INDICES = tuple(map(float, range(_DEFAULT_TRUNCATION.max_inner)))
 
 
 def _gamma_ratio(num_arg: float, den_arg: float, what: str) -> float:
@@ -258,8 +261,10 @@ def _side(q: GchParams, lam: float, nq: Optional[int]) -> tuple[float, tuple, tu
     half_ratio = q.Omega / (2.0 * q.mu)
     h = 0.5 * lam
     gamma = q.gamma
-    a0, a1, a2 = [half_ratio + 0.5 * k + h if (beta := _chain_end(nq, k)) is None else -float(beta)
-                  for k in range(3)]
+    end0, end1, end2 = _chain_end(nq, 0), _chain_end(nq, 1), _chain_end(nq, 2)
+    a0 = half_ratio + h if end0 is None else -float(end0)
+    a1 = half_ratio + 0.5 + h if end1 is None else -float(end1)
+    a2 = half_ratio + 1.0 + h if end2 is None else -float(end2)
     wn = h + 0.5 * q.omega
     return (max(abs(a0), abs(a1), abs(a2)),
             ((a0, 1.0 + h, gamma + h), (a1, 1.5 + h, gamma + 0.5 + h)),
@@ -272,15 +277,12 @@ def _engine(chains: tuple, weights: tuple, z: float, cap: int, table: Optional[l
 
     Each vector is appended to ``table``, unless it is None, before it is
     yielded; so a reader that stops after order n builds nothing past it.
-
-    Each order fetches everything it reads by its parity, rows and
-    parameters alike, as one flat tuple: one lookup and one unpack per
-    order, where a nested tuple costs an unpack per level.
     """
     (a0, b0, c0), (a1, b1, c1) = chains
-    # float indices: CPython 3.11 specialises float + float, not int +
-    # float, and an index far below 2**53 is exact either way
-    js = list(map(float, range(cap)))
+    (wn0, d10, d20), (wn1, d11, d21) = weights
+    # float indices (CPython 3.11 specialises float + float, not int + float;
+    # exact far below 2**53), sliced off a shared tuple at a tenth of the cost
+    js = _INDICES[:cap] if cap <= len(_INDICES) else list(map(float, range(cap)))
     # order 0: g[i] = (a_0)_i z^i / ((b_0)_i (c_0)_i), the Kummer terms
     zr0 = [z * (a0 + j) / ((b0 + j) * (c0 + j)) for j in js]
     g = list(accumulate(zr0, mul, initial=1.0))
@@ -295,23 +297,31 @@ def _engine(chains: tuple, weights: tuple, z: float, cap: int, table: Optional[l
     # zr_0 starts past z r_0(-1), which order 2 does not read, and zr_1
     # keeps z r_1(-1) as a 0.0 that order 1 multiplies by acc = 0
     zr1 = [0.0] + [z * (a1 + j) / ((b1 + j) * (c1 + j)) for j in js[:-1]]
-    w0, w1 = ([(j + wn) / ((j + d1) * (j + d2)) for j in js] for wn, d1, d2 in weights)
-    # order n = 2m + q: chain row q, weight row 1 - q
-    by_parity = ((zr0, w1, *chains[0], *weights[1]), (zr1, w0, *chains[1], *weights[0]))
+    w0 = [(j + wn0) / ((j + d10) * (j + d20)) for j in js]
+    w1 = [(j + wn1) / ((j + d11) * (j + d21)) for j in js]
     # the arguments of the entries order n appends: m + cap - 1 to its
     # chain row, (n - 1) // 2 + cap to its weight row; order n's chain
     # argument is order n - 1's weight argument, and its weight argument
     # is one past order n - 1's chain argument
     jr, jw = cap - 1.0, float(cap)
 
-    for n in count(1):
-        # g_n[i] = w_{n-1}(i) g_{n-1}[i] + z r_n(i-1) g_n[i-1]
-        row, wrow, a, b, c, wn, d1, d2 = by_parity[n & 1]
-        row.append(z * (a + jr) / ((b + jr) * (c + jr)))
-        wrow.append((jw + wn) / ((jw + d1) * (jw + d2)))
+    # g_n[i] = w_{n-1}(i) g_{n-1}[i] + z r_n(i-1) g_n[i-1]; order 2m + q reads
+    # chain row q and weight row 1 - q, written out per parity to skip a fetch
+    while True:
+        zr1.append(z * (a1 + jr) / ((b1 + jr) * (c1 + jr)))
+        w0.append((jw + wn0) / ((jw + d10) * (jw + d20)))
         acc = 0.0
-        g = [acc := wj * gj + zj * acc for wj, gj, zj in zip(wrow, g, row)]
-        del row[0], wrow[0]
+        g = [acc := wj * gj + zj * acc for wj, gj, zj in zip(w0, g, zr1)]
+        del zr1[0], w0[0]
+        jr, jw = jw, jr + 1.0
+        if table is not None:
+            table.append(g)
+        yield g
+        zr0.append(z * (a0 + jr) / ((b0 + jr) * (c0 + jr)))
+        w1.append((jw + wn1) / ((jw + d11) * (jw + d21)))
+        acc = 0.0
+        g = [acc := wj * gj + zj * acc for wj, gj, zj in zip(w1, g, zr0)]
+        del zr0[0], w1[0]
         jr, jw = jw, jr + 1.0
         if table is not None:
             table.append(g)
@@ -343,6 +353,7 @@ def _outcome(
     parameters, whose n* is ``nq``."""
     try:
         orders = [total(next(vectors))]
+        append = orders.append
         rel_tol = t.rel_tol
         streak = 0
         et_pow = 1.0
@@ -350,7 +361,7 @@ def _outcome(
         for g in islice(vectors, 0 if et == 0.0 else t.max_order_N):
             et_pow *= et
             contrib = total(g) * et_pow
-            orders.append(contrib)
+            append(contrib)
             running += contrib
             # |contrib| <= max(rel_tol |running|, _TINY) without a builtin
             # call; a NaN lim stays NaN and passes nothing, and -0.0 meets
@@ -377,12 +388,12 @@ def _outcome(
             orders = [scale * o for o in orders]
         scaled = tuple([pref * o for o in orders])
         return EvalResult(
-            value=pref * math.fsum(orders),
-            terms_used=(min(need, max_inner) + 1) * len(orders),
-            last_term_mag=abs(scaled[-1]) if len(scaled) > 1 else 0.0,
-            converged=on_tol and not inner_cut,
-            terminated_at=nstar,
-            orders=scaled,
+            pref * math.fsum(orders),
+            (min(need, max_inner) + 1) * len(orders),
+            abs(scaled[-1]) if len(scaled) > 1 else 0.0,
+            on_tol and not inner_cut,
+            nstar,
+            scaled,
         )
     except FloatOverflow as exc:
         return exc
@@ -454,12 +465,11 @@ def _results(
                 continue
         a_mag, chains, weights = _side(q, lam, nq)
         half_mu, half_eps = -0.5 * q.mu, -0.5 * q.eps
-        x_ref = max([xs[i] for i in idx], key=abs)
+        x_ref = xs[idx[0]] if len(idx) == 1 else max([xs[i] for i in idx], key=abs)
         z_ref = half_mu * x_ref * x_ref
         need_ref = _required_cap(z_ref, a_mag, chains, max_inner)
         table = [] if len(idx) > 1 else None
         engine = _engine(chains, weights, z_ref, min(need_ref, max_inner), table)
-        outcome = partial(_outcome, p, far, nq, nstar, t)
         for i in idx:
             x = xs[i]
             z = half_mu * x * x
@@ -469,9 +479,11 @@ def _results(
             else:
                 need = _required_cap(z, a_mag, chains, max_inner)
                 total = partial(_dot, list(accumulate(repeat(z / z_ref, min(need, max_inner)), mul, initial=1.0)))
-            res = outcome(x, out[i], et, need, engine if table is None else chain(table, engine), total)
+            res = _outcome(p, far, nq, nstar, t, x, out[i], et, need,
+                           engine if table is None else chain(table, engine), total)
             if z != z_ref and not (isinstance(res, EvalResult) and math.isfinite(res.value)):
-                res = outcome(x, out[i], et, need, _engine(chains, weights, z, min(need, max_inner), None), math.fsum)
+                res = _outcome(p, far, nq, nstar, t, x, out[i], et, need,
+                               _engine(chains, weights, z, min(need, max_inner), None), math.fsum)
             out[i] = res
     return out
 
@@ -497,13 +509,15 @@ def betas_from_omega(p: GchParams, lam: float, count: int) -> tuple[Optional[int
     if count < 1:
         raise ValueError("count must be positive")
     nstar = detect_termination(p, lam)
-    if _chain_end(nstar, 0) is None:
+    beta0 = _chain_end(nstar, 0)
+    if beta0 is None:
         raise NoTermination(
             f"beta_0 = {0.5 * (-p.Omega / p.mu - lam)} is not a nonnegative integer; Omega={p.Omega} does not terminate"
         )
-    # no chain k >= n* ends, so only those below n* take a call
-    ends = [_chain_end(nstar, k) for k in range(min(count, nstar))]
-    return tuple(ends + [None] * (count - len(ends)))
+    # n* - 1 is even: chain k ends at beta_0 - k/2 for even k < n*, no odd chain
+    ends: list = [None] * count
+    ends[:nstar:2] = range(beta0, beta0 - (min(count, nstar) + 1) // 2, -1)
+    return tuple(ends)
 
 
 def _check_beta_consistency(p: GchParams, lam: float, betas: tuple[Optional[int], ...]) -> None:
@@ -582,10 +596,11 @@ def evaluate(
 def evaluate_grid(
     p: GchParams,
     kind: SolutionKind,
-    xs: Sequence[float],
+    xs: Iterable[float],
     t: NestedTruncation | None = None,
 ) -> list[EvalResult]:
-    """:func:`evaluate` at each x of ``xs``, in input order.
+    """:func:`evaluate` at each x of ``xs``, in input order; ``xs`` is read
+    once, so an iterator gives the points a list of the same values does.
 
     The points on each side of the mu > 0 transform test share one table
     and one engine, at the point of largest |x|, exactly as
@@ -600,6 +615,7 @@ def evaluate_grid(
     :func:`evaluate`, except that a non-finite x anywhere in ``xs`` raises
     NonFiniteError before any work.  Nothing is kept between calls.
     """
+    xs = tuple(xs)
     for x in xs:
         _require_finite("x", x)
     lam, nstar, pref_of = _normalisation(p, kind)

@@ -233,7 +233,9 @@ def wavefunction_result(
     r: float,
     t: NestedTruncation | None = None,
 ) -> tuple[float, bool]:
-    """(unnormalised reduced radial value, converged flag)."""
+    """(unnormalised reduced radial value, converged flag); NonFiniteError
+    naming ``r`` for a non-finite radius, ValueError for a negative one."""
+    _require_finite("r", r)
     if r < 0.0:
         raise ValueError("r must be nonnegative")
     [(value, res)] = _samples(system, state, (r,), t)

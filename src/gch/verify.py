@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from itertools import count
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, GchError
 from .params import GchParams, SolutionKind, _bind, _Frozen, validate
@@ -91,27 +91,29 @@ _GRID_X = (0.1, 0.5, 1.0)
 
 class GridSpec(_Frozen):
     """Cartesian parameter grid for cross-validation; defaults reproduce the
-    acceptance sweep (384 points, both kinds where valid)."""
+    acceptance sweep (384 points, both kinds where valid).  Each axis is
+    stored as a tuple of the values it is given, so an iterator axis is
+    read once and serves every parameter set."""
 
     __slots__ = ("mu", "eps", "nu", "Omega", "omega", "x", "kinds")
 
     def __init__(
         self,
-        mu: tuple[float, ...] = _GRID_MU,
-        eps: tuple[float, ...] = _GRID_EPS,
-        nu: tuple[float, ...] = _GRID_NU,
-        Omega: tuple[float, ...] = _GRID_OMEGA_CAP,
-        omega: tuple[float, ...] = _GRID_OMEGA,
-        x: tuple[float, ...] = _GRID_X,
-        kinds: tuple[SolutionKind, ...] = (SolutionKind.FIRST, SolutionKind.SECOND),
+        mu: Iterable[float] = _GRID_MU,
+        eps: Iterable[float] = _GRID_EPS,
+        nu: Iterable[float] = _GRID_NU,
+        Omega: Iterable[float] = _GRID_OMEGA_CAP,
+        omega: Iterable[float] = _GRID_OMEGA,
+        x: Iterable[float] = _GRID_X,
+        kinds: Iterable[SolutionKind] = (SolutionKind.FIRST, SolutionKind.SECOND),
     ) -> None:
-        _bind(self, "mu", mu)
-        _bind(self, "eps", eps)
-        _bind(self, "nu", nu)
-        _bind(self, "Omega", Omega)
-        _bind(self, "omega", omega)
-        _bind(self, "x", x)
-        _bind(self, "kinds", kinds)
+        _bind(self, "mu", tuple(mu))
+        _bind(self, "eps", tuple(eps))
+        _bind(self, "nu", tuple(nu))
+        _bind(self, "Omega", tuple(Omega))
+        _bind(self, "omega", tuple(omega))
+        _bind(self, "x", tuple(x))
+        _bind(self, "kinds", tuple(kinds))
 
     def param_sets(self):
         """Each parameter set of the grid, the last axis (omega) fastest."""

@@ -182,6 +182,20 @@ def test_empty_grid():
     assert evaluate_grid(GchParams(-1.0, 1.0, 1.5, 0.3, 0.2), FIRST, []) == []
 
 
+def test_one_shot_iterables_give_every_point():
+    # the x values are read once: an iterator gives what a list gives
+    p = GchParams(-1.0, 1.0, 1.5, 0.3, 0.2)
+    xs = [0.1, 0.2, -0.7]
+    assert evaluate_grid(p, FIRST, iter(xs)) == evaluate_grid(p, FIRST, xs)
+    assert len(evaluate_grid(p, FIRST, (x for x in xs))) == 3
+    axes = dict(mu=(-2.0, 0.5), eps=(1.0,), nu=(1.5,), Omega=(-3.0,), omega=(0.25,), kinds=(FIRST, SECOND))
+    listed = cross_validate(GridSpec(x=[0.1, 0.5], **axes))
+    assert listed.n_evaluated == 8
+    assert cross_validate(GridSpec(x=(x for x in (0.1, 0.5)), **axes)) == listed
+    once = {name: iter(axis) for name, axis in axes.items()}
+    assert cross_validate(GridSpec(x=iter([0.1, 0.5]), **once)) == listed
+
+
 # ------------------------------------------------------ errors in input order
 
 def test_domain_error_at_first_failing_x():

@@ -248,6 +248,11 @@ def test_betas_from_omega_examples():
     assert seq == (2, None, 1, None, 0) + (None,) * 44
     seq = betas_from_omega(GchParams(-2.0, 0, 0.5, 12.0, 0), 0.0, 1)
     assert seq == (3,)
+    # second kind, lam = -0.5: Omega = 11 gives n* = 7, beta_0 = 3
+    p = GchParams(-2.0, 0, 1.5, 11.0, 0)
+    assert betas_from_omega(p, -0.5, 4) == (3, None, 2, None)
+    assert betas_from_omega(p, -0.5, 7) == (3, None, 2, None, 1, None, 0)
+    assert betas_from_omega(p, -0.5, 9) == (3, None, 2, None, 1, None, 0, None, None)
     with pytest.raises(NoTermination):
         betas_from_omega(GchParams(1.0, 0, 0.5, -3.7, 0), 0.0, 2)
 
@@ -316,6 +321,40 @@ def test_qw_poly_beta_mismatch():
     wrong = (3,)
     with pytest.raises(BetaMismatch):
         evaluate(p, FIRST, 0.5, wrong)
+
+
+@pytest.mark.parametrize("kind", [FIRST, SECOND])
+def test_full_termination_tuple_passes_the_check(kind):
+    p0 = GchParams(-1.5, 0.7, 0.6, math.nan, 0.4)
+    lam = kind.lambda_of(p0.nu)
+    p = GchParams(p0.mu, p0.eps, p0.nu, -p0.mu * (2 * 3 + lam), p0.omega)
+    seq = betas_from_omega(p, lam, 49)
+    assert len(seq) == 49 and seq[0] == 3
+    assert evaluate(p, kind, 0.8, seq) == evaluate(p, kind, 0.8)
+
+
+@pytest.mark.parametrize("k,beta", [(0, 3), (2, 2), (6, 0)])
+def test_termination_tuple_tolerance_edge(k, beta):
+    # entry k alone is present; it implies Omega = 12 at mu = -2, lam = 0,
+    # and passes within 1e-9 max(1, |Omega|, |mu|) of it
+    betas = (None,) * k + (beta,)
+    tol = 1e-9 * 12.0
+    for off in (0.99 * tol, -0.99 * tol):
+        evaluate(GchParams(-2.0, 0.5, 1.0, 12.0 + off, 1.0), FIRST, 0.5, betas)
+    for off in (1.01 * tol, -1.01 * tol):
+        with pytest.raises(BetaMismatch, match=rf"^beta_{k}={beta} implies Omega=12\.0, got Omega="):
+            evaluate(GchParams(-2.0, 0.5, 1.0, 12.0 + off, 1.0), FIRST, 0.5, betas)
+
+
+def test_termination_tuple_wrong_entry_deep_and_first_named():
+    p = GchParams(-2.0, 0.5, 1.0, 12.0, 1.0)  # n* = 7, beta_0 = 3
+    seq = list(betas_from_omega(p, 0.0, 49))
+    seq[40] = 7
+    with pytest.raises(BetaMismatch, match=r"^beta_40=7 implies Omega=108\.0, got Omega=12\.0$"):
+        evaluate(p, FIRST, 0.5, tuple(seq))
+    seq[10] = 1
+    with pytest.raises(BetaMismatch, match=r"^beta_10=1 implies Omega=24\.0, got Omega=12\.0$"):
+        evaluate(p, FIRST, 0.5, tuple(seq))
 
 
 def test_rw_poly_zero_limit():

@@ -340,3 +340,14 @@ def test_radial_norm_and_normalize_refuse_non_finite_r_max(r_max):
         radial_norm(lambda r: r, r_max, 7)
     with pytest.raises(NonFiniteError, match=message):
         normalize(system, state, r_max, 7, NT)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+def test_wavefunction_refuses_non_finite_r_by_name(r):
+    system = QQbar(m_q=0.0, b_slope=1.0, l=0)
+    state = make_state(system, 0, 2)
+    message = f"^r={r!r} is not a finite real$"
+    with pytest.raises(NonFiniteError, match=message):
+        wavefunction_result(system, state, r)
+    with pytest.raises(NonFiniteError, match=message):
+        wavefunction(system, state, r, NT)
