@@ -65,9 +65,9 @@ class EvalResult(_Frozen):
     ``last_term_mag`` is the magnitude of the last accumulated term (or, for
     the closed-form path, of the last order summed, 0.0 when only order 0
     was); it is not an error bound, and cancellation inside the sum can
-    leave a value far less accurate than it.  ``terminated_at`` is the index n* with
-    B_{n*} = 0 (:func:`detect_termination`); the closed form ends chain k
-    at (n* - 1 - k)/2 wherever that is a nonnegative integer.
+    leave a value far less accurate than it.  ``terminated_at`` is the
+    index n* with B_{n*} = 0 (:func:`detect_termination`); the closed form
+    ends chain k at (n* - 1 - k)/2 wherever that is a nonnegative integer.
     ``orders`` is populated only by the closed-form evaluators and holds the
     per-order decomposition y_0, y_1, y_2, ...  For mu > 0 and
     -mu x^2/2 < -1 the closed form sums the transformed series

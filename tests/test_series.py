@@ -323,16 +323,6 @@ def test_qw_poly_beta_mismatch():
         evaluate(p, FIRST, 0.5, wrong)
 
 
-@pytest.mark.parametrize("kind", [FIRST, SECOND])
-def test_full_termination_tuple_passes_the_check(kind):
-    p0 = GchParams(-1.5, 0.7, 0.6, math.nan, 0.4)
-    lam = kind.lambda_of(p0.nu)
-    p = GchParams(p0.mu, p0.eps, p0.nu, -p0.mu * (2 * 3 + lam), p0.omega)
-    seq = betas_from_omega(p, lam, 49)
-    assert len(seq) == 49 and seq[0] == 3
-    assert evaluate(p, kind, 0.8, seq) == evaluate(p, kind, 0.8)
-
-
 @pytest.mark.parametrize("k,beta", [(0, 3), (2, 2), (6, 0)])
 def test_termination_tuple_tolerance_edge(k, beta):
     # entry k alone is present; it implies Omega = 12 at mu = -2, lam = 0,
