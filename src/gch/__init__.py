@@ -25,8 +25,8 @@ _EXPORTS = {
         "KindRestrictionError", "NonFiniteError", "NormalizationPole", "NoTermination",
         "PoleError", "SampleNotConverged", "TailNotDecayed",
     ),
-    "params": ("GchParams", "SolutionKind", "validate"),
-    "recurrence": ("EvalResult", "Truncation", "coefficients", "detect_termination", "sum_series"),
+    "params": ("EvalResult", "GchParams", "SolutionKind", "detect_termination", "validate"),
+    "recurrence": ("Truncation", "coefficients", "sum_series"),
     "series": ("NestedTruncation", "betas_from_omega", "eval_general", "evaluate", "evaluate_grid"),
     "asymptotics": ("AsymptoticRegime", "asym_small_eps", "asym_small_mu", "erfi", "limit_value"),
     "spectra": (

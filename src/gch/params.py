@@ -1,4 +1,6 @@
-"""Parameter set, indicial roots and validation; the base of the value classes.
+"""Parameter set, indicial roots, validation and the termination index;
+the base of the value classes and the result class that the closed form
+and the recurrence oracle share.
 
 Everything in this package evaluates solutions of
 
@@ -18,7 +20,8 @@ with
 
 eps = 0 makes every A_n vanish, so omega (which enters only there and in
 the eps*omega potential term) is then immaterial to the solution.
-:func:`gch.recurrence.coefficients` runs this recurrence.
+:func:`gch.recurrence.coefficients` runs this recurrence, and
+:func:`detect_termination` finds the index n* where B_{n*} vanishes.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from __future__ import annotations
 import math
 import operator
 from enum import Enum
+from typing import Optional
 
-from .errors import KindRestrictionError, NonFiniteError
+from .errors import DomainError, FloatOverflow, KindRestrictionError, NonFiniteError, PoleError
 
 #: absolute tolerance of the integer tests; :func:`validate` refuses nu within 2 * INT_TOL of a forbidden integer
 INT_TOL = 1e-12
@@ -184,3 +188,88 @@ def validate(p: GchParams, kind: SolutionKind) -> float:
         if nu <= -2.0 ** 53:
             raise KindRestrictionError(f"second kind requires nu > -2**53; got nu={nu}")
     return kind.lambda_of(nu)
+
+
+class EvalResult(_Frozen):
+    """Outcome of a series evaluation.
+
+    ``terms_used`` counts the terms the evaluation summed: the recurrence
+    terms of :func:`~gch.recurrence.sum_series`, or for the closed form the order-vector
+    entries it used, cap + 1 per order (order 0 included), where cap is
+    the chain depth the point needed.  A point of a grid that reads its
+    orders off another point's vectors counts the entries it used, the
+    same count as its own engine run.
+    ``last_term_mag`` is the magnitude of the last accumulated term (or, for
+    the closed-form path, of the last order summed, 0.0 when only order 0
+    was); it is not an error bound, and cancellation inside the sum can
+    leave a value far less accurate than it.  ``terminated_at`` is the
+    index n* with B_{n*} = 0 (:func:`detect_termination`); the closed form
+    ends chain k at (n* - 1 - k)/2 wherever that is a nonnegative integer.
+    ``orders`` is populated only by the closed-form evaluators and holds the
+    per-order decomposition y_0, y_1, y_2, ...  For mu > 0 and
+    -mu x^2/2 < -1 the closed form sums the transformed series
+    e^{-mu x^2/2 - eps x} y(x; -mu, -eps, nu, Omega - mu(1+nu), nu - omega),
+    and ``orders`` is then that series' decomposition (in powers of
+    +eps x/2, each order times the exponential); they still add up to
+    ``value``.
+    """
+
+    __slots__ = ("value", "terms_used", "last_term_mag", "converged", "terminated_at", "orders")
+
+    def __init__(
+        self,
+        value: float,
+        terms_used: int,
+        last_term_mag: float,
+        converged: bool,
+        terminated_at: Optional[int] = None,
+        orders: Optional[tuple[float, ...]] = None,
+    ) -> None:
+        _bind(self, "value", value)
+        _bind(self, "terms_used", terms_used)
+        _bind(self, "last_term_mag", last_term_mag)
+        _bind(self, "converged", converged)
+        _bind(self, "terminated_at", terminated_at)
+        _bind(self, "orders", orders)
+
+
+def real_power(x: float, expo: float) -> float:
+    """x**expo restricted to real values.
+
+    Negative x with non-integer exponent and x = 0 with negative exponent
+    raise DomainError; integer exponents of negative x follow the usual
+    sign rule.  A power past the float range raises FloatOverflow.
+    """
+    if expo == 0.0:
+        return 1.0
+    if x == 0.0:
+        if expo > 0.0:
+            return 0.0
+        raise DomainError(f"0**({expo}) diverges")
+    if x < 0.0 and not _is_integer(expo):
+        raise DomainError(f"({x})**({expo}) is not real")
+    try:
+        mag = math.pow(abs(x), expo if x > 0.0 else float(round(expo)))
+    except OverflowError as exc:
+        raise FloatOverflow(f"({x})**({expo}) overflows") from exc
+    return -mag if x < 0.0 and round(expo) % 2 else mag
+
+
+def detect_termination(p: GchParams, lam: float) -> Optional[int]:
+    """Index n* with B_{n*} = 0, i.e. n* = 1 - lam - Omega/mu, if it is a
+    positive integer (within 1e-12); None otherwise.  The package's one
+    termination test: the closed form ends its chains by this n*.
+
+    Raises NonFiniteError, as :func:`~gch.params.validate` does, if any
+    parameter is NaN or infinite; PoleError for mu = 0, the package's one
+    refusal of it, which the closed-form evaluators reach through this
+    function; and FloatOverflow where Omega/mu leaves the float range."""
+    check_finite(p)
+    if p.mu == 0.0:
+        raise PoleError("mu must be nonzero: Omega/mu enters n* and the closed form")
+    nstar = 1.0 - lam - p.Omega / p.mu
+    if math.isinf(nstar):
+        raise FloatOverflow(f"Omega/mu = {p.Omega}/{p.mu} overflows: n* is not finite")
+    if _is_integer(nstar) and round(nstar) >= 1:
+        return int(round(nstar))
+    return None

@@ -106,8 +106,9 @@ from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BetaMismatch, FloatOverflow, GchError, NormalizationPole, NoTermination
-from .params import GchParams, SolutionKind, _bind, _Frozen, _index, _require_finite, validate
-from .recurrence import EvalResult, detect_termination, real_power
+from .params import (
+    EvalResult, GchParams, SolutionKind, _bind, _Frozen, _index, _require_finite, detect_termination, real_power, validate,
+)
 
 _TINY = 1e-300
 

@@ -27,8 +27,7 @@ import operator
 from typing import Callable, Sequence, Union
 
 from .errors import DegenerateCoupling, FloatOverflow, SampleNotConverged, TailNotDecayed
-from .params import GchParams, SolutionKind, _bind, _Frozen, _index, _require_finite
-from .recurrence import EvalResult
+from .params import EvalResult, GchParams, SolutionKind, _bind, _Frozen, _index, _require_finite
 from .series import NestedTruncation, evaluate_grid
 
 

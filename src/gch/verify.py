@@ -9,12 +9,12 @@ call per parameter set and kind, against direct recurrence summation.
 from __future__ import annotations
 
 import math
-from itertools import count
-from typing import Iterable, Optional, Sequence
+from itertools import count, product, starmap
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError, GchError
-from .params import GchParams, SolutionKind, _bind, _Frozen, validate
-from .recurrence import real_power, sum_series
+from .params import GchParams, SolutionKind, _bind, _Frozen, real_power, validate
+from .recurrence import sum_series
 from .series import NestedTruncation, _general
 
 
@@ -81,14 +81,6 @@ def ode_residual(coeffs: Sequence[float], lam: float, p: GchParams, x: float) ->
     return ResidualReport(x=x, residual=residual, scale=scale)
 
 
-_GRID_MU = (-2.0, -0.5, 0.5, 2.0)
-_GRID_EPS = (-2.0, -0.5, 0.5, 2.0)
-_GRID_NU = (0.5, 1.5)
-_GRID_OMEGA_CAP = (-1.0, 1.0)
-_GRID_OMEGA = (0.25, 1.0)
-_GRID_X = (0.1, 0.5, 1.0)
-
-
 class GridSpec(_Frozen):
     """Cartesian parameter grid for cross-validation; defaults reproduce the
     acceptance sweep (384 points, both kinds where valid).  Each axis is
@@ -99,12 +91,12 @@ class GridSpec(_Frozen):
 
     def __init__(
         self,
-        mu: Iterable[float] = _GRID_MU,
-        eps: Iterable[float] = _GRID_EPS,
-        nu: Iterable[float] = _GRID_NU,
-        Omega: Iterable[float] = _GRID_OMEGA_CAP,
-        omega: Iterable[float] = _GRID_OMEGA,
-        x: Iterable[float] = _GRID_X,
+        mu: Iterable[float] = (-2.0, -0.5, 0.5, 2.0),
+        eps: Iterable[float] = (-2.0, -0.5, 0.5, 2.0),
+        nu: Iterable[float] = (0.5, 1.5),
+        Omega: Iterable[float] = (-1.0, 1.0),
+        omega: Iterable[float] = (0.25, 1.0),
+        x: Iterable[float] = (0.1, 0.5, 1.0),
         kinds: Iterable[SolutionKind] = (SolutionKind.FIRST, SolutionKind.SECOND),
     ) -> None:
         _bind(self, "mu", tuple(mu))
@@ -115,14 +107,9 @@ class GridSpec(_Frozen):
         _bind(self, "x", tuple(x))
         _bind(self, "kinds", tuple(kinds))
 
-    def param_sets(self):
+    def param_sets(self) -> Iterator[GchParams]:
         """Each parameter set of the grid, the last axis (omega) fastest."""
-        for mu in self.mu:
-            for eps in self.eps:
-                for nu in self.nu:
-                    for omega_cap in self.Omega:
-                        for omega in self.omega:
-                            yield GchParams(mu, eps, nu, omega_cap, omega)
+        return starmap(GchParams, product(self.mu, self.eps, self.nu, self.Omega, self.omega))
 
 
 class CrossRecord(_Frozen):

@@ -20,8 +20,8 @@ import mpmath as mp
 import pytest
 
 from gch.cli import main
-from gch.params import GchParams, SolutionKind, validate
-from gch.recurrence import Truncation, coefficients, detect_termination, sum_series
+from gch.params import GchParams, SolutionKind, detect_termination, validate
+from gch.recurrence import Truncation, coefficients, sum_series
 from gch.series import NestedTruncation, evaluate
 from gch.spectra import (
     Confinement,

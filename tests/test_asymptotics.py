@@ -79,9 +79,11 @@ def test_limit_value_dispatch():
     assert limit_value(AsymptoticRegime.SMALL_EPS, -2.0, 9.9, 1.0) == asym_small_eps(-2.0, 1.0)
 
 
-@pytest.mark.parametrize("x", [1.0, 5.0, 10.0, 20.0, 26.0, 27.0, 30.0, 50.0])
+@pytest.mark.parametrize("x", [1.0, 5.0, 6.0, 6.3, 10.0, 20.0, 26.0, 27.0, 30.0, 50.0])
 def test_asym_small_eps_mu_positive_against_mpmath(x):
-    # 1 - 2y D(y) at y = sqrt(mu/2) x: the erfi form cancels, then overflows
+    # 1 - 2y D(y) at y = sqrt(mu/2) x: the erfi form cancels, then overflows;
+    # the Dawson expansion (y >= 6) stops at its smallest term below y = 6.6
+    # and on its 1e-17 test above
     mu = 2.0
     with mp.workdps(50):
         y = mp.sqrt(mp.mpf(mu) / 2) * x

@@ -99,6 +99,13 @@ def test_spectrum_degenerate_coupling_exit2(capsys):
     assert "beta_F = 0" in capsys.readouterr().err
 
 
+def test_spectrum_negative_ladder_bound_exit2(capsys):
+    assert main(OSC_SPECTRUM + ["--i-max", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: i-max and beta-max must be nonnegative\n"
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_spectrum_overflowed_ladder_exit2(capsys, fmt):
     # E^2 = 4 b (2 beta + 3/2) is inf: no row, in place of inf rows (and
@@ -201,6 +208,20 @@ def test_verify_failed_record_row(tmp_path, capsys, fmt, rows):
     assert capsys.readouterr().out == rows
 
 
+def test_verify_x_zero_rows_record_the_residual_refusal(tmp_path, capsys):
+    # the closed form matches the oracle exactly at x = 0, where the ODE
+    # residual at lam = 0 has no finite derivatives: such a row is recorded
+    # as a failed record is, and the sweep goes on
+    grid = {"mu": [-2.0], "x": [0.0, 0.5], "kinds": ["first"]}
+    assert main(["verify", *_config(tmp_path, {"grid": grid})]) == 0
+    captured = capsys.readouterr()
+    rows = [row.split(",") for row in captured.out.splitlines()[1:]]
+    assert len(rows) == 64
+    assert {tuple(row[5:]) for row in rows[0::2]} == {("0.0", "first", "", "", "DomainError")}
+    assert {(row[5], row[-1]) for row in rows[1::2]} == {("0.5", "ok")}
+    assert captured.err.startswith("verify: 64 points, ") and captured.err.endswith(", PASS\n")
+
+
 def test_reader_closing_early_keeps_the_exit_code(gch_subprocess_env):
     # gch eval ... | head -1: 5000 rows overrun the pipe once the reader
     # has gone; the command still exits 0, with no traceback
@@ -259,6 +280,14 @@ def test_second_kind_poly_variant(capsys):
                  "--variant", "poly", "--x-start", "0.5", "--x-stop", "0.5", "--x-count", "1"])
     assert code == 0
     assert "true" in capsys.readouterr().out
+
+
+def test_config_not_an_object_exit2(tmp_path, capsys):
+    argv = ["eval", "--mu", "1", "--nu", "1.5", "--omega-cap", "1", "--x-count", "1"]
+    assert main(argv + _config(tmp_path, [{"mu": 2}])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: config file must hold a JSON object\n"
 
 
 def test_bad_config_json_exit2(tmp_path, capsys):
@@ -383,7 +412,7 @@ def test_poly_variant_non_terminating_exit2(capsys):
 
 
 _PARSER_MODULES = ["gch", "gch.asymptotics", "gch.cli", "gch.errors", "gch.params"]
-_SERIES_MODULES = _PARSER_MODULES + ["gch.recurrence", "gch.series"]
+_SERIES_MODULES = _PARSER_MODULES + ["gch.series"]
 
 
 @pytest.mark.parametrize("argv,loaded", [
@@ -392,7 +421,7 @@ _SERIES_MODULES = _PARSER_MODULES + ["gch.recurrence", "gch.series"]
     (OSC_SPECTRUM, _SERIES_MODULES + ["gch.spectra"]),
     (["wavefunction", "--system", "oscillator", "--coupling", "2", "--l", "0", "--x-count", "2"],
      _SERIES_MODULES + ["gch.spectra"]),
-    (["verify"], _SERIES_MODULES + ["gch.verify"]),
+    (["verify"], _SERIES_MODULES + ["gch.recurrence", "gch.verify"]),
 ], ids=["asymptote", "eval", "spectrum", "wavefunction", "verify"])
 def test_subcommand_loads_only_its_modules(gch_subprocess_env, argv, loaded):
     code = ("import sys; from gch.cli import main; code = main(sys.argv[1:]); "
@@ -466,21 +495,22 @@ def test_failed_command_writes_no_file(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["asymptote", "--regime", "small-eps", "--mu", "nan", "--x-count", "2"],
-    ["spectrum", "--system", "confinement", "--pot-a", "nan", "--pot-b", "0.2", "--pot-c", "0.5",
-     "--mass", "1"],
-    ["eval", "--mu", "2", "--nu", "1.5", "--omega-cap", "3", "--x-start", "nan"],
-    ["eval", "--mu", "2", "--nu", "1.5", "--omega-cap", "3", "--x-stop", "inf"],
-    ["verify", "--tolerance=-inf"],
-], ids=["asymptote-mu", "spectrum-pot-a", "eval-x-start", "eval-x-stop", "verify-tolerance"])
-def test_non_finite_flag_exit2(capsys, argv):
+@pytest.mark.parametrize("argv,message", [
+    (["asymptote", "--regime", "small-eps", "--mu", "nan", "--x-count", "2"], "is not a finite number"),
+    (["spectrum", "--system", "confinement", "--pot-a", "nan", "--pot-b", "0.2", "--pot-c", "0.5",
+      "--mass", "1"], "is not a finite number"),
+    (["eval", "--mu", "2", "--nu", "1.5", "--omega-cap", "3", "--x-start", "nan"], "is not a finite number"),
+    (["eval", "--mu", "2", "--nu", "1.5", "--omega-cap", "3", "--x-stop", "inf"], "is not a finite number"),
+    (["verify", "--tolerance=-inf"], "is not a finite number"),
+    (["eval", "--mu", "abc", "--nu", "1.5", "--omega-cap", "3"], "argument --mu: invalid float value: 'abc'"),
+], ids=["asymptote-mu", "spectrum-pot-a", "eval-x-start", "eval-x-stop", "verify-tolerance", "eval-mu-not-a-number"])
+def test_non_finite_flag_exit2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "is not a finite number" in captured.err
+    assert message in captured.err
 
 
 SMALL_VERIFY = ["verify", "--tolerance", "1e-6"]
@@ -552,7 +582,9 @@ def test_float_overflow_exit2(gch_subprocess_env):
      "second kind requires nu > -2**53; got nu=-1e+16"),
     (["--mu", "1e-300", "--nu", "1.5", "--omega-cap", "1e10"],
      "Omega/mu = 10000000000.0/1e-300 overflows: n* is not finite"),
-], ids=["order-vectors-overflow", "mu-zero", "mu-zero-poly", "second-kind-nu-past-2**53", "omega-over-mu"])
+    (["--mu", "2", "--nu", "1.5", "--omega-cap", "3", "--x-count", "0"], "x-count must be at least 1"),
+], ids=["order-vectors-overflow", "mu-zero", "mu-zero-poly", "second-kind-nu-past-2**53", "omega-over-mu",
+        "x-count-zero"])
 def test_eval_refusals_exit2(argv, message, capsys):
     assert main(["eval", *argv]) == 2
     captured = capsys.readouterr()

@@ -11,8 +11,8 @@ from gch import series, verify
 from gch.errors import (
     DomainError, FloatOverflow, GchError, NonFiniteError, PoleError, SampleNotConverged, TailNotDecayed,
 )
-from gch.params import GchParams, SolutionKind, validate
-from gch.recurrence import EvalResult, Truncation, sum_series
+from gch.params import EvalResult, GchParams, SolutionKind, validate
+from gch.recurrence import Truncation, sum_series
 from gch.series import NestedTruncation, _general, _required_cap, eval_general, evaluate, evaluate_grid
 from gch.spectra import Confinement, QQbar, RotatingOscillator, make_state, normalize, wavefunction_result
 from gch.verify import CrossRecord, GridSpec, cross_validate

@@ -64,5 +64,5 @@ print(json.dumps(report))
         "series": "gch.series",
         "same_function": True,
         "unknown": "module 'gch' has no attribute 'no_such_name'",
-        "loaded": ["gch.errors", "gch.params", "gch.recurrence", "gch.series"],
+        "loaded": ["gch.errors", "gch.params", "gch.series"],
     }

@@ -7,8 +7,8 @@ import pytest
 
 from gch import recurrence
 from gch.errors import DomainError, FloatOverflow, NonFiniteError, PoleError
-from gch.params import GchParams, SolutionKind, validate
-from gch.recurrence import _ABS_FLOOR, Truncation, coefficients, detect_termination, real_power, sum_series
+from gch.params import GchParams, SolutionKind, detect_termination, real_power, validate
+from gch.recurrence import _ABS_FLOOR, Truncation, coefficients, sum_series
 from gch.series import betas_from_omega, eval_general
 from gch.verify import ode_residual
 

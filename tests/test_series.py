@@ -255,6 +255,8 @@ def test_betas_from_omega_examples():
     assert betas_from_omega(p, -0.5, 9) == (3, None, 2, None, 1, None, 0, None, None)
     with pytest.raises(NoTermination):
         betas_from_omega(GchParams(1.0, 0, 0.5, -3.7, 0), 0.0, 2)
+    with pytest.raises(ValueError, match="^count must be positive$"):
+        betas_from_omega(GchParams(1.0, 0, 0.5, -4.0, 0), 0.0, 0)
 
 
 def test_qw_poly_beta0_zero_order0_constant():

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from gch.errors import DegenerateCoupling, FloatOverflow, NonFiniteError, TailNotDecayed
-from gch.recurrence import detect_termination
+from gch.params import detect_termination
 from gch.series import NestedTruncation
 from gch.spectra import (
     Confinement,
@@ -351,3 +351,9 @@ def test_wavefunction_refuses_non_finite_r_by_name(r):
         wavefunction_result(system, state, r)
     with pytest.raises(NonFiniteError, match=message):
         wavefunction(system, state, r, NT)
+
+
+def test_wavefunction_refuses_negative_r():
+    system = QQbar(m_q=0.0, b_slope=1.0, l=0)
+    with pytest.raises(ValueError, match="^r must be nonnegative$"):
+        wavefunction_result(system, make_state(system, 0, 2), -1.0)

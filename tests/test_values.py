@@ -14,8 +14,8 @@ import re
 import pytest
 
 from gch.errors import NonFiniteError
-from gch.params import GchParams, SolutionKind
-from gch.recurrence import EvalResult, Truncation, coefficients
+from gch.params import EvalResult, GchParams, SolutionKind
+from gch.recurrence import Truncation, coefficients
 from gch.series import NestedTruncation, betas_from_omega
 from gch.spectra import Confinement, EigenState, QQbar, RotatingOscillator, make_state, normalize, radial_norm
 from gch.verify import CrossRecord, CrossReport, GridSpec, ResidualReport
