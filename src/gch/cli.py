@@ -11,8 +11,8 @@ value counts as not given, and keys the subcommand does not declare are
 ignored.  Float options, as flags or file values, must be finite: NaN and
 infinities exit 2.
 
-Exit codes: 0 ok, 1 tolerance failure (or a verify sweep that evaluated
-no point), 2 config/validation error (a float overflow too), 3
+Exit codes: 0 ok, 1 tolerance failure (or a verify sweep that checked
+no row in full), 2 config/validation error (a float overflow too), 3
 non-convergence.  A reader that closes the output early ends nothing but
 the output: the exit code stays the command's.
 """
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 # only what the parser needs; each subcommand imports the modules it runs,
 # so a process loads no more of gch than its subcommand uses
-from .errors import GchError
+from .errors import DomainError, GchError
 from .params import GchParams, SolutionKind, validate
 from .asymptotics import AsymptoticRegime, limit_value
 
@@ -343,7 +343,7 @@ def cmd_verify(args: argparse.Namespace) -> Result:
     nt = _nested_trunc(args)
     report = cross_validate(spec, nt)
     rows = []
-    ok = report.n_evaluated > 0  # a sweep that checked no point passes nothing
+    ok, n_checked = True, 0  # a sweep that checked no row in full passes nothing
     coeffs_of: dict = {}  # (params, kind) -> coefficients, the same at every x
     for rec in report.records:
         p = rec.params
@@ -357,12 +357,14 @@ def cmd_verify(args: argparse.Namespace) -> Result:
             coeffs_of[key] = coefficients(p, lam, 1.0, 80)
         try:
             rel_res = ode_residual(coeffs_of[key], lam, p, rec.x).relative
-        except GchError as exc:  # x = 0 with lam < 2: no finite derivatives there
-            rows.append(point + ("", "", type(exc).__name__))
-            continue
-        point_ok = rec.rel_err <= tol and rel_res <= RESIDUAL_TOL
+        except DomainError:  # x = 0 with lam < 2: no finite derivatives, so no residual to check
+            rel_res = ""
+        else:
+            n_checked += 1
+        point_ok = rec.rel_err <= tol and (rel_res == "" or rel_res <= RESIDUAL_TOL)
         ok &= point_ok
         rows.append(point + (rec.rel_err, rel_res, "ok" if point_ok else "tolerance"))
+    ok &= n_checked > 0
     summary = (f"verify: {report.n_evaluated} points, max_rel_err={report.max_rel_err:.3e}, "
                f"tolerance={tol:.1e}, {'PASS' if ok else 'FAIL'}")
     return (EXIT_OK if ok else EXIT_TOLERANCE), VERIFY_HEADER, rows, summary

@@ -208,18 +208,22 @@ def test_verify_failed_record_row(tmp_path, capsys, fmt, rows):
     assert capsys.readouterr().out == rows
 
 
-def test_verify_x_zero_rows_record_the_residual_refusal(tmp_path, capsys):
+@pytest.mark.parametrize("xs,code,verdict", [
+    ([0.0, 0.5], 0, "PASS"),
+    ([0.0], 1, "FAIL"),  # no row had its residual checked: the sweep proved nothing
+], ids=["beside-x-0.5", "x-0-alone"])
+def test_verify_x_zero_rows_are_checked_on_rel_err_alone(tmp_path, capsys, xs, code, verdict):
     # the closed form matches the oracle exactly at x = 0, where the ODE
-    # residual at lam = 0 has no finite derivatives: such a row is recorded
-    # as a failed record is, and the sweep goes on
-    grid = {"mu": [-2.0], "x": [0.0, 0.5], "kinds": ["first"]}
-    assert main(["verify", *_config(tmp_path, {"grid": grid})]) == 0
+    # residual at lam = 0.5 has no finite derivatives: such a row keeps its
+    # rel_err and its check, leaves rel_residual empty, and the sweep goes on
+    grid = {"mu": [-2.0], "x": xs, "kinds": ["first"]}
+    assert main(["verify", *_config(tmp_path, {"grid": grid})]) == code
     captured = capsys.readouterr()
     rows = [row.split(",") for row in captured.out.splitlines()[1:]]
-    assert len(rows) == 64
-    assert {tuple(row[5:]) for row in rows[0::2]} == {("0.0", "first", "", "", "DomainError")}
-    assert {(row[5], row[-1]) for row in rows[1::2]} == {("0.5", "ok")}
-    assert captured.err.startswith("verify: 64 points, ") and captured.err.endswith(", PASS\n")
+    assert len(rows) == 32 * len(xs)
+    assert {tuple(row[5:]) for row in rows if row[5] == "0.0"} == {("0.0", "first", "0.0", "", "ok")}
+    assert all(row[8] != "" and row[-1] == "ok" for row in rows if row[5] != "0.0")
+    assert captured.err.startswith(f"verify: {len(rows)} points, ") and captured.err.endswith(f", {verdict}\n")
 
 
 def test_reader_closing_early_keeps_the_exit_code(gch_subprocess_env):
@@ -280,14 +284,6 @@ def test_second_kind_poly_variant(capsys):
                  "--variant", "poly", "--x-start", "0.5", "--x-stop", "0.5", "--x-count", "1"])
     assert code == 0
     assert "true" in capsys.readouterr().out
-
-
-def test_config_not_an_object_exit2(tmp_path, capsys):
-    argv = ["eval", "--mu", "1", "--nu", "1.5", "--omega-cap", "1", "--x-count", "1"]
-    assert main(argv + _config(tmp_path, [{"mu": 2}])) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: config file must hold a JSON object\n"
 
 
 def test_bad_config_json_exit2(tmp_path, capsys):
@@ -571,22 +567,25 @@ def test_float_overflow_exit2(gch_subprocess_env):
     assert r.stdout == b""
 
 
-@pytest.mark.parametrize("argv,message", [
+@pytest.mark.parametrize("argv,cfg,message", [
     # the order vectors at x = 40 hold infinities of both signs
     (["--mu", "-2", "--epsilon", "1", "--nu", "1.5", "--omega-cap", "-3", "--omega", "0.25",
-      "--x-stop", "40", "--x-count", "3"], "nested sum overflows at x=40.0"),
-    (["--mu", "0", "--nu", "1.5", "--omega-cap", "1"], "mu must be nonzero: Omega/mu enters n* and the closed form"),
-    (["--mu", "0", "--nu", "1.5", "--omega-cap", "1", "--variant", "poly"],
+      "--x-stop", "40", "--x-count", "3"], None, "nested sum overflows at x=40.0"),
+    (["--mu", "0", "--nu", "1.5", "--omega-cap", "1"], None,
      "mu must be nonzero: Omega/mu enters n* and the closed form"),
-    (["--mu", "-1", "--nu=-1e16", "--omega-cap", "0.4", "--kind", "second"],
+    (["--mu", "0", "--nu", "1.5", "--omega-cap", "1", "--variant", "poly"], None,
+     "mu must be nonzero: Omega/mu enters n* and the closed form"),
+    (["--mu", "-1", "--nu=-1e16", "--omega-cap", "0.4", "--kind", "second"], None,
      "second kind requires nu > -2**53; got nu=-1e+16"),
-    (["--mu", "1e-300", "--nu", "1.5", "--omega-cap", "1e10"],
+    (["--mu", "1e-300", "--nu", "1.5", "--omega-cap", "1e10"], None,
      "Omega/mu = 10000000000.0/1e-300 overflows: n* is not finite"),
-    (["--mu", "2", "--nu", "1.5", "--omega-cap", "3", "--x-count", "0"], "x-count must be at least 1"),
+    (["--mu", "2", "--nu", "1.5", "--omega-cap", "3", "--x-count", "0"], None, "x-count must be at least 1"),
+    (["--mu", "2", "--nu", "1.5", "--omega-cap", "3"], [{"mu": 2}], "config file must hold a JSON object"),
 ], ids=["order-vectors-overflow", "mu-zero", "mu-zero-poly", "second-kind-nu-past-2**53", "omega-over-mu",
-        "x-count-zero"])
-def test_eval_refusals_exit2(argv, message, capsys):
-    assert main(["eval", *argv]) == 2
+        "x-count-zero", "config-not-an-object"])
+def test_eval_refusals_exit2(tmp_path, capsys, argv, cfg, message):
+    # cfg, where given, is the content of a config file
+    assert main(["eval", *argv, *([] if cfg is None else _config(tmp_path, cfg))]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""

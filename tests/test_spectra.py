@@ -342,18 +342,16 @@ def test_radial_norm_and_normalize_refuse_non_finite_r_max(r_max):
         normalize(system, state, r_max, 7, NT)
 
 
-@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
-def test_wavefunction_refuses_non_finite_r_by_name(r):
+@pytest.mark.parametrize("r,error,message", [
+    (math.nan, NonFiniteError, "^r=nan is not a finite real$"),
+    (math.inf, NonFiniteError, "^r=inf is not a finite real$"),
+    (-math.inf, NonFiniteError, "^r=-inf is not a finite real$"),
+    (-1.0, ValueError, "^r must be nonnegative$"),
+], ids=["nan", "inf", "-inf", "negative"])
+def test_wavefunction_refuses_non_finite_r_by_name(r, error, message):
     system = QQbar(m_q=0.0, b_slope=1.0, l=0)
     state = make_state(system, 0, 2)
-    message = f"^r={r!r} is not a finite real$"
-    with pytest.raises(NonFiniteError, match=message):
+    with pytest.raises(error, match=message):
         wavefunction_result(system, state, r)
-    with pytest.raises(NonFiniteError, match=message):
+    with pytest.raises(error, match=message):
         wavefunction(system, state, r, NT)
-
-
-def test_wavefunction_refuses_negative_r():
-    system = QQbar(m_q=0.0, b_slope=1.0, l=0)
-    with pytest.raises(ValueError, match="^r must be nonnegative$"):
-        wavefunction_result(system, make_state(system, 0, 2), -1.0)
