@@ -28,7 +28,7 @@ _EXPORTS = {
     "params": ("EvalResult", "GchParams", "SolutionKind", "detect_termination", "validate"),
     "recurrence": ("Truncation", "coefficients", "sum_series"),
     "series": ("NestedTruncation", "betas_from_omega", "eval_general", "evaluate", "evaluate_grid"),
-    "asymptotics": ("AsymptoticRegime", "asym_small_eps", "asym_small_mu", "erfi", "limit_value"),
+    "asymptotics": ("asym_small_eps", "asym_small_mu", "erfi"),
     "spectra": (
         "Confinement", "EigenState", "QQbar", "RotatingOscillator", "make_state", "normalize",
         "radial_norm", "wavefunction", "wavefunction_result",

@@ -9,17 +9,18 @@ x(exp(-eps x) - 1) for the A-dominated regime, and
 
 for the B-dominated one.  erf is the standard library's; the square roots
 are kept real for mu > 0 through erfi, or, once that cancels, the
-asymptotic expansion of the Dawson function.  A form whose value leaves
-the float range raises FloatOverflow naming the form and x.
+asymptotic expansion of the Dawson function.  A non-finite argument
+raises NonFiniteError naming it, and a form whose value leaves the float
+range raises FloatOverflow naming the form and x.
 """
 
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Callable
 
 from .errors import FloatOverflow
+from .params import _require_finite
 
 _SQRT_PI = math.sqrt(math.pi)
 #: y = sqrt(mu/2) x from which asym_small_eps (mu > 0) sums the Dawson
@@ -27,15 +28,15 @@ _SQRT_PI = math.sqrt(math.pi)
 _DAWSON_SWITCH = 6.0
 
 
-class AsymptoticRegime(Enum):
-    """Which coefficient channel dominates; always selected explicitly."""
-
-    SMALL_MU = "small-mu"
-    SMALL_EPS = "small-eps"
-
-
 def erfi(y: float) -> float:
-    """Imaginary-argument companion (2/sqrt(pi)) integral_0^y e^{t^2} dt."""
+    """Imaginary-argument companion (2/sqrt(pi)) integral_0^y e^{t^2} dt;
+    NonFiniteError for a non-finite y, FloatOverflow past the float range
+    (from |y| near 26.7).
+
+    The terms, all of y's sign, grow up to k near y^2 and then fall; the
+    sum ends once a term is below 1e-17 of it, or once it is infinite.
+    """
+    _require_finite("y", y)
     y2 = y * y
     term = y
     total = y
@@ -44,9 +45,12 @@ def erfi(y: float) -> float:
         term *= y2 / (k + 1.0) * (2.0 * k + 1.0) / (2.0 * k + 3.0)
         total += term
         k += 1
-        if abs(term) <= 1e-17 * abs(total) or k > 800:
+        if abs(term) <= 1e-17 * abs(total):
             break
-    return 2.0 / _SQRT_PI * total
+    value = 2.0 / _SQRT_PI * total
+    if math.isinf(value):
+        raise FloatOverflow(f"erfi overflows at y={y}")
+    return value
 
 
 def _dawson_tail(y: float) -> float:
@@ -86,6 +90,8 @@ def _in_range(form: str, x: float, value: Callable[[], float]) -> float:
 
 def asym_small_mu(epsilon: float, x: float) -> float:
     """Limiting form x (e^{-eps x} - 1) of the A-dominated channel, as displayed."""
+    _require_finite("epsilon", epsilon)
+    _require_finite("x", x)
     return _in_range("small-mu", x, lambda: x * math.expm1(-epsilon * x))
 
 
@@ -101,6 +107,8 @@ def asym_small_eps(mu: float, x: float) -> float:
     because erfi(y) e^{-y^2} cancels against 1 and erfi overflows near
     y = 27.
     """
+    _require_finite("mu", mu)
+    _require_finite("x", x)
     s = -0.5 * mu * x * x
     if s == 0.0:
         return 1.0
@@ -112,9 +120,3 @@ def asym_small_eps(mu: float, x: float) -> float:
         return _dawson_tail(rt)
     return 1.0 - _SQRT_PI * rt * erfi(rt) * math.exp(s)
 
-
-def limit_value(regime: AsymptoticRegime, mu: float, epsilon: float, x: float) -> float:
-    """Evaluate the selected limiting form; the regime is never inferred."""
-    if regime is AsymptoticRegime.SMALL_MU:
-        return asym_small_mu(epsilon, x)
-    return asym_small_eps(mu, x)

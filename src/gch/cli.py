@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 # so a process loads no more of gch than its subcommand uses
 from .errors import DomainError, GchError
 from .params import GchParams, SolutionKind, validate
-from .asymptotics import AsymptoticRegime, limit_value
 
 if TYPE_CHECKING:
     from . import spectra
@@ -63,7 +62,7 @@ CHOICES = {
     "kind": tuple(k.value for k in SolutionKind),
     "variant": ("infinite", "poly"),
     "system": ("oscillator", "confinement", "qqbar"),
-    "regime": tuple(r.value for r in AsymptoticRegime),
+    "regime": ("small-mu", "small-eps"),
 }
 
 
@@ -371,10 +370,14 @@ def cmd_verify(args: argparse.Namespace) -> Result:
 
 
 def cmd_asymptote(args: argparse.Namespace) -> Result:
-    regime = AsymptoticRegime(_require(args, "regime"))
-    # the small-eps form is a function of mu alone; the small-mu form ignores mu
-    mu = _require(args, "mu") if regime is AsymptoticRegime.SMALL_EPS else 0.0
-    return EXIT_OK, ASYMPTOTE_HEADER, [(x, limit_value(regime, mu, args.epsilon, x)) for x in _x_grid(args)], ""
+    from .asymptotics import asym_small_eps, asym_small_mu
+
+    if _require(args, "regime") == "small-eps":  # a function of mu alone
+        mu = _require(args, "mu")
+        rows = [(x, asym_small_eps(mu, x)) for x in _x_grid(args)]
+    else:  # the small-mu form ignores mu
+        rows = [(x, asym_small_mu(args.epsilon, x)) for x in _x_grid(args)]
+    return EXIT_OK, ASYMPTOTE_HEADER, rows, ""
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

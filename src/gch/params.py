@@ -112,14 +112,18 @@ class GchParams(_Frozen):
 
     ``mu`` and ``eps`` multiply x^2 and x in the damping term, ``nu`` is the
     1/x-scaled first-derivative coefficient, and ``Omega``/``omega`` set the
-    potential term Omega*x + eps*omega.  Finiteness is enforced by
-    :func:`validate`, not by the constructor, so that physical parameter maps
-    may leave ``Omega`` unresolved (NaN) until an eigenvalue fixes it.
+    potential term Omega*x + eps*omega.  The constructor refuses a NaN or
+    infinite coefficient with NonFiniteError naming the first such field,
+    so every function that takes a parameter set takes it as finite.
     """
 
     __slots__ = ("mu", "eps", "nu", "Omega", "omega")
 
     def __init__(self, mu: float, eps: float, nu: float, Omega: float, omega: float) -> None:
+        # one sum settles the common case: it is finite only if every term is
+        if not math.isfinite(mu + eps + nu + Omega + omega):
+            for name, value in zip(self.__slots__, (mu, eps, nu, Omega, omega)):
+                _require_finite(f"parameter {name}", value)
         _bind(self, "mu", mu)
         _bind(self, "eps", eps)
         _bind(self, "nu", nu)
@@ -143,18 +147,8 @@ class SolutionKind(Enum):
         return 0.0 if self is SolutionKind.FIRST else 1.0 - nu
 
 
-def check_finite(p: GchParams) -> None:
-    """NonFiniteError, naming the first such coefficient, if any of the
-    five is NaN or infinite."""
-    # one sum settles the common case: it is finite only if every term is
-    if math.isfinite(p.mu + p.eps + p.nu + p.Omega + p.omega):
-        return
-    for name in p.__slots__:
-        _require_finite(f"parameter {name}", getattr(p, name))
-
-
 def validate(p: GchParams, kind: SolutionKind) -> float:
-    """Check finiteness and the kind's nu-restriction; return the kind's root.
+    """Check the kind's nu-restriction; return the kind's root.
 
     The first-kind series requires nu not in {0, -1, -2, ...} and the
     second-kind series requires nu not in {2, 3, 4, ...}; outside those sets
@@ -167,12 +161,9 @@ def validate(p: GchParams, kind: SolutionKind) -> float:
 
     Raises
     ------
-    NonFiniteError
-        if any of the five coefficients is NaN or infinite.
     KindRestrictionError
         if the nu-restriction of ``kind`` is violated.
     """
-    check_finite(p)
     nu = p.nu
     # 2 * INT_TOL: the chains' denominator offsets are (nu - k)/2 plus integers
     if kind is SolutionKind.FIRST:
@@ -260,15 +251,15 @@ def detect_termination(p: GchParams, lam: float) -> Optional[int]:
     positive integer (within 1e-12); None otherwise.  The package's one
     termination test: the closed form ends its chains by this n*.
 
-    Raises NonFiniteError, as :func:`~gch.params.validate` does, if any
-    parameter is NaN or infinite; PoleError for mu = 0, the package's one
-    refusal of it, which the closed-form evaluators reach through this
-    function; and FloatOverflow where Omega/mu leaves the float range."""
-    check_finite(p)
+    Raises PoleError for mu = 0, the package's one refusal of it, which
+    the closed-form evaluators reach through this function;
+    NonFiniteError for a non-finite lam; and FloatOverflow where Omega/mu
+    leaves the float range."""
     if p.mu == 0.0:
         raise PoleError("mu must be nonzero: Omega/mu enters n* and the closed form")
     nstar = 1.0 - lam - p.Omega / p.mu
-    if math.isinf(nstar):
+    if not math.isfinite(nstar):
+        _require_finite("lam", lam)
         raise FloatOverflow(f"Omega/mu = {p.Omega}/{p.mu} overflows: n* is not finite")
     if _is_integer(nstar) and round(nstar) >= 1:
         return int(round(nstar))

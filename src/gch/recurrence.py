@@ -24,7 +24,7 @@ import itertools
 from typing import Iterator
 
 from .errors import PoleError
-from .params import EvalResult, GchParams, _bind, _Frozen, _index, _require_finite, check_finite, detect_termination, real_power
+from .params import EvalResult, GchParams, _bind, _Frozen, _index, _require_finite, detect_termination, real_power
 
 #: consecutive below-tolerance terms required before the sum is declared converged
 _STREAK = 3
@@ -78,7 +78,10 @@ def _coefficients(p: GchParams, lam: float, c0: float) -> Iterator[float]:
 
 
 def coefficients(p: GchParams, lam: float, c0: float, count: int) -> list[float]:
-    """First ``count`` series coefficients c_0 .. c_{count-1} from the recurrence."""
+    """First ``count`` series coefficients c_0 .. c_{count-1} from the
+    recurrence; NonFiniteError naming ``lam`` or ``c0`` if it is not finite."""
+    _require_finite("lam", lam)
+    _require_finite("c0", c0)
     return list(itertools.islice(_coefficients(p, lam, c0), max(_index("count", count), 0)))
 
 
@@ -94,12 +97,13 @@ def sum_series(
     (or below 1e-300); if the cap is reached first the partial value is
     still returned with ``converged=False``.
 
-    Raises NonFiniteError, before any term, for a non-finite x or
-    parameter, and DomainError when x^lam is not real (x < 0 with
-    fractional lam, or x = 0 with lam < 0).
+    Raises NonFiniteError, before any term, for a non-finite x or lam
+    (:class:`~gch.params.GchParams` refuses a non-finite parameter when
+    built), and DomainError when x^lam is not real (x < 0 with fractional
+    lam, or x = 0 with lam < 0).
     """
     _require_finite("x", x)
-    check_finite(p)
+    _require_finite("lam", lam)
     t = t or _DEFAULT_TRUNCATION
     xpow = real_power(x, lam)
     rel_tol = t.rel_tol

@@ -235,11 +235,11 @@ def _kummer_transformed(p: GchParams) -> GchParams:
     leading coefficient, since the factor is 1 at x = 0.  FloatOverflow
     where a transformed parameter leaves the float range.
     """
-    q = GchParams(-p.mu, -p.eps, p.nu, p.Omega - p.mu * (1.0 + p.nu), p.nu - p.omega)
-    for name, value in (("Omega - mu(1+nu)", q.Omega), ("nu - omega", q.omega)):
+    Omega, omega = p.Omega - p.mu * (1.0 + p.nu), p.nu - p.omega
+    for name, value in (("Omega - mu(1+nu)", Omega), ("nu - omega", omega)):
         if math.isinf(value):
             raise FloatOverflow(f"transformed parameter {name}={value} overflows")
-    return q
+    return GchParams(-p.mu, -p.eps, p.nu, Omega, omega)
 
 
 def _chain_end(nstar: Optional[int], k: int) -> Optional[int]:

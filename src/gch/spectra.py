@@ -11,7 +11,10 @@ B-termination, Omega = -mu (2 beta + i + lam), quantises,
 ``envelope(r)`` and ``x_of(r)`` give the factor and the series argument of
 the radial function.  Each constructor takes the angular momentum as an
 integer (through ``operator.index``) and refuses a NaN or infinite float
-field with NonFiniteError.
+field with NonFiniteError; so does :class:`~gch.params.GchParams` for a
+mapped coefficient that overflows (``eps`` at a tiny ``omega_c``), which
+:func:`make_state` meets.  A state records the system it was made for,
+and the functions that sample it refuse any other system.
 
 The radial factors returned by :func:`wavefunction` are the reduced
 functions u(r) = r * R(r), so all three systems share the r^(l+1)
@@ -175,16 +178,18 @@ class EigenState(_Frozen):
 
     ``i`` is the termination order, ``beta_i`` the ladder index within it,
     ``eigenvalue`` the system's spectral quantity (lambda_m, E, or E^2),
-    and ``gch`` the mapped coefficients with Omega resolved.
+    ``gch`` the mapped coefficients with Omega resolved, and ``system``
+    the system the state belongs to.
     """
 
-    __slots__ = ("i", "beta_i", "eigenvalue", "gch")
+    __slots__ = ("i", "beta_i", "eigenvalue", "gch", "system")
 
-    def __init__(self, i: int, beta_i: int, eigenvalue: float, gch: GchParams) -> None:
+    def __init__(self, i: int, beta_i: int, eigenvalue: float, gch: GchParams, system: QuantumSystem) -> None:
         _bind(self, "i", i)
         _bind(self, "beta_i", beta_i)
         _bind(self, "eigenvalue", eigenvalue)
         _bind(self, "gch", gch)
+        _bind(self, "system", system)
 
 
 def make_state(system: QuantumSystem, i: int, beta_i: int) -> EigenState:
@@ -196,7 +201,8 @@ def make_state(system: QuantumSystem, i: int, beta_i: int) -> EigenState:
     ``i`` and ``beta_i`` must be nonnegative integers, of any type that
     :func:`operator.index` accepts (the state holds them as int); anything
     else raises ValueError.  An eigenvalue or Omega that leaves the float
-    range raises FloatOverflow.
+    range raises FloatOverflow, and a mapped coefficient that does raises
+    NonFiniteError from :class:`~gch.params.GchParams`.
     """
     try:
         i, beta_i = operator.index(i), operator.index(beta_i)
@@ -211,7 +217,7 @@ def make_state(system: QuantumSystem, i: int, beta_i: int) -> EigenState:
     Omega = system.omega_cap(eigenvalue)
     if not (math.isfinite(eigenvalue) and math.isfinite(Omega)):
         raise FloatOverflow(f"state (i={i}, beta_i={beta_i}) overflows: eigenvalue={eigenvalue}, Omega={Omega}")
-    return EigenState(i, beta_i, eigenvalue, system.params(Omega))
+    return EigenState(i, beta_i, eigenvalue, system.params(Omega), system)
 
 
 def _samples(
@@ -221,7 +227,10 @@ def _samples(
     t: NestedTruncation | None,
 ) -> list[tuple[float, EvalResult]]:
     """(unnormalised reduced radial value, its evaluation) at each r of rs,
-    from one :func:`~gch.series.evaluate_grid` call."""
+    from one :func:`~gch.series.evaluate_grid` call; ValueError unless
+    ``state`` belongs to ``system``."""
+    if state.system is not system and state.system != system:
+        raise ValueError(f"the state belongs to {state.system!r}, not to {system!r}")
     results = evaluate_grid(state.gch, SolutionKind.FIRST, [system.x_of(r) for r in rs], t)
     return [(system.envelope(r) * res.value, res) for r, res in zip(rs, results)]
 
@@ -233,7 +242,8 @@ def wavefunction_result(
     t: NestedTruncation | None = None,
 ) -> tuple[float, bool]:
     """(unnormalised reduced radial value, converged flag); NonFiniteError
-    naming ``r`` for a non-finite radius, ValueError for a negative one."""
+    naming ``r`` for a non-finite radius, ValueError for a negative one or
+    for a state of another system."""
     _require_finite("r", r)
     if r < 0.0:
         raise ValueError("r must be nonnegative")
@@ -295,9 +305,10 @@ def normalize(
     """Normalisation constant N = 1/sqrt(integral Psi^2 r^2 dr) on [0, r_max].
 
     The samples come from one :func:`~gch.series.evaluate_grid` call.
-    Raises TailNotDecayed unless |Psi(r_max)| has fallen below 1e-10 of the
-    sampled peak, and then SampleNotConverged if the engine flags any
-    sample as not converged.
+    Raises ValueError for a state of another system, TailNotDecayed
+    unless |Psi(r_max)| has fallen below 1e-10 of the sampled peak, and
+    then SampleNotConverged if the engine flags any sample as not
+    converged.
     """
     grid = _radial_grid(r_max, n_points)
     samples = _samples(system, state, grid, t)

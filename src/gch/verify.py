@@ -13,7 +13,7 @@ from itertools import count, product, starmap
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError, GchError
-from .params import GchParams, SolutionKind, _bind, _Frozen, real_power, validate
+from .params import GchParams, SolutionKind, _bind, _Frozen, _require_finite, real_power, validate
 from .recurrence import sum_series
 from .series import NestedTruncation, _general
 
@@ -50,7 +50,10 @@ def ode_residual(coeffs: Sequence[float], lam: float, p: GchParams, x: float) ->
     For coefficients that satisfy the recurrence exactly the residual is
     the truncation boundary term, O(x^(N+lam)); corrupting any interior
     coefficient breaks the cancellation at its own power of x.
+    NonFiniteError names a non-finite lam or x.
     """
+    _require_finite("lam", lam)
+    _require_finite("x", x)
     if x == 0.0:
         if lam < 2.0:
             raise DomainError("residual at x = 0 needs lam >= 2 for finite derivatives")

@@ -4,14 +4,8 @@ import re
 import mpmath as mp
 import pytest
 
-from gch.asymptotics import (
-    AsymptoticRegime,
-    asym_small_eps,
-    asym_small_mu,
-    erfi,
-    limit_value,
-)
-from gch.errors import FloatOverflow
+from gch.asymptotics import asym_small_eps, asym_small_mu, erfi
+from gch.errors import FloatOverflow, NonFiniteError
 
 mp.mp.dps = 30
 
@@ -74,11 +68,6 @@ def test_even_series_matches_along_x():
         assert asym_small_eps(-2.0, x) == pytest.approx(_coefficient_series(t), rel=1e-10)
 
 
-def test_limit_value_dispatch():
-    assert limit_value(AsymptoticRegime.SMALL_MU, 9.9, 1.0, 1.0) == asym_small_mu(1.0, 1.0)
-    assert limit_value(AsymptoticRegime.SMALL_EPS, -2.0, 9.9, 1.0) == asym_small_eps(-2.0, 1.0)
-
-
 @pytest.mark.parametrize("x", [1.0, 5.0, 6.0, 6.3, 10.0, 20.0, 26.0, 27.0, 30.0, 50.0])
 def test_asym_small_eps_mu_positive_against_mpmath(x):
     # 1 - 2y D(y) at y = sqrt(mu/2) x: the erfi form cancels, then overflows;
@@ -106,12 +95,41 @@ def test_asym_small_eps_mu_negative_against_mpmath(y):
         assert abs(got - want) <= mp.mpf("1e-13") * abs(want)
 
 
-@pytest.mark.parametrize("regime,mu,epsilon,x", [
-    (AsymptoticRegime.SMALL_MU, 0.0, -1.0, 800.0),      # e^800 overflows
-    (AsymptoticRegime.SMALL_MU, 0.0, -1e-298, 1e300),   # x times a finite expm1 is inf
-    (AsymptoticRegime.SMALL_EPS, -1.0, 0.0, 50.0),      # e^1250 overflows
-    (AsymptoticRegime.SMALL_EPS, -1.0, 0.0, 1e200),     # s = inf, which returned inf
+@pytest.mark.parametrize("form,name,coefficient,x", [
+    (asym_small_mu, "small-mu", -1.0, 800.0),      # e^800 overflows
+    (asym_small_mu, "small-mu", -1e-298, 1e300),   # x times a finite expm1 is inf
+    (asym_small_eps, "small-eps", -1.0, 50.0),     # e^1250 overflows
+    (asym_small_eps, "small-eps", -1.0, 1e200),    # s = inf, which returned inf
 ], ids=["small-mu-exp", "small-mu-product", "small-eps-exp", "small-eps-inf"])
-def test_limiting_form_past_the_float_range_is_a_float_overflow(regime, mu, epsilon, x):
-    with pytest.raises(FloatOverflow, match=f"^{regime.value} limiting form overflows at x={re.escape(repr(x))}$"):
-        limit_value(regime, mu, epsilon, x)
+def test_limiting_form_past_the_float_range_is_a_float_overflow(form, name, coefficient, x):
+    with pytest.raises(FloatOverflow, match=f"^{name} limiting form overflows at x={re.escape(repr(x))}$"):
+        form(coefficient, x)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: asym_small_mu(math.nan, 1.0), "epsilon=nan"),
+    (lambda: asym_small_mu(1.0, math.nan), "x=nan"),
+    (lambda: asym_small_mu(1.0, math.inf), "x=inf"),
+    (lambda: asym_small_eps(math.nan, 1.0), "mu=nan"),
+    (lambda: asym_small_eps(-math.inf, 1.0), "mu=-inf"),
+    (lambda: asym_small_eps(-2.0, -math.inf), "x=-inf"),
+    (lambda: erfi(math.nan), "y=nan"),
+    (lambda: erfi(math.inf), "y=inf"),
+], ids=["small-mu-eps-nan", "small-mu-x-nan", "small-mu-x-inf", "small-eps-mu-nan",
+        "small-eps-mu-inf", "small-eps-x-inf", "erfi-nan", "erfi-inf"])
+def test_non_finite_argument_is_refused_by_name(call, message):
+    with pytest.raises(NonFiniteError, match=f"^{re.escape(message)} is not a finite real$"):
+        call()
+
+
+@pytest.mark.parametrize("y", [27.0, -27.0, 1e200])
+def test_erfi_past_the_float_range_is_a_float_overflow(y):
+    # erfi(27) is about 8.3e314
+    with pytest.raises(FloatOverflow, match=f"^erfi overflows at y={re.escape(repr(y))}$"):
+        erfi(y)
+
+
+@pytest.mark.parametrize("y", [10.0, 20.0, 25.0, 26.0, 26.5, -26.0])
+def test_erfi_large_argument_against_mpmath(y):
+    # the sum runs past k = 800 terms from y near 25 on
+    assert erfi(y) == pytest.approx(float(mp.erfi(y)), rel=1e-13)

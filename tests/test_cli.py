@@ -99,6 +99,15 @@ def test_spectrum_degenerate_coupling_exit2(capsys):
     assert "beta_F = 0" in capsys.readouterr().err
 
 
+def test_spectrum_overflowed_eps_exit2(capsys):
+    # eps = sqrt(2/omega_c) is inf, though the ladder itself is finite
+    code = main(["spectrum", "--system", "oscillator", "--coupling", "1e-320", "--l", "0"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: parameter eps=inf is not a finite real\n"
+
+
 def test_spectrum_negative_ladder_bound_exit2(capsys):
     assert main(OSC_SPECTRUM + ["--i-max", "-1"]) == 2
     captured = capsys.readouterr()
@@ -407,12 +416,12 @@ def test_poly_variant_non_terminating_exit2(capsys):
     assert "beta_0 = 1.3 is not a nonnegative integer; Omega=-1.3 does not terminate" in err
 
 
-_PARSER_MODULES = ["gch", "gch.asymptotics", "gch.cli", "gch.errors", "gch.params"]
+_PARSER_MODULES = ["gch", "gch.cli", "gch.errors", "gch.params"]
 _SERIES_MODULES = _PARSER_MODULES + ["gch.series"]
 
 
 @pytest.mark.parametrize("argv,loaded", [
-    (["asymptote", "--regime", "small-eps", "--mu", "-2", "--x-count", "2"], _PARSER_MODULES),
+    (["asymptote", "--regime", "small-eps", "--mu", "-2", "--x-count", "2"], _PARSER_MODULES + ["gch.asymptotics"]),
     (EVAL_ARGV, _SERIES_MODULES),
     (OSC_SPECTRUM, _SERIES_MODULES + ["gch.spectra"]),
     (["wavefunction", "--system", "oscillator", "--coupling", "2", "--l", "0", "--x-count", "2"],

@@ -14,14 +14,14 @@ def test_all_names_resolve():
 def test_public_names():
     # every public name added or removed shows up as a change to this list
     assert gch.__all__ == [
-        "AsymptoticRegime", "BetaMismatch", "Confinement", "CrossReport", "DegenerateCoupling",
+        "BetaMismatch", "Confinement", "CrossReport", "DegenerateCoupling",
         "DomainError", "EigenState", "EvalResult", "FloatOverflow", "GchError", "GchParams", "GridSpec",
         "KindRestrictionError", "NestedTruncation", "NonFiniteError", "NormalizationPole",
         "NoTermination", "PoleError", "QQbar", "ResidualReport", "RotatingOscillator",
         "SampleNotConverged", "SolutionKind", "TailNotDecayed", "Truncation",
         "asym_small_eps", "asym_small_mu", "betas_from_omega", "coefficients", "cross_validate",
         "detect_termination", "erfi", "eval_general", "evaluate", "evaluate_grid",
-        "limit_value", "make_state", "normalize", "ode_residual", "radial_norm", "sum_series",
+        "make_state", "normalize", "ode_residual", "radial_norm", "sum_series",
         "validate", "wavefunction", "wavefunction_result",
     ]
 

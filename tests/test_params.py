@@ -120,10 +120,34 @@ def test_validate_accepts_generic():
 
 
 def test_validate_nonfinite():
+    # refused when the parameter set is built, before validate runs
     with pytest.raises(NonFiniteError):
         validate(GchParams(math.nan, 1.0, 1.0, 1.0, 1.0), SolutionKind.FIRST)
     with pytest.raises(NonFiniteError):
         validate(GchParams(1.0, 1.0, 1.0, math.inf, 1.0), SolutionKind.FIRST)
+
+
+FIELDS = ("mu", "eps", "nu", "Omega", "omega")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", FIELDS)
+def test_gch_params_refuses_a_non_finite_field(field, bad):
+    values = dict.fromkeys(FIELDS, 0.5)
+    values[field] = bad
+    with pytest.raises(NonFiniteError, match=f"^parameter {field}={bad!r} is not a finite real$"):
+        GchParams(**values)
+
+
+def test_gch_params_names_the_first_non_finite_field():
+    with pytest.raises(NonFiniteError, match="^parameter eps=inf is not a finite real$"):
+        GchParams(0.5, math.inf, 1.5, math.nan, -math.inf)
+
+
+def test_gch_params_whose_sum_overflows_is_accepted():
+    # the one-sum fast path overflows, and every field is still finite
+    p = GchParams(1e308, 1e308, 1.5, 1e308, 0.25)
+    assert (p.mu, p.Omega) == (1e308, 1e308)
 
 
 def test_lambda_of():

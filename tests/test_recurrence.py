@@ -7,7 +7,7 @@ import pytest
 
 from gch import recurrence
 from gch.errors import DomainError, FloatOverflow, NonFiniteError, PoleError
-from gch.params import GchParams, SolutionKind, detect_termination, real_power, validate
+from gch.params import GchParams, detect_termination, real_power
 from gch.recurrence import _ABS_FLOOR, Truncation, coefficients, sum_series
 from gch.series import betas_from_omega, eval_general
 from gch.verify import ode_residual
@@ -193,22 +193,46 @@ def test_sum_series_refuses_non_finite_x_before_any_term(monkeypatch, x):
         sum_series(GchParams(-1.0, 0.5, 1.5, 1.0, 0.25), 0.0, x)
 
 
-@pytest.mark.parametrize("p,name", [
-    (GchParams(math.nan, 0.0, 1.5, 1.0, 0.0), "mu"),
-    (GchParams(math.inf, 0.0, 1.5, 1.0, 0.0), "mu"),
-    (GchParams(-1.0, 0.5, 1.5, 1.0, math.inf), "omega"),
-    (GchParams(-1.0, 0.5, 1.5, -math.inf, 0.25), "Omega"),
-], ids=["nan-mu", "inf-mu", "inf-omega", "inf-Omega"])
-def test_non_finite_parameters_refused_as_validate_refuses_them(monkeypatch, p, name):
-    with pytest.raises(NonFiniteError) as expected:
-        validate(p, SolutionKind.FIRST)
-    assert str(expected.value).startswith(f"parameter {name}=")
-    message = f"^{re.escape(str(expected.value))}$"
-    with pytest.raises(NonFiniteError, match=message):
-        detect_termination(p, 0.0)
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_sum_series_refuses_non_finite_lam_before_any_term(monkeypatch, lam):
     monkeypatch.setattr(recurrence, "_coefficients", _no_terms)
-    with pytest.raises(NonFiniteError, match=message):
-        sum_series(p, 0.0, 1.0)
+    with pytest.raises(NonFiniteError, match=f"^lam={lam!r} is not a finite real$"):
+        sum_series(GchParams(-1.0, 0.5, 1.5, 1.0, 0.25), lam, 0.5)
+
+
+#: the parameter set of the non-finite input rows below
+SECOND_P = GchParams(-1.0, 0.4, 0.5, 0.7, 1.2)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: coefficients(SECOND_P, 0.5, math.nan, 3), "c0=nan"),
+    (lambda: coefficients(SECOND_P, 0.5, -math.inf, 3), "c0=-inf"),
+    (lambda: coefficients(SECOND_P, math.nan, 1.0, 3), "lam=nan"),
+    (lambda: ode_residual(coefficients(SECOND_P, 0.5, 1.0, 80), 0.5, SECOND_P, math.inf), "x=inf"),
+    (lambda: ode_residual(coefficients(SECOND_P, 0.5, 1.0, 80), 0.5, SECOND_P, math.nan), "x=nan"),
+    (lambda: ode_residual([1.0, 0.5], math.inf, SECOND_P, 0.5), "lam=inf"),
+    (lambda: detect_termination(SECOND_P, math.nan), "lam=nan"),
+    (lambda: detect_termination(SECOND_P, math.inf), "lam=inf"),
+    (lambda: betas_from_omega(SECOND_P, -math.inf, 1), "lam=-inf"),
+], ids=["coefficients-c0-nan", "coefficients-c0-inf", "coefficients-lam-nan", "ode_residual-x-inf",
+        "ode_residual-x-nan", "ode_residual-lam-inf", "detect_termination-lam-nan",
+        "detect_termination-lam-inf", "betas_from_omega-lam-inf"])
+def test_non_finite_input_is_refused_by_name(call, message):
+    with pytest.raises(NonFiniteError, match=f"^{re.escape(message)} is not a finite real$"):
+        call()
+
+
+@pytest.mark.parametrize("values,message", [
+    ((math.nan, 0.0, 1.5, 1.0, 0.0), "parameter mu=nan is not a finite real"),
+    ((math.inf, 0.0, 1.5, 1.0, 0.0), "parameter mu=inf is not a finite real"),
+    ((-1.0, 0.5, 1.5, 1.0, math.inf), "parameter omega=inf is not a finite real"),
+    ((-1.0, 0.5, 1.5, -math.inf, 0.25), "parameter Omega=-inf is not a finite real"),
+], ids=["nan-mu", "inf-mu", "inf-omega", "inf-Omega"])
+def test_non_finite_parameters_refused_as_validate_refuses_them(values, message):
+    # refused when built, so validate, detect_termination and sum_series
+    # never see a non-finite parameter
+    with pytest.raises(NonFiniteError, match=f"^{re.escape(message)}$"):
+        GchParams(*values)
 
 
 @pytest.mark.parametrize("call", [

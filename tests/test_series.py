@@ -302,15 +302,16 @@ def test_qw_poly_equals_general_on_derived_betas():
 
 
 @pytest.mark.parametrize("kind,p0,xs", [
-    (SECOND, GchParams(-1.7, 0.8, 0.6, math.nan, 0.4), (0.7, 1.6, 2.5)),
-    (FIRST, GchParams(-1.7, 0.8, 0.6, math.nan, 0.4), (0.7, 1.6, 2.5)),
-    (FIRST, GchParams(0.5, -0.8, 1.5, math.nan, 0.4), (0.9, 2.2, 3.0)),   # z < -1 from x = 2
-    (SECOND, GchParams(0.5, -0.8, -1.0, math.nan, 0.4), (0.9, 2.2, 3.0)),  # integer 1 - gamma
+    (SECOND, GchParams(-1.7, 0.8, 0.6, 0.0, 0.4), (0.7, 1.6, 2.5)),
+    (FIRST, GchParams(-1.7, 0.8, 0.6, 0.0, 0.4), (0.7, 1.6, 2.5)),
+    (FIRST, GchParams(0.5, -0.8, 1.5, 0.0, 0.4), (0.9, 2.2, 3.0)),   # z < -1 from x = 2
+    (SECOND, GchParams(0.5, -0.8, -1.0, 0.0, 0.4), (0.9, 2.2, 3.0)),  # integer 1 - gamma
 ], ids=["second-mu-", "first-mu-", "first-mu+", "second-mu+"])
 @pytest.mark.parametrize("beta", [0, 1, 2, 3])
 def test_terminating_omega_is_one_function(kind, p0, xs, beta):
     # the parameters decide where chains end: passing the derived betas
-    # changes nothing, on the direct and on the transformed path
+    # changes nothing, on the direct and on the transformed path; p0's
+    # Omega is a placeholder
     lam = kind.lambda_of(p0.nu)
     p = GchParams(p0.mu, p0.eps, p0.nu, -p0.mu * (2 * beta + lam), p0.omega)
     seq = betas_from_omega(p, lam, 49)

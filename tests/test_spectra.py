@@ -23,24 +23,23 @@ NT = NestedTruncation(max_order_N=50, max_inner=120, rel_tol=1e-12)
 # ------------------------------------------------------------------- maps
 
 def test_map_oscillator_values():
-    p = RotatingOscillator(l_m=0, omega_c=2.0).params(math.nan)
-    assert (p.mu, p.eps, p.nu, p.omega) == (-2.0, 1.0, 2.0, 1.0)
-    assert math.isnan(p.Omega)
-    p = RotatingOscillator(l_m=1, omega_c=2.0).params(math.nan)
+    p = RotatingOscillator(l_m=0, omega_c=2.0).params(0.0)
+    assert (p.mu, p.eps, p.nu, p.Omega, p.omega) == (-2.0, 1.0, 2.0, 0.0, 1.0)
+    p = RotatingOscillator(l_m=1, omega_c=2.0).params(0.0)
     assert (p.nu, p.omega) == (4.0, 2.0)
-    assert RotatingOscillator(l_m=0, omega_c=200.0).params(math.nan).eps == pytest.approx(0.1)
+    assert RotatingOscillator(l_m=0, omega_c=200.0).params(0.0).eps == pytest.approx(0.1)
 
 
 def test_map_confinement_values():
     system = Confinement(a=0.0, b=1.0, c=1.0, mass=0.5, l=0)
-    p = system.params(math.nan)
+    p = system.params(0.0)
     assert system.alpha_f == pytest.approx(1.0)
     assert system.beta_f == pytest.approx(0.5)
     assert p.eps == pytest.approx(-1.0)
     assert (p.nu, p.omega) == (2.0, 1.0)
     # hand-worked point: omega = 2 - sqrt(2)
     system = Confinement(a=1.0, b=1.0, c=2.0, mass=0.5, l=1)
-    p = system.params(math.nan)
+    p = system.params(0.0)
     assert system.alpha_f == pytest.approx(math.sqrt(2.0))
     assert system.beta_f == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)))
     assert p.omega == pytest.approx(2.0 - math.sqrt(2.0), rel=1e-14)
@@ -55,7 +54,7 @@ def test_map_confinement_degenerate():
 
 
 def test_map_qqbar_values():
-    p = QQbar(m_q=0.3, b_slope=1.5, l=2).params(math.nan)
+    p = QQbar(m_q=0.3, b_slope=1.5, l=2).params(0.0)
     assert (p.mu, p.eps, p.nu, p.omega) == (-1.5, -0.6, 6.0, 3.0)
 
 
@@ -249,22 +248,28 @@ def test_series_argument_forms():
 # system classes reproduce bit for bit
 PINNED = [
     (RotatingOscillator(l_m=0, omega_c=2.0), 0, 1,
-     "EigenState(i=0, beta_i=1, eigenvalue=3.0, gch=GchParams(mu=-2.0, eps=1.0, nu=2.0, Omega=4.0, omega=1.0))",
+     "EigenState(i=0, beta_i=1, eigenvalue=3.0, gch=GchParams(mu=-2.0, eps=1.0, nu=2.0, Omega=4.0, omega=1.0)"
+     ", system=RotatingOscillator(l_m=0, omega_c=2.0))",
      (0.8930171678523121, True), (0.3030268919693902, True)),
     (RotatingOscillator(l_m=0, omega_c=2.0), 1, 2,
-     "EigenState(i=1, beta_i=2, eigenvalue=6.0, gch=GchParams(mu=-2.0, eps=1.0, nu=2.0, Omega=10.0, omega=1.0))",
+     "EigenState(i=1, beta_i=2, eigenvalue=6.0, gch=GchParams(mu=-2.0, eps=1.0, nu=2.0, Omega=10.0, omega=1.0)"
+     ", system=RotatingOscillator(l_m=0, omega_c=2.0))",
      (1.3741975786592566, True), (1.34629421951937, True)),
     (Confinement(a=1.0, b=0.2, c=0.5, mass=1.0, l=0), 0, 0,
-     "EigenState(i=0, beta_i=0, eigenvalue=1.48, gch=GchParams(mu=-2.0, eps=-0.4, nu=2.0, Omega=0.0, omega=-4.0))",
+     "EigenState(i=0, beta_i=0, eigenvalue=1.48, gch=GchParams(mu=-2.0, eps=-0.4, nu=2.0, Omega=0.0, omega=-4.0)"
+     ", system=Confinement(a=1.0, b=0.2, c=0.5, mass=1.0, l=0))",
      (-0.14015662827659814, True), (0.18620414997159337, True)),
     (Confinement(a=1.0, b=0.2, c=0.5, mass=1.0, l=0), 1, 1,
-     "EigenState(i=1, beta_i=1, eigenvalue=4.48, gch=GchParams(mu=-2.0, eps=-0.4, nu=2.0, Omega=6.0, omega=-4.0))",
+     "EigenState(i=1, beta_i=1, eigenvalue=4.48, gch=GchParams(mu=-2.0, eps=-0.4, nu=2.0, Omega=6.0, omega=-4.0)"
+     ", system=Confinement(a=1.0, b=0.2, c=0.5, mass=1.0, l=0))",
      (-0.4518135533551858, True), (0.39160163078546945, True)),
     (QQbar(m_q=0.3, b_slope=1.0, l=0), 0, 2,
-     "EigenState(i=0, beta_i=2, eigenvalue=22.0, gch=GchParams(mu=-1.0, eps=-0.6, nu=2.0, Omega=4.0, omega=1.0))",
+     "EigenState(i=0, beta_i=2, eigenvalue=22.0, gch=GchParams(mu=-1.0, eps=-0.6, nu=2.0, Omega=4.0, omega=1.0)"
+     ", system=QQbar(m_q=0.3, b_slope=1.0, l=0))",
      (-0.3382382792208077, True), (0.8096993713015191, True)),
     (QQbar(m_q=0.3, b_slope=1.0, l=0), 1, 0,
-     "EigenState(i=1, beta_i=0, eigenvalue=10.0, gch=GchParams(mu=-1.0, eps=-0.6, nu=2.0, Omega=1.0, omega=1.0))",
+     "EigenState(i=1, beta_i=0, eigenvalue=10.0, gch=GchParams(mu=-1.0, eps=-0.6, nu=2.0, Omega=1.0, omega=1.0)"
+     ", system=QQbar(m_q=0.3, b_slope=1.0, l=0))",
      (0.6139584899760449, True), (0.25150316896393027, True)),
 ]
 
@@ -304,12 +309,35 @@ def test_make_state_refuses_a_ladder_value_past_the_float_range(system, i, beta,
         make_state(system, i, beta)
 
 
-def test_make_state_leaves_an_overflowed_eps_to_validate():
-    # eps = sqrt(2/omega_c) is inf; the ladder itself is finite
-    state = make_state(RotatingOscillator(l_m=0, omega_c=1e-320), 0, 1)
-    assert (state.eigenvalue, state.gch.Omega, state.gch.eps) == (3.0, 4.0, math.inf)
+def test_make_state_refuses_an_overflowed_eps():
+    # eps = sqrt(2/omega_c) is inf, though the ladder itself is finite
     with pytest.raises(NonFiniteError, match="^parameter eps=inf is not a finite real$"):
-        wavefunction(RotatingOscillator(l_m=0, omega_c=1e-320), state, 1.0)
+        make_state(RotatingOscillator(l_m=0, omega_c=1e-320), 0, 1)
+
+
+OSC_2 = RotatingOscillator(l_m=0, omega_c=2.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda state: wavefunction(OSC_2, state, 1.0),
+    lambda state: wavefunction_result(OSC_2, state, 1.0),
+    lambda state: normalize(OSC_2, state, 12.0, 401),
+], ids=["wavefunction", "wavefunction_result", "normalize"])
+def test_state_of_another_system_is_refused(call):
+    # the oscillator's envelope and x(r) on this state's coefficients give
+    # 0.13976 and 3.1406, with no error
+    state = make_state(QQbar(0.0, 1.0, 0), 0, 2)
+    with pytest.raises(ValueError, match=r"^the state belongs to QQbar\(m_q=0\.0, b_slope=1\.0, l=0\), "
+                                         r"not to RotatingOscillator\(l_m=0, omega_c=2\.0\)$"):
+        call(state)
+    assert normalize(state.system, state, 12.0, 401) == pytest.approx(0.09834, rel=1e-4)
+    assert wavefunction(state.system, state, 1.0) == pytest.approx(1.1682, rel=1e-4)
+
+
+def test_state_of_an_equal_system_is_accepted():
+    # an equal system built apart passes the equality test behind identity
+    state = make_state(RotatingOscillator(l_m=0, omega_c=2.0), 0, 1)
+    assert wavefunction(OSC_2, state, 1.5) == wavefunction(state.system, state, 1.5)
 
 
 def test_make_state_takes_any_index_type():

@@ -43,9 +43,11 @@ CASES = [
      "Confinement(a=1.0, b=0.2, c=0.5, mass=1.0, l=0)"),
     (QQbar, ("m_q", "b_slope", "l"), (0.3, 1.0, 0), (0.3, 1.0, 1),
      "QQbar(m_q=0.3, b_slope=1.0, l=0)"),
-    (EigenState, ("i", "beta_i", "eigenvalue", "gch"), (1, 2, 3.5, P), (1, 2, 4.5, P),
+    (EigenState, ("i", "beta_i", "eigenvalue", "gch", "system"), (1, 2, 3.5, P, OSCILLATOR),
+     (1, 2, 4.5, P, OSCILLATOR),
      "EigenState(i=1, beta_i=2, eigenvalue=3.5, "
-     "gch=GchParams(mu=-2.0, eps=1.0, nu=1.5, Omega=0.3, omega=0.25))"),
+     "gch=GchParams(mu=-2.0, eps=1.0, nu=1.5, Omega=0.3, omega=0.25), "
+     "system=RotatingOscillator(l_m=0, omega_c=2.0))"),
     (ResidualReport, ("x", "residual", "scale"), (0.5, 1e-16, 2.0), (0.5, 1e-16, 4.0),
      "ResidualReport(x=0.5, residual=1e-16, scale=2.0)"),
     (GridSpec, ("mu", "eps", "nu", "Omega", "omega", "x", "kinds"),
@@ -140,8 +142,8 @@ def test_not_equal_to_tuple_or_subclass(cls, _fields, values, _changed, _repr):
     (Truncation(8, 0.5), RotatingOscillator(8, 0.5)),
     (NestedTruncation(48, 240, 0.5), ResidualReport(48, 240, 0.5)),
     (ResidualReport(48, 240, 1), QQbar(48, 240, 1)),
-    (EigenState((), 0.0, 1, 0), CrossReport((), 0.0, 1, 0)),
-], ids=["params-confinement", "truncation-oscillator", "nested-residual", "residual-qqbar", "state-report"])
+    (EigenState(1.0, 0.2, 0.5, 1.0, 0), Confinement(1.0, 0.2, 0.5, 1.0, 0)),
+], ids=["params-confinement", "truncation-oscillator", "nested-residual", "residual-qqbar", "state-confinement"])
 def test_classes_with_equal_values_differ(one, other):
     assert one != other and other != one
 

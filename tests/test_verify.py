@@ -5,7 +5,7 @@ import pytest
 
 import gch.series
 import gch.verify
-from gch.errors import DomainError
+from gch.errors import DomainError, NonFiniteError
 from gch.params import GchParams, SolutionKind, validate
 from gch.recurrence import Truncation, coefficients, sum_series
 from gch.series import NestedTruncation
@@ -141,6 +141,13 @@ def test_cross_validate_records_float_overflow():
 ], ids=["order-vectors", "oracle-power", "omega-over-mu"])
 def test_cross_validate_records_float_overflow_of_sums(grid, errors):
     assert [rec.error for rec in cross_validate(grid).records] == errors
+
+
+def test_cross_validate_refuses_a_non_finite_axis():
+    # the grid's parameter sets are refused when built, not recorded as
+    # failed rows
+    with pytest.raises(NonFiniteError, match="^parameter mu=nan is not a finite real$"):
+        cross_validate(GridSpec(mu=(math.nan,)))
 
 
 def test_cross_validate_monotone_in_order_cap():
