@@ -196,16 +196,15 @@ class EvalResult(_Frozen):
     leave a value far less accurate than it.  ``terminated_at`` is the
     index n* with B_{n*} = 0 (:func:`detect_termination`); the closed form
     ends chain k at (n* - 1 - k)/2 wherever that is a nonnegative integer.
-    ``orders`` is populated only by the closed-form evaluators and holds the
-    per-order decomposition y_0, y_1, y_2, ...  For mu > 0 and
-    -mu x^2/2 < -1 the closed form sums the transformed series
+    ``orders_used`` is set only by the closed-form evaluators (None for
+    :func:`~gch.recurrence.sum_series`): the number of eps_tilde orders
+    summed, order 0 included.  For mu > 0 and -mu x^2/2 < -1 the closed
+    form sums the transformed series
     e^{-mu x^2/2 - eps x} y(x; -mu, -eps, nu, Omega - mu(1+nu), nu - omega),
-    and ``orders`` is then that series' decomposition (in powers of
-    +eps x/2, each order times the exponential); they still add up to
-    ``value``.
+    in powers of +eps x/2, and counts that series' orders.
     """
 
-    __slots__ = ("value", "terms_used", "last_term_mag", "converged", "terminated_at", "orders")
+    __slots__ = ("value", "terms_used", "last_term_mag", "converged", "terminated_at", "orders_used")
 
     def __init__(
         self,
@@ -214,14 +213,14 @@ class EvalResult(_Frozen):
         last_term_mag: float,
         converged: bool,
         terminated_at: Optional[int] = None,
-        orders: Optional[tuple[float, ...]] = None,
+        orders_used: Optional[int] = None,
     ) -> None:
         _bind(self, "value", value)
         _bind(self, "terms_used", terms_used)
         _bind(self, "last_term_mag", last_term_mag)
         _bind(self, "converged", converged)
         _bind(self, "terminated_at", terminated_at)
-        _bind(self, "orders", orders)
+        _bind(self, "orders_used", orders_used)
 
 
 def real_power(x: float, expo: float) -> float:

@@ -387,14 +387,14 @@ def _outcome(
             except OverflowError as exc:
                 raise FloatOverflow(f"transform factor e^({expo}) overflows at x={x}") from exc
             orders = [scale * o for o in orders]
-        scaled = tuple([pref * o for o in orders])
+        used = len(orders)
         return EvalResult(
             pref * math.fsum(orders),
-            (min(need, max_inner) + 1) * len(orders),
-            abs(scaled[-1]) if len(scaled) > 1 else 0.0,
+            (min(need, max_inner) + 1) * used,
+            abs(pref * orders[-1]) if used > 1 else 0.0,
             on_tol and not inner_cut,
             nstar,
-            scaled,
+            used,
         )
     except FloatOverflow as exc:
         return exc
@@ -608,8 +608,8 @@ def evaluate_grid(
     :func:`evaluate` runs it there; every other point reads its orders off
     that point's order vectors with one dot product per order (module
     docstring), and the table grows as far as any point reads.  So each
-    result has the flags, depth, order count and ``terminated_at`` of its
-    own :func:`evaluate` call, and its value agrees with it to rounding
+    result has the flags, depth, ``orders_used`` and ``terminated_at`` of
+    its own :func:`evaluate` call, and its value agrees with it to rounding
     (the point of largest |x|, and any point at the same |x|, bit for
     bit).  Each point's outcome is its own, so a failing x costs the
     others nothing; the call raises what the first failing x raises in
@@ -653,13 +653,13 @@ def eval_general(
     ValueError, and mu = 0 raises PoleError.  Unlike
     :func:`evaluate` no Gamma normalisation enters, so this stays finite
     where that normalisation has a pole, and it is what the recurrence
-    oracle is compared with.  The per-order decomposition (already scaled
-    by x^lam and the eps_tilde powers) is exposed on ``orders``.  For
-    mu > 0 and z = -mu x^2/2 < -1 the sum is taken over the transformed
-    parameters (-mu, -eps, nu, Omega - mu(1+nu), nu - omega) with the same
-    lam, times e^{-mu x^2/2 - eps x}, so ``orders`` is then the
-    transformed decomposition; see :class:`EvalResult`.  A non-finite x
-    raises NonFiniteError before any work.
+    oracle is compared with.  ``orders_used`` counts the eps_tilde orders
+    summed, order 0 included.  For mu > 0 and z = -mu x^2/2 < -1 the sum
+    is taken over the transformed parameters (-mu, -eps, nu, Omega -
+    mu(1+nu), nu - omega) with the same lam, times e^{-mu x^2/2 - eps x},
+    so the orders counted are the transformed series'; see
+    :class:`EvalResult`.  A non-finite x raises NonFiniteError before any
+    work.
     """
     _require_finite("x", x)
     if lam == 0.0:

@@ -21,10 +21,10 @@ from gch.verify import GridSpec, cross_validate
 FIRST, SECOND = SolutionKind.FIRST, SolutionKind.SECOND
 
 #: SHA-256 of the newline-joined reprs of :func:`reprs`
-DIGEST = "b175c7f7f39c40eaf6c380d6f46a3a7c0aa97ec9d7e6ca934f138d0ceb095d00"
+DIGEST = "b88565720781c3492447b8513d3359655823cc012f0ec5849d5a0434c177e41c"
 
 #: SHA-256 of the newline-joined lines of :func:`edge_reprs`
-EDGE_DIGEST = "213b019ac460fba18d5f3a9420118df21b1239ef120c7d68e9c6c53bc2743858"
+EDGE_DIGEST = "e3a8f749fdc985a9eb4e042fae0d5885f1aba22e219353fab1efd08384d4ff06"
 
 
 def _params(rng: random.Random, kind: SolutionKind, mu: float) -> GchParams:

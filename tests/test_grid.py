@@ -17,12 +17,19 @@ from gch.series import NestedTruncation, _general, _required_cap, eval_general, 
 from gch.spectra import Confinement, QQbar, RotatingOscillator, make_state, normalize, wavefunction_result
 from gch.verify import CrossRecord, GridSpec, cross_validate
 
+from decomposition import orders
+
 FIRST, SECOND = SolutionKind.FIRST, SolutionKind.SECOND
 
 
 def _depth(res):
     """The chain depth a result ran: terms_used is cap + 1 per order."""
-    return res.terms_used // len(res.orders) - 1
+    return res.terms_used // res.orders_used - 1
+
+
+def _mass(decomposition):
+    """sum |orders|: the scale of the rounding a value's orders carry."""
+    return math.fsum(abs(o) for o in decomposition)
 
 
 def _assert_matches_points(p, kind, xs, t=None):
@@ -32,9 +39,9 @@ def _assert_matches_points(p, kind, xs, t=None):
     assert len(grid) == len(xs)
     for x, g in zip(xs, grid):
         r = evaluate(p, kind, x, t=t)
-        assert (g.converged, g.terms_used, len(g.orders), g.terminated_at) == (
-            r.converged, r.terms_used, len(r.orders), r.terminated_at), x
-        assert abs(g.value - r.value) <= 1e-12 * math.fsum(abs(o) for o in r.orders), x
+        assert (g.converged, g.terms_used, g.orders_used, g.terminated_at) == (
+            r.converged, r.terms_used, r.orders_used, r.terminated_at), x
+        assert abs(g.value - r.value) <= 1e-12 * _mass(orders(p, kind, x, t)), x
     return grid
 
 
@@ -116,7 +123,7 @@ def test_point_needing_more_orders_than_the_reference():
     # so a nearer point can take more orders than the reference
     xs = [1.24, 0.5, 1.26]
     grid = _assert_matches_points(GchParams(-2.0, 0.4, 2.0, 4.0, 0.5), FIRST, xs)
-    assert len(grid[0].orders) == 15 > len(grid[2].orders) == 14
+    assert grid[0].orders_used == 15 > grid[2].orders_used == 14
 
 
 def _engine_runs(monkeypatch):
@@ -294,18 +301,18 @@ def _outcome_of(call):
         return exc
 
 
-def _assert_same_outcome(got, alone, where):
+def _assert_same_outcome(got, alone, where, decomposition=None):
     """got is what alone is: the same error, or a result with its flags,
     depth, order count and termination index, and its value to 1e-12 of
-    sum |orders|."""
+    sum |orders|, with ``decomposition()`` giving alone's orders."""
     if isinstance(alone, GchError):
         assert (type(got), str(got)) == (type(alone), str(alone)), where
         return
     assert isinstance(got, EvalResult), (where, got)
-    assert (got.converged, got.terms_used, len(got.orders), got.terminated_at) == (
-        alone.converged, alone.terms_used, len(alone.orders), alone.terminated_at), where
+    assert (got.converged, got.terms_used, got.orders_used, got.terminated_at) == (
+        alone.converged, alone.terms_used, alone.orders_used, alone.terminated_at), where
     if got.value != alone.value and not (math.isnan(got.value) and math.isnan(alone.value)):
-        assert abs(got.value - alone.value) <= 1e-12 * math.fsum(abs(o) for o in alone.orders), where
+        assert abs(got.value - alone.value) <= 1e-12 * _mass(decomposition()), where
 
 
 def test_grid_outcomes_are_the_points_own():
@@ -331,11 +338,12 @@ def test_grid_outcomes_are_the_points_own():
             if first_error is not None:
                 _assert_same_outcome(grid, first_error, where)
             else:
-                for got, own in zip(grid, alone):
-                    _assert_same_outcome(got, own, where)
+                for x, got, own in zip(xs, grid, alone):
+                    _assert_same_outcome(got, own, where, lambda: orders(p, kind, x))
             lam = validate(p, kind)
             for x, got in zip(xs, _general(p, lam, xs, None)):
-                _assert_same_outcome(got, _outcome_of(lambda: eval_general(p, lam, x)), where)
+                _assert_same_outcome(got, _outcome_of(lambda: eval_general(p, lam, x)), where,
+                                     lambda: orders(p, kind, x, normalised=False))
 
 
 # ------------------------------------------------------------------ callers
@@ -500,7 +508,7 @@ def test_sum_series_default_truncation():
 ], ids=["extending-table", "both-sides"])
 def test_grid_pinned_bit_for_bit(p, xs, pinned):
     grid = evaluate_grid(p, FIRST, xs)
-    assert [(r.value, r.terms_used, len(r.orders)) for r in grid] == pinned
+    assert [(r.value, r.terms_used, r.orders_used) for r in grid] == pinned
     assert all(r.converged for r in grid)
 
 

@@ -21,6 +21,8 @@ from gch.series import (
 )
 from gch.verify import GridSpec, cross_validate
 
+from decomposition import orders
+
 TIGHT = Truncation(max_terms=500, rel_tol=1e-14)
 NT = NestedTruncation(max_order_N=40, max_inner=80, rel_tol=1e-13)
 FIRST, SECOND = SolutionKind.FIRST, SolutionKind.SECOND
@@ -82,12 +84,14 @@ def _literal_orders(p, lam, x, cap=60):
     (GchParams(-0.5, -1.2, -0.7, 1.0, -0.7), 0.0, 0.8),     # B-terminating chain family
 ])
 def test_engine_matches_literal_transliteration(params, lam, x):
-    res = eval_general(params, lam, x, NT)
+    kind = FIRST if lam == 0.0 else SECOND
+    got = orders(params, kind, x, NT, normalised=False)
+    assert len(got) == eval_general(params, lam, x, NT).orders_used
     lit = _literal_orders(params, lam, x)
     et = -0.5 * params.eps * x
     xpow = x ** lam
     for n in range(3):
-        assert res.orders[n] == pytest.approx(lit[n] * et ** n * xpow, rel=1e-11, abs=1e-16)
+        assert got[n] == pytest.approx(lit[n] * et ** n * xpow, rel=1e-11, abs=1e-16)
 
 
 # ---------------------------------------------------------- oracle agreement
@@ -158,10 +162,10 @@ def test_eval_general_rejects_non_root_lam():
 def test_order_decomposition_scales_with_eps():
     p = GchParams(-1.5, 0.8, 1.2, 0.9, 0.4)
     doubled = GchParams(p.mu, 2.0 * p.eps, p.nu, p.Omega, p.omega)
-    r1 = eval_general(p, 0.0, 0.7, NT)
-    r2 = eval_general(doubled, 0.0, 0.7, NT)
-    for n in range(min(len(r1.orders), len(r2.orders), 8)):
-        assert r2.orders[n] == pytest.approx(2.0 ** n * r1.orders[n], rel=1e-12, abs=1e-250)
+    o1 = orders(p, FIRST, 0.7, NT, normalised=False)
+    o2 = orders(doubled, FIRST, 0.7, NT, normalised=False)
+    for n in range(min(len(o1), len(o2), 8)):
+        assert o2[n] == pytest.approx(2.0 ** n * o1[n], rel=1e-12, abs=1e-250)
 
 
 def test_x_zero_is_c0():
@@ -264,7 +268,9 @@ def test_qw_poly_beta0_zero_order0_constant():
     p = GchParams(-2.0, 0.5, 1.0, 0.0, 1.0)
     seq = betas_from_omega(p, 0.0, 1)
     res = evaluate(p, FIRST, 0.8, seq, NT)
-    assert res.orders[0] == 1.0
+    got = orders(p, FIRST, 0.8, NT)
+    assert got[0] == 1.0
+    assert len(got) == res.orders_used
 
 
 def test_qw_poly_degree_two_polynomial():
@@ -593,22 +599,26 @@ def test_forward_recurrence_matches_backward_fold(p, lam, x, seq):
             return -beta
         return half_ratio + 0.5 * k + 0.5 * lam
 
+    kind = FIRST if lam == 0.0 else SECOND
     if seq is None:
         res = eval_general(p, lam, x, t)
+        got = orders(p, kind, x, t, normalised=False)
         pref, order_cap = x ** lam, t.max_order_N
     elif lam == 0.0:
         res = evaluate(p, FIRST, x, seq, t)
+        got = orders(p, FIRST, x, t)
         pref = math.gamma(p.gamma + seq[0]) / math.gamma(p.gamma)
         order_cap = len(seq) - 1
     else:
         res = evaluate(p, SECOND, x, seq, t)
+        got = orders(p, SECOND, x, t)
         gamma = p.gamma
         pref = (-0.5 * p.mu * x * x) ** (1 - gamma) * math.gamma(seq[0] + 2 - gamma) / math.gamma(2 - gamma)
         order_cap = len(seq) - 1
     fold = _backward_fold_orders(p, lam, x, t, a_of, order_cap)
-    assert len(res.orders) == len(fold) >= 3
-    for n, (got, want) in enumerate(zip(res.orders, fold)):
-        assert got == pytest.approx(pref * want, rel=1e-12, abs=0.0), n
+    assert res.orders_used == len(got) == len(fold) >= 3
+    for n, (order, want) in enumerate(zip(got, fold)):
+        assert order == pytest.approx(pref * want, rel=1e-12, abs=0.0), n
 
 
 def test_steps_linear_in_orders():
@@ -616,8 +626,8 @@ def test_steps_linear_in_orders():
     t = NestedTruncation()
     for p, x in ((GchParams(-1.0, 3.0, 0.5, 0.7, 1.2), 2.0), (GchParams(2.0, 1.0, 1.5, 3.0, 0.25), 6.0)):
         res = eval_general(p, 0.0, x, t)
-        assert len(res.orders) >= 10
-        assert res.terms_used <= len(res.orders) * (t.max_inner + 1)
+        assert res.orders_used >= 10
+        assert res.terms_used <= res.orders_used * (t.max_inner + 1)
 
 
 _PINNED_STEPS = [
@@ -630,17 +640,30 @@ _PINNED_STEPS = [
 ]
 
 
-@pytest.mark.parametrize("p,kind,x,terms,orders,value", _PINNED_STEPS,
+@pytest.mark.parametrize("p,kind,x,terms,orders_used,value", _PINNED_STEPS,
                          ids=[f"p{i}-{row[2]}-{row[3]}-{row[4]}" for i, row in enumerate(_PINNED_STEPS)])
-def test_step_counts_pinned(p, kind, x, terms, orders, value):
+def test_step_counts_pinned(p, kind, x, terms, orders_used, value):
     # terms_used is cap + 1 per order; pinned so that step and order counts
     # stay comparable across changes to the engine, and the value bit for
     # bit, so that a change meant to leave the arithmetic alone shows any
     # bit it moves
     res = evaluate(p, kind, x)
-    assert (res.terms_used, len(res.orders)) == (terms, orders)
+    assert (res.terms_used, res.orders_used) == (terms, orders_used)
     assert res.value == value
     assert res.converged
+
+
+@pytest.mark.parametrize("x", [0.4, 2.0], ids=["near-side", "far-side"])
+def test_order_count_and_last_term_are_the_decompositions(x):
+    # the README point on both sides of the transform test (mu x^2/2 = 1 at
+    # x = 1): the result counts the orders it summed, and its last term is
+    # the last of them, transform factor included on the far side
+    p = GchParams(2.0, 1.0, 1.5, 3.0, 0.25)
+    res = evaluate(p, FIRST, x)
+    got = orders(p, FIRST, x)
+    assert res.orders_used == len(got) > 1
+    assert res.last_term_mag == abs(got[-1])
+    assert res.value == pytest.approx(math.fsum(got), rel=1e-15)
 
 
 @pytest.mark.parametrize("p,kind,x,message", [
