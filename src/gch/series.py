@@ -267,9 +267,10 @@ def _side(q: GchParams, lam: float, nq: Optional[int]) -> tuple[float, tuple, tu
     a1 = half_ratio + 0.5 + h if end1 is None else -float(end1)
     a2 = half_ratio + 1.0 + h if end2 is None else -float(end2)
     wn = h + 0.5 * q.omega
+    # nu/2 + h, not gamma - 1/2 + h, which rounds 1 + nu before it cancels near nu = 0, -2
     return (max(abs(a0), abs(a1), abs(a2)),
             ((a0, 1.0 + h, gamma + h), (a1, 1.5 + h, gamma + 0.5 + h)),
-            ((wn, 0.5 + h, gamma - 0.5 + h), (wn + 0.5, 0.5 + h + 0.5, gamma - 0.5 + h + 0.5)))
+            ((wn, 0.5 + h, 0.5 * q.nu + h), (wn + 0.5, 0.5 + h + 0.5, 0.5 * q.nu + h + 0.5)))
 
 
 def _engine(chains: tuple, weights: tuple, z: float, cap: int, table: Optional[list]) -> Iterator[list[float]]:

@@ -21,10 +21,10 @@ from gch.verify import GridSpec, cross_validate
 FIRST, SECOND = SolutionKind.FIRST, SolutionKind.SECOND
 
 #: SHA-256 of the newline-joined reprs of :func:`reprs`
-DIGEST = "b88565720781c3492447b8513d3359655823cc012f0ec5849d5a0434c177e41c"
+DIGEST = "35b4bfdfffd327798404275c34353390b7c2f8105ce410c4a4b0f3ddedd4e551"
 
 #: SHA-256 of the newline-joined lines of :func:`edge_reprs`
-EDGE_DIGEST = "e3a8f749fdc985a9eb4e042fae0d5885f1aba22e219353fab1efd08384d4ff06"
+EDGE_DIGEST = "b87ee5f7032b113a9817ecf859a860e923b6188ea8201bf46ec987e07982dc68"
 
 
 def _params(rng: random.Random, kind: SolutionKind, mu: float) -> GchParams:

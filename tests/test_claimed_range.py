@@ -231,7 +231,6 @@ KNOWN_WRONG = {
     "eval_general": {
         "large-omega": (0, 2, 4, 6, 7, 8, 9, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 25, 26, 27, 29, 31, 32,
                         34, 36, 37, 39),
-        "near-band": (6, 20, 36),
         "states": (0, 3, 6, 10, 12, 13, 15, 18, 22, 28, 29, 33, 36),
     },
     "sum_series": {

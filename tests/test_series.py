@@ -733,8 +733,8 @@ def test_power_past_the_float_range_is_a_float_overflow():
 
 
 def test_weight_pole_inside_int_tol_raises():
-    # nu = -2 + 1.5e-12 would put weight 0's offset gamma - 1/2 within
-    # INT_TOL of -1; validate refuses it at every x, before any chain is built
+    # nu = -2 + 1.5e-12 would put weight 0's offset nu/2 within INT_TOL of
+    # -1; validate refuses it at every x, before any chain is built
     p = GchParams(-1.0, 1.0, -2 + 1.5e-12, 0.3, 0.2)
     for x in (0.0, 1e-5, 0.5, 3.0):
         with pytest.raises(KindRestrictionError, match=r"^first kind requires nu not in \{0, -1, -2, \.\.\.\}"):
@@ -754,6 +754,17 @@ def test_chain_offset_inside_int_tol_is_refused(nu, kind):
     for x in (0.0, 0.5, 4.0):
         with pytest.raises(KindRestrictionError, match=f"^{kind.value} kind requires"):
             evaluate(p, kind, x)
+
+
+def test_weight_offset_just_past_the_band_keeps_its_digits():
+    # nu = 2.2e-12, just past validate's band: weight 0's second offset is
+    # nu/2 = 1.1e-12, formed from nu; rounding gamma = (1 + nu)/2 first cost
+    # 5e-5 of the value.  The reference is an 80-digit mpmath sum of the
+    # three-term recurrence at these float parameters
+    p = GchParams(-0.45879, -0.25883, 2.2019e-12, 0.692, 0.86167)
+    res = eval_general(p, 0.0, 1.0333)
+    assert res.converged
+    assert res.value == pytest.approx(130141074803.36720, rel=1e-14)
 
 
 @pytest.mark.parametrize("nu", [-2.0 ** 53, -1e16, -1e300])
