@@ -101,7 +101,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import partial
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, cycle, islice, repeat
 from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -308,22 +308,14 @@ def _engine(chains: tuple, weights: tuple, z: float, cap: int, table: Optional[l
     jr, jw = cap - 1.0, float(cap)
 
     # g_n[i] = w_{n-1}(i) g_{n-1}[i] + z r_n(i-1) g_n[i-1]; order 2m + q reads
-    # chain row q and weight row 1 - q, written out per parity to skip a fetch
-    while True:
-        zr1.append(z * (a1 + jr) / ((b1 + jr) * (c1 + jr)))
-        w0.append((jw + wn0) / ((jw + d10) * (jw + d20)))
+    # chain row q and weight row 1 - q, so the orders take turns from order 1
+    for zr, w, a, b, c, wn, d1, d2 in cycle(((zr1, w0, a1, b1, c1, wn0, d10, d20),
+                                             (zr0, w1, a0, b0, c0, wn1, d11, d21))):
+        zr.append(z * (a + jr) / ((b + jr) * (c + jr)))
+        w.append((jw + wn) / ((jw + d1) * (jw + d2)))
         acc = 0.0
-        g = [acc := wj * gj + zj * acc for wj, gj, zj in zip(w0, g, zr1)]
-        del zr1[0], w0[0]
-        jr, jw = jw, jr + 1.0
-        if table is not None:
-            table.append(g)
-        yield g
-        zr0.append(z * (a0 + jr) / ((b0 + jr) * (c0 + jr)))
-        w1.append((jw + wn1) / ((jw + d11) * (jw + d21)))
-        acc = 0.0
-        g = [acc := wj * gj + zj * acc for wj, gj, zj in zip(w1, g, zr0)]
-        del zr0[0], w1[0]
+        g = [acc := wj * gj + zj * acc for wj, gj, zj in zip(w, g, zr)]
+        del zr[0], w[0]
         jr, jw = jw, jr + 1.0
         if table is not None:
             table.append(g)
