@@ -193,18 +193,16 @@ class EvalResult(_Frozen):
     ``last_term_mag`` is the magnitude of the last accumulated term (or, for
     the closed-form path, of the last order summed, 0.0 when only order 0
     was); it is not an error bound, and cancellation inside the sum can
-    leave a value far less accurate than it.  ``terminated_at`` is the
-    index n* with B_{n*} = 0 (:func:`detect_termination`); the closed form
-    ends chain k at (n* - 1 - k)/2 wherever that is a nonnegative integer.
-    ``orders_used`` is set only by the closed-form evaluators (None for
-    :func:`~gch.recurrence.sum_series`): the number of eps_tilde orders
-    summed, order 0 included.  For mu > 0 and -mu x^2/2 < -1 the closed
-    form sums the transformed series
+    leave a value far less accurate than it.  ``orders_used`` is set only
+    by the closed-form evaluators (None for the recurrence oracle): the
+    number of eps_tilde orders summed, order 0 included.  For mu > 0 and
+    -mu x^2/2 < -1 the closed form sums the transformed series
     e^{-mu x^2/2 - eps x} y(x; -mu, -eps, nu, Omega - mu(1+nu), nu - omega),
-    in powers of +eps x/2, and counts that series' orders.
+    in powers of +eps x/2, and counts that series' orders.  Where chains
+    end is not a result's: :func:`detect_termination` gives n*.
     """
 
-    __slots__ = ("value", "terms_used", "last_term_mag", "converged", "terminated_at", "orders_used")
+    __slots__ = ("value", "terms_used", "last_term_mag", "converged", "orders_used")
 
     def __init__(
         self,
@@ -212,14 +210,12 @@ class EvalResult(_Frozen):
         terms_used: int,
         last_term_mag: float,
         converged: bool,
-        terminated_at: Optional[int] = None,
         orders_used: Optional[int] = None,
     ) -> None:
         _bind(self, "value", value)
         _bind(self, "terms_used", terms_used)
         _bind(self, "last_term_mag", last_term_mag)
         _bind(self, "converged", converged)
-        _bind(self, "terminated_at", terminated_at)
         _bind(self, "orders_used", orders_used)
 
 
@@ -248,7 +244,8 @@ def real_power(x: float, expo: float) -> float:
 def detect_termination(p: GchParams, lam: float) -> Optional[int]:
     """Index n* with B_{n*} = 0, i.e. n* = 1 - lam - Omega/mu, if it is a
     positive integer (within 1e-12); None otherwise.  The package's one
-    termination test: the closed form ends its chains by this n*.
+    termination test: the closed form ends its chains, and checks a
+    caller's ``betas``, by this n*.
 
     Raises PoleError for mu = 0, the package's one refusal of it, which
     the closed-form evaluators reach through this function;

@@ -4,7 +4,9 @@ This module never touches the closed-form nested sums: it generates
 c_0, c_1, c_2, ... directly from c_{n+1} = A_n c_n + B_n c_{n-1} and
 accumulates c_n x^(n+lam) with error-compensated (Neumaier) summation.
 Every closed-form evaluator elsewhere in the package is cross-validated
-against :func:`sum_series`.
+against :func:`sum_series`.  It shares only EvalResult and real_power
+with the closed form and never computes n*, so it also sums where
+Omega/mu overflows.
 
 Summation runs in ascending n; for mu > 0 the quadratic argument
 z = -mu x^2/2 is negative and the series alternates, so the compensation
@@ -24,7 +26,7 @@ import itertools
 from typing import Iterator
 
 from .errors import PoleError
-from .params import EvalResult, GchParams, _bind, _Frozen, _index, _require_finite, detect_termination, real_power
+from .params import EvalResult, GchParams, _bind, _Frozen, _index, _require_finite, real_power
 
 #: consecutive below-tolerance terms required before the sum is declared converged
 _STREAK = 3
@@ -137,11 +139,9 @@ def sum_series(
             break
         pw *= x
 
-    terminated = detect_termination(p, lam) if p.mu != 0.0 else None
     return EvalResult(
         value=total + comp,
         terms_used=n_used,
         last_term_mag=last_mag,
         converged=streak >= _STREAK,
-        terminated_at=terminated,
     )

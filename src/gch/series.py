@@ -328,7 +328,7 @@ def _dot(powers: list[float], g: list[float]) -> float:
 
 
 def _outcome(
-    p: GchParams, far: bool, nq: Optional[int], nstar: Optional[int], t: NestedTruncation,
+    p: GchParams, far: bool, nq: Optional[int], t: NestedTruncation,
     x: float, pref: float, et: float, need: int,
     vectors: Iterator[list[float]], total: Callable[[list[float]], float],
 ) -> EvalResult | FloatOverflow:
@@ -386,7 +386,6 @@ def _outcome(
             (min(need, max_inner) + 1) * used,
             abs(pref * orders[-1]) if used > 1 else 0.0,
             on_tol and not inner_cut,
-            nstar,
             used,
         )
     except FloatOverflow as exc:
@@ -473,10 +472,10 @@ def _results(
             else:
                 need = _required_cap(z, a_mag, chains, max_inner)
                 total = partial(_dot, list(accumulate(repeat(z / z_ref, min(need, max_inner)), mul, initial=1.0)))
-            res = _outcome(p, far, nq, nstar, t, x, out[i], et, need,
+            res = _outcome(p, far, nq, t, x, out[i], et, need,
                            engine if table is None else chain(table, engine), total)
             if z != z_ref and not (isinstance(res, EvalResult) and math.isfinite(res.value)):
-                res = _outcome(p, far, nq, nstar, t, x, out[i], et, need,
+                res = _outcome(p, far, nq, t, x, out[i], et, need,
                                _engine(chains, weights, z, min(need, max_inner), None), math.fsum)
             out[i] = res
     return out
@@ -514,12 +513,11 @@ def betas_from_omega(p: GchParams, lam: float, count: int) -> tuple[Optional[int
     return tuple(ends)
 
 
-def _check_beta_consistency(p: GchParams, lam: float, betas: tuple[Optional[int], ...]) -> None:
-    tol = 1e-9 * max(1.0, abs(p.Omega), abs(p.mu))
+def _check_beta_consistency(p: GchParams, lam: float, nstar: Optional[int], betas: tuple) -> None:
+    """BetaMismatch at the first present entry b_k of ``betas`` that is not
+    _chain_end(nstar, k), the end the engine gives chain k."""
     for k, b in enumerate(betas):
-        if b is None:
-            continue
-        if abs(p.Omega + p.mu * (2.0 * b + k + lam)) > tol:
+        if b is not None and b != _chain_end(nstar, k):
             raise BetaMismatch(
                 f"beta_{k}={b} implies Omega={-p.mu * (2.0 * b + k + lam)}, got Omega={p.Omega}"
             )
@@ -535,7 +533,7 @@ def _normalisation(
     lam = validate(p, kind)
     nstar = detect_termination(p, lam)  # refuses mu = 0
     if betas is not None:
-        _check_beta_consistency(p, lam, betas)
+        _check_beta_consistency(p, lam, nstar, betas)
     first = kind is SolutionKind.FIRST
     beta0 = _chain_end(nstar, 0)
     if beta0 is not None:
@@ -573,8 +571,9 @@ def evaluate(
     z^(1-gamma) Gamma(1 - Omega/2mu)/Gamma(2-gamma) (second kind); when
     chain 0 ends, -Omega/2mu enters as beta_0 + lam/2 with the integer
     beta_0, and the result is the B-terminated polynomial class.
-    ``betas``, as returned by :func:`betas_from_omega`, is only checked
-    against Omega (BetaMismatch when an entry disagrees).
+    ``betas``, as returned by :func:`betas_from_omega`, changes nothing:
+    each present entry beta_k must be the end the parameters give chain k,
+    and the first that is not raises BetaMismatch.
 
     The second kind needs z^(1-gamma) to be real (z >= 0, or an integer
     exponent; DomainError otherwise).  At nu = 1 the indicial roots
@@ -601,8 +600,8 @@ def evaluate_grid(
     :func:`evaluate` runs it there; every other point reads its orders off
     that point's order vectors with one dot product per order (module
     docstring), and the table grows as far as any point reads.  So each
-    result has the flags, depth, ``orders_used`` and ``terminated_at`` of
-    its own :func:`evaluate` call, and its value agrees with it to rounding
+    result has the flags, depth and ``orders_used`` of its own
+    :func:`evaluate` call, and its value agrees with it to rounding
     (the point of largest |x|, and any point at the same |x|, bit for
     bit).  Each point's outcome is its own, so a failing x costs the
     others nothing; the call raises what the first failing x raises in

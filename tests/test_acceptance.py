@@ -196,7 +196,7 @@ def test_criterion_6_asymptotic_identity():
     # degenerate stated point: B_1 = 0 makes the true solution constant
     p_stated = GchParams(-1.0, 0.0, 1.0, 0.0, 1.0)
     res = sum_series(p_stated, 0.0, 6.0, TIGHT)
-    assert res.value == 1.0 and res.terminated_at == 1
+    assert res.value == 1.0 and detect_termination(p_stated, 0.0) == 1
 
     # leading growth at the non-terminating neighbour, frozen tolerance
     p = GchParams(-1.0, 0.0, 1.0, -1.0, 1.0)

@@ -21,10 +21,10 @@ from gch.verify import GridSpec, cross_validate
 FIRST, SECOND = SolutionKind.FIRST, SolutionKind.SECOND
 
 #: SHA-256 of the newline-joined reprs of :func:`reprs`
-DIGEST = "35b4bfdfffd327798404275c34353390b7c2f8105ce410c4a4b0f3ddedd4e551"
+DIGEST = "21c1c0e59792c8c025d01d725e5e2ececae5161ac0d40246ce82e61c187c5c7c"
 
 #: SHA-256 of the newline-joined lines of :func:`edge_reprs`
-EDGE_DIGEST = "b87ee5f7032b113a9817ecf859a860e923b6188ea8201bf46ec987e07982dc68"
+EDGE_DIGEST = "ed49d2ec8b83aedb8b32a7e3c2c380f32d96f2b56552ab4f4a347e4e6905ff69"
 
 
 def _params(rng: random.Random, kind: SolutionKind, mu: float) -> GchParams:

@@ -33,14 +33,13 @@ def _mass(decomposition):
 
 
 def _assert_matches_points(p, kind, xs, t=None):
-    """Each grid result has its per-point call's flags, depth, order count
-    and termination index, and its value to 1e-12 of sum |orders|."""
+    """Each grid result has its per-point call's flags, depth and order
+    count, and its value to 1e-12 of sum |orders|."""
     grid = evaluate_grid(p, kind, xs, t)
     assert len(grid) == len(xs)
     for x, g in zip(xs, grid):
         r = evaluate(p, kind, x, t=t)
-        assert (g.converged, g.terms_used, g.orders_used, g.terminated_at) == (
-            r.converged, r.terms_used, r.orders_used, r.terminated_at), x
+        assert (g.converged, g.terms_used, g.orders_used) == (r.converged, r.terms_used, r.orders_used), x
         assert abs(g.value - r.value) <= 1e-12 * _mass(orders(p, kind, x, t)), x
     return grid
 
@@ -303,14 +302,14 @@ def _outcome_of(call):
 
 def _assert_same_outcome(got, alone, where, decomposition=None):
     """got is what alone is: the same error, or a result with its flags,
-    depth, order count and termination index, and its value to 1e-12 of
-    sum |orders|, with ``decomposition()`` giving alone's orders."""
+    depth and order count, and its value to 1e-12 of sum |orders|, with
+    ``decomposition()`` giving alone's orders."""
     if isinstance(alone, GchError):
         assert (type(got), str(got)) == (type(alone), str(alone)), where
         return
     assert isinstance(got, EvalResult), (where, got)
-    assert (got.converged, got.terms_used, got.orders_used, got.terminated_at) == (
-        alone.converged, alone.terms_used, alone.orders_used, alone.terminated_at), where
+    assert (got.converged, got.terms_used, got.orders_used) == (
+        alone.converged, alone.terms_used, alone.orders_used), where
     if got.value != alone.value and not (math.isnan(got.value) and math.isnan(alone.value)):
         assert abs(got.value - alone.value) <= 1e-12 * _mass(decomposition()), where
 

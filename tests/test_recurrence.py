@@ -237,12 +237,19 @@ def test_non_finite_parameters_refused_as_validate_refuses_them(values, message)
 
 @pytest.mark.parametrize("call", [
     lambda p: detect_termination(p, 0.0),
-    lambda p: sum_series(p, 0.0, 0.5),
     lambda p: betas_from_omega(p, 0.0, 3),
     lambda p: eval_general(p, 0.0, 0.5),
-], ids=["detect_termination", "sum_series", "betas_from_omega", "eval_general"])
+], ids=["detect_termination", "betas_from_omega", "eval_general"])
 def test_omega_over_mu_overflow_is_a_float_overflow(call):
     # n* = 1 - lam - Omega/mu is not finite; round() of it raised a bare
     # OverflowError
     with pytest.raises(FloatOverflow, match=r"^Omega/mu = 10000000000\.0/1e-300 overflows: n\* is not finite$"):
         call(GchParams(1e-300, 0.5, 1.5, 1e10, 0.3))
+
+
+def test_oracle_never_divides_by_mu():
+    # Omega/mu overflows at mu = 5e-324, but the recurrence only multiplies
+    # by mu, and mu (n - 1 + lam) vanishes beside Omega = 1
+    res = sum_series(GchParams(5e-324, 0.5, 1.5, 1.0, 0.3), 0.0, 0.5)
+    assert res.converged
+    assert res.value == sum_series(GchParams(0.0, 0.5, 1.5, 1.0, 0.3), 0.0, 0.5).value == 0.9074242576393338

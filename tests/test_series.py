@@ -7,7 +7,7 @@ import pytest
 
 from gch import series
 from gch.errors import BetaMismatch, DomainError, FloatOverflow, GchError, KindRestrictionError, NoTermination, PoleError
-from gch.params import GchParams, SolutionKind
+from gch.params import INT_TOL, GchParams, SolutionKind, detect_termination
 from gch.recurrence import Truncation, sum_series
 from gch.series import (
     NestedTruncation,
@@ -332,14 +332,28 @@ def test_qw_poly_beta_mismatch():
         evaluate(p, FIRST, 0.5, wrong)
 
 
+def test_termination_tuple_is_checked_by_the_engines_rule():
+    # Omega 1e-10 off the eigenvalue -1 at mu = 0.5: n* = 3 - 2e-10 is no
+    # integer, so no chain ends and the tuple of Omega = -1 is refused
+    betas = (1, None, 0, None)
+    with pytest.raises(BetaMismatch, match=r"^beta_0=1 implies Omega=-1\.0, got Omega=-0\.9999999999$"):
+        evaluate(GchParams(0.5, 0.3, 1.5, -1.0 + 1e-10, 0.0), FIRST, 0.4, betas)
+    p = GchParams(0.5, 0.3, 1.5, -1.0, 0.0)
+    assert evaluate(p, FIRST, 0.4, betas) == evaluate(p, FIRST, 0.4)
+
+
 @pytest.mark.parametrize("k,beta", [(0, 3), (2, 2), (6, 0)])
 def test_termination_tuple_tolerance_edge(k, beta):
     # entry k alone is present; it implies Omega = 12 at mu = -2, lam = 0,
-    # and passes within 1e-9 max(1, |Omega|, |mu|) of it
+    # so n* = 7, and passes exactly where the engine ends chain k: while
+    # n* = 1 - Omega/mu lies within INT_TOL of 7, i.e. Omega within
+    # INT_TOL |mu| of 12
     betas = (None,) * k + (beta,)
-    tol = 1e-9 * 12.0
+    tol = INT_TOL * 2.0
     for off in (0.99 * tol, -0.99 * tol):
-        evaluate(GchParams(-2.0, 0.5, 1.0, 12.0 + off, 1.0), FIRST, 0.5, betas)
+        p = GchParams(-2.0, 0.5, 1.0, 12.0 + off, 1.0)
+        assert detect_termination(p, 0.0) == 7
+        assert evaluate(p, FIRST, 0.5, betas) == evaluate(p, FIRST, 0.5)
     for off in (1.01 * tol, -1.01 * tol):
         with pytest.raises(BetaMismatch, match=rf"^beta_{k}={beta} implies Omega=12\.0, got Omega="):
             evaluate(GchParams(-2.0, 0.5, 1.0, 12.0 + off, 1.0), FIRST, 0.5, betas)

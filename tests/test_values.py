@@ -31,10 +31,9 @@ CASES = [
      "GchParams(mu=-2.0, eps=1.0, nu=1.5, Omega=0.3, omega=0.25)"),
     (Truncation, ("max_terms", "rel_tol"), (100, 1e-10), (101, 1e-10),
      "Truncation(max_terms=100, rel_tol=1e-10)"),
-    (EvalResult, ("value", "terms_used", "last_term_mag", "converged", "terminated_at", "orders_used"),
-     (0.5, 81, 1e-17, True, 3, 2), (0.5, 81, 1e-17, False, 3, 2),
-     "EvalResult(value=0.5, terms_used=81, last_term_mag=1e-17, converged=True, terminated_at=3, "
-     "orders_used=2)"),
+    (EvalResult, ("value", "terms_used", "last_term_mag", "converged", "orders_used"),
+     (0.5, 81, 1e-17, True, 2), (0.5, 81, 1e-17, False, 2),
+     "EvalResult(value=0.5, terms_used=81, last_term_mag=1e-17, converged=True, orders_used=2)"),
     (NestedTruncation, ("max_order_N", "max_inner", "rel_tol"), (32, 120, 1e-10), (32, 121, 1e-10),
      "NestedTruncation(max_order_N=32, max_inner=120, rel_tol=1e-10)"),
     (RotatingOscillator, ("l_m", "omega_c"), (1, 2.0), (2, 2.0),
@@ -84,9 +83,9 @@ DEFAULTS = [
     (lambda: Truncation(max_terms=50), lambda: Truncation(50, 1e-12)),
     (lambda: NestedTruncation(), lambda: NestedTruncation(48, 240, 1e-12)),
     (lambda: NestedTruncation(rel_tol=1e-9), lambda: NestedTruncation(48, 240, 1e-9)),
-    (lambda: EvalResult(1.0, 5, 0.0, True), lambda: EvalResult(1.0, 5, 0.0, True, None, None)),
+    (lambda: EvalResult(1.0, 5, 0.0, True), lambda: EvalResult(1.0, 5, 0.0, True, None)),
     (lambda: EvalResult(value=1.0, terms_used=5, last_term_mag=0.0, converged=True, orders_used=1),
-     lambda: EvalResult(1.0, 5, 0.0, True, None, 1)),
+     lambda: EvalResult(1.0, 5, 0.0, True, 1)),
     (lambda: GridSpec(),
      lambda: GridSpec((-2.0, -0.5, 0.5, 2.0), (-2.0, -0.5, 0.5, 2.0), (0.5, 1.5), (-1.0, 1.0),
                       (0.25, 1.0), (0.1, 0.5, 1.0), (SolutionKind.FIRST, SolutionKind.SECOND))),
