@@ -6,8 +6,7 @@ potential (Coulomb + linear + quadratic), and a linearly confined
 quark-antiquark Hamiltonian.  Each is one class that knows its own
 physics: ``params(Omega)`` maps the physical parameters onto the five ODE
 coefficients, ``eigenvalue(i, beta_i)`` is the closed-form ladder that
-B-termination, Omega = -mu (2 beta + i + lam), quantises,
-``omega_cap(eigenvalue)`` is the Omega an eigenvalue corresponds to, and
+B-termination, Omega = -mu (2 beta + i + lam), quantises, and
 ``envelope(r)`` and ``x_of(r)`` give the factor and the series argument of
 the radial function.  Each constructor takes the angular momentum as an
 integer (through ``operator.index``) and refuses a NaN or infinite float
@@ -38,7 +37,7 @@ class RotatingOscillator(_Frozen):
     """Rotating harmonic oscillator; l_m rotational quantum number, omega_c coupling.
 
     Map: mu=-2, eps=sqrt(2/omega_c), nu=2(l_m+1), omega=l_m+1, x = r/sqrt(2 omega_c).
-    Ladder: lambda_m = 2 beta_i + l_m + 1 + i, with Omega = 2(lambda_m - l_m - 1).
+    Ladder: lambda_m = 2 beta_i + l_m + 1 + i.
     """
 
     __slots__ = ("l_m", "omega_c")
@@ -60,9 +59,6 @@ class RotatingOscillator(_Frozen):
     def eigenvalue(self, i: int, beta_i: int) -> float:
         return 2.0 * beta_i + self.l_m + 1.0 + i
 
-    def omega_cap(self, lam_m: float) -> float:
-        return 2.0 * (lam_m - self.l_m - 1.0)
-
     def envelope(self, r: float) -> float:
         d = r - 1.0
         return r ** (self.l_m + 1) * math.exp(-d * d / (2.0 * self.omega_c))
@@ -78,7 +74,7 @@ class Confinement(_Frozen):
     eps=-2 beta_F/sqrt(alpha_F), nu=2(l+1), omega=-mass a/beta_F + l + 1,
     x = sqrt(alpha_F) r; b = 0 makes the omega map singular and raises
     DegenerateCoupling.  Ladder: E = (4 alpha_F (beta_i + (i + l + 3/2)/2)
-    - beta_F^2)/(2 mass), with Omega = (beta_F^2 + 2 mass E)/alpha_F - 2(l + 3/2).
+    - beta_F^2)/(2 mass).
     """
 
     __slots__ = ("a", "b", "c", "mass", "l")
@@ -118,10 +114,6 @@ class Confinement(_Frozen):
         beta_f = self.beta_f
         return (4.0 * self.alpha_f * (beta_i + 0.5 * (i + self.l + 1.5)) - beta_f * beta_f) / (2.0 * self.mass)
 
-    def omega_cap(self, energy: float) -> float:
-        beta_f = self.beta_f
-        return (beta_f * beta_f + 2.0 * self.mass * energy) / self.alpha_f - 2.0 * (self.l + 1.5)
-
     def envelope(self, r: float) -> float:
         return r ** (self.l + 1) * math.exp(-0.5 * self.alpha_f * r * r - self.beta_f * r)
 
@@ -133,7 +125,7 @@ class QQbar(_Frozen):
     """Spin-free scalar-confinement quark-antiquark system; E^2 ladder.
 
     Map: mu=-b, eps=-2m, nu=2(l+1), omega=l+1, x = r.
-    Ladder: E^2 = 4 b (2 beta_i + i + l + 3/2), with Omega = E^2/4 - b (l + 3/2).
+    Ladder: E^2 = 4 b (2 beta_i + i + l + 3/2).
     """
 
     __slots__ = ("m_q", "b_slope", "l")
@@ -158,9 +150,6 @@ class QQbar(_Frozen):
 
     def eigenvalue(self, i: int, beta_i: int) -> float:
         return 4.0 * self.b_slope * (2.0 * beta_i + i + self.l + 1.5)
-
-    def omega_cap(self, e2: float) -> float:
-        return 0.25 * e2 - self.b_slope * (self.l + 1.5)
 
     def envelope(self, r: float) -> float:
         shift = r + 2.0 * self.m_q / self.b_slope
@@ -195,10 +184,10 @@ class EigenState(_Frozen):
 def make_state(system: QuantumSystem, i: int, beta_i: int) -> EigenState:
     """Resolve the (i, beta_i) eigenstate of a system.
 
-    Omega comes from the system's own correspondence (spectral formula
-    route); it agrees with the termination condition -mu(2 beta + i) to
-    rounding, which the test suite asserts as an independent cross-check.
-    ``i`` and ``beta_i`` must be nonnegative integers, of any type that
+    Omega is the termination condition -mu(2 beta_i + i) exactly, with mu
+    from the system's map, so chain 0 or 1 ends at n* = 2 beta_i + i + 1;
+    ``eigenvalue`` is the system's ladder at (i, beta_i).  ``i`` and
+    ``beta_i`` must be nonnegative integers, of any type that
     :func:`operator.index` accepts (the state holds them as int); anything
     else raises ValueError.  An eigenvalue or Omega that leaves the float
     range raises FloatOverflow, and a mapped coefficient that does raises
@@ -214,9 +203,11 @@ def make_state(system: QuantumSystem, i: int, beta_i: int) -> EigenState:
         eigenvalue = system.eigenvalue(i, beta_i)
     except OverflowError as exc:  # an index past the float range
         raise FloatOverflow(f"state (i={i}, beta_i={beta_i}) overflows: {exc}") from exc
-    Omega = system.omega_cap(eigenvalue)
-    if not (math.isfinite(eigenvalue) and math.isfinite(Omega)):
-        raise FloatOverflow(f"state (i={i}, beta_i={beta_i}) overflows: eigenvalue={eigenvalue}, Omega={Omega}")
+    if not math.isfinite(eigenvalue):
+        raise FloatOverflow(f"state (i={i}, beta_i={beta_i}) overflows: eigenvalue={eigenvalue}")
+    Omega = -system.params(0.0).mu * (2.0 * beta_i + i)
+    if not math.isfinite(Omega):
+        raise FloatOverflow(f"state (i={i}, beta_i={beta_i}) overflows: Omega={Omega}")
     return EigenState(i, beta_i, eigenvalue, system.params(Omega), system)
 
 
@@ -228,11 +219,18 @@ def _samples(
 ) -> list[tuple[float, EvalResult]]:
     """(unnormalised reduced radial value, its evaluation) at each r of rs,
     from one :func:`~gch.series.evaluate_grid` call; ValueError unless
-    ``state`` belongs to ``system``."""
+    ``state`` belongs to ``system``, FloatOverflow naming the first r whose
+    envelope leaves the float range."""
     if state.system is not system and state.system != system:
         raise ValueError(f"the state belongs to {state.system!r}, not to {system!r}")
     results = evaluate_grid(state.gch, SolutionKind.FIRST, [system.x_of(r) for r in rs], t)
-    return [(system.envelope(r) * res.value, res) for r, res in zip(rs, results)]
+    samples = []
+    for r, res in zip(rs, results):
+        try:
+            samples.append((system.envelope(r) * res.value, res))
+        except OverflowError as exc:  # r**(l+1), or the exponential, past the float range
+            raise FloatOverflow(f"radial envelope overflows at r={r}") from exc
+    return samples
 
 
 def wavefunction_result(
@@ -243,7 +241,8 @@ def wavefunction_result(
 ) -> tuple[float, bool]:
     """(unnormalised reduced radial value, converged flag); NonFiniteError
     naming ``r`` for a non-finite radius, ValueError for a negative one or
-    for a state of another system."""
+    for a state of another system, FloatOverflow where the envelope at
+    ``r`` leaves the float range."""
     _require_finite("r", r)
     if r < 0.0:
         raise ValueError("r must be nonnegative")

@@ -124,7 +124,7 @@ def test_spectrum_overflowed_ladder_exit2(capsys, fmt):
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: state (i=0, beta_i=0) overflows: eigenvalue=inf, Omega=inf\n"
+    assert captured.err == "error: state (i=0, beta_i=0) overflows: eigenvalue=inf\n"
 
 
 def test_wavefunction_rows(tmp_path):
@@ -315,6 +315,16 @@ def test_wavefunction_negative_grid_exit2(capsys):
                  "--l", "0", "--x-start", "-1", "--x-stop", "1", "--x-count", "3"])
     assert code == 2
     assert "nonnegative" in capsys.readouterr().err
+
+
+def test_wavefunction_envelope_overflow_exit2(capsys):
+    # r**31 at r = 1e10 is past the float range: an error line naming r
+    code = main(["wavefunction", "--system", "qqbar", "--mass", "0.3", "--b-slope", "1", "--l", "30",
+                 "--state-i", "0", "--state-beta", "1", "--x-stop", "1e10", "--x-count", "3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: radial envelope overflows at r=10000000000.0\n"
 
 
 @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])

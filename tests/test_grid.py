@@ -321,7 +321,7 @@ def test_grid_outcomes_are_the_points_own():
     # |Omega/(2 mu)| <= 10; at |mu| of 0.01 to 0.1 the terms of a chain can
     # cancel by more digits than a float holds, and then grid and point
     # values differ beyond this bound, both wrong while converged, in grids
-    # where no point fails (ROADMAP open item 2)
+    # where no point fails (ROADMAP open item 16)
     rng = random.Random(19)
     for _ in range(25):
         p = GchParams(rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-0.3, 0.5),

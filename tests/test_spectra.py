@@ -5,7 +5,7 @@ import pytest
 
 from gch.errors import DegenerateCoupling, FloatOverflow, NonFiniteError, TailNotDecayed
 from gch.params import detect_termination
-from gch.series import NestedTruncation
+from gch.series import NestedTruncation, betas_from_omega
 from gch.spectra import (
     Confinement,
     QQbar,
@@ -100,15 +100,37 @@ SYSTEMS = [
 ]
 
 
-@pytest.mark.parametrize("system", SYSTEMS)
-@pytest.mark.parametrize("i,beta", [(0, 0), (0, 3), (1, 2), (2, 1)])
+# The Cornell limit c -> 0: beta_F^2 ~ 3000 and alpha_F ~ 0.055, so the
+# inverse map below cancels to about 1e-12 there and loses the termination.
+CORNELL = Confinement(a=0.5, b=2.0, c=0.001, mass=1.5, l=0)
+
+
+def _omega_of_ladder(system, ev):
+    """The Omega each system's ladder value corresponds to: the reference
+    route to the termination condition, through the system's physics."""
+    if isinstance(system, RotatingOscillator):
+        return 2.0 * (ev - system.l_m - 1.0)
+    if isinstance(system, Confinement):
+        return (system.beta_f ** 2 + 2.0 * system.mass * ev) / system.alpha_f - 2.0 * (system.l + 1.5)
+    return 0.25 * ev - system.b_slope * (system.l + 1.5)
+
+
+TWO_ROUTE = ([(system, i, beta, f"{i}-{beta}-system{k}")
+              for i, beta in [(0, 0), (0, 3), (1, 2), (2, 1)] for k, system in enumerate(SYSTEMS)]
+             + [(CORNELL, i, beta, f"cornell-{i}-{beta}") for i in (0, 1) for beta in range(11)])
+
+
+@pytest.mark.parametrize("system,i,beta", [c[:3] for c in TWO_ROUTE], ids=[c[3] for c in TWO_ROUTE])
 def test_two_route_omega_and_termination(system, i, beta):
     state = make_state(system, i, beta)
-    # route 1: the system correspondence (already in state.gch.Omega)
-    # route 2: the termination condition
-    route2 = -(state.gch.mu * (2.0 * beta + i))
-    assert state.gch.Omega == pytest.approx(route2, rel=1e-12, abs=1e-12)
+    # route 1, make_state: the termination condition itself
+    assert state.gch.Omega == -state.gch.mu * (2 * beta + i)
     assert detect_termination(state.gch, 0.0) == 2 * beta + i + 1
+    if i % 2 == 0:
+        assert betas_from_omega(state.gch, 0.0, 1) == (beta + i // 2,)
+    # route 2: the ladder mapped back to Omega, to rounding
+    if system is not CORNELL:
+        assert _omega_of_ladder(system, state.eigenvalue) == pytest.approx(state.gch.Omega, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
@@ -152,7 +174,7 @@ def test_ground_state_order0_is_pure_envelope():
     system = RotatingOscillator(l_m=0, omega_c=2.0)
     state = make_state(system, 0, 0)
     from gch.params import SolutionKind
-    from gch.series import betas_from_omega, evaluate
+    from gch.series import evaluate
     seq = betas_from_omega(state.gch, 0.0, 5)
     r = 1.3
     x = r / math.sqrt(2.0 * system.omega_c)
@@ -231,6 +253,20 @@ def test_normalize_tail_guard():
         normalize(system, state, 2.5, 501, NT)
 
 
+OSC_L10 = RotatingOscillator(l_m=10, omega_c=2.0)
+
+
+@pytest.mark.parametrize("call,r", [
+    (lambda state: wavefunction_result(OSC_L10, state, 1e200), "1e+200"),
+    # the grid's second point, r_max/4, is the first whose r**11 overflows
+    (lambda state: normalize(OSC_L10, state, 1e200, 5), "2.5e+199"),
+], ids=["wavefunction_result", "normalize"])
+def test_envelope_past_the_float_range_is_a_float_overflow(call, r):
+    # r**(l+1) past the float range is refused as a GchError naming r
+    with pytest.raises(FloatOverflow, match=f"^radial envelope overflows at r={re.escape(r)}$"):
+        call(make_state(OSC_L10, 0, 1))
+
+
 def test_envelope_forms():
     osc = RotatingOscillator(l_m=0, omega_c=2.0)
     assert osc.envelope(1.0) == pytest.approx(1.0)  # r^(l+1) e^0 at r=1
@@ -300,13 +336,16 @@ def test_make_state_rejects_non_integer_indices(i, beta):
 
 @pytest.mark.parametrize("system,i,beta,message", [
     # E^2 = 4 b (2 beta + 3/2) overflows
-    (QQbar(0.1, 1e308, 0), 0, 2, "state (i=0, beta_i=2) overflows: eigenvalue=inf, Omega=inf"),
-    # alpha_F = sqrt(2 mass c) overflows, and Omega = inf/inf
-    (Confinement(1.0, 1e-300, 1e300, 1e300, 0), 0, 0, "state (i=0, beta_i=0) overflows: eigenvalue=inf, Omega=nan"),
+    (QQbar(0.1, 1e308, 0), 0, 2, "state (i=0, beta_i=2) overflows: eigenvalue=inf"),
+    # alpha_F = sqrt(2 mass c) overflows: refused before the map is read,
+    # whose omega = -mass a/beta_F is -inf (NonFiniteError)
+    (Confinement(1.0, 1e-300, 1e300, 1e300, 0), 0, 0, "state (i=0, beta_i=0) overflows: eigenvalue=inf"),
+    # the ladder 2 beta + 1 is finite, Omega = 2 (2 beta) is not
+    (RotatingOscillator(0, 1.0), 0, 2 ** 1022, f"state (i=0, beta_i={2 ** 1022}) overflows: Omega=inf"),
     # 2 beta cannot be a float
     (RotatingOscillator(0, 1.0), 0, 10 ** 400,
      f"state (i=0, beta_i={10 ** 400}) overflows: int too large to convert to float"),
-], ids=["qqbar-eigenvalue", "confinement-omega", "index-past-the-float-range"])
+], ids=["qqbar-eigenvalue", "confinement-eigenvalue", "oscillator-omega", "index-past-the-float-range"])
 def test_make_state_refuses_a_ladder_value_past_the_float_range(system, i, beta, message):
     with pytest.raises(FloatOverflow, match=f"^{re.escape(message)}$"):
         make_state(system, i, beta)
