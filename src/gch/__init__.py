@@ -26,12 +26,12 @@ _EXPORTS = {
         "PoleError", "SampleNotConverged", "TailNotDecayed",
     ),
     "params": ("EvalResult", "GchParams", "SolutionKind", "detect_termination", "validate"),
-    "recurrence": ("Truncation", "coefficients", "sum_series"),
+    "recurrence": ("coefficients", "sum_series"),
     "series": ("NestedTruncation", "betas_from_omega", "eval_general", "evaluate", "evaluate_grid"),
     "asymptotics": ("asym_small_eps", "asym_small_mu", "erfi"),
     "spectra": (
         "Confinement", "EigenState", "QQbar", "RotatingOscillator", "make_state", "normalize",
-        "radial_norm", "wavefunction", "wavefunction_result",
+        "radial_norm", "wavefunction_result",
     ),
     "verify": ("CrossReport", "GridSpec", "ResidualReport", "cross_validate", "ode_residual"),
     "cli": (),

@@ -406,14 +406,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if summary:
         print(summary, file=sys.stderr)
     try:
-        _emit(args.command, header, rows, args.format, out)
-        out.flush()
+        try:
+            _emit(args.command, header, rows, args.format, out)
+            out.flush()
+        finally:
+            if out is not sys.stdout:
+                out.close()
     except BrokenPipeError:
         # the reader closed early (``gch eval ... | head -1``): the rest of
         # the output, and the flush at exit, go to the null device
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    if out is not sys.stdout:
-        out.close()
+    except OSError as exc:  # a full disk, say: the output is incomplete
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return code
 
 

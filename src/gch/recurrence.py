@@ -16,8 +16,7 @@ spuriously at sign changes.
 
 The ratio of consecutive coefficients decays like 1/n (both A_n and B_n
 do), so empirically the series converges for every finite x; that is an
-observation, not a proven bound, and the truncation caps treat it as
-such.
+observation, not a proven bound, and the term cap treats it as such.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import itertools
 from typing import Iterator
 
 from .errors import PoleError
-from .params import EvalResult, GchParams, _bind, _Frozen, _index, _require_finite, real_power
+from .params import EvalResult, GchParams, _index, _require_finite, real_power
 
 #: consecutive below-tolerance terms required before the sum is declared converged
 _STREAK = 3
@@ -34,24 +33,11 @@ _STREAK = 3
 #: a term at or below this magnitude counts as below tolerance, even beside a zero partial sum
 _ABS_FLOOR = 1e-300
 
+#: the most terms one sum takes; the partial value past it is flagged not converged
+_MAX_TERMS = 400
 
-class Truncation(_Frozen):
-    """Caps and tolerances for direct summation."""
-
-    __slots__ = ("max_terms", "rel_tol")
-
-    def __init__(self, max_terms: int = 400, rel_tol: float = 1e-12) -> None:
-        max_terms = _index("max_terms", max_terms)
-        if max_terms < 8:
-            raise ValueError("max_terms must be at least 8")
-        if not 0.0 < rel_tol < 1.0:
-            raise ValueError("rel_tol must lie in (0, 1)")
-        _bind(self, "max_terms", max_terms)
-        _bind(self, "rel_tol", rel_tol)
-
-
-#: the truncation of a call that passes none
-_DEFAULT_TRUNCATION = Truncation()
+#: a term counts as below tolerance at or below this fraction of the partial sum
+_REL_TOL = 1e-12
 
 
 def _coefficients(p: GchParams, lam: float, c0: float) -> Iterator[float]:
@@ -87,17 +73,12 @@ def coefficients(p: GchParams, lam: float, c0: float, count: int) -> list[float]
     return list(itertools.islice(_coefficients(p, lam, c0), max(_index("count", count), 0)))
 
 
-def sum_series(
-    p: GchParams,
-    lam: float,
-    x: float,
-    t: Truncation | None = None,
-) -> EvalResult:
+def sum_series(p: GchParams, lam: float, x: float) -> EvalResult:
     """Sum y(x) = sum_n c_n x^(n+lam), c_0 = 1, directly from the recurrence.
 
-    Stops after three consecutive terms fall below rel_tol * |partial sum|
-    (or below 1e-300); if the cap is reached first the partial value is
-    still returned with ``converged=False``.
+    Stops after three consecutive terms fall below 1e-12 * |partial sum|
+    (or below 1e-300); if the cap of 400 terms is reached first the
+    partial value is still returned with ``converged=False``.
 
     Raises NonFiniteError, before any term, for a non-finite x or lam
     (:class:`~gch.params.GchParams` refuses a non-finite parameter when
@@ -106,9 +87,8 @@ def sum_series(
     """
     _require_finite("x", x)
     _require_finite("lam", lam)
-    t = t or _DEFAULT_TRUNCATION
     xpow = real_power(x, lam)
-    rel_tol = t.rel_tol
+    rel_tol = _REL_TOL
 
     total = 0.0
     comp = 0.0  # Neumaier compensation
@@ -119,7 +99,7 @@ def sum_series(
     pw = 1.0  # x^n
     # the coefficients come first, so the step past the last term still
     # runs (and raises at a pole) before the cap ends the loop
-    for c_cur, n in zip(_coefficients(p, lam, 1.0), range(t.max_terms)):
+    for c_cur, n in zip(_coefficients(p, lam, 1.0), range(_MAX_TERMS)):
         term = c_cur * pw * xpow
         s = total + term
         if abs(total) >= abs(term):

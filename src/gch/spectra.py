@@ -15,7 +15,7 @@ mapped coefficient that overflows (``eps`` at a tiny ``omega_c``), which
 :func:`make_state` meets.  A state records the system it was made for,
 and the functions that sample it refuse any other system.
 
-The radial factors returned by :func:`wavefunction` are the reduced
+The radial factors returned by :func:`wavefunction_result` are the reduced
 functions u(r) = r * R(r), so all three systems share the r^(l+1)
 small-r behaviour and vanish at the origin; the quark model's full
 radial function is value / r.  hbar = 1 throughout (reinstatement
@@ -239,32 +239,23 @@ def wavefunction_result(
     r: float,
     t: NestedTruncation | None = None,
 ) -> tuple[float, bool]:
-    """(unnormalised reduced radial value, converged flag); NonFiniteError
-    naming ``r`` for a non-finite radius, ValueError for a negative one or
-    for a state of another system, FloatOverflow where the envelope at
-    ``r`` leaves the float range."""
-    _require_finite("r", r)
-    if r < 0.0:
-        raise ValueError("r must be nonnegative")
-    [(value, res)] = _samples(system, state, (r,), t)
-    return value, res.converged
-
-
-def wavefunction(
-    system: QuantumSystem,
-    state: EigenState,
-    r: float,
-    t: NestedTruncation | None = None,
-) -> float:
-    """Unnormalised reduced radial value envelope(r) * QW(x(r)).
+    """(unnormalised reduced radial value envelope(r) * QW(x(r)), converged flag).
 
     The regular-at-origin first-kind series is always the physical branch.
     The state's Omega = -mu(2 beta + i) gives n* = 2 beta + i + 1, so chain
     k ends at (2 beta + i - k)/2 wherever that is a nonnegative integer:
     for even i chain 0 ends and the function is the B-terminated class, for
     odd i the odd chains end and chain 0 runs the infinite series.
+
+    Raises NonFiniteError naming ``r`` for a non-finite radius, ValueError
+    for a negative one or for a state of another system, FloatOverflow
+    where the envelope at ``r`` leaves the float range.
     """
-    return wavefunction_result(system, state, r, t)[0]
+    _require_finite("r", r)
+    if r < 0.0:
+        raise ValueError("r must be nonnegative")
+    [(value, res)] = _samples(system, state, (r,), t)
+    return value, res.converged
 
 
 def _radial_grid(r_max: float, n_points: int) -> list[float]:

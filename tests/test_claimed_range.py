@@ -10,7 +10,7 @@ outcome:
 * ``near-band``: |nu - k| in [2.05e-12, 1e-8] for a forbidden integer k
   of the point's kind, next to ``validate``'s refused band;
 * ``states``: the three systems' eigenstates at beta_0 <= 40 and i, l in
-  {0, 1}, at a radius of a ``wavefunction`` grid.
+  {0, 1}, at a radius of a ``gch wavefunction`` grid.
 
 Each point is evaluated by the closed form (``eval_general``) and by the
 recurrence oracle (``sum_series``) and classed against a reference sum of

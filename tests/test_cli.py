@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+from gch import cli
 from gch.cli import main
 
 OSC_SPECTRUM = ["spectrum", "--system", "oscillator", "--coupling", "2", "--l", "0",
@@ -508,6 +510,23 @@ def test_failed_command_writes_no_file(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["asymptote", "--regime", "small-eps", "--x-count", "2", "--output", str(out)]) == 2
     assert not out.exists()
+
+
+def test_output_write_failure_exit2_and_closes_the_file(tmp_path, capsys, monkeypatch):
+    # a full disk while the rows are written: an error line, not a traceback
+    opened = []
+
+    def full_disk(command, header, rows, fmt, out):
+        opened.append(out)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "_emit", full_disk)
+    out = tmp_path / "x.csv"
+    assert main(["asymptote", "--regime", "small-mu", "--epsilon", "1", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno {errno.ENOSPC}] No space left on device\n"
+    assert len(opened) == 1 and opened[0].closed
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -12,7 +12,7 @@ from gch.errors import (
     DomainError, FloatOverflow, GchError, NonFiniteError, PoleError, SampleNotConverged, TailNotDecayed,
 )
 from gch.params import EvalResult, GchParams, SolutionKind, validate
-from gch.recurrence import Truncation, sum_series
+from gch.recurrence import sum_series
 from gch.series import NestedTruncation, _general, _required_cap, eval_general, evaluate, evaluate_grid
 from gch.spectra import Confinement, QQbar, RotatingOscillator, make_state, normalize, wavefunction_result
 from gch.verify import CrossRecord, GridSpec, cross_validate
@@ -486,11 +486,6 @@ def test_depth_never_falls_as_z_grows(a_mag, b, c):
     chains = ((0.0, b, c), (0.0, b + 0.5, c + 0.5))
     depths = [_required_cap(z, a_mag, chains, 240) for z in (0.001 * 1.2 ** k for k in range(60))]
     assert depths == sorted(depths)
-
-
-def test_sum_series_default_truncation():
-    p = GchParams(-2.0, 1.0, 1.5, 0.3, 0.25)
-    assert sum_series(p, 0.0, 0.7) == sum_series(p, 0.0, 0.7, Truncation())
 
 
 # ------------------------------------------------------ grids pinned bit for bit

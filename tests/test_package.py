@@ -18,11 +18,11 @@ def test_public_names():
         "DomainError", "EigenState", "EvalResult", "FloatOverflow", "GchError", "GchParams", "GridSpec",
         "KindRestrictionError", "NestedTruncation", "NonFiniteError", "NormalizationPole",
         "NoTermination", "PoleError", "QQbar", "ResidualReport", "RotatingOscillator",
-        "SampleNotConverged", "SolutionKind", "TailNotDecayed", "Truncation",
+        "SampleNotConverged", "SolutionKind", "TailNotDecayed",
         "asym_small_eps", "asym_small_mu", "betas_from_omega", "coefficients", "cross_validate",
         "detect_termination", "erfi", "eval_general", "evaluate", "evaluate_grid",
         "make_state", "normalize", "ode_residual", "radial_norm", "sum_series",
-        "validate", "wavefunction", "wavefunction_result",
+        "validate", "wavefunction_result",
     ]
 
 

@@ -8,11 +8,9 @@ import pytest
 from gch import recurrence
 from gch.errors import DomainError, FloatOverflow, NonFiniteError, PoleError
 from gch.params import GchParams, detect_termination, real_power
-from gch.recurrence import _ABS_FLOOR, Truncation, coefficients, sum_series
+from gch.recurrence import _ABS_FLOOR, _REL_TOL, coefficients, sum_series
 from gch.series import betas_from_omega, eval_general
 from gch.verify import ode_residual
-
-TIGHT = Truncation(max_terms=500, rel_tol=1e-14)
 
 
 def test_x_zero_returns_c0():
@@ -24,16 +22,16 @@ def test_x_zero_returns_c0():
 
 def test_eps_zero_series_is_even():
     p = GchParams(2.0, 0.0, 0.8, 1.3, 0.5)
-    a = sum_series(p, 0.0, 0.7, TIGHT)
-    b = sum_series(p, 0.0, -0.7, TIGHT)
+    a = sum_series(p, 0.0, 0.7)
+    b = sum_series(p, 0.0, -0.7)
     assert a.value == b.value
 
 
 def test_golden_point():
-    # frozen from a max_terms=500, rel_tol=1e-14 self-run; 20-digit
+    # frozen from a self-run at 500 terms and a 1e-14 stop; a 20-digit
     # high-precision recurrence agrees (0.86031086346992481151)
     p = GchParams(2.0, 1.0, 1.5, 3.0, 0.25)
-    res = sum_series(p, 0.0, 0.4, TIGHT)
+    res = sum_series(p, 0.0, 0.4)
     assert res.value == pytest.approx(0.8603108634699248, rel=1e-13)
     assert res.converged
     # the same coefficients nearly annihilate the differential operator
@@ -93,7 +91,7 @@ def test_eps_zero_kummer_reduction():
         x = rng.uniform(0.05, math.sqrt(10.0 / abs(mu)))
         z = -0.5 * mu * x * x
         assert abs(z) <= 5.0
-        lhs = sum_series(p, 0.0, x, TIGHT).value
+        lhs = sum_series(p, 0.0, x).value
         with mp.workdps(40):
             rhs = float(mp.hyp1f1(Om / (2.0 * mu), p.gamma, z))
         assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -107,7 +105,7 @@ def test_domain_error_negative_base():
 
 def test_integer_lambda_negative_x_ok():
     p = GchParams(1.0, 1.0, -0.5, 1.0, 1.0)  # second kind lam = 1.5? use explicit integer lam
-    res = sum_series(p, 2.0, -0.4, TIGHT)
+    res = sum_series(p, 2.0, -0.4)
     assert math.isfinite(res.value)
 
 
@@ -121,27 +119,30 @@ def test_real_power():
         real_power(-1.0, 0.5)
 
 
-def test_cap_hit_reports_not_converged():
+def test_cap_hit_reports_not_converged(monkeypatch):
+    monkeypatch.setattr(recurrence, "_MAX_TERMS", 8)
     p = GchParams(-2.0, 1.5, 1.0, 0.7, 0.3)
-    res = sum_series(p, 0.0, 3.0, Truncation(max_terms=8, rel_tol=1e-12))
+    res = sum_series(p, 0.0, 3.0)
     assert not res.converged
     assert res.terms_used == 8
     assert math.isfinite(res.value)
 
 
+def test_the_fixed_cap_stops_a_real_sum_at_400_terms():
+    # z = -mu x^2 / 2 = 100: the 400th term is still near 7e25, so the
+    # sum stops at the cap, flagged, with no monkeypatch
+    p = GchParams(-8.0, 1.5, 1.0, 0.7, 0.3)
+    res = sum_series(p, 0.0, 5.0)
+    assert not res.converged
+    assert res.terms_used == 400
+    assert math.isfinite(res.value)
+
+
 def test_converged_invariant():
     p = GchParams(1.0, -0.6, 1.2, -0.8, 0.5)
-    t = Truncation()
-    res = sum_series(p, 0.0, 0.9, t)
+    res = sum_series(p, 0.0, 0.9)
     assert res.converged
-    assert res.value == 0.0 or res.last_term_mag <= max(t.rel_tol * abs(res.value), _ABS_FLOOR)
-
-
-def test_truncation_validation():
-    with pytest.raises(ValueError):
-        Truncation(max_terms=4)
-    with pytest.raises(ValueError):
-        Truncation(rel_tol=2.0)
+    assert res.value == 0.0 or res.last_term_mag <= max(_REL_TOL * abs(res.value), _ABS_FLOOR)
 
 
 def test_coefficients_against_recurrence():
@@ -172,14 +173,15 @@ def test_coefficients_and_sum_series_raise_the_same_pole():
         sum_series(p, -3.0, 0.5)
 
 
-def test_sum_series_runs_the_step_past_its_last_term():
+def test_sum_series_runs_the_step_past_its_last_term(monkeypatch):
     # nu = -7 makes n + nu + lam vanish at n = 7: the first 8 coefficients
     # exist, but a sum capped at 8 terms still takes step 7 and raises
+    monkeypatch.setattr(recurrence, "_MAX_TERMS", 8)
     p = GchParams(1.0, 1.0, -7.0, 1.0, 0.5)
     assert len(coefficients(p, 0.0, 1.0, 8)) == 8
     for x in (0.5, 3.0):
         with pytest.raises(PoleError, match=r"^A_7 denominator"):
-            sum_series(p, 0.0, x, Truncation(max_terms=8))
+            sum_series(p, 0.0, x)
 
 
 def _no_terms(*args):

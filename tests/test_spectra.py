@@ -13,7 +13,6 @@ from gch.spectra import (
     make_state,
     normalize,
     radial_norm,
-    wavefunction,
     wavefunction_result,
 )
 
@@ -154,8 +153,8 @@ def test_eigenvalue_closed_forms(system, ):
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_small_r_scaling(system):
     state = make_state(system, 0, 2)
-    v3 = wavefunction(system, state, 1e-3, NT)
-    v4 = wavefunction(system, state, 1e-4, NT)
+    v3 = wavefunction_result(system, state, 1e-3, NT)[0]
+    v4 = wavefunction_result(system, state, 1e-4, NT)[0]
     slope = (math.log(abs(v3)) - math.log(abs(v4))) / (math.log(1e-3) - math.log(1e-4))
     l = system.l_m if isinstance(system, RotatingOscillator) else system.l
     assert slope == pytest.approx(l + 1, rel=0.01)
@@ -164,7 +163,7 @@ def test_small_r_scaling(system):
 def test_wavefunction_vanishes_at_origin():
     system = SYSTEMS[0]
     state = make_state(system, 0, 1)
-    assert wavefunction(system, state, 0.0, NT) == 0.0
+    assert wavefunction_result(system, state, 0.0, NT)[0] == 0.0
 
 
 def test_ground_state_order0_is_pure_envelope():
@@ -189,7 +188,7 @@ def test_odd_order_state_evaluates():
     # normalisation takes over seamlessly
     system = QQbar(m_q=0.3, b_slope=1.0, l=0)
     state = make_state(system, 1, 2)
-    val = wavefunction(system, state, 1.0, NT)
+    val = wavefunction_result(system, state, 1.0, NT)[0]
     assert math.isfinite(val) and val != 0.0
 
 
@@ -200,8 +199,8 @@ def test_massless_quark_states_decay():
     for beta in range(6):
         state = make_state(system, 0, beta)
         rs = [0.05 + (10.0 - 0.05) * i / 119 for i in range(120)]
-        peak = max(abs(wavefunction(system, state, r, NT)) for r in rs)
-        assert abs(wavefunction(system, state, 20.0, NT)) <= 1e-8 * peak
+        peak = max(abs(wavefunction_result(system, state, r, NT)[0]) for r in rs)
+        assert abs(wavefunction_result(system, state, 20.0, NT)[0]) <= 1e-8 * peak
 
 
 # ------------------------------------------------------------ normalisation
@@ -242,7 +241,7 @@ def test_normalize_scaling_consistency():
     system = QQbar(m_q=0.0, b_slope=1.0, l=1)
     state = make_state(system, 0, 1)
     n = normalize(system, state, 12.0, 3001, NT)
-    total = radial_norm(lambda r: n * wavefunction(system, state, r, NT), 12.0, 3001)
+    total = radial_norm(lambda r: n * wavefunction_result(system, state, r, NT)[0], 12.0, 3001)
     assert total == pytest.approx(1.0, rel=1e-10)
 
 
@@ -361,10 +360,9 @@ OSC_2 = RotatingOscillator(l_m=0, omega_c=2.0)
 
 
 @pytest.mark.parametrize("call", [
-    lambda state: wavefunction(OSC_2, state, 1.0),
     lambda state: wavefunction_result(OSC_2, state, 1.0),
     lambda state: normalize(OSC_2, state, 12.0, 401),
-], ids=["wavefunction", "wavefunction_result", "normalize"])
+], ids=["wavefunction_result", "normalize"])
 def test_state_of_another_system_is_refused(call):
     # the oscillator's envelope and x(r) on this state's coefficients give
     # 0.13976 and 3.1406, with no error
@@ -373,13 +371,13 @@ def test_state_of_another_system_is_refused(call):
                                          r"not to RotatingOscillator\(l_m=0, omega_c=2\.0\)$"):
         call(state)
     assert normalize(state.system, state, 12.0, 401) == pytest.approx(0.09834, rel=1e-4)
-    assert wavefunction(state.system, state, 1.0) == pytest.approx(1.1682, rel=1e-4)
+    assert wavefunction_result(state.system, state, 1.0)[0] == pytest.approx(1.1682, rel=1e-4)
 
 
 def test_state_of_an_equal_system_is_accepted():
     # an equal system built apart passes the equality test behind identity
     state = make_state(RotatingOscillator(l_m=0, omega_c=2.0), 0, 1)
-    assert wavefunction(OSC_2, state, 1.5) == wavefunction(state.system, state, 1.5)
+    assert wavefunction_result(OSC_2, state, 1.5)[0] == wavefunction_result(state.system, state, 1.5)[0]
 
 
 def test_make_state_takes_any_index_type():
@@ -423,5 +421,3 @@ def test_wavefunction_refuses_non_finite_r_by_name(r, error, message):
     state = make_state(system, 0, 2)
     with pytest.raises(error, match=message):
         wavefunction_result(system, state, r)
-    with pytest.raises(error, match=message):
-        wavefunction(system, state, r, NT)

@@ -15,7 +15,7 @@ import pytest
 
 from gch.errors import NonFiniteError
 from gch.params import EvalResult, GchParams, SolutionKind
-from gch.recurrence import Truncation, coefficients
+from gch.recurrence import coefficients
 from gch.series import NestedTruncation, betas_from_omega
 from gch.spectra import Confinement, EigenState, QQbar, RotatingOscillator, make_state, normalize, radial_norm
 from gch.verify import CrossRecord, CrossReport, GridSpec, ResidualReport
@@ -29,8 +29,6 @@ CASES = [
     (GchParams, ("mu", "eps", "nu", "Omega", "omega"), (-2.0, 1.0, 1.5, 0.3, 0.25),
      (-2.0, 1.0, 1.5, 0.3, 0.5),
      "GchParams(mu=-2.0, eps=1.0, nu=1.5, Omega=0.3, omega=0.25)"),
-    (Truncation, ("max_terms", "rel_tol"), (100, 1e-10), (101, 1e-10),
-     "Truncation(max_terms=100, rel_tol=1e-10)"),
     (EvalResult, ("value", "terms_used", "last_term_mag", "converged", "orders_used"),
      (0.5, 81, 1e-17, True, 2), (0.5, 81, 1e-17, False, 2),
      "EvalResult(value=0.5, terms_used=81, last_term_mag=1e-17, converged=True, orders_used=2)"),
@@ -79,8 +77,6 @@ def test_positional_and_keyword_construction_agree(cls, fields, values, _changed
 
 
 DEFAULTS = [
-    (lambda: Truncation(), lambda: Truncation(400, 1e-12)),
-    (lambda: Truncation(max_terms=50), lambda: Truncation(50, 1e-12)),
     (lambda: NestedTruncation(), lambda: NestedTruncation(48, 240, 1e-12)),
     (lambda: NestedTruncation(rel_tol=1e-9), lambda: NestedTruncation(48, 240, 1e-9)),
     (lambda: EvalResult(1.0, 5, 0.0, True), lambda: EvalResult(1.0, 5, 0.0, True, None)),
@@ -138,11 +134,10 @@ def test_not_equal_to_tuple_or_subclass(cls, _fields, values, _changed, _repr):
 
 @pytest.mark.parametrize("one,other", [
     (GchParams(1.0, 0.2, 0.5, 1.0, 0), Confinement(1.0, 0.2, 0.5, 1.0, 0)),
-    (Truncation(8, 0.5), RotatingOscillator(8, 0.5)),
     (NestedTruncation(48, 240, 0.5), ResidualReport(48, 240, 0.5)),
     (ResidualReport(48, 240, 1), QQbar(48, 240, 1)),
     (EigenState(1.0, 0.2, 0.5, 1.0, 0), Confinement(1.0, 0.2, 0.5, 1.0, 0)),
-], ids=["params-confinement", "truncation-oscillator", "nested-residual", "residual-qqbar", "state-confinement"])
+], ids=["params-confinement", "nested-residual", "residual-qqbar", "state-confinement"])
 def test_classes_with_equal_values_differ(one, other):
     assert one != other and other != one
 
@@ -153,9 +148,6 @@ def test_repr_pinned(cls, _fields, values, _changed, pinned):
 
 
 @pytest.mark.parametrize("make,message", [
-    (lambda: Truncation(max_terms=7), "max_terms must be at least 8"),
-    (lambda: Truncation(rel_tol=0.0), "rel_tol must lie in (0, 1)"),
-    (lambda: Truncation(rel_tol=1.0), "rel_tol must lie in (0, 1)"),
     (lambda: NestedTruncation(max_order_N=1), "max_order_N must be at least 2"),
     (lambda: NestedTruncation(max_inner=3), "max_inner must be at least 4"),
     (lambda: NestedTruncation(rel_tol=0.0), "rel_tol must be positive"),
@@ -163,11 +155,9 @@ def test_repr_pinned(cls, _fields, values, _changed, pinned):
     (lambda: NestedTruncation(rel_tol=5.0), "rel_tol must lie in (0, 1)"),
     (lambda: NestedTruncation(rel_tol=math.inf), "rel_tol must lie in (0, 1)"),
     (lambda: NestedTruncation(rel_tol=math.nan), "rel_tol must lie in (0, 1)"),
-    (lambda: Truncation(rel_tol=math.nan), "rel_tol must lie in (0, 1)"),
     (lambda: NestedTruncation(max_order_N=10.0), "max_order_N must be an integer, got 10.0"),
     (lambda: NestedTruncation(max_inner=40.0), "max_inner must be an integer, got 40.0"),
     (lambda: NestedTruncation(max_inner="40"), "max_inner must be an integer, got '40'"),
-    (lambda: Truncation(max_terms=50.0), "max_terms must be an integer, got 50.0"),
     (lambda: RotatingOscillator(l_m=-1, omega_c=1.0), "l_m must be a nonnegative integer"),
     (lambda: RotatingOscillator(l_m=0, omega_c=0.0), "omega_c must be positive"),
     (lambda: Confinement(a=1.0, b=0.2, c=0.0, mass=1.0, l=0), "c must be positive"),
