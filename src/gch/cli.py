@@ -306,8 +306,6 @@ def cmd_wavefunction(args: argparse.Namespace) -> Result:
     state = spectra.make_state(system, args.state_i, args.state_beta)
     nt = _nested_trunc(args)
     rs = _x_grid(args)
-    if rs[0] < 0:  # the grid ascends
-        raise ValueError("radial grid must be nonnegative")
     rows = [(r, value, res.converged) for r, (value, res) in zip(rs, spectra._samples(system, state, rs, nt))]
     all_converged = all(row[2] for row in rows)
     return (EXIT_OK if all_converged else EXIT_NO_CONVERGENCE), WAVEFUNCTION_HEADER, rows, ""
@@ -399,6 +397,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         }[args.command]
         code, header, rows, summary = handler(args)
         # opened once the rows exist, so a failed command writes no file
+        created = bool(args.output) and not os.path.lexists(args.output)
         out = open(args.output, "w", encoding="utf-8", newline="\n") if args.output else sys.stdout
     except (GchError, ValueError, OSError, ArithmeticError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
@@ -418,6 +417,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except OSError as exc:  # a full disk, say: the output is incomplete
         print(f"error: {exc}", file=sys.stderr)
+        if created:  # a path that was there before (a device, a truncated file) stays
+            os.remove(args.output)
         return EXIT_CONFIG
     return code
 

@@ -25,12 +25,13 @@ substitutions are documented in the README).
 from __future__ import annotations
 
 import math
-import operator
-from typing import Callable, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 from .errors import DegenerateCoupling, FloatOverflow, SampleNotConverged, TailNotDecayed
 from .params import EvalResult, GchParams, SolutionKind, _bind, _Frozen, _index, _require_finite
-from .series import NestedTruncation, evaluate_grid
+
+if TYPE_CHECKING:
+    from .series import NestedTruncation
 
 
 class RotatingOscillator(_Frozen):
@@ -187,16 +188,12 @@ def make_state(system: QuantumSystem, i: int, beta_i: int) -> EigenState:
     Omega is the termination condition -mu(2 beta_i + i) exactly, with mu
     from the system's map, so chain 0 or 1 ends at n* = 2 beta_i + i + 1;
     ``eigenvalue`` is the system's ladder at (i, beta_i).  ``i`` and
-    ``beta_i`` must be nonnegative integers, of any type that
-    :func:`operator.index` accepts (the state holds them as int); anything
-    else raises ValueError.  An eigenvalue or Omega that leaves the float
-    range raises FloatOverflow, and a mapped coefficient that does raises
-    NonFiniteError from :class:`~gch.params.GchParams`.
+    ``beta_i`` must be nonnegative integers (the state holds them as int);
+    anything else raises ValueError.  An eigenvalue or Omega that leaves
+    the float range raises FloatOverflow, and a mapped coefficient that
+    does raises NonFiniteError from :class:`~gch.params.GchParams`.
     """
-    try:
-        i, beta_i = operator.index(i), operator.index(beta_i)
-    except TypeError:
-        raise ValueError("i and beta_i must be nonnegative integers") from None
+    i, beta_i = _index("i", i), _index("beta_i", beta_i)
     if i < 0 or beta_i < 0:
         raise ValueError("i and beta_i must be nonnegative integers")
     try:
@@ -218,9 +215,13 @@ def _samples(
     t: NestedTruncation | None,
 ) -> list[tuple[float, EvalResult]]:
     """(unnormalised reduced radial value, its evaluation) at each r of rs,
-    from one :func:`~gch.series.evaluate_grid` call; ValueError unless
-    ``state`` belongs to ``system``, FloatOverflow naming the first r whose
-    envelope leaves the float range."""
+    from one :func:`~gch.series.evaluate_grid` call; ValueError for a
+    negative r or unless ``state`` belongs to ``system``, FloatOverflow
+    naming the first r whose envelope leaves the float range."""
+    from .series import evaluate_grid  # the one engine call: the ladder and make_state load none
+
+    if any(r < 0.0 for r in rs):
+        raise ValueError("r must be nonnegative")
     if state.system is not system and state.system != system:
         raise ValueError(f"the state belongs to {state.system!r}, not to {system!r}")
     results = evaluate_grid(state.gch, SolutionKind.FIRST, [system.x_of(r) for r in rs], t)
@@ -252,8 +253,6 @@ def wavefunction_result(
     where the envelope at ``r`` leaves the float range.
     """
     _require_finite("r", r)
-    if r < 0.0:
-        raise ValueError("r must be nonnegative")
     [(value, res)] = _samples(system, state, (r,), t)
     return value, res.converged
 

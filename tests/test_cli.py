@@ -316,7 +316,7 @@ def test_wavefunction_negative_grid_exit2(capsys):
     code = main(["wavefunction", "--system", "qqbar", "--mass", "0", "--b-slope", "1",
                  "--l", "0", "--x-start", "-1", "--x-stop", "1", "--x-count", "3"])
     assert code == 2
-    assert "nonnegative" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: r must be nonnegative\n"
 
 
 def test_wavefunction_envelope_overflow_exit2(capsys):
@@ -435,7 +435,7 @@ _SERIES_MODULES = _PARSER_MODULES + ["gch.series"]
 @pytest.mark.parametrize("argv,loaded", [
     (["asymptote", "--regime", "small-eps", "--mu", "-2", "--x-count", "2"], _PARSER_MODULES + ["gch.asymptotics"]),
     (EVAL_ARGV, _SERIES_MODULES),
-    (OSC_SPECTRUM, _SERIES_MODULES + ["gch.spectra"]),
+    (OSC_SPECTRUM, _PARSER_MODULES + ["gch.spectra"]),
     (["wavefunction", "--system", "oscillator", "--coupling", "2", "--l", "0", "--x-count", "2"],
      _SERIES_MODULES + ["gch.spectra"]),
     (["verify"], _SERIES_MODULES + ["gch.recurrence", "gch.verify"]),
@@ -527,6 +527,21 @@ def test_output_write_failure_exit2_and_closes_the_file(tmp_path, capsys, monkey
     assert captured.out == ""
     assert captured.err == f"error: [Errno {errno.ENOSPC}] No space left on device\n"
     assert len(opened) == 1 and opened[0].closed
+    assert not out.exists()  # this run created it, so it removes the incomplete file
+
+
+def test_output_write_failure_keeps_a_path_that_existed(tmp_path, capsys, monkeypatch):
+    # a path that was there before the run (a device, or a user's file that
+    # open has already truncated) is not removed
+    def full_disk(command, header, rows, fmt, out):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "_emit", full_disk)
+    out = tmp_path / "x.csv"
+    out.write_text("old rows\n")
+    assert main(["asymptote", "--regime", "small-mu", "--epsilon", "1", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] No space left on device\n"
+    assert out.exists()
 
 
 @pytest.mark.parametrize("argv,message", [

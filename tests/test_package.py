@@ -1,4 +1,6 @@
+import ast
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -42,6 +44,21 @@ def test_import_loads_no_submodule(gch_subprocess_env):
     out = _fresh("import sys, gch; print(sorted(m for m in sys.modules if m.startswith('gch.')))",
                  gch_subprocess_env)
     assert out == "[]\n"
+
+
+def test_spectra_loads_no_engine(gch_subprocess_env):
+    # the ladder and make_state need no series engine; sampling loads it
+    out = _fresh("import sys, gch.spectra; print(sorted(m for m in sys.modules if m.startswith('gch.')))",
+                 gch_subprocess_env)
+    assert out == "['gch.errors', 'gch.params', 'gch.spectra']\n"
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10
+    sources = sorted(pathlib.Path(gch.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
 def test_lazy_namespace(gch_subprocess_env):

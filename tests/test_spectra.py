@@ -329,7 +329,7 @@ def test_make_state_rejects_negative_indices():
 @pytest.mark.parametrize("i,beta", [(0.5, 0), (0, 1.5), (1.0, 0), (0, 2.0), ("1", 0), (0, None)])
 def test_make_state_rejects_non_integer_indices(i, beta):
     # Omega = 1.0 at (0.5, 0) ends no chain: not a bound state
-    with pytest.raises(ValueError, match="nonnegative integers"):
+    with pytest.raises(ValueError, match="must be an integer"):
         make_state(RotatingOscillator(l_m=0, omega_c=2.0), i, beta)
 
 
