@@ -32,7 +32,6 @@ from .params import GchParams, SolutionKind, validate
 
 if TYPE_CHECKING:
     from . import spectra
-    from .series import NestedTruncation
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -109,12 +108,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         sp.add_argument("--output", default=None, help="output path (default: stdout)")
         sp.add_argument("--config", default=None, help="JSON config file; flags win on conflict")
 
-    def trunc(sp):
-        # unset, each keeps NestedTruncation's default
-        sp.add_argument("--max-order", type=int, default=None)
-        sp.add_argument("--max-inner", type=int, default=None)
-        sp.add_argument("--rel-tol", type=_finite, default=None)
-
     def gch_params(sp):
         sp.add_argument("--mu", type=_finite, default=None)
         sp.add_argument("--epsilon", type=_finite, default=0.0)
@@ -138,7 +131,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         sp.add_argument("--b-slope", type=_finite, default=None)
 
     sp = sub.add_parser("eval", help="evaluate a series solution on an x grid")
-    common(sp); trunc(sp); gch_params(sp); grid(sp)
+    common(sp); gch_params(sp); grid(sp)
     sp.add_argument("--kind", choices=CHOICES["kind"], default="first")
     sp.add_argument("--variant", choices=CHOICES["variant"], default="infinite")
 
@@ -148,12 +141,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sp.add_argument("--beta-max", type=int, default=5)
 
     sp = sub.add_parser("wavefunction", help="sample an eigenstate's radial function")
-    common(sp); trunc(sp); system(sp); grid(sp)
+    common(sp); system(sp); grid(sp)
     sp.add_argument("--state-i", type=int, default=0)
     sp.add_argument("--state-beta", type=int, default=0)
 
     sp = sub.add_parser("verify", help="cross-validate closed forms against direct recurrence")
-    common(sp); trunc(sp)
+    common(sp)
     sp.add_argument("--tolerance", type=_finite, default=1e-9, help="max relative error allowed (default 1e-9)")
     sp.set_defaults(grid=None)  # the grid is given only in a config file
 
@@ -220,13 +213,6 @@ def _require(args: argparse.Namespace, key: str):
     return val
 
 
-def _nested_trunc(args: argparse.Namespace) -> NestedTruncation:
-    from .series import NestedTruncation
-
-    given = {"max_order_N": args.max_order, "max_inner": args.max_inner, "rel_tol": args.rel_tol}
-    return NestedTruncation(**{k: v for k, v in given.items() if v is not None})
-
-
 def _x_grid(args: argparse.Namespace) -> list[float]:
     start, stop, count = args.x_start, args.x_stop, args.x_count
     if count < 1:
@@ -274,11 +260,10 @@ def cmd_eval(args: argparse.Namespace) -> Result:
     p = _gch_params(args)
     kind = SolutionKind(args.kind)
     lam = validate(p, kind)
-    nt = _nested_trunc(args)
     xs = _x_grid(args)
     if args.variant == "poly":
         betas_from_omega(p, lam, 1)  # raises NoTermination unless Omega ends chain 0
-    results = evaluate_grid(p, kind, xs, nt)
+    results = evaluate_grid(p, kind, xs)
     rows = [(x, res.value, res.terms_used, res.last_term_mag, res.converged) for x, res in zip(xs, results)]
     all_converged = all(res.converged for res in results)
     return (EXIT_OK if all_converged else EXIT_NO_CONVERGENCE), EVAL_HEADER, rows, ""
@@ -304,9 +289,8 @@ def cmd_wavefunction(args: argparse.Namespace) -> Result:
 
     system = _system(args)
     state = spectra.make_state(system, args.state_i, args.state_beta)
-    nt = _nested_trunc(args)
     rs = _x_grid(args)
-    rows = [(r, value, res.converged) for r, (value, res) in zip(rs, spectra._samples(system, state, rs, nt))]
+    rows = [(r, value, res.converged) for r, (value, res) in zip(rs, spectra._samples(system, state, rs))]
     all_converged = all(row[2] for row in rows)
     return (EXIT_OK if all_converged else EXIT_NO_CONVERGENCE), WAVEFUNCTION_HEADER, rows, ""
 
@@ -337,8 +321,7 @@ def cmd_verify(args: argparse.Namespace) -> Result:
         spec = GridSpec(kinds=tuple(SolutionKind(k) for k in kinds), **axes)
     if not spec.kinds:  # _grid_axis refuses an empty axis
         raise ValueError("verification grid is empty")
-    nt = _nested_trunc(args)
-    report = cross_validate(spec, nt)
+    report = cross_validate(spec)
     rows = []
     ok, n_checked = True, 0  # a sweep that checked no row in full passes nothing
     coeffs_of: dict = {}  # (params, kind) -> coefficients, the same at every x

@@ -113,43 +113,44 @@ from .params import (
 _TINY = 1e-300
 
 
+#: the most orders past order 0 one sum takes; a sum that reaches it is flagged not converged
+_MAX_ORDER = 48
+
+#: the deepest chain index; a point whose chains need more is flagged not converged
+_MAX_INNER = 240
+
+#: the outer sum stops once two consecutive orders contribute below this fraction of the running sum
+_REL_TOL = 1e-12
+
+#: the chain indices 0.0, 1.0, ... below _MAX_INNER, as floats
+_INDICES = tuple(map(float, range(_MAX_INNER)))
+
+
 class NestedTruncation(_Frozen):
-    """Caps and tolerance for the doubly-infinite nested sums.
+    """The caps and tolerance of the doubly-infinite nested sums, as a
+    read-only record: ``NestedTruncation()`` takes no arguments.
 
     ``max_order_N`` caps the outer order (the power of eps_tilde),
-    ``max_inner`` caps every chain index, and ``rel_tol``, in (0, 1), stops
-    the outer sum once two consecutive orders contribute less than rel_tol
-    times the running total; the caps must be integers.  Each point runs
-    its chains to the depth at which the upper envelope of its Kummer-type
-    terms has decayed 18 digits (:func:`_required_cap`), and to
-    ``max_inner`` where that depth is larger, so a large cap costs easy
-    points nothing; the default reaches |z| of about 100 with Kummer-type
-    chain parameters.  Some points near |eps_tilde| = 4 need more orders
-    than the default cap: they are flagged as not converged, not covered.
+    ``max_inner`` caps every chain index, and ``rel_tol`` stops the outer
+    sum once two consecutive orders contribute less than rel_tol times the
+    running total.  Each point runs its chains to the depth at which the
+    upper envelope of its Kummer-type terms has decayed 18 digits
+    (:func:`_required_cap`), and to ``max_inner`` where that depth is
+    larger, so the cap costs easy points nothing; it reaches |z| of about
+    100 with Kummer-type chain parameters.  Some points near |eps_tilde| =
+    4 need more orders than the cap: they are flagged as not converged,
+    not covered.
     """
 
     __slots__ = ("max_order_N", "max_inner", "rel_tol")
 
-    def __init__(self, max_order_N: int = 48, max_inner: int = 240, rel_tol: float = 1e-12) -> None:
-        max_order_N = _index("max_order_N", max_order_N)
-        max_inner = _index("max_inner", max_inner)
-        if max_order_N < 2:
-            raise ValueError("max_order_N must be at least 2")
-        if max_inner < 4:
-            raise ValueError("max_inner must be at least 4")
-        if rel_tol <= 0.0:
-            raise ValueError("rel_tol must be positive")
-        if not rel_tol < 1.0:  # a NaN too
-            raise ValueError("rel_tol must lie in (0, 1)")
-        _bind(self, "max_order_N", max_order_N)
-        _bind(self, "max_inner", max_inner)
-        _bind(self, "rel_tol", rel_tol)
+    def __init__(self) -> None:
+        _bind(self, "max_order_N", _MAX_ORDER)
+        _bind(self, "max_inner", _MAX_INNER)
+        _bind(self, "rel_tol", _REL_TOL)
 
-
-#: the truncation of a call that passes none
-_DEFAULT_TRUNCATION = NestedTruncation()
-#: the chain indices 0.0, 1.0, ... below the default max_inner, as floats
-_INDICES = tuple(map(float, range(_DEFAULT_TRUNCATION.max_inner)))
+    def __reduce__(self):
+        return self.__class__, ()
 
 
 def _gamma_ratio(num_arg: float, den_arg: float, what: str) -> float:
@@ -284,7 +285,7 @@ def _engine(chains: tuple, weights: tuple, z: float, cap: int, table: Optional[l
     (wn0, d10, d20), (wn1, d11, d21) = weights
     # float indices (CPython 3.11 specialises float + float, not int + float;
     # exact far below 2**53), sliced off a shared tuple at a tenth of the cost
-    js = _INDICES[:cap] if cap <= len(_INDICES) else list(map(float, range(cap)))
+    js = _INDICES[:cap]
     # order 0: g[i] = (a_0)_i z^i / ((b_0)_i (c_0)_i), the Kummer terms
     zr0 = [z * (a0 + j) / ((b0 + j) * (c0 + j)) for j in js]
     g = list(accumulate(zr0, mul, initial=1.0))
@@ -328,31 +329,30 @@ def _dot(powers: list[float], g: list[float]) -> float:
 
 
 def _outcome(
-    p: GchParams, far: bool, nq: Optional[int], t: NestedTruncation,
-    x: float, pref: float, et: float, need: int,
+    p: GchParams, far: bool, nq: Optional[int], x: float, pref: float, et: float, need: int,
     vectors: Iterator[list[float]], total: Callable[[list[float]], float],
 ) -> EvalResult | FloatOverflow:
     """The result of a point, or the FloatOverflow it raises: the one place
     that sums a point's orders and decides why the sum stopped.
 
     Order n contributes S_n et^n, with S_n = total(g_n) over chain depth
-    ``need`` capped at max_inner, and no vector past the last order summed
+    ``need`` capped at _MAX_INNER, and no vector past the last order summed
     is drawn from ``vectors``.  The sum stops on tolerance right after
     order 0 when et = 0, or once two consecutive orders contribute below
-    rel_tol times the running sum; otherwise on the order cap, after
-    max_order_N orders past order 0.  It is converged if it stopped on
-    tolerance and the inner cap cut no chain: need <= max_inner, or, with
-    only order 0 summed, a chain 0 that ends within max_inner.  The first
+    _REL_TOL times the running sum; otherwise on the order cap, after
+    _MAX_ORDER orders past order 0.  It is converged if it stopped on
+    tolerance and the inner cap cut no chain: need <= _MAX_INNER, or, with
+    only order 0 summed, a chain 0 that ends within _MAX_INNER.  The first
     line of parameters is the group's: ``far`` marks the transformed
     parameters, whose n* is ``nq``."""
     try:
         orders = [total(next(vectors))]
         append = orders.append
-        rel_tol = t.rel_tol
+        rel_tol = _REL_TOL
         streak = 0
         et_pow = 1.0
         running = orders[0]
-        for g in islice(vectors, 0 if et == 0.0 else t.max_order_N):
+        for g in islice(vectors, 0 if et == 0.0 else _MAX_ORDER):
             et_pow *= et
             contrib = total(g) * et_pow
             append(contrib)
@@ -369,7 +369,7 @@ def _outcome(
                     break
             else:
                 streak = 0
-        max_inner = t.max_inner
+        max_inner = _MAX_INNER
         on_tol = et == 0.0 or streak >= 2  # else on the order cap
         inner_cut = need > max_inner and not (
             et == 0.0 and (end0 := _chain_end(nq, 0)) is not None and end0 <= max_inner)
@@ -403,7 +403,6 @@ def _results(
     nstar: Optional[int],
     pref_of: Callable[[float], float],
     xs: Sequence[float],
-    t: NestedTruncation | None,
 ) -> list:
     """The outcome at each x, in order: pref_of(x) * (sum of the nested
     orders at root lam), or the GchError that x raises when evaluated
@@ -414,7 +413,7 @@ def _results(
     outcome.  Each side derives its chain parameters once
     (:func:`_side`), and each point runs its chains to the depth
     :func:`_required_cap` gives for its z and those parameters, at most
-    max_inner; :func:`_outcome` sums its orders and decides where it
+    _MAX_INNER; :func:`_outcome` sums its orders and decides where it
     stopped.  For mu > 0 and z < -1 the alternating chains cancel, so
     there the orders are those of the transformed parameters
     (:func:`_kummer_transformed`, whose z is positive) times
@@ -434,7 +433,6 @@ def _results(
     own.  A point at z_ref reads what its own run would, and a side of one
     point keeps no table: holding the vectors costs it fresh memory.
     """
-    t = t or _DEFAULT_TRUNCATION
     # each entry holds the point's prefactor until its side replaces it
     out: list = []
     sides: dict = {}
@@ -445,7 +443,7 @@ def _results(
             out.append(exc)
         else:
             sides.setdefault(p.mu > 0.0 and 0.5 * p.mu * x * x > 1.0, []).append(i)
-    max_inner = t.max_inner
+    max_inner = _MAX_INNER
     for far, idx in sides.items():
         q, nq = p, nstar
         if far:
@@ -472,10 +470,10 @@ def _results(
             else:
                 need = _required_cap(z, a_mag, chains, max_inner)
                 total = partial(_dot, list(accumulate(repeat(z / z_ref, min(need, max_inner)), mul, initial=1.0)))
-            res = _outcome(p, far, nq, t, x, out[i], et, need,
+            res = _outcome(p, far, nq, x, out[i], et, need,
                            engine if table is None else chain(table, engine), total)
             if z != z_ref and not (isinstance(res, EvalResult) and math.isfinite(res.value)):
-                res = _outcome(p, far, nq, t, x, out[i], et, need,
+                res = _outcome(p, far, nq, x, out[i], et, need,
                                _engine(chains, weights, z, min(need, max_inner), None), math.fsum)
             out[i] = res
     return out
@@ -560,7 +558,6 @@ def evaluate(
     kind: SolutionKind,
     x: float,
     betas: Optional[tuple[Optional[int], ...]] = None,
-    t: NestedTruncation | None = None,
 ) -> EvalResult:
     """Normalised closed form of either kind; the one-point case of
     :func:`evaluate_grid`.
@@ -583,15 +580,10 @@ def evaluate(
     """
     _require_finite("x", x)
     lam, nstar, pref_of = _normalisation(p, kind, betas)
-    return _raise_first(_results(p, lam, nstar, pref_of, (x,), t))[0]
+    return _raise_first(_results(p, lam, nstar, pref_of, (x,)))[0]
 
 
-def evaluate_grid(
-    p: GchParams,
-    kind: SolutionKind,
-    xs: Iterable[float],
-    t: NestedTruncation | None = None,
-) -> list[EvalResult]:
+def evaluate_grid(p: GchParams, kind: SolutionKind, xs: Iterable[float]) -> list[EvalResult]:
     """:func:`evaluate` at each x of ``xs``, in input order; ``xs`` is read
     once, so an iterator gives the points a list of the same values does.
 
@@ -612,15 +604,10 @@ def evaluate_grid(
     for x in xs:
         _require_finite("x", x)
     lam, nstar, pref_of = _normalisation(p, kind)
-    return _raise_first(_results(p, lam, nstar, pref_of, xs, t))
+    return _raise_first(_results(p, lam, nstar, pref_of, xs))
 
 
-def _general(
-    p: GchParams,
-    lam: float,
-    xs: Sequence[float],
-    t: NestedTruncation | None,
-) -> list:
+def _general(p: GchParams, lam: float, xs: Sequence[float]) -> list:
     """The outcome of :func:`eval_general` at each x of ``xs``, in input
     order, as in :func:`_results`; lam is the root :func:`validate`
     returned for p, and the PoleError of mu = 0 is every point's."""
@@ -628,15 +615,10 @@ def _general(
         nstar = detect_termination(p, lam)
     except GchError as exc:
         return [exc] * len(xs)
-    return _results(p, lam, nstar, lambda x: real_power(x, lam), xs, t)
+    return _results(p, lam, nstar, lambda x: real_power(x, lam), xs)
 
 
-def eval_general(
-    p: GchParams,
-    lam: float,
-    x: float,
-    t: NestedTruncation | None = None,
-) -> EvalResult:
+def eval_general(p: GchParams, lam: float, x: float) -> EvalResult:
     """Unnormalised series x^lam * [S_0 + S_1 et + sum_n S_n et^n], c_0 = 1.
 
     lam must be an indicial root: 0 (the first kind) or, within 1e-12,
@@ -660,4 +642,4 @@ def eval_general(
         kind = SolutionKind.SECOND
     else:
         raise ValueError(f"lam={lam} is neither indicial root (0 or 1 - nu = {1.0 - p.nu})")
-    return _raise_first(_general(p, validate(p, kind), (x,), t))[0]
+    return _raise_first(_general(p, validate(p, kind), (x,)))[0]

@@ -25,13 +25,10 @@ substitutions are documented in the README).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .errors import DegenerateCoupling, FloatOverflow, SampleNotConverged, TailNotDecayed
 from .params import EvalResult, GchParams, SolutionKind, _bind, _Frozen, _index, _require_finite
-
-if TYPE_CHECKING:
-    from .series import NestedTruncation
 
 
 class RotatingOscillator(_Frozen):
@@ -208,12 +205,7 @@ def make_state(system: QuantumSystem, i: int, beta_i: int) -> EigenState:
     return EigenState(i, beta_i, eigenvalue, system.params(Omega), system)
 
 
-def _samples(
-    system: QuantumSystem,
-    state: EigenState,
-    rs: Sequence[float],
-    t: NestedTruncation | None,
-) -> list[tuple[float, EvalResult]]:
+def _samples(system: QuantumSystem, state: EigenState, rs: Sequence[float]) -> list[tuple[float, EvalResult]]:
     """(unnormalised reduced radial value, its evaluation) at each r of rs,
     from one :func:`~gch.series.evaluate_grid` call; ValueError for a
     negative r or unless ``state`` belongs to ``system``, FloatOverflow
@@ -224,7 +216,7 @@ def _samples(
         raise ValueError("r must be nonnegative")
     if state.system is not system and state.system != system:
         raise ValueError(f"the state belongs to {state.system!r}, not to {system!r}")
-    results = evaluate_grid(state.gch, SolutionKind.FIRST, [system.x_of(r) for r in rs], t)
+    results = evaluate_grid(state.gch, SolutionKind.FIRST, [system.x_of(r) for r in rs])
     samples = []
     for r, res in zip(rs, results):
         try:
@@ -234,12 +226,7 @@ def _samples(
     return samples
 
 
-def wavefunction_result(
-    system: QuantumSystem,
-    state: EigenState,
-    r: float,
-    t: NestedTruncation | None = None,
-) -> tuple[float, bool]:
+def wavefunction_result(system: QuantumSystem, state: EigenState, r: float) -> tuple[float, bool]:
     """(unnormalised reduced radial value envelope(r) * QW(x(r)), converged flag).
 
     The regular-at-origin first-kind series is always the physical branch.
@@ -253,7 +240,7 @@ def wavefunction_result(
     where the envelope at ``r`` leaves the float range.
     """
     _require_finite("r", r)
-    [(value, res)] = _samples(system, state, (r,), t)
+    [(value, res)] = _samples(system, state, (r,))
     return value, res.converged
 
 
@@ -284,13 +271,7 @@ def radial_norm(fn: Callable[[float], float], r_max: float, n_points: int) -> fl
     return _simpson(grid, [fn(r) for r in grid])
 
 
-def normalize(
-    system: QuantumSystem,
-    state: EigenState,
-    r_max: float,
-    n_points: int,
-    t: NestedTruncation | None = None,
-) -> float:
+def normalize(system: QuantumSystem, state: EigenState, r_max: float, n_points: int) -> float:
     """Normalisation constant N = 1/sqrt(integral Psi^2 r^2 dr) on [0, r_max].
 
     The samples come from one :func:`~gch.series.evaluate_grid` call.
@@ -300,7 +281,7 @@ def normalize(
     converged.
     """
     grid = _radial_grid(r_max, n_points)
-    samples = _samples(system, state, grid, t)
+    samples = _samples(system, state, grid)
     vals = [v for v, _ in samples]
     peak = max(abs(v) for v in vals)
     if peak == 0.0 or abs(vals[-1]) > 1e-10 * peak:

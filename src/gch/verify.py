@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import DomainError, GchError
 from .params import GchParams, SolutionKind, _bind, _Frozen, _require_finite, real_power, validate
 from .recurrence import sum_series
-from .series import NestedTruncation, _general
+from .series import _general
 
 
 class ResidualReport(_Frozen):
@@ -157,7 +157,7 @@ def _failed(p: GchParams, kind: SolutionKind, x: float, exc: GchError) -> CrossR
     return CrossRecord(p, kind, x, None, None, None, f"{type(exc).__name__}: {exc}")
 
 
-def _records(p: GchParams, kind: SolutionKind, xs: Sequence[float], nt: NestedTruncation | None) -> list:
+def _records(p: GchParams, kind: SolutionKind, xs: Sequence[float]) -> list:
     """The record of each x of xs: the closed form against the oracle, or
     the GchError that the first of validate, the oracle and the closed
     form raises there.  validate runs once, the oracle once per x, and the
@@ -173,7 +173,7 @@ def _records(p: GchParams, kind: SolutionKind, xs: Sequence[float], nt: NestedTr
         except GchError as exc:
             oracles.append(exc)
     ok = [x for x, oracle in zip(xs, oracles) if not isinstance(oracle, GchError)]
-    closed = iter(_general(p, lam, ok, nt))
+    closed = iter(_general(p, lam, ok))
     out = []
     for x, oracle in zip(xs, oracles):
         res = oracle if isinstance(oracle, GchError) else next(closed)
@@ -186,10 +186,7 @@ def _records(p: GchParams, kind: SolutionKind, xs: Sequence[float], nt: NestedTr
     return out
 
 
-def cross_validate(
-    grid: GridSpec | None = None,
-    nt: NestedTruncation | None = None,
-) -> CrossReport:
+def cross_validate(grid: GridSpec | None = None) -> CrossReport:
     """Closed form vs direct recurrence on every grid point.
 
     The closed form takes each parameter set's x axis in one grid call per
@@ -201,7 +198,7 @@ def cross_validate(
     records: list[CrossRecord] = []
     for p in grid.param_sets():
         # records go point by point, each point's kinds in grid order
-        for same_x in zip(*[_records(p, kind, grid.x, nt) for kind in grid.kinds]):
+        for same_x in zip(*[_records(p, kind, grid.x) for kind in grid.kinds]):
             records.extend(same_x)
     rel_errs = [rec.rel_err for rec in records if rec.error is None]
     return CrossReport(

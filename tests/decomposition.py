@@ -20,15 +20,13 @@ from itertools import islice
 
 from gch import series
 from gch.params import GchParams, SolutionKind, detect_termination, real_power, validate
-from gch.series import NestedTruncation
 
 
-def orders(p: GchParams, kind: SolutionKind, x: float, t: NestedTruncation | None = None,
-           normalised: bool = True) -> list[float]:
+def orders(p: GchParams, kind: SolutionKind, x: float, normalised: bool = True) -> list[float]:
     """y_0, y_1, ... at x, each times the prefactor: the normalisation of
     :func:`~gch.series.evaluate` if ``normalised``, else the x^lam of
     :func:`~gch.series.eval_general` at the root of ``kind``."""
-    t = t or NestedTruncation()
+    t = series.NestedTruncation()
     if normalised:
         lam, nstar, pref_of = series._normalisation(p, kind)
         pref = pref_of(x)

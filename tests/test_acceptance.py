@@ -22,7 +22,7 @@ import pytest
 from gch.cli import main
 from gch.params import GchParams, SolutionKind, detect_termination, validate
 from gch.recurrence import coefficients, sum_series
-from gch.series import NestedTruncation, evaluate
+from gch.series import evaluate
 from gch.spectra import (
     Confinement,
     QQbar,
@@ -206,16 +206,18 @@ def test_criterion_6_asymptotic_identity():
             "(derived pre-build; stated Omega=0 point degenerates to y=1, see notes)")
 
 
-NT_TAIL = NestedTruncation(max_order_N=100, max_inner=260, rel_tol=1e-12)
+#: the caps the criteria at small and large r run at
+NT_TAIL = {"max_order_N": 100, "max_inner": 260}
 
 
-def test_criterion_7a_small_r_scaling():
+def test_criterion_7a_small_r_scaling(caps):
+    caps(**NT_TAIL)
     worst = 0.0
     for system in SYSTEMS:
         for beta in range(6):
             state = make_state(system, 0, beta)
-            v3 = wavefunction_result(system, state, 1e-3, NT_TAIL)[0]
-            v4 = wavefunction_result(system, state, 1e-4, NT_TAIL)[0]
+            v3 = wavefunction_result(system, state, 1e-3)[0]
+            v4 = wavefunction_result(system, state, 1e-4)[0]
             slope = (math.log(abs(v3)) - math.log(abs(v4))) / (math.log(1e-3) - math.log(1e-4))
             l = system.l_m if isinstance(system, RotatingOscillator) else system.l
             dev = abs(slope / (l + 1) - 1.0)
@@ -231,14 +233,15 @@ def test_criterion_7a_small_r_scaling():
     "power of r: the r=20 bound only holds for eps=0 polynomials and high-beta "
     "oscillator states.  Faithful implementation kept; see the decisions ledger.",
 )
-def test_criterion_7b_decay_at_r20():
+def test_criterion_7b_decay_at_r20(caps):
+    caps(**NT_TAIL)
     failures = []
     for system in SYSTEMS:
         for beta in range(6):
             state = make_state(system, 0, beta)
             rs = [0.1 + (10.0 - 0.1) * i / 39 for i in range(40)]
-            peak = max(abs(wavefunction_result(system, state, r, NT_TAIL)[0]) for r in rs)
-            tail = abs(wavefunction_result(system, state, 20.0, NT_TAIL)[0])
+            peak = max(abs(wavefunction_result(system, state, r)[0]) for r in rs)
+            tail = abs(wavefunction_result(system, state, 20.0)[0])
             if tail > 1e-8 * peak:
                 failures.append((type(system).__name__, beta, tail / peak))
     print(f"ACCEPTANCE 7 (decay at r=20): FAIL (expected, documented defect) - "
@@ -251,9 +254,8 @@ def test_criterion_8_wronskian_independence():
     p = GchParams(-1.0, 0.4, 0.5, 0.7, 1.2)
     validate(p, SolutionKind.FIRST)
     validate(p, SolutionKind.SECOND)
-    nt = NestedTruncation(max_order_N=40, max_inner=80, rel_tol=1e-13)
-    qw = lambda x: evaluate(p, SolutionKind.FIRST, x, t=nt).value
-    rw = lambda x: evaluate(p, SolutionKind.SECOND, x, t=nt).value
+    qw = lambda x: evaluate(p, SolutionKind.FIRST, x).value
+    rw = lambda x: evaluate(p, SolutionKind.SECOND, x).value
     h = 1e-5
     smallest = math.inf
     for x in [0.2 + (1.0 - 0.2) * i / 8 for i in range(9)]:

@@ -108,7 +108,7 @@ def edge_reprs():
         xs = _edge_xs(rng, mu)
         lam = validate(p, kind)
         yield _called(evaluate_grid, p, kind, xs)
-        yield from map(_outcome, _general(p, lam, xs, None))
+        yield from map(_outcome, _general(p, lam, xs))
         for x in xs:
             yield _called(evaluate, p, kind, x)
             yield _called(eval_general, p, lam, x)

@@ -329,19 +329,18 @@ def test_wavefunction_envelope_overflow_exit2(capsys):
     assert captured.err == "error: radial envelope overflows at r=10000000000.0\n"
 
 
-@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
-@pytest.mark.parametrize("key", ["max_order", "max_inner", "rel_tol"])
-def test_explicit_zero_truncation_exit2(tmp_path, capsys, key, via_config):
-    # an explicit 0 reaches NestedTruncation's own check instead of the default
-    argv = ["eval", "--mu", "2", "--nu", "1.5", "--omega-cap", "3", "--x-count", "1"]
-    if via_config:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: 0}))
-        argv += ["--config", str(cfg)]
-    else:
-        argv += ["--" + key.replace("_", "-"), "0"]
-    assert main(argv) == 2
-    assert "must be" in capsys.readouterr().err
+@pytest.mark.parametrize("flag", ["--max-order", "--max-inner", "--rel-tol"])
+@pytest.mark.parametrize("argv", [
+    ["eval", "--mu", "2", "--nu", "1.5", "--omega-cap", "3", "--x-count", "1"],
+    ["wavefunction", "--system", "qqbar", "--mass", "0.3", "--b-slope", "1", "--x-count", "1"],
+    ["verify"],
+], ids=["eval", "wavefunction", "verify"])
+def test_truncation_flags_refused(capsys, argv, flag):
+    # the caps are fixed: no subcommand declares a flag that sets one
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 def test_asymptote_small_eps_requires_mu(capsys):
@@ -457,7 +456,7 @@ def test_subcommand_loads_only_its_modules(gch_subprocess_env, argv, loaded):
     ({"output": 1.5}, "output"),
     ({"mu": math.nan, "nu": 1.5, "omega_cap": 0.5}, "mu"),
     ({"x_stop": math.inf}, "x_stop"),
-    ({"rel_tol": -math.inf}, "rel_tol"),
+    ({"x_start": -math.inf}, "x_start"),
 ], ids=["list-for-float", "bool-for-float", "float-for-int", "bool-for-int", "number-for-string",
         "nan-for-float", "inf-for-float", "minus-inf-for-float"])
 def test_config_value_of_wrong_type_exit2(tmp_path, capsys, cfg, key):
@@ -596,7 +595,8 @@ def test_config_null_counts_as_not_given(tmp_path, capsys):
     {"config": "elsewhere.json"},
     {"state_i": 3},
     {"no_such_option": 1},
-], ids=["command", "config", "other-subcommand", "unknown"])
+    {"max_order": 0, "max_inner": 0, "rel_tol": 5},
+], ids=["command", "config", "other-subcommand", "unknown", "truncation"])
 def test_config_undeclared_keys_ignored(tmp_path, capsys, extra):
     assert _run(EVAL_ARGV + _config(tmp_path, extra), capsys) == _run(EVAL_ARGV, capsys)
 
@@ -665,10 +665,3 @@ def test_asymptote_overflow_names_its_x_exit2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: small-eps limiting form overflows at x=50.0\n"
-
-
-def test_rel_tol_outside_unit_interval_exit2(capsys):
-    assert main(["eval", "--mu", "-1", "--nu", "1.5", "--omega-cap", "1", "--rel-tol", "5"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: rel_tol must lie in (0, 1)\n"

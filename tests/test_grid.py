@@ -13,7 +13,7 @@ from gch.errors import (
 )
 from gch.params import EvalResult, GchParams, SolutionKind, validate
 from gch.recurrence import sum_series
-from gch.series import NestedTruncation, _general, _required_cap, eval_general, evaluate, evaluate_grid
+from gch.series import _general, _required_cap, eval_general, evaluate, evaluate_grid
 from gch.spectra import Confinement, QQbar, RotatingOscillator, make_state, normalize, wavefunction_result
 from gch.verify import CrossRecord, GridSpec, cross_validate
 
@@ -32,15 +32,15 @@ def _mass(decomposition):
     return math.fsum(abs(o) for o in decomposition)
 
 
-def _assert_matches_points(p, kind, xs, t=None):
+def _assert_matches_points(p, kind, xs):
     """Each grid result has its per-point call's flags, depth and order
     count, and its value to 1e-12 of sum |orders|."""
-    grid = evaluate_grid(p, kind, xs, t)
+    grid = evaluate_grid(p, kind, xs)
     assert len(grid) == len(xs)
     for x, g in zip(xs, grid):
-        r = evaluate(p, kind, x, t=t)
+        r = evaluate(p, kind, x)
         assert (g.converged, g.terms_used, g.orders_used) == (r.converged, r.terms_used, r.orders_used), x
-        assert abs(g.value - r.value) <= 1e-12 * _mass(orders(p, kind, x, t)), x
+        assert abs(g.value - r.value) <= 1e-12 * _mass(orders(p, kind, x)), x
     return grid
 
 
@@ -68,7 +68,7 @@ def test_one_point_grid_is_evaluate(p, kind, x):
 @pytest.mark.parametrize("p,kind,x", ONE_POINT)
 def test_one_point_general_grid_is_eval_general(p, kind, x):
     lam = kind.lambda_of(p.nu)
-    assert _general(p, lam, [x], None) == [eval_general(p, lam, x)]
+    assert _general(p, lam, [x]) == [eval_general(p, lam, x)]
 
 
 def test_reference_point_is_bit_identical():
@@ -154,9 +154,9 @@ def test_every_evaluator_reaches_its_points_through_results(monkeypatch):
     calls = []
     results = series._results
 
-    def recording(p, lam, nstar, pref_of, xs, t):
+    def recording(p, lam, nstar, pref_of, xs):
         calls.append(list(xs))
-        return results(p, lam, nstar, pref_of, xs, t)
+        return results(p, lam, nstar, pref_of, xs)
 
     monkeypatch.setattr(series, "_results", recording)
     p = GchParams(-1.0, 0.5, 1.5, 1.0, 0.25)
@@ -177,10 +177,10 @@ def test_value_off_the_table_not_finite_runs_its_own_engine():
     assert grid[1].value == math.inf
 
 
-def test_grid_under_a_given_truncation():
+def test_grid_under_a_given_truncation(caps):
     # a small inner cap drops converged for the far points only
-    t = NestedTruncation(max_order_N=30, max_inner=24, rel_tol=1e-12)
-    grid = _assert_matches_points(GchParams(0.4, -1.7, 0.25, 59.0, 0.5), FIRST, [0.2, 1.9, 1.0, 0.5], t)
+    caps(max_order_N=30, max_inner=24)
+    grid = _assert_matches_points(GchParams(0.4, -1.7, 0.25, 59.0, 0.5), FIRST, [0.2, 1.9, 1.0, 0.5])
     assert [r.converged for r in grid] == [True, False, True, True]
 
 
@@ -217,7 +217,7 @@ def test_domain_error_at_first_failing_x():
     # x^lam with fractional lam fails at each negative x, and only there;
     # the other points keep their own results
     xs = [0.2, 0.7, -0.3, -0.9]
-    outcomes = _general(p, 1.0 - p.nu, xs, None)
+    outcomes = _general(p, 1.0 - p.nu, xs)
     assert outcomes[:2] == [eval_general(p, 1.0 - p.nu, x) for x in xs[:2]]
     assert [f"{type(e).__name__}: {e}" for e in outcomes[2:]] == [
         "DomainError: (-0.3)**(0.5) is not real", "DomainError: (-0.9)**(0.5) is not real"]
@@ -272,7 +272,7 @@ def test_transformed_parameter_overflow_is_each_far_points_outcome():
     # the caller's Omega = 1 is finite; Omega - mu (1 + nu) overflows.
     # mu x^2/2 = 5e-13 at x = 1e-160: that point keeps its own value
     message = "transformed parameter Omega - mu(1+nu)=-inf overflows"
-    near, *far = _general(HUGE_MU, 0.0, [1e-160, 1.0, 2.0], None)
+    near, *far = _general(HUGE_MU, 0.0, [1e-160, 1.0, 2.0])
     assert near == eval_general(HUGE_MU, 0.0, 1e-160)
     assert [(type(e), str(e)) for e in far] == [(FloatOverflow, message)] * 2
     with pytest.raises(FloatOverflow, match=f"^{re.escape(message)}$"):
@@ -340,7 +340,7 @@ def test_grid_outcomes_are_the_points_own():
                 for x, got, own in zip(xs, grid, alone):
                     _assert_same_outcome(got, own, where, lambda: orders(p, kind, x))
             lam = validate(p, kind)
-            for x, got in zip(xs, _general(p, lam, xs, None)):
+            for x, got in zip(xs, _general(p, lam, xs)):
                 _assert_same_outcome(got, _outcome_of(lambda: eval_general(p, lam, x)), where,
                                      lambda: orders(p, kind, x, normalised=False))
 
@@ -418,8 +418,8 @@ def test_cross_validate_records_mu_zero_per_point():
     assert [(r.error or "").split(":")[0] for r in report.records] == [
         "PoleError", "PoleError", "PoleError", "DomainError"]
     p = GchParams(0.0, 1.0, 1.5, 3.0, 0.25)
-    assert [type(res) for res in _general(p, 0.0, [0.5, 1.0], None)] == [PoleError, PoleError]
-    assert _general(p, 0.0, [], None) == []
+    assert [type(res) for res in _general(p, 0.0, [0.5, 1.0])] == [PoleError, PoleError]
+    assert _general(p, 0.0, []) == []
 
 
 def test_wavefunction_result_is_a_one_point_grid():
@@ -449,13 +449,13 @@ def test_normalize_checks_the_tail_first():
         normalize(system, state, 10.0, 7)
 
 
-def test_terminated_eps_zero_value_converges_past_the_inner_cap():
+def test_terminated_eps_zero_value_converges_past_the_inner_cap(caps):
     # with eps = 0 only chain 0 is summed; where it ends, the inner cap cuts
     # no tail even when the envelope would need more depth
     system = QQbar(m_q=0.0, b_slope=1.0, l=0)
     state = make_state(system, 0, 2)
-    t = NestedTruncation(max_order_N=50, max_inner=120, rel_tol=1e-12)
-    res = evaluate(state.gch, FIRST, 11.5, t=t)
+    caps(max_order_N=50, max_inner=120)
+    res = evaluate(state.gch, FIRST, 11.5)
     assert _depth(res) == 120 and res.converged
     with mp.workdps(40):
         z = mp.mpf(11.5) ** 2 / 2  # -mu x^2/2 at mu = -1

@@ -23,7 +23,6 @@ from gch.verify import GridSpec, cross_validate
 
 from decomposition import orders
 
-NT = NestedTruncation(max_order_N=40, max_inner=80, rel_tol=1e-13)
 FIRST, SECOND = SolutionKind.FIRST, SolutionKind.SECOND
 
 
@@ -84,8 +83,8 @@ def _literal_orders(p, lam, x, cap=60):
 ])
 def test_engine_matches_literal_transliteration(params, lam, x):
     kind = FIRST if lam == 0.0 else SECOND
-    got = orders(params, kind, x, NT, normalised=False)
-    assert len(got) == eval_general(params, lam, x, NT).orders_used
+    got = orders(params, kind, x, normalised=False)
+    assert len(got) == eval_general(params, lam, x).orders_used
     lit = _literal_orders(params, lam, x)
     et = -0.5 * params.eps * x
     xpow = x ** lam
@@ -97,7 +96,7 @@ def test_engine_matches_literal_transliteration(params, lam, x):
 
 def test_eval_general_matches_oracle_spec_point():
     p = GchParams(2.0, 1.0, 1.5, 3.0, 0.25)
-    closed = eval_general(p, 0.0, 0.4, NT).value
+    closed = eval_general(p, 0.0, 0.4).value
     oracle = sum_series(p, 0.0, 0.4).value
     assert closed == pytest.approx(oracle, rel=1e-9)
 
@@ -109,7 +108,7 @@ def test_eval_general_random_sweep():
                       rng.choice([0.5, 1.5, 0.25]), rng.uniform(-2, 2), rng.uniform(-1, 1))
         lam = rng.choice([0.0, 1.0 - p.nu])
         x = rng.uniform(0.05, 1.2)
-        closed = eval_general(p, lam, x, NT).value
+        closed = eval_general(p, lam, x).value
         oracle = sum_series(p, lam, x).value
         assert closed == pytest.approx(oracle, rel=1e-10, abs=1e-13)
 
@@ -143,33 +142,33 @@ def test_eval_general_runs_at_the_validated_root(monkeypatch):
     seen = []
     general = series._general
 
-    def recording(p, lam, xs, t):
+    def recording(p, lam, xs):
         seen.append(lam)
-        return general(p, lam, xs, t)
+        return general(p, lam, xs)
 
     monkeypatch.setattr(series, "_general", recording)
-    assert eval_general(p, 0.5 + 4e-13, 0.6, NT) == eval_general(p, 0.5, 0.6, NT)
+    assert eval_general(p, 0.5 + 4e-13, 0.6) == eval_general(p, 0.5, 0.6)
     assert seen == [0.5, 0.5]
 
 
 def test_eval_general_rejects_non_root_lam():
     # nu = 0.5: the roots are 0 and 0.5
     with pytest.raises(ValueError, match="indicial root"):
-        eval_general(GchParams(-1.0, 0.8, 0.5, 0.7, 1.2), 0.25, 0.6, NT)
+        eval_general(GchParams(-1.0, 0.8, 0.5, 0.7, 1.2), 0.25, 0.6)
 
 
 def test_order_decomposition_scales_with_eps():
     p = GchParams(-1.5, 0.8, 1.2, 0.9, 0.4)
     doubled = GchParams(p.mu, 2.0 * p.eps, p.nu, p.Omega, p.omega)
-    o1 = orders(p, FIRST, 0.7, NT, normalised=False)
-    o2 = orders(doubled, FIRST, 0.7, NT, normalised=False)
+    o1 = orders(p, FIRST, 0.7, normalised=False)
+    o2 = orders(doubled, FIRST, 0.7, normalised=False)
     for n in range(min(len(o1), len(o2), 8)):
         assert o2[n] == pytest.approx(2.0 ** n * o1[n], rel=1e-12, abs=1e-250)
 
 
 def test_x_zero_is_c0():
     p = GchParams(1.7, 0.9, 0.6, -0.4, 0.8)
-    assert eval_general(p, 0.0, 0.0, NT).value == 1.0
+    assert eval_general(p, 0.0, 0.0).value == 1.0
 
 
 # ------------------------------------------------------------ QW / RW, infinite
@@ -183,13 +182,13 @@ def test_qw_prefactor_at_origin():
 def test_qw_eps_zero_is_kummer():
     p = GchParams(2.0, 0.0, 1.0, 2.0, 1.0)
     want = math.sqrt(math.pi) * _kummer(0.5, 1.0, -1.0)
-    assert evaluate(p, FIRST, 1.0, t=NT).value == pytest.approx(want, rel=1e-13)
+    assert evaluate(p, FIRST, 1.0).value == pytest.approx(want, rel=1e-13)
 
 
 def test_qw_matches_oracle_with_prefactor():
     p = GchParams(-1.0, 0.5, 0.5, 1.0, 2.0)
     c0 = math.gamma(p.gamma - p.Omega / (2 * p.mu)) / math.gamma(p.gamma)
-    closed = evaluate(p, FIRST, 0.3, t=NT).value
+    closed = evaluate(p, FIRST, 0.3).value
     oracle = c0 * sum_series(p, 0.0, 0.3).value
     assert closed == pytest.approx(oracle, rel=1e-9)
 
@@ -215,7 +214,7 @@ def test_rw_eps_zero_kummer_composition():
     z = 0.25
     want = z ** (1 - gamma) * math.gamma(1 - p.Omega / (2 * p.mu)) / math.gamma(2 - gamma) \
         * _kummer(p.Omega / (2 * p.mu) + 1 - gamma, 2 - gamma, z)
-    assert evaluate(p, SECOND, 0.5, t=NT).value == pytest.approx(want, rel=1e-12)
+    assert evaluate(p, SECOND, 0.5).value == pytest.approx(want, rel=1e-12)
 
 
 def test_rw_matches_oracle():
@@ -223,7 +222,7 @@ def test_rw_matches_oracle():
     gamma = p.gamma
     lam = 1.0 - p.nu
     c0 = (-0.5 * p.mu) ** (1 - gamma) * math.gamma(1 - p.Omega / (2 * p.mu)) / math.gamma(2 - gamma)
-    closed = evaluate(p, SECOND, 0.6, t=NT).value
+    closed = evaluate(p, SECOND, 0.6).value
     oracle = c0 * sum_series(p, lam, 0.6).value
     assert closed == pytest.approx(oracle, rel=1e-9)
 
@@ -266,8 +265,8 @@ def test_qw_poly_beta0_zero_order0_constant():
     # beta_0 = 0 kills every z power at order 0; c0 = 1
     p = GchParams(-2.0, 0.5, 1.0, 0.0, 1.0)
     seq = betas_from_omega(p, 0.0, 1)
-    res = evaluate(p, FIRST, 0.8, seq, NT)
-    got = orders(p, FIRST, 0.8, NT)
+    res = evaluate(p, FIRST, 0.8, seq)
+    got = orders(p, FIRST, 0.8)
     assert got[0] == 1.0
     assert len(got) == res.orders_used
 
@@ -280,7 +279,7 @@ def test_qw_poly_degree_two_polynomial():
     for x in (0.2, 0.5, 1.1):
         z = x * x
         want = 2.0 * (1.0 - 2.0 * z + 0.5 * z * z)
-        res = evaluate(p, FIRST, x, seq, NT)
+        res = evaluate(p, FIRST, x, seq)
         assert res.value == pytest.approx(want, rel=1e-13)
         assert res.converged  # exact finite evaluation at eps = 0
 
@@ -289,9 +288,9 @@ def test_qw_poly_matches_oracle_generic():
     # generic polynomial-class parameters, eps != 0
     mu = -1.5
     p = GchParams(mu, 0.9, 0.75, -(mu * (2 * 2 + 0.0)), 0.6)
-    seq = betas_from_omega(p, 0.0, NT.max_order_N + 1)
+    seq = betas_from_omega(p, 0.0, NestedTruncation().max_order_N + 1)
     c0 = math.gamma(p.gamma + 2) / math.gamma(p.gamma)
-    closed = evaluate(p, FIRST, 0.7, seq, NT).value
+    closed = evaluate(p, FIRST, 0.7, seq).value
     oracle = c0 * sum_series(p, 0.0, 0.7).value
     assert closed == pytest.approx(oracle, rel=1e-9)
 
@@ -299,10 +298,10 @@ def test_qw_poly_matches_oracle_generic():
 def test_qw_poly_equals_general_on_derived_betas():
     mu = 0.5
     p = GchParams(mu, -0.8, 1.5, -(mu * 2.0), 0.4)  # beta_0 = 1
-    seq = betas_from_omega(p, 0.0, NT.max_order_N + 1)
+    seq = betas_from_omega(p, 0.0, NestedTruncation().max_order_N + 1)
     c0 = math.gamma(p.gamma + 1) / math.gamma(p.gamma)
-    a = evaluate(p, FIRST, 0.9, seq, NT).value
-    b = c0 * eval_general(p, 0.0, 0.9, NT).value
+    a = evaluate(p, FIRST, 0.9, seq).value
+    b = c0 * eval_general(p, 0.0, 0.9).value
     assert a == pytest.approx(b, rel=1e-13)
 
 
@@ -389,7 +388,7 @@ def test_rw_poly_linear_term():
         z = x * x
         pref = z ** (1 - gamma) * math.gamma(1 + 2 - gamma) / math.gamma(2 - gamma)
         want = pref * (1.0 - z / (2.0 - gamma))
-        assert evaluate(p, SECOND, x, seq, NT).value == pytest.approx(want, rel=1e-13)
+        assert evaluate(p, SECOND, x, seq).value == pytest.approx(want, rel=1e-13)
 
 
 def test_rw_poly_matches_oracle():
@@ -398,9 +397,9 @@ def test_rw_poly_matches_oracle():
     lam = 1.0 - nu
     gamma = 0.5 * (1 + nu)
     p = GchParams(mu, 0.4, nu, -2.0 * mu * (1.0 + 1 - gamma), 1.2)  # psi_0 = 1
-    seq = betas_from_omega(p, lam, NT.max_order_N + 1)
+    seq = betas_from_omega(p, lam, NestedTruncation().max_order_N + 1)
     c0 = (-0.5 * mu) ** (1 - gamma) * math.gamma(1 + 2 - gamma) / math.gamma(2 - gamma)
-    closed = evaluate(p, SECOND, 0.5, seq, NT).value
+    closed = evaluate(p, SECOND, 0.5, seq).value
     oracle = c0 * sum_series(p, lam, 0.5).value
     assert closed == pytest.approx(oracle, rel=1e-9)
 
@@ -413,8 +412,8 @@ def test_wronskian_of_kinds():
     # constant across x.
     p = GchParams(-1.0, 0.4, 0.5, 0.7, 1.2)
     h = 1e-5
-    qw = lambda x: evaluate(p, FIRST, x, t=NT).value
-    rw = lambda x: evaluate(p, SECOND, x, t=NT).value
+    qw = lambda x: evaluate(p, FIRST, x).value
+    rw = lambda x: evaluate(p, SECOND, x).value
     scaled_consts = []
     for x in (0.2, 0.4, 0.6, 0.8, 1.0):
         w = qw(x) * (rw(x + h) - rw(x - h)) / (2 * h) - rw(x) * (qw(x + h) - qw(x - h)) / (2 * h)
@@ -435,11 +434,11 @@ def test_kummer_reduction_both_kinds_tight():
         x = rng.uniform(0.05, math.sqrt(8.0 / abs(mu)))
         z = -0.5 * mu * x * x
         gamma = p.gamma
-        qw = evaluate(p, FIRST, x, t=NT).value
+        qw = evaluate(p, FIRST, x).value
         want = math.gamma(gamma - Om / (2 * mu)) / math.gamma(gamma) * _kummer(Om / (2 * mu), gamma, z)
         assert qw == pytest.approx(want, rel=1e-12)
         if mu < 0:  # RW needs z > 0
-            rw = evaluate(p, SECOND, x, t=NT).value
+            rw = evaluate(p, SECOND, x).value
             want = z ** (1 - gamma) * math.gamma(1 - Om / (2 * mu)) / math.gamma(2 - gamma) \
                 * _kummer(Om / (2 * mu) + 1 - gamma, 2 - gamma, z)
             assert rw == pytest.approx(want, rel=1e-12)
@@ -464,15 +463,6 @@ def test_kummer_reduction_large_z_against_mpmath(mu, az):
         res = evaluate(p, kind, x)
         assert res.converged, kind
         assert abs(res.value - float(want)) <= 1e-13 * abs(float(want)), kind
-
-
-def test_nested_truncation_validation():
-    with pytest.raises(ValueError):
-        NestedTruncation(max_order_N=1)
-    with pytest.raises(ValueError):
-        NestedTruncation(max_inner=2)
-    with pytest.raises(ValueError):
-        NestedTruncation(rel_tol=0.0)
 
 
 def test_default_truncations_cover_wide_domain():
@@ -505,14 +495,14 @@ def test_default_truncations_cover_wide_domain():
         checked += 1
 
 
-def test_inner_cap_shortfall_drops_converged_flag():
+def test_inner_cap_shortfall_drops_converged_flag(caps):
     # large Omega/2mu pushes the chain peak beyond a small max_inner; the
     # value is then truncated and must not claim convergence
     p = GchParams(0.4, -1.7, 0.25, 59.0, 0.5)
-    small = NestedTruncation(max_order_N=40, max_inner=24, rel_tol=1e-12)
-    big = NestedTruncation(max_order_N=60, max_inner=400, rel_tol=1e-12)
-    r_small = eval_general(p, 0.0, 1.9, small)
-    r_big = eval_general(p, 0.0, 1.9, big)
+    caps(max_order_N=40, max_inner=24)
+    r_small = eval_general(p, 0.0, 1.9)
+    caps(max_order_N=60, max_inner=400)
+    r_big = eval_general(p, 0.0, 1.9)
     assert not r_small.converged
     assert r_big.converged
     oracle = sum_series(p, 0.0, 1.9)
@@ -614,17 +604,17 @@ def test_forward_recurrence_matches_backward_fold(p, lam, x, seq):
 
     kind = FIRST if lam == 0.0 else SECOND
     if seq is None:
-        res = eval_general(p, lam, x, t)
-        got = orders(p, kind, x, t, normalised=False)
+        res = eval_general(p, lam, x)
+        got = orders(p, kind, x, normalised=False)
         pref, order_cap = x ** lam, t.max_order_N
     elif lam == 0.0:
-        res = evaluate(p, FIRST, x, seq, t)
-        got = orders(p, FIRST, x, t)
+        res = evaluate(p, FIRST, x, seq)
+        got = orders(p, FIRST, x)
         pref = math.gamma(p.gamma + seq[0]) / math.gamma(p.gamma)
         order_cap = len(seq) - 1
     else:
-        res = evaluate(p, SECOND, x, seq, t)
-        got = orders(p, SECOND, x, t)
+        res = evaluate(p, SECOND, x, seq)
+        got = orders(p, SECOND, x)
         gamma = p.gamma
         pref = (-0.5 * p.mu * x * x) ** (1 - gamma) * math.gamma(seq[0] + 2 - gamma) / math.gamma(2 - gamma)
         order_cap = len(seq) - 1
@@ -638,7 +628,7 @@ def test_steps_linear_in_orders():
     # a quadratic refold would need sum_n (n+1)(cap+1) steps, far above this
     t = NestedTruncation()
     for p, x in ((GchParams(-1.0, 3.0, 0.5, 0.7, 1.2), 2.0), (GchParams(2.0, 1.0, 1.5, 3.0, 0.25), 6.0)):
-        res = eval_general(p, 0.0, x, t)
+        res = eval_general(p, 0.0, x)
         assert res.orders_used >= 10
         assert res.terms_used <= res.orders_used * (t.max_inner + 1)
 
@@ -795,13 +785,13 @@ def test_second_kind_refuses_nu_past_the_float_integers(nu):
     assert record.error == f"KindRestrictionError: {message}"
 
 
-def test_sweep_near_the_forbidden_integers():
+def test_sweep_near_the_forbidden_integers(caps):
     # each kind over each of its forbidden integers k up to |k| = 300:
     # within 2e-12 of k validate refuses nu at every x; from 2.05e-12 to
     # 1e-10 away the closed form raises no PoleError and no bare float
     # error (a GchError such as FloatOverflow may remain)
     rng = random.Random(18)
-    t = NestedTruncation(max_inner=400)
+    caps(max_inner=400)
     for kind, ks in ((FIRST, range(0, -301, -1)), (SECOND, range(2, 301))):
         for k in ks:
             # the second kind's z^(1 - gamma) is real only for mu < 0
@@ -811,11 +801,11 @@ def test_sweep_near_the_forbidden_integers():
             assert abs(near - k) <= 2e-12
             for x in (0.0, rng.uniform(0.0, 14.0)):
                 with pytest.raises(KindRestrictionError):
-                    evaluate(GchParams(mu, eps, near, Omega, omega), kind, x, t=t)
+                    evaluate(GchParams(mu, eps, near, Omega, omega), kind, x)
             band = k + rng.choice([-1.0, 1.0]) * rng.uniform(2.05e-12, 1e-10)
             assert abs(band - k) >= 2.05e-12
             try:
-                evaluate(GchParams(mu, eps, band, Omega, omega), kind, rng.uniform(0.0, 14.0), t=t)
+                evaluate(GchParams(mu, eps, band, Omega, omega), kind, rng.uniform(0.0, 14.0))
             except GchError as exc:
                 assert not isinstance(exc, PoleError), exc
 

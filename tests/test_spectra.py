@@ -5,7 +5,7 @@ import pytest
 
 from gch.errors import DegenerateCoupling, FloatOverflow, NonFiniteError, TailNotDecayed
 from gch.params import detect_termination
-from gch.series import NestedTruncation, betas_from_omega
+from gch.series import betas_from_omega
 from gch.spectra import (
     Confinement,
     QQbar,
@@ -17,8 +17,6 @@ from gch.spectra import (
 )
 
 from decomposition import orders
-
-NT = NestedTruncation(max_order_N=50, max_inner=120, rel_tol=1e-12)
 
 
 # ------------------------------------------------------------------- maps
@@ -153,8 +151,8 @@ def test_eigenvalue_closed_forms(system, ):
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_small_r_scaling(system):
     state = make_state(system, 0, 2)
-    v3 = wavefunction_result(system, state, 1e-3, NT)[0]
-    v4 = wavefunction_result(system, state, 1e-4, NT)[0]
+    v3 = wavefunction_result(system, state, 1e-3)[0]
+    v4 = wavefunction_result(system, state, 1e-4)[0]
     slope = (math.log(abs(v3)) - math.log(abs(v4))) / (math.log(1e-3) - math.log(1e-4))
     l = system.l_m if isinstance(system, RotatingOscillator) else system.l
     assert slope == pytest.approx(l + 1, rel=0.01)
@@ -163,7 +161,7 @@ def test_small_r_scaling(system):
 def test_wavefunction_vanishes_at_origin():
     system = SYSTEMS[0]
     state = make_state(system, 0, 1)
-    assert wavefunction_result(system, state, 0.0, NT)[0] == 0.0
+    assert wavefunction_result(system, state, 0.0)[0] == 0.0
 
 
 def test_ground_state_order0_is_pure_envelope():
@@ -177,8 +175,8 @@ def test_ground_state_order0_is_pure_envelope():
     seq = betas_from_omega(state.gch, 0.0, 5)
     r = 1.3
     x = r / math.sqrt(2.0 * system.omega_c)
-    res = evaluate(state.gch, SolutionKind.FIRST, x, seq, NT)
-    got = orders(state.gch, SolutionKind.FIRST, x, NT)
+    res = evaluate(state.gch, SolutionKind.FIRST, x, seq)
+    got = orders(state.gch, SolutionKind.FIRST, x)
     assert got[0] == 1.0
     assert res.orders_used == len(got) > 1 and got[1] != 0.0
 
@@ -188,7 +186,7 @@ def test_odd_order_state_evaluates():
     # normalisation takes over seamlessly
     system = QQbar(m_q=0.3, b_slope=1.0, l=0)
     state = make_state(system, 1, 2)
-    val = wavefunction_result(system, state, 1.0, NT)[0]
+    val = wavefunction_result(system, state, 1.0)[0]
     assert math.isfinite(val) and val != 0.0
 
 
@@ -199,8 +197,8 @@ def test_massless_quark_states_decay():
     for beta in range(6):
         state = make_state(system, 0, beta)
         rs = [0.05 + (10.0 - 0.05) * i / 119 for i in range(120)]
-        peak = max(abs(wavefunction_result(system, state, r, NT)[0]) for r in rs)
-        assert abs(wavefunction_result(system, state, 20.0, NT)[0]) <= 1e-8 * peak
+        peak = max(abs(wavefunction_result(system, state, r)[0]) for r in rs)
+        assert abs(wavefunction_result(system, state, 20.0)[0]) <= 1e-8 * peak
 
 
 # ------------------------------------------------------------ normalisation
@@ -219,7 +217,7 @@ def test_radial_norm_and_normalize_reject_bad_grid(r_max, n_points):
     with pytest.raises(ValueError, match="at least 3 quadrature points"):
         radial_norm(lambda r: r, r_max, n_points)
     with pytest.raises(ValueError, match="at least 3 quadrature points"):
-        normalize(system, state, r_max, n_points, NT)
+        normalize(system, state, r_max, n_points)
 
 
 def test_radial_norm_gaussian_closed_form():
@@ -231,8 +229,8 @@ def test_radial_norm_gaussian_closed_form():
 def test_normalize_quadrature_convergence():
     system = QQbar(m_q=0.0, b_slope=1.0, l=0)
     state = make_state(system, 0, 2)
-    n1 = normalize(system, state, 12.0, 2000, NT)
-    n2 = normalize(system, state, 12.0, 4000, NT)
+    n1 = normalize(system, state, 12.0, 2000)
+    n2 = normalize(system, state, 12.0, 4000)
     assert abs(n2 - n1) <= 1e-8 * abs(n2)
 
 
@@ -240,8 +238,8 @@ def test_normalize_scaling_consistency():
     # N computed from the state times the sampled norm of N * Psi is 1
     system = QQbar(m_q=0.0, b_slope=1.0, l=1)
     state = make_state(system, 0, 1)
-    n = normalize(system, state, 12.0, 3001, NT)
-    total = radial_norm(lambda r: n * wavefunction_result(system, state, r, NT)[0], 12.0, 3001)
+    n = normalize(system, state, 12.0, 3001)
+    total = radial_norm(lambda r: n * wavefunction_result(system, state, r)[0], 12.0, 3001)
     assert total == pytest.approx(1.0, rel=1e-10)
 
 
@@ -249,7 +247,7 @@ def test_normalize_tail_guard():
     system = QQbar(m_q=0.0, b_slope=1.0, l=0)
     state = make_state(system, 0, 2)
     with pytest.raises(TailNotDecayed):
-        normalize(system, state, 2.5, 501, NT)
+        normalize(system, state, 2.5, 501)
 
 
 OSC_L10 = RotatingOscillator(l_m=10, omega_c=2.0)
@@ -407,7 +405,7 @@ def test_radial_norm_and_normalize_refuse_non_finite_r_max(r_max):
     with pytest.raises(NonFiniteError, match=message):
         radial_norm(lambda r: r, r_max, 7)
     with pytest.raises(NonFiniteError, match=message):
-        normalize(system, state, r_max, 7, NT)
+        normalize(system, state, r_max, 7)
 
 
 @pytest.mark.parametrize("r,error,message", [

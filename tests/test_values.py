@@ -3,7 +3,8 @@
 Each class is built by keyword and by position with the same defaults,
 refuses assignment and deletion, compares and hashes by value within its
 own class only, keeps its repr and its validation messages, and survives
-copy and pickle.
+copy and pickle.  ``NestedTruncation`` takes no arguments: it records the
+caps in force, so its cases build it with the caps set to their values.
 """
 
 import copy
@@ -16,6 +17,7 @@ import pytest
 from gch.errors import NonFiniteError
 from gch.params import EvalResult, GchParams, SolutionKind
 from gch.recurrence import coefficients
+from gch import series
 from gch.series import NestedTruncation, betas_from_omega
 from gch.spectra import Confinement, EigenState, QQbar, RotatingOscillator, make_state, normalize, radial_norm
 from gch.verify import CrossRecord, CrossReport, GridSpec, ResidualReport
@@ -32,8 +34,8 @@ CASES = [
     (EvalResult, ("value", "terms_used", "last_term_mag", "converged", "orders_used"),
      (0.5, 81, 1e-17, True, 2), (0.5, 81, 1e-17, False, 2),
      "EvalResult(value=0.5, terms_used=81, last_term_mag=1e-17, converged=True, orders_used=2)"),
-    (NestedTruncation, ("max_order_N", "max_inner", "rel_tol"), (32, 120, 1e-10), (32, 121, 1e-10),
-     "NestedTruncation(max_order_N=32, max_inner=120, rel_tol=1e-10)"),
+    (NestedTruncation, ("max_order_N", "max_inner", "rel_tol"), (48, 240, 1e-12), (48, 241, 1e-12),
+     "NestedTruncation(max_order_N=48, max_inner=240, rel_tol=1e-12)"),
     (RotatingOscillator, ("l_m", "omega_c"), (1, 2.0), (2, 2.0),
      "RotatingOscillator(l_m=1, omega_c=2.0)"),
     (Confinement, ("a", "b", "c", "mass", "l"), (1.0, 0.2, 0.5, 1.0, 0), (1.0, 0.2, 0.5, 2.0, 0),
@@ -67,18 +69,32 @@ CASES = [
 IDS = [case[0].__name__ for case in CASES]
 
 
+def _build(cls, values, by_keyword=False):
+    """cls(*values), or by keyword; a NestedTruncation (or a subclass) as
+    ``cls()`` reads it with the caps set to ``values``."""
+    if not issubclass(cls, NestedTruncation):
+        return cls(**dict(zip(cls.__slots__, values))) if by_keyword else cls(*values)
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in zip(("_MAX_ORDER", "_MAX_INNER", "_REL_TOL"), values):
+            mp.setattr(series, name, value)
+        return cls()
+
+
 @pytest.mark.parametrize("cls,fields,values,_changed,_repr", CASES, ids=IDS)
 def test_positional_and_keyword_construction_agree(cls, fields, values, _changed, _repr):
-    by_position = cls(*values)
-    by_keyword = cls(**dict(zip(fields, values)))
+    assert fields == cls.__slots__
+    by_position = _build(cls, values)
+    by_keyword = _build(cls, values, by_keyword=True)
     assert by_position == by_keyword
     for obj in (by_position, by_keyword):
         assert tuple(getattr(obj, name) for name in fields) == values
 
 
 DEFAULTS = [
-    (lambda: NestedTruncation(), lambda: NestedTruncation(48, 240, 1e-12)),
-    (lambda: NestedTruncation(rel_tol=1e-9), lambda: NestedTruncation(48, 240, 1e-9)),
+    (lambda: NestedTruncation()._values(), lambda: (48, 240, 1e-12)),
+    (lambda: GridSpec(kinds=(SolutionKind.FIRST,)),
+     lambda: GridSpec((-2.0, -0.5, 0.5, 2.0), (-2.0, -0.5, 0.5, 2.0), (0.5, 1.5), (-1.0, 1.0),
+                      (0.25, 1.0), (0.1, 0.5, 1.0), (SolutionKind.FIRST,))),
     (lambda: EvalResult(1.0, 5, 0.0, True), lambda: EvalResult(1.0, 5, 0.0, True, None)),
     (lambda: EvalResult(value=1.0, terms_used=5, last_term_mag=0.0, converged=True, orders_used=1),
      lambda: EvalResult(1.0, 5, 0.0, True, 1)),
@@ -101,40 +117,40 @@ def test_defaults(implicit, explicit):
 
 @pytest.mark.parametrize("cls,fields,values,_changed,_repr", CASES, ids=IDS)
 def test_assignment_and_deletion_raise(cls, fields, values, _changed, _repr):
-    obj = cls(*values)
+    obj = _build(cls, values)
     for name in (*fields, "not_a_field"):
         with pytest.raises(AttributeError):
             setattr(obj, name, 0)
         with pytest.raises(AttributeError):
             delattr(obj, name)
-    assert obj == cls(*values)
+    assert obj == _build(cls, values)
     assert not hasattr(obj, "not_a_field")
 
 
 @pytest.mark.parametrize("cls,_fields,values,changed,_repr", CASES, ids=IDS)
 def test_equality_and_hash_by_value(cls, _fields, values, changed, _repr):
-    a, b = cls(*values), cls(*values)
+    a, b = _build(cls, values), _build(cls, values)
     assert a is not b
     assert a == b and not a != b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
     assert {a: 1}[b] == 1
-    other = cls(*changed)
+    other = _build(cls, changed)
     assert a != other and not a == other
 
 
 @pytest.mark.parametrize("cls,_fields,values,_changed,_repr", CASES, ids=IDS)
 def test_not_equal_to_tuple_or_subclass(cls, _fields, values, _changed, _repr):
-    obj = cls(*values)
+    obj = _build(cls, values)
     assert obj != values and values != obj
     assert obj != list(values)
-    same_name = type(cls.__name__, (cls,), {})(*values)
+    same_name = _build(type(cls.__name__, (cls,), {}), values)
     assert obj != same_name and same_name != obj
 
 
 @pytest.mark.parametrize("one,other", [
     (GchParams(1.0, 0.2, 0.5, 1.0, 0), Confinement(1.0, 0.2, 0.5, 1.0, 0)),
-    (NestedTruncation(48, 240, 0.5), ResidualReport(48, 240, 0.5)),
+    (NestedTruncation(), ResidualReport(48, 240, 1e-12)),
     (ResidualReport(48, 240, 1), QQbar(48, 240, 1)),
     (EigenState(1.0, 0.2, 0.5, 1.0, 0), Confinement(1.0, 0.2, 0.5, 1.0, 0)),
 ], ids=["params-confinement", "nested-residual", "residual-qqbar", "state-confinement"])
@@ -144,20 +160,10 @@ def test_classes_with_equal_values_differ(one, other):
 
 @pytest.mark.parametrize("cls,_fields,values,_changed,pinned", CASES, ids=IDS)
 def test_repr_pinned(cls, _fields, values, _changed, pinned):
-    assert repr(cls(*values)) == pinned
+    assert repr(_build(cls, values)) == pinned
 
 
 @pytest.mark.parametrize("make,message", [
-    (lambda: NestedTruncation(max_order_N=1), "max_order_N must be at least 2"),
-    (lambda: NestedTruncation(max_inner=3), "max_inner must be at least 4"),
-    (lambda: NestedTruncation(rel_tol=0.0), "rel_tol must be positive"),
-    (lambda: NestedTruncation(rel_tol=1.0), "rel_tol must lie in (0, 1)"),
-    (lambda: NestedTruncation(rel_tol=5.0), "rel_tol must lie in (0, 1)"),
-    (lambda: NestedTruncation(rel_tol=math.inf), "rel_tol must lie in (0, 1)"),
-    (lambda: NestedTruncation(rel_tol=math.nan), "rel_tol must lie in (0, 1)"),
-    (lambda: NestedTruncation(max_order_N=10.0), "max_order_N must be an integer, got 10.0"),
-    (lambda: NestedTruncation(max_inner=40.0), "max_inner must be an integer, got 40.0"),
-    (lambda: NestedTruncation(max_inner="40"), "max_inner must be an integer, got '40'"),
     (lambda: RotatingOscillator(l_m=-1, omega_c=1.0), "l_m must be a nonnegative integer"),
     (lambda: RotatingOscillator(l_m=0, omega_c=0.0), "omega_c must be positive"),
     (lambda: Confinement(a=1.0, b=0.2, c=0.0, mass=1.0, l=0), "c must be positive"),
@@ -198,7 +204,7 @@ def test_non_finite_fields_refused(make, message):
 
 @pytest.mark.parametrize("cls,_fields,values,_changed,_repr", CASES, ids=IDS)
 def test_copy_and_pickle_round_trip(cls, _fields, values, _changed, _repr):
-    obj = cls(*values)
+    obj = _build(cls, values)
     copies = [copy.copy(obj), copy.deepcopy(obj)]
     copies += [pickle.loads(pickle.dumps(obj, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     for dup in copies:

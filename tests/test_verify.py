@@ -8,7 +8,6 @@ import gch.verify
 from gch.errors import DomainError, NonFiniteError
 from gch.params import GchParams, SolutionKind, validate
 from gch.recurrence import coefficients, sum_series
-from gch.series import NestedTruncation
 from gch.spectra import RotatingOscillator, make_state
 from gch.verify import GridSpec, ResidualReport, cross_validate, ode_residual
 
@@ -148,12 +147,12 @@ def test_cross_validate_refuses_a_non_finite_axis():
         cross_validate(GridSpec(mu=(math.nan,)))
 
 
-def test_cross_validate_monotone_in_order_cap():
+def test_cross_validate_monotone_in_order_cap(caps):
     # worst-case error on the full default grid shrinks as the order cap grows
     errs = []
     for cap in (6, 10, 20):
-        nt = NestedTruncation(max_order_N=cap, max_inner=72, rel_tol=1e-12)
-        errs.append(cross_validate(None, nt).max_rel_err)
+        caps(max_order_N=cap, max_inner=72)
+        errs.append(cross_validate().max_rel_err)
     assert errs[0] >= errs[1] >= errs[2]
     assert errs[2] <= 1e-9
 
