@@ -379,6 +379,10 @@ def _outcome(
                 scale = math.exp(expo)
             except OverflowError as exc:
                 raise FloatOverflow(f"transform factor e^({expo}) overflows at x={x}") from exc
+            # an order past the float range, times a factor that underflowed
+            # to 0.0, would read NaN
+            if not all(map(math.isfinite, orders)):
+                raise FloatOverflow(f"nested sum overflows at x={x}")
             orders = [scale * o for o in orders]
         used = len(orders)
         return EvalResult(

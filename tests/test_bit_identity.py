@@ -24,7 +24,7 @@ FIRST, SECOND = SolutionKind.FIRST, SolutionKind.SECOND
 DIGEST = "21c1c0e59792c8c025d01d725e5e2ececae5161ac0d40246ce82e61c187c5c7c"
 
 #: SHA-256 of the newline-joined lines of :func:`edge_reprs`
-EDGE_DIGEST = "ed49d2ec8b83aedb8b32a7e3c2c380f32d96f2b56552ab4f4a347e4e6905ff69"
+EDGE_DIGEST = "3322150e45362ef753cdfee4ee21576a9b446b025141fbec661b2d1445f560ff"
 
 
 def _params(rng: random.Random, kind: SolutionKind, mu: float) -> GchParams:

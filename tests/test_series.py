@@ -692,6 +692,21 @@ def test_float_overflow_is_a_gch_error(p, kind, x, message):
     assert isinstance(info.value, GchError) and isinstance(info.value, OverflowError)
 
 
+@pytest.mark.parametrize("p,x", [
+    # every transformed order is infinite, and e^-1800 underflows to 0.0
+    (GchParams(1.0, 0.0, 1.5, 1.0, 0.0), 60.0),
+    # the transformed orders times eps_tilde^n = 10000^n leave the float range
+    (GchParams(1.0, 400.0, 1.5, 1.0, 0.0), 50.0),
+], ids=["orders", "eps-tilde-powers"])
+def test_far_side_order_overflow_is_a_float_overflow(p, x):
+    # not the NaN of an infinite order times a transform factor of 0.0
+    message = f"^nested sum overflows at x={re.escape(repr(x))}$"
+    for call in (lambda: evaluate(p, FIRST, x), lambda: eval_general(p, 0.0, x),
+                 lambda: evaluate_grid(p, FIRST, [1.0, x])):
+        with pytest.raises(FloatOverflow, match=message):
+            call()
+
+
 @pytest.mark.parametrize("num_arg,den_arg", [
     (300.7, 300.5),                  # both Gammas overflow
     (171.7, 171.2),                  # the numerator overflows
