@@ -33,13 +33,15 @@ import random
 from collections import Counter
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp
 
 from gch.errors import GchError
 from gch.params import GchParams, SolutionKind
 from gch.recurrence import sum_series
 from gch.series import eval_general
 from gch.spectra import Confinement, QQbar, RotatingOscillator, make_state
+
+from reference import raw_sum
 
 FIRST, SECOND = SolutionKind.FIRST, SolutionKind.SECOND
 
@@ -53,11 +55,6 @@ POINTS = 40
 #: the first pair whose sums agree to AGREE relative
 PRECISIONS = ((40, 70), (120, 200))
 AGREE = 1e-20
-
-#: the reference sum stops once QUIET consecutive terms have stayed below
-#: 10^-(digits + 5) of its largest term, and fails past MAX_TERMS
-QUIET = 6
-MAX_TERMS = 5000
 
 
 # ----------------------------------------------------------------- strata
@@ -145,48 +142,13 @@ def points():
 
 # -------------------------------------------------------------- reference
 
-def _raw_sum(p: GchParams, lam: float, x: float):
-    """x^lam sum_n t_n at the working precision, None where the terms have
-    not decayed within MAX_TERMS.  t_n = c_n x^n follows the raw
-    recurrence c_{n+1} = A_n c_n + B_n c_{n-1} (:mod:`gch.params`), c_0 = 1:
-
-        t_{n+1} = -(eps x (m + omega) t_n + (Omega + mu (m - 1)) x^2 t_{n-1})
-                  / ((m + 1)(m + nu)),    m = n + lam."""
-    mu, eps, nu, Om, om, lam, x = (mpf(v) for v in (p.mu, p.eps, p.nu, p.Omega, p.omega, lam, x))
-    x2 = x * x
-    a, b, c = -eps * x, -Om * x2, -mu * x2
-    # m + omega, m - 1, m + 1 and m + nu at n = 0
-    m_om, m_less, m_more, m_nu = lam + om, lam - 1, lam + 1, lam + nu
-    t_prev, t = mpf(0), mpf(1)
-    total = t
-    cut = mpf(10) ** (-(mp.dps + 5))
-    bar = cut  # cut times the largest term so far
-    quiet = 0
-    for n in range(MAX_TERMS):
-        t_prev, t = t, (a * m_om * t + (b + c * m_less) * t_prev) / (m_more * m_nu)
-        m_om += 1
-        m_less += 1
-        m_more += 1
-        m_nu += 1
-        total += t
-        mag = abs(t)
-        if mag > bar:
-            quiet = 0
-            bar = max(bar, cut * mag)
-        else:
-            quiet += 1
-            if quiet >= QUIET and n > 8:
-                return total * x ** lam
-    return None
-
-
 def reference(p: GchParams, lam: float, x: float):
     """The accepted reference value, or None."""
     for low, high in PRECISIONS:
         with mp.workdps(low):
-            a = _raw_sum(p, lam, x)
+            a = raw_sum(p, lam, x)
         with mp.workdps(high):
-            b = _raw_sum(p, lam, x)
+            b = raw_sum(p, lam, x)
             if a is not None and b is not None and abs(a - b) <= AGREE * abs(b):
                 return float(b)
     return None

@@ -343,6 +343,14 @@ def test_truncation_flags_refused(capsys, argv, flag):
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
+def test_point_past_the_inner_cap_exit3(capsys):
+    # z = 450 at eps = 0 needs a chain deeper than the fixed cap of 240
+    code = main(["eval", "--mu", "-1", "--nu", "1.5", "--omega-cap", "1", "--x-start", "30", "--x-stop", "30",
+                 "--x-count", "1"])
+    assert code == 3
+    assert capsys.readouterr().out.splitlines()[1].endswith(",241,0.0,false")
+
+
 def test_asymptote_small_eps_requires_mu(capsys):
     code = main(["asymptote", "--regime", "small-eps", "--x-start", "0", "--x-stop", "1",
                  "--x-count", "3"])

@@ -22,6 +22,7 @@ from gch.series import (
 from gch.verify import GridSpec, cross_validate
 
 from decomposition import orders
+from reference import mp_first_kind
 
 FIRST, SECOND = SolutionKind.FIRST, SolutionKind.SECOND
 
@@ -509,6 +510,41 @@ def test_inner_cap_shortfall_drops_converged_flag(caps):
     assert r_big.value == pytest.approx(oracle.value, rel=1e-9)
 
 
+#: eval-grid seed 36, where 48 orders past order 0 stop short of the tolerance
+AT_ORDER_CAP = (GchParams(-2.1961829071987147, 2.1107639383592813, 0.8110273914219748, 13.177097443192288,
+                          1.3137562216709568), FIRST, 3.7732601192715816)
+#: z = 450 at eps = 0: order 0 alone, whose chain needs more than 240 steps
+AT_INNER_CAP = (GchParams(-1.0, 0.0, 1.5, 1.0, 0.0), 0.0, 30.0)
+
+
+def test_order_cap_is_hit_at_its_fixed_value():
+    res = evaluate(*AT_ORDER_CAP)
+    assert (res.orders_used, res.terms_used, res.converged) == (49, 3283, False)
+
+
+def test_inner_cap_is_hit_at_its_fixed_value():
+    res = eval_general(*AT_INNER_CAP)
+    assert (res.terms_used, res.orders_used, res.converged) == (241, 1, False)
+
+
+def test_record_holds_the_caps_the_engine_applies(caps):
+    t = NestedTruncation()
+    assert (t.max_order_N, t.max_inner, t.rel_tol) == (48, 240, 1e-12)
+    assert len(series._INDICES) == t.max_inner
+    assert evaluate(*AT_ORDER_CAP).orders_used == t.max_order_N + 1
+    assert eval_general(*AT_INNER_CAP).terms_used == t.max_inner + 1
+    # each cap set through the fixture is the one the engine applies
+    t = caps(max_order_N=80, max_inner=300)
+    assert (t.max_order_N, t.max_inner, len(series._INDICES)) == (80, 300, 300)
+    res = evaluate(*AT_ORDER_CAP)
+    assert (res.orders_used, res.converged) == (51, True)
+    assert eval_general(*AT_INNER_CAP).terms_used == 301
+    t = caps(max_order_N=48, max_inner=240, rel_tol=1e-6)
+    assert t.rel_tol == 1e-6
+    res = evaluate(*AT_ORDER_CAP)
+    assert (res.orders_used, res.converged) == (43, True)
+
+
 def test_normalization_pole():
     from gch.errors import NormalizationPole
     # gamma - Omega/2mu = 0: Gamma pole in the first-kind prefactor
@@ -827,37 +863,13 @@ def test_sweep_near_the_forbidden_integers(caps):
 
 # ---------------------------------------------- mu > 0 through the transformation
 
-def _mp_first_kind(mu, eps, nu, Omega, omega, x, dps=60):
-    """y(x) = sum_n c_n x^n with c_0 = 1, c_{n+1} = A_n c_n + B_n c_{n-1},
-    summed in dps-digit arithmetic; written from the ODE, shares no code
-    with gch."""
-    with mp.workdps(dps):
-        mu, eps, nu, Omega, omega, x = (mp.mpf(v) for v in (mu, eps, nu, Omega, omega, x))
-        c_prev, c = mp.mpf(0), mp.mpf(1)
-        total, xn = mp.mpf(0), mp.mpf(1)
-        small = 0
-        for n in range(2000):
-            term = c * xn
-            total += term
-            if n > 10 and abs(term) < mp.mpf(10) ** (-dps - 5) * abs(total):
-                small += 1
-                if small >= 3:
-                    return total
-            else:
-                small = 0
-            den = (n + 1) * (n + nu)
-            c_prev, c = c, (-eps * (n + omega) * c - (Omega + mu * (n - 1)) * c_prev) / den
-            xn *= x
-    raise AssertionError("reference series did not converge")
-
-
 @pytest.mark.parametrize("eps", [0.0, 1.0])
 @pytest.mark.parametrize("x", [4.0, 5.0, 6.0])
 def test_mu_positive_large_z_against_mpmath(eps, x):
     # z = -16, -25, -36: the untransformed chains cancel to ~1e-10 at x = 4
     # and are not resolved at all at x = 6
     mu, nu, Omega, omega = 2.0, 1.5, 3.0, 0.25
-    ref = _mp_first_kind(mu, eps, nu, Omega, omega, x)
+    ref = mp_first_kind(mu, eps, nu, Omega, omega, x)
     if eps == 0.0:
         with mp.workdps(60):
             kummer = mp.hyp1f1(mp.mpf(Omega) / (2 * mu), (1 + mp.mpf(nu)) / 2, -mu * mp.mpf(x) ** 2 / 2)
@@ -873,7 +885,7 @@ def test_mu_positive_large_z_against_mpmath(eps, x):
 def test_shallow_chains_many_orders_against_mpmath(mu, eps, x):
     # |z| <= 0.02 needs chains only about 10 deep, while |eps x/2| up to 4
     # takes 26 to 39 orders, whose chains must not need more
-    ref = float(_mp_first_kind(mu, eps, 1.5, 0.3, 0.25, x))
+    ref = float(mp_first_kind(mu, eps, 1.5, 0.3, 0.25, x))
     res = eval_general(GchParams(mu, eps, 1.5, 0.3, 0.25), 0.0, x)
     assert res.converged
     assert abs(res.value - ref) <= 1e-12 * abs(ref)
