@@ -329,11 +329,10 @@ def test_wavefunction_envelope_overflow_exit2(capsys):
     assert captured.err == "error: radial envelope overflows at r=10000000000.0\n"
 
 
-@pytest.mark.parametrize("flag", ["--max-order", "--max-inner", "--rel-tol"])
-@pytest.mark.parametrize("argv", [
-    ["eval", "--mu", "2", "--nu", "1.5", "--omega-cap", "3", "--x-count", "1"],
-    ["wavefunction", "--system", "qqbar", "--mass", "0.3", "--b-slope", "1", "--x-count", "1"],
-    ["verify"],
+@pytest.mark.parametrize("argv,flag", [
+    (["eval", "--mu", "2", "--nu", "1.5", "--omega-cap", "3", "--x-count", "1"], "--max-order"),
+    (["wavefunction", "--system", "qqbar", "--mass", "0.3", "--b-slope", "1", "--x-count", "1"], "--max-inner"),
+    (["verify"], "--rel-tol"),
 ], ids=["eval", "wavefunction", "verify"])
 def test_truncation_flags_refused(capsys, argv, flag):
     # the caps are fixed: no subcommand declares a flag that sets one

@@ -14,10 +14,10 @@ import re
 
 import pytest
 
+from gch import series
 from gch.errors import NonFiniteError
 from gch.params import EvalResult, GchParams, SolutionKind
 from gch.recurrence import coefficients
-from gch import series
 from gch.series import NestedTruncation, betas_from_omega
 from gch.spectra import Confinement, EigenState, QQbar, RotatingOscillator, make_state, normalize, radial_norm
 from gch.verify import CrossRecord, CrossReport, GridSpec, ResidualReport
