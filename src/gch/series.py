@@ -90,10 +90,11 @@ and a point reads S_n(z) = sum_i T_n[i] (z / z_ref)^i off the vectors
 T_n = g_n(z_ref) of another point, summed over its own depth.  The depth
 never falls as |z| grows, so :func:`evaluate_grid` runs one engine, at
 the point of largest |x| on each side of the transform test, and every
-point there costs one dot product per order.  The engine's table grows
-as far as any point reads: a point that needs more orders than those
-before it extends the same table.  Its eps_tilde powers, transform
-factor, prefactor and stop rule stay its own.
+point there costs one dot product per order.  Each point reads that
+engine through its own :func:`itertools.tee` reader, so the engine builds
+an order once, when the first point to sum it reads it, and none that no
+point sums.  Its eps_tilde powers, transform factor, prefactor and stop
+rule stay its own.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import partial
-from itertools import accumulate, chain, cycle, islice, repeat
+from itertools import accumulate, cycle, islice, repeat, tee
 from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -182,7 +183,7 @@ def _gamma_ratio(num_arg: float, den_arg: float, what: str) -> float:
     return ratio
 
 
-def _required_cap(z: float, a_mag: float, chains: tuple, hard_cap: int) -> int:
+def _required_cap(z: float, a_mag: float, chains: tuple) -> int:
     """Chain depth at which Kummer-type terms have decayed ~18 digits.
 
     Scans the upper envelope whose step i multiplies by |z| (a_mag + i)
@@ -191,8 +192,8 @@ def _required_cap(z: float, a_mag: float, chains: tuple, hard_cap: int) -> int:
     (all factors taken positive, so neither sign cancellation nor
     polynomial termination can hide a growing tail; every chain is chain
     0 or 1 shifted, so a denominator near zero in any chain shows);
-    returns hard_cap + 1 if the envelope has not decayed within the hard
-    cap.  The depth never falls as |z| grows.
+    returns _MAX_INNER + 1 if the envelope has not decayed within
+    _MAX_INNER.  The depth never falls as |z| grows.
     """
     az = abs(z)
     if az == 0.0:
@@ -207,7 +208,7 @@ def _required_cap(z: float, a_mag: float, chains: tuple, hard_cap: int) -> int:
     # a float index: CPython 3.11 specialises float + float, not int +
     # float, and an index far below 2**53 is exact either way
     i = 0.0
-    last = float(hard_cap)
+    last = float(_MAX_INNER)
     while i <= last:
         den = (b + i) * (c + i)
         if both:
@@ -223,7 +224,7 @@ def _required_cap(z: float, a_mag: float, chains: tuple, hard_cap: int) -> int:
             floor = 1e-18 * peak
         elif ratio < 0.95 and t <= floor:
             return int(i)
-    return hard_cap + 1
+    return _MAX_INNER + 1
 
 
 def _kummer_transformed(p: GchParams) -> GchParams:
@@ -274,12 +275,10 @@ def _side(q: GchParams, lam: float, nq: Optional[int]) -> tuple[float, tuple, tu
             ((wn, 0.5 + h, 0.5 * q.nu + h), (wn + 0.5, 0.5 + h + 0.5, 0.5 * q.nu + h + 0.5)))
 
 
-def _engine(chains: tuple, weights: tuple, z: float, cap: int, table: Optional[list]) -> Iterator[list[float]]:
+def _engine(chains: tuple, weights: tuple, z: float, cap: int) -> Iterator[list[float]]:
     """The order vectors g_0, g_1, ... at chain argument z, over the chain
-    indices 0..cap, with ``chains`` and ``weights`` from :func:`_side`.
-
-    Each vector is appended to ``table``, unless it is None, before it is
-    yielded; so a reader that stops after order n builds nothing past it.
+    indices 0..cap, with ``chains`` and ``weights`` from :func:`_side`;
+    lazily, so a reader that stops after order n builds nothing past it.
     """
     (a0, b0, c0), (a1, b1, c1) = chains
     (wn0, d10, d20), (wn1, d11, d21) = weights
@@ -289,8 +288,6 @@ def _engine(chains: tuple, weights: tuple, z: float, cap: int, table: Optional[l
     # order 0: g[i] = (a_0)_i z^i / ((b_0)_i (c_0)_i), the Kummer terms
     zr0 = [z * (a0 + j) / ((b0 + j) * (c0 + j)) for j in js]
     g = list(accumulate(zr0, mul, initial=1.0))
-    if table is not None:
-        table.append(g)
     yield g
 
     # the parity rows zr_q[j] = z r_q(j-1) and w_q[j] = w_q(j) serve chain
@@ -318,8 +315,6 @@ def _engine(chains: tuple, weights: tuple, z: float, cap: int, table: Optional[l
         g = [acc := wj * gj + zj * acc for wj, gj, zj in zip(w, g, zr)]
         del zr[0], w[0]
         jr, jw = jw, jr + 1.0
-        if table is not None:
-            table.append(g)
         yield g
 
 
@@ -330,14 +325,14 @@ def _dot(powers: list[float], g: list[float]) -> float:
 
 def _outcome(
     p: GchParams, far: bool, nq: Optional[int], x: float, pref: float, et: float, need: int,
-    vectors: Iterator[list[float]], total: Callable[[list[float]], float],
+    sums: Iterator[float],
 ) -> EvalResult | FloatOverflow:
     """The result of a point, or the FloatOverflow it raises: the one place
     that sums a point's orders and decides why the sum stopped.
 
-    Order n contributes S_n et^n, with S_n = total(g_n) over chain depth
-    ``need`` capped at _MAX_INNER, and no vector past the last order summed
-    is drawn from ``vectors``.  The sum stops on tolerance right after
+    Order n contributes S_n et^n, with S_n the n-th entry of ``sums``, a
+    sum over chain depth ``need`` capped at _MAX_INNER, and no entry past
+    the last order summed is drawn from ``sums``.  The sum stops on tolerance right after
     order 0 when et = 0, or once two consecutive orders contribute below
     _REL_TOL times the running sum; otherwise on the order cap, after
     _MAX_ORDER orders past order 0.  It is converged if it stopped on
@@ -346,15 +341,15 @@ def _outcome(
     line of parameters is the group's: ``far`` marks the transformed
     parameters, whose n* is ``nq``."""
     try:
-        orders = [total(next(vectors))]
+        orders = [next(sums)]
         append = orders.append
         rel_tol = _REL_TOL
         streak = 0
         et_pow = 1.0
         running = orders[0]
-        for g in islice(vectors, 0 if et == 0.0 else _MAX_ORDER):
+        for s in islice(sums, 0 if et == 0.0 else _MAX_ORDER):
             et_pow *= et
-            contrib = total(g) * et_pow
+            contrib = s * et_pow
             append(contrib)
             running += contrib
             # |contrib| <= max(rel_tol |running|, _TINY) without a builtin
@@ -426,16 +421,16 @@ def _results(
     transformed parameters, is the outcome of every point on that side.
 
     The points on each side of that transform test share one engine, at
-    the z and depth of the side's point of largest |x|, and one table T of
-    the vectors it has built.  The points are walked in input order, and
-    each reads S_n = sum_i T_n[i] (z/z_ref)^i, over its own depth, off the
-    table and then off the engine (module docstring); so the table grows
-    as far as any point reads.  A point deeper than the table is z = 0
-    beside a tiny reference, where every entry past index 0 is multiplied
-    by 0 and index 0 does not depend on z; so every point reads the table,
-    and a point whose read raises or is not finite runs the engine on its
-    own.  A point at z_ref reads what its own run would, and a side of one
-    point keeps no table: holding the vectors costs it fresh memory.
+    the z and depth of the side's point of largest |x|.  The points are
+    walked in input order, each with its own tee reader of that engine,
+    and each maps the vectors T_n it reads to S_n = sum_i T_n[i]
+    (z/z_ref)^i over its own depth (module docstring).  A point deeper
+    than the reference is z = 0 beside a tiny reference, where every entry
+    past index 0 is multiplied by 0 and index 0 does not depend on z; so
+    every point reads the shared engine, and a point whose read raises or
+    is not finite runs the engine on its own.  A point at z_ref sums what
+    its own run would, and a side of one point reads the bare engine: a
+    tee buffer costs it fresh memory.
     """
     # each entry holds the point's prefactor until its side replaces it
     out: list = []
@@ -462,23 +457,22 @@ def _results(
         half_mu, half_eps = -0.5 * q.mu, -0.5 * q.eps
         x_ref = xs[idx[0]] if len(idx) == 1 else max([xs[i] for i in idx], key=abs)
         z_ref = half_mu * x_ref * x_ref
-        need_ref = _required_cap(z_ref, a_mag, chains, max_inner)
-        table = [] if len(idx) > 1 else None
-        engine = _engine(chains, weights, z_ref, min(need_ref, max_inner), table)
-        for i in idx:
+        need_ref = _required_cap(z_ref, a_mag, chains)
+        engine = _engine(chains, weights, z_ref, min(need_ref, max_inner))
+        for i, reader in zip(idx, tee(engine, len(idx)) if len(idx) > 1 else (engine,)):
             x = xs[i]
             z = half_mu * x * x
             et = half_eps * x
             if z == z_ref:
-                need, total = need_ref, math.fsum
+                need, sums = need_ref, map(math.fsum, reader)
             else:
-                need = _required_cap(z, a_mag, chains, max_inner)
-                total = partial(_dot, list(accumulate(repeat(z / z_ref, min(need, max_inner)), mul, initial=1.0)))
-            res = _outcome(p, far, nq, x, out[i], et, need,
-                           engine if table is None else chain(table, engine), total)
+                need = _required_cap(z, a_mag, chains)
+                powers = list(accumulate(repeat(z / z_ref, min(need, max_inner)), mul, initial=1.0))
+                sums = map(partial(_dot, powers), reader)
+            res = _outcome(p, far, nq, x, out[i], et, need, sums)
             if z != z_ref and not (isinstance(res, EvalResult) and math.isfinite(res.value)):
                 res = _outcome(p, far, nq, x, out[i], et, need,
-                               _engine(chains, weights, z, min(need, max_inner), None), math.fsum)
+                               map(math.fsum, _engine(chains, weights, z, min(need, max_inner))))
             out[i] = res
     return out
 
@@ -591,11 +585,10 @@ def evaluate_grid(p: GchParams, kind: SolutionKind, xs: Iterable[float]) -> list
     """:func:`evaluate` at each x of ``xs``, in input order; ``xs`` is read
     once, so an iterator gives the points a list of the same values does.
 
-    The points on each side of the mu > 0 transform test share one table
-    and one engine, at the point of largest |x|, exactly as
-    :func:`evaluate` runs it there; every other point reads its orders off
-    that point's order vectors with one dot product per order (module
-    docstring), and the table grows as far as any point reads.  So each
+    The points on each side of the mu > 0 transform test share one engine,
+    at the point of largest |x|, exactly as :func:`evaluate` runs it
+    there; every other point reads its orders off that point's order
+    vectors with one dot product per order (module docstring).  So each
     result has the flags, depth and ``orders_used`` of its own
     :func:`evaluate` call, and its value agrees with it to rounding
     (the point of largest |x|, and any point at the same |x|, bit for

@@ -39,8 +39,8 @@ def orders(p: GchParams, kind: SolutionKind, x: float, normalised: bool = True) 
     a_mag, chains, weights = series._side(q, lam, detect_termination(q, lam) if far else nstar)
     z = -0.5 * q.mu * x * x
     et = -0.5 * q.eps * x
-    need = series._required_cap(z, a_mag, chains, t.max_inner)
-    vectors = series._engine(chains, weights, z, min(need, t.max_inner), None)
+    need = series._required_cap(z, a_mag, chains)
+    vectors = series._engine(chains, weights, z, min(need, t.max_inner))
     out = [math.fsum(next(vectors))]
     running, et_pow, streak = out[0], 1.0, 0
     for g in islice(vectors, 0 if et == 0.0 else t.max_order_N):

@@ -126,13 +126,17 @@ def test_point_needing_more_orders_than_the_reference():
 
 
 def _engine_runs(monkeypatch):
-    """The chain arguments z of the engine runs made from here on."""
+    """The count of vectors each engine run read from here on has yielded,
+    one entry per run."""
     runs = []
     engine = series._engine
 
-    def counting(chains, weights, z, cap, table):
-        runs.append(z)
-        return engine(chains, weights, z, cap, table)
+    def counting(chains, weights, z, cap):
+        k = len(runs)
+        runs.append(0)
+        for g in engine(chains, weights, z, cap):
+            runs[k] += 1
+            yield g
 
     monkeypatch.setattr(series, "_engine", counting)
     return runs
@@ -488,7 +492,7 @@ def test_depth_sees_chain_one_near_a_pole(x, depth, ref):
 def test_depth_never_falls_as_z_grows(a_mag, b, c):
     # the grid reads nearer points off the table of the farthest one
     chains = ((0.0, b, c), (0.0, b + 0.5, c + 0.5))
-    depths = [_required_cap(z, a_mag, chains, 240) for z in (0.001 * 1.2 ** k for k in range(60))]
+    depths = [_required_cap(z, a_mag, chains) for z in (0.001 * 1.2 ** k for k in range(60))]
     assert depths == sorted(depths)
 
 
