@@ -72,8 +72,8 @@ def test_one_point_general_grid_is_eval_general(p, kind, x):
 
 
 def test_reference_point_is_bit_identical():
-    # the point of largest |x|, its duplicate and its mirror run the table
-    # itself, so they agree with evaluate bit for bit
+    # the point of largest |x|, its duplicate and its mirror sum the shared
+    # engine's vectors themselves, so they agree with evaluate bit for bit
     p = GchParams(-1.5, 0.8, 0.7, 0.9, 0.3)
     xs = [0.4, 2.1, -2.1, 1.0, 2.1]
     grid = evaluate_grid(p, FIRST, xs)
@@ -87,7 +87,7 @@ def test_reference_point_is_bit_identical():
     # unsorted, duplicates and +-x
     (GchParams(-2.0, 1.0, 1.5, 3.0, 0.25), FIRST, [0.7, -0.3, 1.9, 0.7, -1.9, 0.05, 1.2, 0.3]),
     (GchParams(-0.8, -1.4, 0.6, 0.5, 1.1), FIRST, [2.5, 0.1, -1.0, 2.4, 0.0, 1.7, -0.6]),
-    # mu > 0 across mu x^2/2 = 1 (x = 1): two tables
+    # mu > 0 across mu x^2/2 = 1 (x = 1): two engines
     (GchParams(2.0, 1.0, 1.5, 3.0, 0.25), FIRST, [0.2, 0.9, 1.0, 1.0000001, 1.1, 2.5, 4.0, -3.0, 0.5]),
     (GchParams(0.7, -1.3, 0.5, -0.4, 0.9), FIRST, [-3.5, 0.3, 1.6, 1.7, -0.1, 5.0]),
     # eps = 0: order 0 only
@@ -105,8 +105,8 @@ def test_grid_matches_points(p, kind, xs):
 
 
 def test_zero_beside_a_tiny_reference(monkeypatch):
-    # z = 0 takes depth 8, more than the tiny reference's table holds; it
-    # still reads the table, whose entries past index 0 it multiplies by
+    # z = 0 takes depth 8, more than the tiny reference's vectors hold; it
+    # still reads them, and multiplies their entries past index 0 by
     # (0/z_ref)^i = 0, and index 0 does not depend on z: one engine run
     p = GchParams(-2.0, 1.0, 1.5, 3.0, 0.25)
     xs = [0.0, 1e-6, -3e-7]
@@ -123,6 +123,15 @@ def test_point_needing_more_orders_than_the_reference():
     xs = [1.24, 0.5, 1.26]
     grid = _assert_matches_points(GchParams(-2.0, 0.4, 2.0, 4.0, 0.5), FIRST, xs)
     assert grid[0].orders_used == 15 > grid[2].orders_used == 14
+
+
+def test_shared_engine_builds_no_order_no_point_sums(monkeypatch):
+    # the points sum 15, 11 and 14 orders: the side's one engine yields 15
+    # vectors, none past what the deepest reader reads
+    runs = _engine_runs(monkeypatch)
+    grid = evaluate_grid(GchParams(-2.0, 0.4, 2.0, 4.0, 0.5), FIRST, [1.24, 0.5, 1.26])
+    assert [r.orders_used for r in grid] == [15, 11, 14]
+    assert runs == [15]
 
 
 def _engine_runs(monkeypatch):
@@ -143,8 +152,9 @@ def _engine_runs(monkeypatch):
 
 
 def test_one_engine_run_per_side(monkeypatch):
-    # the point that needs more orders than the reference extends the same
-    # table; at mu > 0 the points past the transform test share a second
+    # the point that needs more orders than the reference reads the same
+    # engine further; at mu > 0 the points past the transform test share a
+    # second
     calls = _engine_runs(monkeypatch)
     evaluate_grid(GchParams(-2.0, 0.4, 2.0, 4.0, 0.5), FIRST, [1.24, 0.5, 1.26])
     assert len(calls) == 1
@@ -232,10 +242,10 @@ def test_domain_error_at_first_failing_x():
 
 
 def test_error_while_building_a_table_falls_back_to_points():
-    # the table is built at x = 40, whose order vectors hold infinities
-    # of both signs; x = 40 reads what its own run would, so its error is
-    # its outcome, and the nearer points read finite values off the same
-    # table: the call raises what x = 40 raises on its own
+    # the shared engine runs at x = 40, whose order vectors hold
+    # infinities of both signs; x = 40 reads what its own run would, so
+    # its error is its outcome, and the nearer points read finite values
+    # off the same vectors: the call raises what x = 40 raises on its own
     p = GchParams(-2.0, 1.0, 1.5, -3.0, 0.25)
     assert math.isfinite(evaluate(p, FIRST, 1.0).value)
     with pytest.raises(FloatOverflow) as per_point:
@@ -246,8 +256,8 @@ def test_error_while_building_a_table_falls_back_to_points():
 
 
 def test_failing_point_costs_the_others_nothing(monkeypatch):
-    # x = 40 raises while the table is built at its z; the other points
-    # read the same table, and nothing runs again
+    # x = 40 raises while the shared engine runs at its z; the other
+    # points read the same engine, and nothing runs again
     runs = _engine_runs(monkeypatch)
     p = GchParams(-2.0, 1.0, 1.5, -3.0, 0.25)
     with pytest.raises(FloatOverflow, match=r"^nested sum overflows at x=40\.0$"):
@@ -490,7 +500,7 @@ def test_depth_sees_chain_one_near_a_pole(x, depth, ref):
 
 @pytest.mark.parametrize("a_mag,b,c", [(1.8, 1.0, 1.25), (0.7, 1.0, -4.5 + 1e-9), (2.2, -0.75, 1.0), (9.0, 1.0, 3.0)])
 def test_depth_never_falls_as_z_grows(a_mag, b, c):
-    # the grid reads nearer points off the table of the farthest one
+    # the grid reads nearer points off the order vectors of the farthest one
     chains = ((0.0, b, c), (0.0, b + 0.5, c + 0.5))
     depths = [_required_cap(z, a_mag, chains) for z in (0.001 * 1.2 ** k for k in range(60))]
     assert depths == sorted(depths)
@@ -499,8 +509,8 @@ def test_depth_never_falls_as_z_grows(a_mag, b, c):
 # ------------------------------------------------------ grids pinned bit for bit
 
 @pytest.mark.parametrize("p,xs,pinned", [
-    # the points after the first read the table while the engine is still
-    # extending it (21, then 41, then 31 orders)
+    # the points after the first read vectors the engine has built and
+    # then build more (21, then 41, then 31 orders)
     (GchParams(-1.0, 3.0, 0.5, 0.7, 1.2), [0.5, 2.0, 1.2],
      [(-0.28211889716104266, 273, 21), (0.02706950954442871, 1066, 41), (-0.151024197837918, 589, 31)]),
     # mu x^2/2 = 1 at x = 1: two points on each side of the transform test
