@@ -3,7 +3,10 @@
 Subcommands: eval | spectrum | wavefunction | verify | asymptote.
 Rows are emitted as CSV (LF line endings, pinned headers) or JSON; every
 float is printed in shortest round-trip form, so repeated runs are
-byte-identical and JSON output re-serialises to itself.  Options may also
+byte-identical and JSON output re-serialises to itself.  JSON has no
+token for a non-finite number, so there such a float is a string of the
+text CSV prints for it ("inf", "-inf" or "nan"), which float() reads
+back.  Options may also
 be supplied as a JSON config file; explicit flags win on conflict, and a
 file value must be one its flag accepts (a choice, or a JSON number,
 integer or string for a float, int or string flag; no bools).  A null
@@ -81,8 +84,9 @@ def _emit(command: str, header: Sequence[str], rows: list[tuple], fmt: str, out)
     else:
         import json
 
+        rows = [[_fmt(v) if isinstance(v, float) and not math.isfinite(v) else v for v in row] for row in rows]
         doc = {"command": command, "rows": [dict(zip(header, row)) for row in rows]}
-        out.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        out.write(json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n")
 
 
 def _finite(text) -> float:

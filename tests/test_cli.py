@@ -76,6 +76,21 @@ def test_eval_json_roundtrip(tmp_path):
     assert [sorted(r) for r in doc["rows"]][0] == ["converged", "est_error", "terms_used", "value", "x"]
 
 
+def test_eval_json_non_finite_value_is_a_string(capsys):
+    # x = 50 overflows to inf; JSON has no token for it, so the value is
+    # the text CSV prints, as a string
+    code = main(["eval", "--mu", "-2", "--epsilon", "0", "--nu", "1.5", "--omega-cap", "-3", "--omega", "0.25",
+                 "--x-start", "30", "--x-stop", "50", "--x-count", "2", "--format", "json"])
+    assert code == 3
+
+    def refuse(token):
+        raise ValueError(f"{token} is not valid JSON")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert [row["value"] for row in doc["rows"]] == [3.2610390924448743e+239, "inf"]
+    assert float(doc["rows"][1]["value"]) == math.inf
+
+
 def test_spectrum_oscillator_ladder(capsys):
     code = main(OSC_SPECTRUM)
     out = capsys.readouterr().out.strip().split("\n")
@@ -194,6 +209,18 @@ def test_verify_with_no_point_evaluated_fails(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == "verify: 0 points, max_rel_err=0.000e+00, tolerance=1.0e-09, FAIL\n"
+
+
+def test_verify_nan_rel_err_is_the_summary_max(tmp_path, capsys):
+    # the oracle's terms overflow at x = 20, so its rel_err is NaN: the
+    # row fails, and the summary's max_rel_err is nan, not x = 0.5's
+    grid = {"mu": [-2.0], "eps": [1.0], "nu": [1.5], "omega_cap": [-3.0], "omega": [0.25], "x": [0.5, 20.0],
+            "kinds": ["first"]}
+    assert main(["verify", *_config(tmp_path, {"grid": grid})]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "verify: 2 points, max_rel_err=nan, tolerance=1.0e-09, FAIL\n"
+    assert [row.split(",")[7::2] for row in captured.out.splitlines()[1:]] == [
+        ["6.25071393493894e-16", "ok"], ["nan", "tolerance"]]
 
 
 def test_verify_omega_over_mu_overflow_fails_its_rows(tmp_path, capsys):
