@@ -192,7 +192,8 @@ def cross_validate(grid: GridSpec | None = None) -> CrossReport:
     The closed form takes each parameter set's x axis in one grid call per
     kind.  Per-point failures (kind restrictions, domain errors) are
     recorded and the sweep continues; the report carries the worst
-    relative error.
+    relative error, NaN where a record's is NaN (the worst is then
+    unknown).
     """
     grid = grid or GridSpec()
     records: list[CrossRecord] = []
@@ -203,7 +204,7 @@ def cross_validate(grid: GridSpec | None = None) -> CrossReport:
     rel_errs = [rec.rel_err for rec in records if rec.error is None]
     return CrossReport(
         records=tuple(records),
-        max_rel_err=max([0.0, *rel_errs]),
+        max_rel_err=math.nan if any(map(math.isnan, rel_errs)) else max([0.0, *rel_errs]),
         n_evaluated=len(rel_errs),
         n_failed=len(records) - len(rel_errs),
     )

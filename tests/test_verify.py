@@ -140,6 +140,15 @@ def test_cross_validate_records_float_overflow_of_sums(grid, errors):
     assert [rec.error for rec in cross_validate(grid).records] == errors
 
 
+def test_cross_validate_nan_rel_err_is_the_max():
+    # the oracle's terms overflow at x = 20, so its value and rel_err are
+    # NaN: the worst error of the sweep is unknown, not x = 0.5's
+    rep = cross_validate(GridSpec((-2.0,), (1.0,), (1.5,), (-3.0,), (0.25,), (0.5, 20.0), (SolutionKind.FIRST,)))
+    assert [rec.error for rec in rep.records] == [None, None]
+    assert rep.records[0].rel_err <= 1e-15 and math.isnan(rep.records[1].rel_err)
+    assert math.isnan(rep.max_rel_err)
+
+
 def test_cross_validate_refuses_a_non_finite_axis():
     # the grid's parameter sets are refused when built, not recorded as
     # failed rows
