@@ -3,7 +3,9 @@
 A change that is meant to leave every value as it was (a speed-up, a
 refactor) keeps both digests.  A change that moves bits on purpose must
 recompute them, with ``python tests/test_bit_identity.py``, and say in
-CHANGES.md which results moved and why.  DIGEST covers random points and
+CHANGES.md which results moved and why: ``python tests/test_bit_identity.py
+lines`` prints the lines both digests cover, so the lines of the parent
+and of the change can be diffed.  DIGEST covers random points and
 grids and the default ``cross_validate`` sweep; EDGE_DIGEST covers the
 grids where points take different paths to their outcomes: x = 0 beside a
 tiny reference, grids on both sides of the mu > 0 transform test and grids
@@ -12,6 +14,7 @@ with failing points, each also point by point.
 
 import hashlib
 import random
+from itertools import chain
 
 from gch.errors import GchError
 from gch.params import GchParams, SolutionKind, validate
@@ -129,5 +132,11 @@ def test_edge_results_keep_their_bits():
 
 
 if __name__ == "__main__":
-    print("DIGEST", digest(reprs()))
-    print("EDGE_DIGEST", digest(edge_reprs()))
+    import sys
+
+    if sys.argv[1:] == ["lines"]:
+        for line in chain(reprs(), edge_reprs()):
+            print(line)
+    else:
+        print("DIGEST", digest(reprs()))
+        print("EDGE_DIGEST", digest(edge_reprs()))
