@@ -330,9 +330,9 @@ def _outcome(
     """The result of a point, or the FloatOverflow it raises: the one place
     that sums a point's orders and decides why the sum stopped.
 
-    Order n contributes S_n et^n, with S_n the n-th entry of ``sums``, a
-    sum over chain depth ``need`` capped at _MAX_INNER, and no entry past
-    the last order summed is drawn from ``sums``.  The sum stops on tolerance right after
+    Order n contributes S_n et^n, with S_n the n-th entry of ``sums``
+    (over chain depth ``need`` capped at _MAX_INNER), and no entry past the
+    last order summed is drawn.  The sum stops on tolerance right after
     order 0 when et = 0, or once two consecutive orders contribute below
     _REL_TOL times the running sum; otherwise on the order cap, after
     _MAX_ORDER orders past order 0.  It is converged if it stopped on
