@@ -14,6 +14,7 @@ with failing points, each also point by point.
 
 import hashlib
 import random
+import sys
 from itertools import chain
 
 from gch.errors import GchError
@@ -132,8 +133,6 @@ def test_edge_results_keep_their_bits():
 
 
 if __name__ == "__main__":
-    import sys
-
     if sys.argv[1:] == ["lines"]:
         for line in chain(reprs(), edge_reprs()):
             print(line)

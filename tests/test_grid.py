@@ -125,15 +125,6 @@ def test_point_needing_more_orders_than_the_reference():
     assert grid[0].orders_used == 15 > grid[2].orders_used == 14
 
 
-def test_shared_engine_builds_no_order_no_point_sums(monkeypatch):
-    # the points sum 15, 11 and 14 orders: the side's one engine yields 15
-    # vectors, none past what the deepest reader reads
-    runs = _engine_runs(monkeypatch)
-    grid = evaluate_grid(GchParams(-2.0, 0.4, 2.0, 4.0, 0.5), FIRST, [1.24, 0.5, 1.26])
-    assert [r.orders_used for r in grid] == [15, 11, 14]
-    assert runs == [15]
-
-
 def _engine_runs(monkeypatch):
     """The count of vectors each engine run read from here on has yielded,
     one entry per run."""
@@ -153,11 +144,13 @@ def _engine_runs(monkeypatch):
 
 def test_one_engine_run_per_side(monkeypatch):
     # the point that needs more orders than the reference reads the same
-    # engine further; at mu > 0 the points past the transform test share a
-    # second
+    # engine further, and the engine builds no order that no point sums:
+    # the points take 15, 11 and 14 orders, and its one run yields 15
+    # vectors; at mu > 0 the points past the transform test share a second
     calls = _engine_runs(monkeypatch)
-    evaluate_grid(GchParams(-2.0, 0.4, 2.0, 4.0, 0.5), FIRST, [1.24, 0.5, 1.26])
-    assert len(calls) == 1
+    grid = evaluate_grid(GchParams(-2.0, 0.4, 2.0, 4.0, 0.5), FIRST, [1.24, 0.5, 1.26])
+    assert [r.orders_used for r in grid] == [15, 11, 14]
+    assert calls == [15]
     calls.clear()
     evaluate_grid(GchParams(2.0, 0.4, 1.5, 3.0, 0.5), FIRST, [0.3, 2.0, 0.9, 1.5])
     assert len(calls) == 2
