@@ -185,11 +185,12 @@ class EvalResult(_Frozen):
     """Outcome of a series evaluation.
 
     ``terms_used`` counts the terms the evaluation summed: the recurrence
-    terms of :func:`~gch.recurrence.sum_series`, or for the closed form the order-vector
-    entries it used, cap + 1 per order (order 0 included), where cap is
-    the chain depth the point needed.  A point of a grid that reads its
-    orders off another point's vectors counts the entries it used, the
-    same count as its own engine run.
+    terms of :func:`~gch.recurrence.sum_series`, or for the closed form the
+    order-vector entries it used, cap + 1 per order (order 0 included),
+    where cap is the chain depth the point needed, at most the inner cap,
+    at most 1 at x = 0 and at most beta_0 where eps = 0 and chain 0 ends.
+    A point of a grid that reads its orders off another point's vectors
+    counts the entries it used, the same count as its own engine run.
     ``last_term_mag`` is the magnitude of the last accumulated term (or, for
     the closed-form path, of the last order summed, 0.0 when only order 0
     was); it is not an error bound, and cancellation inside the sum can

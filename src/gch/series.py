@@ -88,13 +88,14 @@ while the weights carry none; so
 
 and a point reads S_n(z) = sum_i T_n[i] (z / z_ref)^i off the vectors
 T_n = g_n(z_ref) of another point, summed over its own depth.  The depth
-never falls as |z| grows, so :func:`evaluate_grid` runs one engine, at
-the point of largest |x| on each side of the transform test, and every
-point there costs one dot product per order.  Each point reads that
-engine through its own :func:`itertools.tee` reader, so the engine builds
-an order once, when the first point to sum it reads it, and none that no
-point sums.  Its eps_tilde powers, transform factor, prefactor and stop
-rule stay its own.
+(:func:`_required_cap`), the one input to how deep a point's chains run
+and whether the inner cap cut them, never falls as |z| grows from z = 0,
+so :func:`evaluate_grid` runs one engine, at the point of largest |x| on
+each side of the transform test, and every point there costs one dot
+product per order.  Each point reads that engine through its own
+:func:`itertools.tee` reader, so the engine builds an order once, when
+the first point to sum it reads it, and none that no point sums.  Its
+eps_tilde powers, transform factor, prefactor and stop rule stay its own.
 """
 
 from __future__ import annotations
@@ -135,10 +136,11 @@ class NestedTruncation(_Frozen):
     ``max_inner`` caps every chain index, and ``rel_tol`` stops the outer
     sum once two consecutive orders contribute less than rel_tol times the
     running total.  Each point runs its chains to the depth at which the
-    upper envelope of its Kummer-type terms has decayed 18 digits
-    (:func:`_required_cap`), and to ``max_inner`` where that depth is
-    larger, so the cap costs easy points nothing; it reaches |z| of about
-    100 with Kummer-type chain parameters.  Some points near |eps_tilde| =
+    upper envelope of its Kummer-type terms has decayed 18 digits, or to
+    beta_0 where eps = 0 and chain 0 ends (:func:`_required_cap`); one
+    deeper than ``max_inner`` is cut there and flagged, so the cap costs
+    easy points nothing; it reaches |z| of about 100 with Kummer-type chain
+    parameters.  Some points near |eps_tilde| =
     4 need more orders than the cap: they are flagged as not converged,
     not covered.
     """
@@ -183,21 +185,20 @@ def _gamma_ratio(num_arg: float, den_arg: float, what: str) -> float:
     return ratio
 
 
-def _required_cap(z: float, a_mag: float, chains: tuple) -> int:
+def _required_cap(z: float, a_mag: float, chains: tuple, end: Optional[int]) -> int:
     """Chain depth at which Kummer-type terms have decayed ~18 digits.
 
     Scans the upper envelope whose step i multiplies by |z| (a_mag + i)
     over the smaller of chain 0's |(b_0 + i)(c_0 + i)| and chain 1's
-    |(b_1 + i)(c_1 + i)|, with a_mag and ``chains`` from :func:`_side`
-    (all factors taken positive, so neither sign cancellation nor
-    polynomial termination can hide a growing tail; every chain is chain
-    0 or 1 shifted, so a denominator near zero in any chain shows);
+    |(b_1 + i)(c_1 + i)|, with a_mag, ``chains`` and ``end`` from
+    :func:`_side` (all factors taken positive, so neither sign cancellation
+    nor polynomial termination can hide a growing tail; every chain is
+    chain 0 or 1 shifted, so a denominator near zero in any chain shows);
     returns _MAX_INNER + 1 if the envelope has not decayed within
-    _MAX_INNER.  The depth never falls as |z| grows.
+    _MAX_INNER, and at most an ``end`` that is not None.  z = 0 is scanned
+    like any z (depth 1), so the depth never falls as |z| grows from 0.
     """
     az = abs(z)
-    if az == 0.0:
-        return 8
     (_, b, c), (_, b1, c1) = chains
     # where b_0 and c_0 are positive, chain 0's denominator is positive and
     # the smaller of the two
@@ -208,8 +209,8 @@ def _required_cap(z: float, a_mag: float, chains: tuple) -> int:
     # a float index: CPython 3.11 specialises float + float, not int +
     # float, and an index far below 2**53 is exact either way
     i = 0.0
-    last = float(_MAX_INNER)
-    while i <= last:
+    last = float(_MAX_INNER + 1 if end is None else min(end, _MAX_INNER + 1))
+    while i < last:
         den = (b + i) * (c + i)
         if both:
             den = min(abs(den), abs((b1 + i) * (c1 + i)))
@@ -224,7 +225,7 @@ def _required_cap(z: float, a_mag: float, chains: tuple) -> int:
             floor = 1e-18 * peak
         elif ratio < 0.95 and t <= floor:
             return int(i)
-    return _MAX_INNER + 1
+    return int(last)
 
 
 def _kummer_transformed(p: GchParams) -> GchParams:
@@ -252,15 +253,16 @@ def _chain_end(nstar: Optional[int], k: int) -> Optional[int]:
     return (nstar - 1 - k) // 2
 
 
-def _side(q: GchParams, lam: float, nq: Optional[int]) -> tuple[float, tuple, tuple]:
-    """(a_mag, chains, weights) of a side with parameters q and n* = nq.
+def _side(q: GchParams, lam: float, nq: Optional[int]) -> tuple[float, Optional[int], tuple, tuple]:
+    """(a_mag, end, chains, weights) of a side with parameters q and n* = nq.
 
     ``chains`` is ((a_0, b_0, c_0), (a_1, b_1, c_1)), where a_k is exactly
     -beta_k if chain k ends (:func:`_chain_end`) and Omega/(2 mu) + k/2 +
     lam/2 otherwise; ``weights`` holds the offsets (numerator, first and
     second denominator) of w_0 and w_1, so w_k(j) = (j + wn)/((j + d1)(j +
     d2)); every other chain and weight is one of these shifted (module
-    docstring).  a_mag is the largest |a_k| of chains 0 to 2."""
+    docstring).  a_mag is the largest |a_k| of chains 0 to 2.  ``end`` is
+    beta_0 where q.eps = 0 (order 0 alone) and chain 0 ends, else None."""
     half_ratio = q.Omega / (2.0 * q.mu)
     h = 0.5 * lam
     gamma = q.gamma
@@ -270,21 +272,22 @@ def _side(q: GchParams, lam: float, nq: Optional[int]) -> tuple[float, tuple, tu
     a2 = half_ratio + 1.0 + h if end2 is None else -float(end2)
     wn = h + 0.5 * q.omega
     # nu/2 + h, not gamma - 1/2 + h, which rounds 1 + nu before it cancels near nu = 0, -2
-    return (max(abs(a0), abs(a1), abs(a2)),
+    return (max(abs(a0), abs(a1), abs(a2)), end0 if q.eps == 0.0 else None,
             ((a0, 1.0 + h, gamma + h), (a1, 1.5 + h, gamma + 0.5 + h)),
             ((wn, 0.5 + h, 0.5 * q.nu + h), (wn + 0.5, 0.5 + h + 0.5, 0.5 * q.nu + h + 0.5)))
 
 
 def _engine(chains: tuple, weights: tuple, z: float, cap: int) -> Iterator[list[float]]:
     """The order vectors g_0, g_1, ... at chain argument z, over the chain
-    indices 0..cap, with ``chains`` and ``weights`` from :func:`_side`;
-    lazily, so a reader that stops after order n builds nothing past it.
-    """
+    indices 0..min(cap, _MAX_INNER), with ``chains`` and ``weights`` from
+    :func:`_side`; lazily, so a reader that stops after order n builds
+    nothing past it."""
     (a0, b0, c0), (a1, b1, c1) = chains
     (wn0, d10, d20), (wn1, d11, d21) = weights
     # float indices (CPython 3.11 specialises float + float, not int + float;
     # exact far below 2**53), sliced off a shared tuple at a tenth of the cost
     js = _INDICES[:cap]
+    cap = len(js)
     # order 0: g[i] = (a_0)_i z^i / ((b_0)_i (c_0)_i), the Kummer terms
     zr0 = [z * (a0 + j) / ((b0 + j) * (c0 + j)) for j in js]
     g = list(accumulate(zr0, mul, initial=1.0))
@@ -324,8 +327,7 @@ def _dot(powers: list[float], g: list[float]) -> float:
 
 
 def _outcome(
-    p: GchParams, far: bool, nq: Optional[int], x: float, pref: float, et: float, need: int,
-    sums: Iterator[float],
+    p: GchParams, far: bool, x: float, pref: float, et: float, need: int, sums: Iterator[float],
 ) -> EvalResult | FloatOverflow:
     """The result of a point, or the FloatOverflow it raises: the one place
     that sums a point's orders and decides why the sum stopped.
@@ -336,10 +338,9 @@ def _outcome(
     order 0 when et = 0, or once two consecutive orders contribute below
     _REL_TOL times the running sum; otherwise on the order cap, after
     _MAX_ORDER orders past order 0.  It is converged if it stopped on
-    tolerance and the inner cap cut no chain: need <= _MAX_INNER, or, with
-    only order 0 summed, a chain 0 that ends within _MAX_INNER.  The first
-    line of parameters is the group's: ``far`` marks the transformed
-    parameters, whose n* is ``nq``."""
+    tolerance, the inner cap cut no chain (need <= _MAX_INNER) and its
+    value is finite; an infinite or NaN value is still returned, flagged.
+    ``far`` marks the transformed parameters of p's group."""
     try:
         orders = [next(sums)]
         append = orders.append
@@ -364,10 +365,7 @@ def _outcome(
                     break
             else:
                 streak = 0
-        max_inner = _MAX_INNER
         on_tol = et == 0.0 or streak >= 2  # else on the order cap
-        inner_cut = need > max_inner and not (
-            et == 0.0 and (end0 := _chain_end(nq, 0)) is not None and end0 <= max_inner)
         if far:
             expo = -0.5 * p.mu * x * x - p.eps * x
             try:
@@ -380,11 +378,12 @@ def _outcome(
                 raise FloatOverflow(f"nested sum overflows at x={x}")
             orders = [scale * o for o in orders]
         used = len(orders)
+        value = pref * math.fsum(orders)
         return EvalResult(
-            pref * math.fsum(orders),
-            (min(need, max_inner) + 1) * used,
+            value,
+            (min(need, _MAX_INNER) + 1) * used,
             abs(pref * orders[-1]) if used > 1 else 0.0,
-            on_tol and not inner_cut,
+            on_tol and need <= _MAX_INNER and math.isfinite(value),
             used,
         )
     except FloatOverflow as exc:
@@ -411,11 +410,11 @@ def _results(
     Each point's prefactor comes first, and its error is the point's
     outcome.  Each side derives its chain parameters once
     (:func:`_side`), and each point runs its chains to the depth
-    :func:`_required_cap` gives for its z and those parameters, at most
-    _MAX_INNER; :func:`_outcome` sums its orders and decides where it
-    stopped.  For mu > 0 and z < -1 the alternating chains cancel, so
-    there the orders are those of the transformed parameters
-    (:func:`_kummer_transformed`, whose z is positive) times
+    :func:`_required_cap` gives for its z and those parameters, which
+    :func:`_engine` caps at _MAX_INNER; :func:`_outcome` sums its orders
+    and decides where it stopped.  For mu > 0 and z < -1 the alternating
+    chains cancel, so there the orders are those of the transformed
+    parameters (:func:`_kummer_transformed`, whose z is positive) times
     e^{-mu x^2/2 - eps x}; which chains end is then decided by the
     transformed parameters' n*, whose error, like an overflow of the
     transformed parameters, is the outcome of every point on that side.
@@ -424,13 +423,11 @@ def _results(
     the z and depth of the side's point of largest |x|.  The points are
     walked in input order, each with its own tee reader of that engine,
     and each maps the vectors T_n it reads to S_n = sum_i T_n[i]
-    (z/z_ref)^i over its own depth (module docstring).  A point deeper
-    than the reference is z = 0 beside a tiny reference, where every entry
-    past index 0 is multiplied by 0 and index 0 does not depend on z; so
-    every point reads the shared engine, and a point whose read raises or
-    is not finite runs the engine on its own.  A point at z_ref sums what
-    its own run would, and a side of one point reads the bare engine: a
-    tee buffer costs it fresh memory.
+    (z/z_ref)^i over its own depth (module docstring), which is never
+    deeper than the reference's; a point whose read raises or is not
+    finite runs the engine on its own.  A point at z_ref sums what its own
+    run would, and a side of one point reads the bare engine: a tee buffer
+    costs it fresh memory.
     """
     # each entry holds the point's prefactor until its side replaces it
     out: list = []
@@ -442,7 +439,6 @@ def _results(
             out.append(exc)
         else:
             sides.setdefault(p.mu > 0.0 and 0.5 * p.mu * x * x > 1.0, []).append(i)
-    max_inner = _MAX_INNER
     for far, idx in sides.items():
         q, nq = p, nstar
         if far:
@@ -453,12 +449,12 @@ def _results(
                 for i in idx:
                     out[i] = exc
                 continue
-        a_mag, chains, weights = _side(q, lam, nq)
+        a_mag, end, chains, weights = _side(q, lam, nq)
         half_mu, half_eps = -0.5 * q.mu, -0.5 * q.eps
         x_ref = xs[idx[0]] if len(idx) == 1 else max([xs[i] for i in idx], key=abs)
         z_ref = half_mu * x_ref * x_ref
-        need_ref = _required_cap(z_ref, a_mag, chains)
-        engine = _engine(chains, weights, z_ref, min(need_ref, max_inner))
+        need_ref = _required_cap(z_ref, a_mag, chains, end)
+        engine = _engine(chains, weights, z_ref, need_ref)
         for i, reader in zip(idx, tee(engine, len(idx)) if len(idx) > 1 else (engine,)):
             x = xs[i]
             z = half_mu * x * x
@@ -466,13 +462,12 @@ def _results(
             if z == z_ref:
                 need, sums = need_ref, map(math.fsum, reader)
             else:
-                need = _required_cap(z, a_mag, chains)
-                powers = list(accumulate(repeat(z / z_ref, min(need, max_inner)), mul, initial=1.0))
+                need = _required_cap(z, a_mag, chains, end)
+                powers = list(accumulate(repeat(z / z_ref, need), mul, initial=1.0))
                 sums = map(partial(_dot, powers), reader)
-            res = _outcome(p, far, nq, x, out[i], et, need, sums)
+            res = _outcome(p, far, x, out[i], et, need, sums)
             if z != z_ref and not (isinstance(res, EvalResult) and math.isfinite(res.value)):
-                res = _outcome(p, far, nq, x, out[i], et, need,
-                               map(math.fsum, _engine(chains, weights, z, min(need, max_inner))))
+                res = _outcome(p, far, x, out[i], et, need, map(math.fsum, _engine(chains, weights, z, need)))
             out[i] = res
     return out
 

@@ -278,7 +278,8 @@ def normalize(system: QuantumSystem, state: EigenState, r_max: float, n_points: 
     Raises ValueError for a state of another system, TailNotDecayed
     unless |Psi(r_max)| has fallen below 1e-10 of the sampled peak, and
     then SampleNotConverged if the engine flags any sample as not
-    converged.
+    converged.  The samples are scaled exactly by the power of two that
+    brings the peak near 1, so their squares neither underflow nor overflow.
     """
     grid = _radial_grid(r_max, n_points)
     samples = _samples(system, state, grid)
@@ -293,4 +294,5 @@ def normalize(system: QuantumSystem, state: EigenState, r_max: float, n_points: 
         raise SampleNotConverged(
             f"{len(bad)} of {len(grid)} samples are not converged, the first at r = {bad[0]!r}"
         )
-    return 1.0 / math.sqrt(_simpson(grid, vals))
+    e = math.frexp(peak)[1]
+    return math.ldexp(1.0 / math.sqrt(_simpson(grid, [math.ldexp(v, -e) for v in vals])), -e)

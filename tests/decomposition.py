@@ -36,11 +36,10 @@ def orders(p: GchParams, kind: SolutionKind, x: float, normalised: bool = True) 
         pref = real_power(x, lam)
     far = p.mu > 0.0 and 0.5 * p.mu * x * x > 1.0
     q = series._kummer_transformed(p) if far else p
-    a_mag, chains, weights = series._side(q, lam, detect_termination(q, lam) if far else nstar)
+    a_mag, end, chains, weights = series._side(q, lam, detect_termination(q, lam) if far else nstar)
     z = -0.5 * q.mu * x * x
     et = -0.5 * q.eps * x
-    need = series._required_cap(z, a_mag, chains)
-    vectors = series._engine(chains, weights, z, min(need, t.max_inner))
+    vectors = series._engine(chains, weights, z, series._required_cap(z, a_mag, chains, end))
     out = [math.fsum(next(vectors))]
     running, et_pow, streak = out[0], 1.0, 0
     for g in islice(vectors, 0 if et == 0.0 else t.max_order_N):

@@ -28,7 +28,7 @@ FIRST, SECOND = SolutionKind.FIRST, SolutionKind.SECOND
 DIGEST = "21c1c0e59792c8c025d01d725e5e2ececae5161ac0d40246ce82e61c187c5c7c"
 
 #: SHA-256 of the newline-joined lines of :func:`edge_reprs`
-EDGE_DIGEST = "3322150e45362ef753cdfee4ee21576a9b446b025141fbec661b2d1445f560ff"
+EDGE_DIGEST = "5ba3da4ee2261a800d496a106fbf48c33be3a729ab227a6a4172237b3ec10472"
 
 
 def _params(rng: random.Random, kind: SolutionKind, mu: float) -> GchParams:

@@ -105,13 +105,12 @@ def test_grid_matches_points(p, kind, xs):
 
 
 def test_zero_beside_a_tiny_reference(monkeypatch):
-    # z = 0 takes depth 8, more than the tiny reference's vectors hold; it
-    # still reads them, and multiplies their entries past index 0 by
-    # (0/z_ref)^i = 0, and index 0 does not depend on z: one engine run
+    # z = 0 is scanned like any z, so it is no deeper than the tiny
+    # reference whose vectors it reads: one engine run
     p = GchParams(-2.0, 1.0, 1.5, 3.0, 0.25)
     xs = [0.0, 1e-6, -3e-7]
     grid = _assert_matches_points(p, FIRST, xs)
-    assert _depth(grid[0]) == 8 > _depth(grid[1])
+    assert _depth(grid[0]) <= min(_depth(grid[1]), _depth(grid[2]))
     runs = _engine_runs(monkeypatch)
     assert evaluate_grid(p, FIRST, xs) == grid
     assert len(runs) == 1
@@ -461,17 +460,42 @@ def test_normalize_checks_the_tail_first():
 
 
 def test_terminated_eps_zero_value_converges_past_the_inner_cap(caps):
-    # with eps = 0 only chain 0 is summed; where it ends, the inner cap cuts
-    # no tail even when the envelope would need more depth
+    # with eps = 0 only chain 0 is summed, and its entries past its end
+    # beta_0 = 2 are 0: the depth is beta_0 even where the envelope would
+    # need more than the inner cap
     system = QQbar(m_q=0.0, b_slope=1.0, l=0)
     state = make_state(system, 0, 2)
     caps(max_order_N=50, max_inner=120)
     res = evaluate(state.gch, FIRST, 11.5)
-    assert _depth(res) == 120 and res.converged
+    assert _depth(res) == 2 and res.converged
     with mp.workdps(40):
         z = mp.mpf(11.5) ** 2 / 2  # -mu x^2/2 at mu = -1
         ref = mp.hyp1f1(-2, mp.mpf(1.5), z) * mp.gamma(mp.mpf(1.5) + 2) / mp.gamma(mp.mpf(1.5))
     assert res.value == pytest.approx(float(ref), rel=1e-13)
+
+
+def test_terminated_eps_zero_value_near_the_float_limit():
+    # chain 0 ends at beta_0 = 1, so the value is 1.25 (1 - 0.8 z) with z =
+    # x^2 = 1.44e308; read past the chain's end, 0 times an entry that
+    # overflowed made it NaN
+    x = 1.2e154
+    res = evaluate(GchParams(-2.0, 0.0, 1.5, 4.0, 0.25), FIRST, x)
+    assert res.converged and _depth(res) == 1
+    assert res.value == pytest.approx(1.25 * (1.0 - 0.8 * x * x), rel=1e-15)
+
+
+@pytest.mark.parametrize("p,kind,x", [
+    # z = -mu x^2/2 overflows, and z^(1-gamma) reads 0 times the inf of the sum
+    (GchParams(-2.0, 0.0, 1.5, 3.0, 0.25), SECOND, 1e155),
+    # 1.25 (1 - 0.8 z) is past the float range
+    (GchParams(-2.0, 0.0, 1.5, 4.0, 0.25), FIRST, 1.4e154),
+])
+def test_non_finite_value_is_not_converged(p, kind, x):
+    # a value that is not finite is returned, and flagged
+    grid = evaluate_grid(p, kind, [0.5, x, 1.0])
+    assert [r.converged for r in grid] == [True, False, True]
+    got = [evaluate(p, kind, x), grid[1], eval_general(p, kind.lambda_of(p.nu), x)]
+    assert not any(math.isfinite(r.value) or r.converged for r in got)
 
 
 # ------------------------------------------------- chain depth from both chains
@@ -495,7 +519,7 @@ def test_depth_sees_chain_one_near_a_pole(x, depth, ref):
 def test_depth_never_falls_as_z_grows(a_mag, b, c):
     # the grid reads nearer points off the order vectors of the farthest one
     chains = ((0.0, b, c), (0.0, b + 0.5, c + 0.5))
-    depths = [_required_cap(z, a_mag, chains) for z in (0.001 * 1.2 ** k for k in range(60))]
+    depths = [_required_cap(z, a_mag, chains, None) for z in (0.0, *(0.001 * 1.2 ** k for k in range(60)))]
     assert depths == sorted(depths)
 
 

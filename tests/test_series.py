@@ -572,7 +572,7 @@ def _backward_fold_orders(p, lam, x, t, a_of, order_cap):
     et = -0.5 * p.eps * x
     a_mag = max(abs(a_of(0)), abs(a_of(1)), abs(a_of(2)))
     chains = ((a_of(0), 1.0 + h, gamma + h), (a_of(1), 1.5 + h, gamma + 0.5 + h))
-    cap = min(t.max_inner, _required_cap(z, a_mag, chains))
+    cap = min(t.max_inner, _required_cap(z, a_mag, chains, None))
 
     def r(k, i):
         return (a_of(k) + i) / ((1.0 + 0.5 * k + h + i) * (gamma + 0.5 * k + h + i))

@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath as mp
 import pytest
 
 from gch.errors import DegenerateCoupling, FloatOverflow, NonFiniteError, TailNotDecayed
@@ -241,6 +242,21 @@ def test_normalize_scaling_consistency():
     n = normalize(system, state, 12.0, 3001)
     total = radial_norm(lambda r: n * wavefunction_result(system, state, r)[0], 12.0, 3001)
     assert total == pytest.approx(1.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("l", [160, 200])
+def test_normalize_far_from_one(l):
+    # y = 1 exactly, so u = r^(l+1) e^(-b r^2/4) peaks near 1e-156 (l = 160)
+    # and 1e-184 (l = 200): its squares, unscaled, lose digits or underflow
+    # to a zero sum.  ref: the same Simpson sum in 50-digit arithmetic
+    system = QQbar(m_q=0.0, b_slope=1e4, l=l)
+    got = normalize(system, make_state(system, 0, 0), 1.0, 401)
+    with mp.workdps(50):
+        rs = [mp.mpf(j) / 400 for j in range(401)]
+        terms = [(r ** (l + 1) * mp.exp(-2500 * r * r)) ** 2 * r * r * (1 if j in (0, 400) else 4 if j % 2 else 2)
+                 for j, r in enumerate(rs)]
+        ref = 1 / mp.sqrt(mp.fsum(terms) / 1200)
+    assert got == pytest.approx(float(ref), rel=1e-13)
 
 
 def test_normalize_tail_guard():
