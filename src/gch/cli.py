@@ -23,10 +23,11 @@ the output: the exit code stays the command's.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, NoReturn, Optional, Sequence
 
 # only what the parser needs; each subcommand imports the modules it runs,
 # so a process loads no more of gch than its subcommand uses
@@ -410,5 +411,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return code
 
 
+def run() -> NoReturn:
+    """The process entry of both ``python -m gch.cli`` and the ``gch``
+    console script: :func:`main` on the command line, then exit with its
+    code."""
+    code = main()
+    # main has written, flushed and closed its output.  Interpreter
+    # shutdown then runs full collections over every object still tracked
+    # (about 12k, most from site's .pth imports), which take 5-12 ms of a
+    # 50-140 ms command; frozen objects are skipped.  main itself changes
+    # nothing process-wide: tests and in-process callers run it.
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -71,8 +71,8 @@ No row checks its denominators.  Each chain or weight offset that
 depends on nu is +-(nu - k)/2 plus an integer, for an integer k, and
 :func:`validate` has refused nu within 2 * INT_TOL of the kind's
 forbidden integers; so no offset lies within INT_TOL of a nonpositive
-integer.  A point whose sums leave the float range raises FloatOverflow
-naming its x.
+integer.  A point whose z or sums leave the float range raises
+FloatOverflow naming its x.
 
 For mu > 0 the chains alternate in sign and cancel once |z| grows, so
 there the engine evaluates e^{mu x^2/2 + eps x} y instead, which solves
@@ -418,9 +418,11 @@ def _results(
     e^{-mu x^2/2 - eps x}; which chains end is then decided by the
     transformed parameters' n*, whose error, like an overflow of the
     transformed parameters, is the outcome of every point on that side.
+    Past those errors, a point whose z = -mu x^2/2 leaves the float range
+    is refused with FloatOverflow, and takes no part in its side's engine.
 
-    The points on each side of that transform test share one engine, at
-    the z and depth of the side's point of largest |x|.  The points are
+    The other points on each side of that transform test share one engine,
+    at the z and depth of the side's point of largest |x|.  The points are
     walked in input order, each with its own tee reader of that engine,
     and each maps the vectors T_n it reads to S_n = sum_i T_n[i]
     (z/z_ref)^i over its own depth (module docstring), which is never
@@ -451,13 +453,20 @@ def _results(
                 continue
         a_mag, end, chains, weights = _side(q, lam, nq)
         half_mu, half_eps = -0.5 * q.mu, -0.5 * q.eps
-        x_ref = xs[idx[0]] if len(idx) == 1 else max([xs[i] for i in idx], key=abs)
-        z_ref = half_mu * x_ref * x_ref
+        zs = {}  # point index -> its z, for the points whose z is finite
+        for i in idx:
+            z = half_mu * xs[i] * xs[i]
+            if math.isinf(z):
+                out[i] = FloatOverflow(f"z = -mu x^2/2 overflows at x={xs[i]}")
+            else:
+                zs[i] = z
+        if not zs:
+            continue
+        z_ref = max(zs.values(), key=abs)
         need_ref = _required_cap(z_ref, a_mag, chains, end)
         engine = _engine(chains, weights, z_ref, need_ref)
-        for i, reader in zip(idx, tee(engine, len(idx)) if len(idx) > 1 else (engine,)):
+        for (i, z), reader in zip(zs.items(), tee(engine, len(zs)) if len(zs) > 1 else (engine,)):
             x = xs[i]
-            z = half_mu * x * x
             et = half_eps * x
             if z == z_ref:
                 need, sums = need_ref, map(math.fsum, reader)

@@ -216,14 +216,16 @@ def _samples(system: QuantumSystem, state: EigenState, rs: Sequence[float]) -> l
         raise ValueError("r must be nonnegative")
     if state.system is not system and state.system != system:
         raise ValueError(f"the state belongs to {state.system!r}, not to {system!r}")
-    results = evaluate_grid(state.gch, SolutionKind.FIRST, [system.x_of(r) for r in rs])
-    samples = []
-    for r, res in zip(rs, results):
+    # the envelopes first, so an r whose envelope overflows is refused naming
+    # r, not its x, whose z may overflow as well
+    envelopes = []
+    for r in rs:
         try:
-            samples.append((system.envelope(r) * res.value, res))
+            envelopes.append(system.envelope(r))
         except OverflowError as exc:  # r**(l+1), or the exponential, past the float range
             raise FloatOverflow(f"radial envelope overflows at r={r}") from exc
-    return samples
+    results = evaluate_grid(state.gch, SolutionKind.FIRST, [system.x_of(r) for r in rs])
+    return [(env * res.value, res) for env, res in zip(envelopes, results)]
 
 
 def wavefunction_result(system: QuantumSystem, state: EigenState, r: float) -> tuple[float, bool]:

@@ -1,13 +1,20 @@
+import ast
 import errno
+import gc
+import importlib.util
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from gch import cli
 from gch.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 OSC_SPECTRUM = ["spectrum", "--system", "oscillator", "--coupling", "2", "--l", "0",
                 "--i-max", "0", "--beta-max", "3"]
@@ -699,3 +706,65 @@ def test_asymptote_overflow_names_its_x_exit2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: small-eps limiting form overflows at x=50.0\n"
+
+
+# ------------------------------------------------------------- process entry
+
+def _cli_session_argvs():
+    """The argument lists of the five seed-0 commands the benchmark's
+    cli-session workload runs as ``python -m gch.cli`` processes."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [cmd["argv"] for cmd in workloads.cli_commands(0)]
+
+
+@pytest.mark.parametrize("argv", _cli_session_argvs(), ids=lambda argv: argv[0])
+def test_process_prints_what_main_prints(capsys, gch_subprocess_env, argv):
+    proc = subprocess.run([sys.executable, "-m", "gch.cli", *argv], capture_output=True, env=gch_subprocess_env)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out.encode(), captured.err.encode())
+
+
+def test_process_writes_the_whole_output_file(tmp_path, gch_subprocess_env):
+    argv = ["verify", "--format", "json"]
+    proc = subprocess.run([sys.executable, "-m", "gch.cli", *argv, "--output", str(tmp_path / "proc.json")],
+                          capture_output=True, env=gch_subprocess_env)
+    code, want = run_to_file(tmp_path, "main.json", argv)
+    assert proc.returncode == code == 0
+    assert (tmp_path / "proc.json").read_bytes() == want
+    assert len(json.loads(want)["rows"]) == 768
+
+
+def test_main_freezes_no_object(capsys):
+    before = gc.get_freeze_count()
+    assert main(["asymptote", "--regime", "small-eps", "--mu", "-2"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_process_entry_freezes_after_the_output(monkeypatch, capsys):
+    # the collector is frozen once, after main has written every row, and
+    # the process exits with main's code
+    argv = ["eval", "--mu", "-1", "--nu", "1.5", "--omega-cap", "1", "--x-start", "30", "--x-stop", "30",
+            "--x-count", "1"]
+    written = []
+    monkeypatch.setattr(gc, "freeze", lambda: written.append(capsys.readouterr().out))
+    monkeypatch.setattr(sys, "argv", ["gch", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == main(argv) == 3
+    assert written == [capsys.readouterr().out]
+
+
+def test_console_script_is_the_process_entry():
+    # read as text, since Python 3.10 has no tomllib
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)^(?:\[|\Z)", (ROOT / "pyproject.toml").read_text(),
+                        re.M | re.S).group(1)
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    main_block = [node.body for node in tree.body
+                  if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert len(main_block) == 1 and len(main_block[0]) == 1
+    entry = main_block[0][0].value
+    assert isinstance(entry, ast.Call) and not entry.args and isinstance(entry.func, ast.Name)
+    assert scripts.strip() == f'gch = "gch.cli:{entry.func.id}"'

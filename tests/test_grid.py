@@ -484,18 +484,35 @@ def test_terminated_eps_zero_value_near_the_float_limit():
     assert res.value == pytest.approx(1.25 * (1.0 - 0.8 * x * x), rel=1e-15)
 
 
+def test_non_finite_value_is_not_converged():
+    # chain 0 ends at beta_0 = 2, so the value is a quadratic in the finite
+    # z = 1e200, past the float range: it is returned, and flagged
+    p, x = GchParams(-2.0, 0.0, 1.5, 8.0, 0.25), 1e100
+    grid = evaluate_grid(p, FIRST, [0.5, x, 1.0])
+    assert [r.converged for r in grid] == [True, False, True]
+    got = [evaluate(p, FIRST, x), grid[1], eval_general(p, 0.0, x)]
+    assert not any(math.isfinite(r.value) or r.converged for r in got)
+
+
 @pytest.mark.parametrize("p,kind,x", [
-    # z = -mu x^2/2 overflows, and z^(1-gamma) reads 0 times the inf of the sum
+    # z^(1-gamma) read 0 times the inf of the sum: NaN, flagged
     (GchParams(-2.0, 0.0, 1.5, 3.0, 0.25), SECOND, 1e155),
-    # 1.25 (1 - 0.8 z) is past the float range
+    # the chains ran to the inner cap on z = -inf: -inf, flagged
+    (GchParams(-2.0, 0.0, 1.5, 3.0, 0.25), FIRST, 1e155),
+    # x^2 = 1.96e308 is past the float range too, not only 1.25 (1 - 0.8 z)
     (GchParams(-2.0, 0.0, 1.5, 4.0, 0.25), FIRST, 1.4e154),
 ])
-def test_non_finite_value_is_not_converged(p, kind, x):
-    # a value that is not finite is returned, and flagged
-    grid = evaluate_grid(p, kind, [0.5, x, 1.0])
-    assert [r.converged for r in grid] == [True, False, True]
-    got = [evaluate(p, kind, x), grid[1], eval_general(p, kind.lambda_of(p.nu), x)]
-    assert not any(math.isfinite(r.value) or r.converged for r in got)
+def test_z_past_the_float_range_is_a_float_overflow(p, kind, x):
+    # refused as that point's outcome; the grid's other points keep theirs
+    message = f"z = -mu x^2/2 overflows at x={x!r}"
+    lam = kind.lambda_of(p.nu)
+    near, far, one = _general(p, lam, [0.5, x, 1.0])
+    assert [near, one] == [eval_general(p, lam, 0.5), eval_general(p, lam, 1.0)]
+    assert (type(far), str(far)) == (FloatOverflow, message)
+    for call in (lambda: evaluate(p, kind, x), lambda: evaluate_grid(p, kind, [0.5, x, 1.0]),
+                 lambda: eval_general(p, lam, x)):
+        with pytest.raises(FloatOverflow, match=f"^{re.escape(message)}$"):
+            call()
 
 
 # ------------------------------------------------- chain depth from both chains
