@@ -180,8 +180,6 @@ def _gamma_ratio(num_arg: float, den_arg: float, what: str) -> float:
         raise NormalizationPole(f"{what}: gamma pole at Gamma({num_arg})/Gamma({den_arg})") from exc
     except OverflowError as exc:
         raise FloatOverflow(f"{what}: Gamma({num_arg})/Gamma({den_arg}) overflows") from exc
-    if not math.isfinite(ratio):
-        raise FloatOverflow(f"{what}: Gamma({num_arg})/Gamma({den_arg}) overflows")
     return ratio
 
 

@@ -1,26 +1,28 @@
-"""High-precision sums of the raw three-term recurrence, the references
-that tests measure the closed form and the recurrence oracle against.
+"""The high-precision references that tests measure the closed form and
+the recurrence oracle against; no test states another.  Written in
+mpmath, they share no code with gch.
 
-Both are written from the ODE's recurrence (:mod:`gch.params`),
-
-    c_{n+1} = A_n c_n + B_n c_{n-1},      c_0 = 1,
-
-in mpmath, and share no code with gch.  :func:`raw_sum` runs at the
-working precision of the caller and reports a sum whose terms have not
-decayed as None; :func:`mp_first_kind` sums the first kind at a given
-precision and fails the test where it does not converge.
+:func:`raw_sum` sums the ODE's raw three-term recurrence c_{n+1} = A_n c_n
++ B_n c_{n-1}, c_0 = 1 (:mod:`gch.params`), at the caller's working
+precision; :func:`accepted` is its value where two precisions agree; and
+:func:`kummer` is the eps = 0 solution of either kind from hyp1f1.
 """
 
 from __future__ import annotations
 
-from mpmath import mp, mpf
+from mpmath import gamma, hyp1f1, mp, mpf
 
-from gch.params import GchParams
+from gch.params import GchParams, SolutionKind
 
 #: the raw sum stops once QUIET consecutive terms have stayed below
 #: 10^-(digits + 5) of its largest term, and fails past MAX_TERMS
 QUIET = 6
 MAX_TERMS = 5000
+
+#: (low, high) digit pairs tried in turn; an accepted reference is the high
+#: sum of the first pair whose sums agree to AGREE relative
+PRECISIONS = ((40, 70), (120, 200))
+AGREE = 1e-20
 
 
 def raw_sum(p: GchParams, lam: float, x: float):
@@ -58,25 +60,34 @@ def raw_sum(p: GchParams, lam: float, x: float):
     return None
 
 
-def mp_first_kind(mu, eps, nu, Omega, omega, x, dps=60):
-    """y(x) = sum_n c_n x^n with c_0 = 1, c_{n+1} = A_n c_n + B_n c_{n-1},
-    summed in dps-digit arithmetic; written from the ODE, shares no code
-    with gch."""
-    with mp.workdps(dps):
-        mu, eps, nu, Omega, omega, x = (mpf(v) for v in (mu, eps, nu, Omega, omega, x))
-        c_prev, c = mpf(0), mpf(1)
-        total, xn = mpf(0), mpf(1)
-        small = 0
-        for n in range(2000):
-            term = c * xn
-            total += term
-            if n > 10 and abs(term) < mpf(10) ** (-dps - 5) * abs(total):
-                small += 1
-                if small >= 3:
-                    return total
-            else:
-                small = 0
-            den = (n + 1) * (n + nu)
-            c_prev, c = c, (-eps * (n + omega) * c - (Omega + mu * (n - 1)) * c_prev) / den
-            xn *= x
-    raise AssertionError("reference series did not converge")
+def accepted(p: GchParams, lam: float, x: float):
+    """The accepted reference value as a float: the high :func:`raw_sum` of
+    the first PRECISIONS pair whose two sums agree to AGREE; None where no
+    pair does."""
+    for low, high in PRECISIONS:
+        with mp.workdps(low):
+            a = raw_sum(p, lam, x)
+        with mp.workdps(high):
+            b = raw_sum(p, lam, x)
+            if a is not None and b is not None and abs(a - b) <= AGREE * abs(b):
+                return float(b)
+    return None
+
+
+def kummer(p: GchParams, kind: SolutionKind, x: float, normalised: bool = True):
+    """The eps = 0 solution of ``kind`` at the working precision (DLMF
+    13.2.2), with a = Omega/2mu, gamma = (1 + nu)/2 and z = -mu x^2/2
+    formed from the exact float inputs:
+
+        first kind:   M(a, gamma, z)
+        second kind:  x^(1-nu) M(a + 1 - gamma, 2 - gamma, z)
+
+    ``normalised`` multiplies by the closed form's prefactor,
+    Gamma(gamma - a)/Gamma(gamma) or (-mu/2)^(1-gamma) Gamma(1 - a)/Gamma(2 - gamma)."""
+    mu, nu, x = mpf(p.mu), mpf(p.nu), mpf(x)
+    a, g, z = mpf(p.Omega) / (2 * mu), (1 + nu) / 2, -mu * x * x / 2
+    if kind is SolutionKind.FIRST:
+        value = hyp1f1(a, g, z)
+        return gamma(g - a) / gamma(g) * value if normalised else value
+    value = x ** (1 - nu) * hyp1f1(a + 1 - g, 2 - g, z)
+    return (-mu / 2) ** (1 - g) * gamma(1 - a) / gamma(2 - g) * value if normalised else value

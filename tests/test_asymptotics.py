@@ -7,12 +7,12 @@ import pytest
 from gch.asymptotics import asym_small_eps, asym_small_mu, erfi
 from gch.errors import FloatOverflow, NonFiniteError
 
-mp.mp.dps = 30
-
 
 def test_erfi_against_reference():
     for y in (0.0, 0.2, 1.0, 2.5, 4.0, 6.0):
-        assert erfi(y) == pytest.approx(float(mp.erfi(y)), rel=1e-13, abs=1e-13)
+        with mp.workdps(30):
+            want = float(mp.erfi(y))
+        assert erfi(y) == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
 def test_asym_small_mu():
@@ -132,4 +132,6 @@ def test_erfi_past_the_float_range_is_a_float_overflow(y):
 @pytest.mark.parametrize("y", [10.0, 20.0, 25.0, 26.0, 26.5, -26.0])
 def test_erfi_large_argument_against_mpmath(y):
     # the sum runs past k = 800 terms from y near 25 on
-    assert erfi(y) == pytest.approx(float(mp.erfi(y)), rel=1e-13)
+    with mp.workdps(30):
+        want = float(mp.erfi(y))
+    assert erfi(y) == pytest.approx(want, rel=1e-13)

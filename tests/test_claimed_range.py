@@ -16,9 +16,10 @@ Each point is evaluated by the closed form (``eval_general``) and by the
 recurrence oracle (``sum_series``) and classed against a reference sum of
 the raw three-term recurrence in mpmath: ``ok`` within REL_TOL, ``flagged``
 (``converged=False``), ``wrong`` (``converged=True`` and further off) or
-``raised`` (a GchError).  A reference is accepted where the sums at 40 and
-70 digits agree to 1e-20, or else those at 120 and 200 digits; a point
-with neither is left out by that rule, and :data:`UNREFERENCED` lists it.
+``raised`` (a GchError).  The reference is :func:`reference.accepted`:
+the sums at 40 and 70 digits where they agree to 1e-20, or else those at
+120 and 200 digits; a point with neither is left out, and
+:data:`UNREFERENCED` lists it.
 
 :data:`KNOWN_WRONG` pins every wrong value by function, stratum and
 index: the package's known-defect list over the claimed range.  A new
@@ -33,7 +34,6 @@ import random
 from collections import Counter
 
 import pytest
-from mpmath import mp
 
 from gch.errors import GchError
 from gch.params import GchParams, SolutionKind
@@ -41,7 +41,7 @@ from gch.recurrence import sum_series
 from gch.series import eval_general
 from gch.spectra import Confinement, QQbar, RotatingOscillator, make_state
 
-from reference import raw_sum
+from reference import accepted
 
 FIRST, SECOND = SolutionKind.FIRST, SolutionKind.SECOND
 
@@ -50,11 +50,6 @@ REL_TOL = 1e-9
 
 #: points per stratum
 POINTS = 40
-
-#: (low, high) digit pairs tried in turn; a reference is the high sum of
-#: the first pair whose sums agree to AGREE relative
-PRECISIONS = ((40, 70), (120, 200))
-AGREE = 1e-20
 
 
 # ----------------------------------------------------------------- strata
@@ -140,20 +135,6 @@ def points():
             yield (stratum, index, *draw(rng))
 
 
-# -------------------------------------------------------------- reference
-
-def reference(p: GchParams, lam: float, x: float):
-    """The accepted reference value, or None."""
-    for low, high in PRECISIONS:
-        with mp.workdps(low):
-            a = raw_sum(p, lam, x)
-        with mp.workdps(high):
-            b = raw_sum(p, lam, x)
-            if a is not None and b is not None and abs(a - b) <= AGREE * abs(b):
-                return float(b)
-    return None
-
-
 # ---------------------------------------------------------------- classes
 
 FUNCTIONS = {
@@ -178,7 +159,7 @@ def classes():
     out, unreferenced = {}, set()
     for stratum, index, p, kind, x in points():
         lam = kind.lambda_of(p.nu)
-        ref = reference(p, lam, x)
+        ref = accepted(p, lam, x)
         if ref is None:
             unreferenced.add((stratum, index))
             continue

@@ -18,6 +18,7 @@ from gch.spectra import Confinement, QQbar, RotatingOscillator, make_state, norm
 from gch.verify import CrossRecord, GridSpec, cross_validate
 
 from decomposition import orders
+from reference import kummer
 
 FIRST, SECOND = SolutionKind.FIRST, SolutionKind.SECOND
 
@@ -469,8 +470,7 @@ def test_terminated_eps_zero_value_converges_past_the_inner_cap(caps):
     res = evaluate(state.gch, FIRST, 11.5)
     assert _depth(res) == 2 and res.converged
     with mp.workdps(40):
-        z = mp.mpf(11.5) ** 2 / 2  # -mu x^2/2 at mu = -1
-        ref = mp.hyp1f1(-2, mp.mpf(1.5), z) * mp.gamma(mp.mpf(1.5) + 2) / mp.gamma(mp.mpf(1.5))
+        ref = kummer(state.gch, FIRST, 11.5)
     assert res.value == pytest.approx(float(ref), rel=1e-13)
 
 

@@ -22,15 +22,9 @@ from gch.series import (
 from gch.verify import GridSpec, cross_validate
 
 from decomposition import orders
-from reference import mp_first_kind
+from reference import accepted, kummer, raw_sum
 
 FIRST, SECOND = SolutionKind.FIRST, SolutionKind.SECOND
-
-
-def _kummer(a, b, z):
-    """Kummer's M(a; b; z) = 1F1(a; b; z), from mpmath at 40 digits."""
-    with mp.workdps(40):
-        return float(mp.hyp1f1(a, b, z))
 
 
 # ------------------------------------------------- literal nested-sum checks
@@ -181,8 +175,10 @@ def test_qw_prefactor_at_origin():
 
 
 def test_qw_eps_zero_is_kummer():
+    # Gamma(1/2)/Gamma(1) M(1/2; 1; -1) = sqrt(pi) M(1/2; 1; -1)
     p = GchParams(2.0, 0.0, 1.0, 2.0, 1.0)
-    want = math.sqrt(math.pi) * _kummer(0.5, 1.0, -1.0)
+    with mp.workdps(40):
+        want = float(kummer(p, FIRST, 1.0))
     assert evaluate(p, FIRST, 1.0).value == pytest.approx(want, rel=1e-13)
 
 
@@ -211,10 +207,8 @@ def test_rw_eps_zero_kummer_composition():
     assert evaluate(p, SECOND, 0.5).value == pytest.approx(0.25 ** 0.25, rel=1e-14)
     # generic second-kind reduction
     p = GchParams(-2.0, 0.0, 0.5, -0.6, 0.3)
-    gamma = p.gamma
-    z = 0.25
-    want = z ** (1 - gamma) * math.gamma(1 - p.Omega / (2 * p.mu)) / math.gamma(2 - gamma) \
-        * _kummer(p.Omega / (2 * p.mu) + 1 - gamma, 2 - gamma, z)
+    with mp.workdps(40):
+        want = float(kummer(p, SECOND, 0.5))
     assert evaluate(p, SECOND, 0.5).value == pytest.approx(want, rel=1e-12)
 
 
@@ -433,37 +427,25 @@ def test_kummer_reduction_both_kinds_tight():
         Om = rng.uniform(-2.5, 2.5)
         p = GchParams(mu, 0.0, nu, Om, 0.5)
         x = rng.uniform(0.05, math.sqrt(8.0 / abs(mu)))
-        z = -0.5 * mu * x * x
-        gamma = p.gamma
-        qw = evaluate(p, FIRST, x).value
-        want = math.gamma(gamma - Om / (2 * mu)) / math.gamma(gamma) * _kummer(Om / (2 * mu), gamma, z)
-        assert qw == pytest.approx(want, rel=1e-12)
-        if mu < 0:  # RW needs z > 0
-            rw = evaluate(p, SECOND, x).value
-            want = z ** (1 - gamma) * math.gamma(1 - Om / (2 * mu)) / math.gamma(2 - gamma) \
-                * _kummer(Om / (2 * mu) + 1 - gamma, 2 - gamma, z)
-            assert rw == pytest.approx(want, rel=1e-12)
+        for kind in (FIRST, SECOND) if mu < 0 else (FIRST,):  # RW needs z > 0
+            with mp.workdps(40):
+                want = float(kummer(p, kind, x))
+            assert evaluate(p, kind, x).value == pytest.approx(want, rel=1e-12), kind
 
 
 @pytest.mark.parametrize("mu", [2.0, 0.7, -0.7, -2.0])
 @pytest.mark.parametrize("az", [4.0, 16.0, 36.0])
 def test_kummer_reduction_large_z_against_mpmath(mu, az):
-    # eps = 0 at |z| = 4, 16, 36: both kinds against 40-digit hyp1f1 with
-    # the Gamma prefactors, the second kind only where z > 0
-    nu, Om = 1.5, 3.0
-    p = GchParams(mu, 0.0, nu, Om, 0.25)
+    # eps = 0 at |z| = 4, 16, 36: both kinds against the normalised Kummer
+    # reference at 40 digits, the second kind only where z > 0
+    p = GchParams(mu, 0.0, 1.5, 3.0, 0.25)
     x = math.sqrt(2.0 * az / abs(mu))
-    with mp.workdps(40):
-        z = -mp.mpf(mu) * mp.mpf(x) ** 2 / 2
-        gamma, a = (1 + mp.mpf(nu)) / 2, mp.mpf(Om) / (2 * mp.mpf(mu))
-        wants = {FIRST: mp.gamma(gamma - a) / mp.gamma(gamma) * mp.hyp1f1(a, gamma, z)}
-        if mu < 0:
-            wants[SECOND] = (z ** (1 - gamma) * mp.gamma(1 - a) / mp.gamma(2 - gamma)
-                             * mp.hyp1f1(a + 1 - gamma, 2 - gamma, z))
-    for kind, want in wants.items():
+    for kind in (FIRST, SECOND) if mu < 0 else (FIRST,):
+        with mp.workdps(40):
+            want = float(kummer(p, kind, x))
         res = evaluate(p, kind, x)
         assert res.converged, kind
-        assert abs(res.value - float(want)) <= 1e-13 * abs(float(want)), kind
+        assert abs(res.value - want) <= 1e-13 * abs(want), kind
 
 
 def test_default_truncations_cover_wide_domain():
@@ -863,20 +845,31 @@ def test_sweep_near_the_forbidden_integers(caps):
 
 # ---------------------------------------------- mu > 0 through the transformation
 
+@pytest.mark.parametrize("kind", [FIRST, SECOND])
+@pytest.mark.parametrize("mu", [2.0, -2.0])
+@pytest.mark.parametrize("x", [1.0, 4.0, 5.0, 6.0])
+def test_raw_sum_is_kummer_at_eps_zero(kind, mu, x):
+    # the two references against each other: at eps = 0 the raw recurrence
+    # sums the unnormalised Kummer solution of the kind
+    p = GchParams(mu, 0.0, 1.5, 3.0, 0.25)
+    with mp.workdps(60):
+        raw = raw_sum(p, kind.lambda_of(p.nu), x)
+        want = kummer(p, kind, x, normalised=False)
+        assert raw is not None
+        assert abs(raw - want) <= mp.mpf(10) ** -45 * abs(want)
+
+
 @pytest.mark.parametrize("eps", [0.0, 1.0])
 @pytest.mark.parametrize("x", [4.0, 5.0, 6.0])
 def test_mu_positive_large_z_against_mpmath(eps, x):
     # z = -16, -25, -36: the untransformed chains cancel to ~1e-10 at x = 4
     # and are not resolved at all at x = 6
-    mu, nu, Omega, omega = 2.0, 1.5, 3.0, 0.25
-    ref = mp_first_kind(mu, eps, nu, Omega, omega, x)
-    if eps == 0.0:
-        with mp.workdps(60):
-            kummer = mp.hyp1f1(mp.mpf(Omega) / (2 * mu), (1 + mp.mpf(nu)) / 2, -mu * mp.mpf(x) ** 2 / 2)
-            assert abs(ref - kummer) <= mp.mpf(10) ** -45 * abs(kummer)
-    res = eval_general(GchParams(mu, eps, nu, Omega, omega), 0.0, x)
+    p = GchParams(2.0, eps, 1.5, 3.0, 0.25)
+    ref = accepted(p, 0.0, x)
+    assert ref is not None
+    res = eval_general(p, 0.0, x)
     assert res.converged
-    assert abs(res.value - float(ref)) <= 1e-12 * abs(float(ref))
+    assert abs(res.value - ref) <= 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("mu", [0.01, -0.01])
@@ -885,8 +878,10 @@ def test_mu_positive_large_z_against_mpmath(eps, x):
 def test_shallow_chains_many_orders_against_mpmath(mu, eps, x):
     # |z| <= 0.02 needs chains only about 10 deep, while |eps x/2| up to 4
     # takes 26 to 39 orders, whose chains must not need more
-    ref = float(mp_first_kind(mu, eps, 1.5, 0.3, 0.25, x))
-    res = eval_general(GchParams(mu, eps, 1.5, 0.3, 0.25), 0.0, x)
+    p = GchParams(mu, eps, 1.5, 0.3, 0.25)
+    ref = accepted(p, 0.0, x)
+    assert ref is not None
+    res = eval_general(p, 0.0, x)
     assert res.converged
     assert abs(res.value - ref) <= 1e-12 * abs(ref)
 
