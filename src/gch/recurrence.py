@@ -2,16 +2,16 @@
 
 This module never touches the closed-form nested sums: it generates
 c_0, c_1, c_2, ... directly from c_{n+1} = A_n c_n + B_n c_{n-1} and
-accumulates c_n x^(n+lam) with error-compensated (Neumaier) summation.
+sums c_n x^(n+lam) with math.fsum, as the closed form sums its orders.
 Every closed-form evaluator elsewhere in the package is cross-validated
 against :func:`sum_series`.  It shares only EvalResult and real_power
 with the closed form and never computes n*, so it also sums where
 Omega/mu overflows.
 
-Summation runs in ascending n; for mu > 0 the quadratic argument
-z = -mu x^2/2 is negative and the series alternates, so the compensation
-term carries most of the cancellation error.  The stop rule requires
-three consecutive terms below tolerance because single small terms occur
+For mu > 0, z = -mu x^2/2 is negative and the series alternates; fsum
+rounds the sum of the kept terms once, so cancellation loses only the
+terms' own rounding.  The stop rule reads a plain running sum and needs
+three consecutive terms below tolerance: single small terms occur
 spuriously at sign changes.
 
 The ratio of consecutive coefficients decays like 1/n (both A_n and B_n
@@ -22,9 +22,10 @@ observation, not a proven bound, and the term cap treats it as such.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator
 
-from .errors import PoleError
+from .errors import FloatOverflow, PoleError
 from .params import EvalResult, GchParams, _index, _require_finite, real_power
 
 #: consecutive below-tolerance terms required before the sum is declared converged
@@ -77,8 +78,9 @@ def sum_series(p: GchParams, lam: float, x: float) -> EvalResult:
     """Sum y(x) = sum_n c_n x^(n+lam), c_0 = 1, directly from the recurrence.
 
     Stops after three consecutive terms fall below 1e-12 * |partial sum|
-    (or below 1e-300); if the cap of 400 terms is reached first the
-    partial value is still returned with ``converged=False``.
+    (or below 1e-300) and returns the fsum of the kept terms, flagged
+    ``converged=False`` at the cap of 400 terms or where it is NaN or
+    infinite; a sum that fsum cannot form raises FloatOverflow naming x.
 
     Raises NonFiniteError, before any term, for a non-finite x or lam
     (:class:`~gch.params.GchParams` refuses a non-finite parameter when
@@ -90,38 +92,32 @@ def sum_series(p: GchParams, lam: float, x: float) -> EvalResult:
     xpow = real_power(x, lam)
     rel_tol = _REL_TOL
 
+    terms: list[float] = []
     total = 0.0
-    comp = 0.0  # Neumaier compensation
     streak = 0
-    last_mag = 0.0
-    n_used = 0
-
     pw = 1.0  # x^n
     # the coefficients come first, so the step past the last term still
     # runs (and raises at a pole) before the cap ends the loop
     for c_cur, n in zip(_coefficients(p, lam, 1.0), range(_MAX_TERMS)):
         term = c_cur * pw * xpow
-        s = total + term
-        if abs(total) >= abs(term):
-            comp += (total - s) + term
-        else:
-            comp += (term - s) + total
-        total = s
-        last_mag = abs(term)
-        n_used = n + 1
-
+        terms.append(term)
+        total += term
         # max(bar, _ABS_FLOOR) without the builtin call; a NaN bar stays NaN
-        bar = rel_tol * abs(total + comp)
+        bar = rel_tol * abs(total)
         if bar < _ABS_FLOOR:
             bar = _ABS_FLOOR
-        streak = streak + 1 if last_mag <= bar else 0
+        streak = streak + 1 if abs(term) <= bar else 0
         if streak >= _STREAK and n >= 2:
             break
         pw *= x
 
+    try:
+        value = math.fsum(terms)
+    except (ValueError, OverflowError) as exc:
+        raise FloatOverflow(f"recurrence sum overflows at x={x}") from exc
     return EvalResult(
-        value=total + comp,
-        terms_used=n_used,
-        last_term_mag=last_mag,
-        converged=streak >= _STREAK,
+        value=value,
+        terms_used=len(terms),
+        last_term_mag=abs(terms[-1]),
+        converged=streak >= _STREAK and math.isfinite(value),
     )

@@ -71,8 +71,9 @@ No row checks its denominators.  Each chain or weight offset that
 depends on nu is +-(nu - k)/2 plus an integer, for an integer k, and
 :func:`validate` has refused nu within 2 * INT_TOL of the kind's
 forbidden integers; so no offset lies within INT_TOL of a nonpositive
-integer.  A point whose z or sums leave the float range raises
-FloatOverflow naming its x.
+integer.  A point whose z leaves the float range, or whose orders fsum
+cannot add, raises FloatOverflow naming its x; a near-side sum that
+overflows to one infinity, or reads NaN, is returned flagged.
 
 For mu > 0 the chains alternate in sign and cancel once |z| grows, so
 there the engine evaluates e^{mu x^2/2 + eps x} y instead, which solves
@@ -261,7 +262,7 @@ def _side(q: GchParams, lam: float, nq: Optional[int]) -> tuple[float, Optional[
     d2)); every other chain and weight is one of these shifted (module
     docstring).  a_mag is the largest |a_k| of chains 0 to 2.  ``end`` is
     beta_0 where q.eps = 0 (order 0 alone) and chain 0 ends, else None."""
-    half_ratio = q.Omega / (2.0 * q.mu)
+    half_ratio = 0.5 * (q.Omega / q.mu)
     h = 0.5 * lam
     gamma = q.gamma
     end0, end1, end2 = _chain_end(nq, 0), _chain_end(nq, 1), _chain_end(nq, 2)
@@ -537,7 +538,7 @@ def _normalisation(
     if beta0 is not None:
         num = p.gamma + float(beta0) if first else float(beta0) + 2.0 - p.gamma
     else:
-        half_ratio = p.Omega / (2.0 * p.mu)
+        half_ratio = 0.5 * (p.Omega / p.mu)
         num = p.gamma - half_ratio if first else 1.0 - half_ratio
     pref = _gamma_ratio(num, p.gamma if first else 2.0 - p.gamma, f"{kind.value}-kind prefactor")
     if first:

@@ -28,7 +28,7 @@ FIRST, SECOND = SolutionKind.FIRST, SolutionKind.SECOND
 DIGEST = "21c1c0e59792c8c025d01d725e5e2ececae5161ac0d40246ce82e61c187c5c7c"
 
 #: SHA-256 of the newline-joined lines of :func:`edge_reprs`
-EDGE_DIGEST = "5ba3da4ee2261a800d496a106fbf48c33be3a729ab227a6a4172237b3ec10472"
+EDGE_DIGEST = "fa1f3357ee66050c3160fb7bfdd973be87c876234f0e38bf2045e3ec049118e3"
 
 
 def _params(rng: random.Random, kind: SolutionKind, mu: float) -> GchParams:

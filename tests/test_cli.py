@@ -219,15 +219,16 @@ def test_verify_with_no_point_evaluated_fails(tmp_path, capsys):
 
 
 def test_verify_nan_rel_err_is_the_summary_max(tmp_path, capsys):
-    # the oracle's terms overflow at x = 20, so its rel_err is NaN: the
-    # row fails, and the summary's max_rel_err is nan, not x = 0.5's
-    grid = {"mu": [-2.0], "eps": [1.0], "nu": [1.5], "omega_cap": [-3.0], "omega": [0.25], "x": [0.5, 20.0],
+    # at eps = 0 and x = 15 the oracle's x^n overflows where its odd c_n
+    # = 0, so its rel_err is NaN: the row fails, and the summary's
+    # max_rel_err is nan, not x = 0.5's
+    grid = {"mu": [-2.0], "eps": [0.0], "nu": [1.5], "omega_cap": [-3.0], "omega": [0.25], "x": [0.5, 15.0],
             "kinds": ["first"]}
     assert main(["verify", *_config(tmp_path, {"grid": grid})]) == 1
     captured = capsys.readouterr()
     assert captured.err == "verify: 2 points, max_rel_err=nan, tolerance=1.0e-09, FAIL\n"
     assert [row.split(",")[7::2] for row in captured.out.splitlines()[1:]] == [
-        ["6.25071393493894e-16", "ok"], ["nan", "tolerance"]]
+        ["1.142919061909816e-15", "ok"], ["nan", "tolerance"]]
 
 
 def test_verify_omega_over_mu_overflow_fails_its_rows(tmp_path, capsys):

@@ -257,8 +257,11 @@ def test_failing_point_costs_the_others_nothing(monkeypatch):
         evaluate_grid(p, FIRST, [1.0, 40.0, 0.5, 3.0])
     assert len(runs) == 1
     runs.clear()
+    # the oracle's sum overflows at x = 40 first, so the sweep's one grid
+    # call takes the other points; test_read_that_raises_runs_alone covers
+    # a closed-form point that fails inside cross_validate
     rep = cross_validate(GridSpec((-2.0,), (1.0,), (1.5,), (-3.0,), (0.25,), (1.0, 40.0, 0.5, 3.0), (FIRST,)))
-    assert [r.error for r in rep.records] == [None, "FloatOverflow: nested sum overflows at x=40.0", None, None]
+    assert [r.error for r in rep.records] == [None, "FloatOverflow: recurrence sum overflows at x=40.0", None, None]
     assert len(runs) == 1
 
 

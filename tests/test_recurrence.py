@@ -147,6 +147,39 @@ def test_converged_invariant():
     assert res.value == 0.0 or res.last_term_mag <= max(_REL_TOL * abs(res.value), _ABS_FLOOR)
 
 
+@pytest.mark.parametrize("p,lam,x", [
+    (GchParams(2.0, 1.0, 1.5, 3.0, 0.25), 0.0, 6.0),     # alternating: its terms sum to 1e-16 of their mass
+    (GchParams(-2.0, 1.5, 1.0, 0.7, 0.3), 0.0, 3.0),
+    (GchParams(-1.0, 0.4, 0.5, 0.7, 1.2), 0.5, 0.8),
+])
+def test_sum_series_is_the_fsum_of_its_terms(p, lam, x):
+    res = sum_series(p, lam, x)
+    xpow = real_power(x, lam)
+    terms = []
+    pw = 1.0
+    for c in coefficients(p, lam, 1.0, res.terms_used):
+        terms.append(c * pw * xpow)
+        pw *= x
+    assert res.value == math.fsum(terms)
+    assert res.last_term_mag == abs(terms[-1])
+
+
+def test_terms_of_both_signs_past_the_float_range_are_a_float_overflow():
+    # the terms at x = 40 reach infinities of both signs, which fsum
+    # cannot add
+    with pytest.raises(FloatOverflow, match=r"^recurrence sum overflows at x=40\.0$") as info:
+        sum_series(GchParams(2.0, 1.0, 1.5, -3.0, 0.25), 0.0, 40.0)
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_one_signed_overflow_is_returned_flagged():
+    # every term past the float range is +inf: the running sum is inf, so
+    # each term passes the stop test, and only the finite check flags it
+    res = sum_series(GchParams(0.01, -100.0, 1.5, 1.0, 0.3), 0.0, 15.0)
+    assert res.value == math.inf and res.terms_used < 400
+    assert not res.converged
+
+
 def test_coefficients_against_recurrence():
     mu, eps, nu, Omega, omega = 1.5, -0.4, 0.9, 0.6, 1.3
     cs = coefficients(GchParams(mu, eps, nu, Omega, omega), 0.0, 2.0, 8)

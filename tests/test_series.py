@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 
 import mpmath as mp
 import pytest
@@ -766,6 +767,61 @@ def test_power_past_the_float_range_is_a_float_overflow():
         eval_general(p, 281.5, 14.0)
     with pytest.raises(FloatOverflow, match=message):
         sum_series(p, 281.5, 14.0)
+
+
+def test_half_omega_over_mu_past_twice_mu():
+    # 2 mu overflows at mu = 1e308, but Omega/mu = 1 does not: the
+    # prefactor is Gamma(gamma - 1/2)/Gamma(gamma), as at mu = Omega = 1
+    res = evaluate(GchParams(1e308, 0.0, 1.5, 1e308, 0.25), FIRST, 0.0)
+    assert res.value == math.gamma(0.75) / math.gamma(1.25) == 1.3519564801345694
+    assert res.converged
+
+
+def _scaled(v, e):
+    """v * 2^e, or None where that is inexact or subnormal."""
+    try:
+        w = math.ldexp(v, e)
+    except OverflowError:
+        return None
+    if w != 0.0 and (abs(w) < sys.float_info.min or math.ldexp(w, -e) != v):
+        return None
+    return w
+
+
+def _outcome_of(p, kind, x):
+    try:
+        return repr(evaluate(p, kind, x))
+    except GchError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("terminated", [False, True], ids=["generic", "terminated"])
+@pytest.mark.parametrize("kind,sign,far", [
+    (FIRST, -1.0, False), (FIRST, 1.0, False), (FIRST, 1.0, True), (SECOND, -1.0, False),
+], ids=["first-mu-neg", "first-mu-pos-near", "first-mu-pos-far", "second-mu-neg"])
+def test_exact_scaling_keeps_every_bit(kind, sign, far, terminated):
+    """x = s t maps (mu, eps, nu, Omega, omega) onto (mu s^2, eps s, nu,
+    Omega s^2, omega), and with s = 2^k the normalised closed form keeps
+    every bit while every mapped input stays exact and normal.  k runs
+    over -504..504 in steps of 24; the edges, where 0.5 mu is subnormal
+    (k near -511) or the transformed Omega - mu(1+nu) overflows (k near
+    511), still change values or errors, and are left to ROADMAP item 23."""
+    rng = random.Random(f"{kind.value}{sign}{far}{terminated}")
+    for _ in range(19):
+        mu = sign * rng.uniform(0.2, 2.5)
+        nu = rng.choice([0.5, 1.5, 2.5]) + rng.uniform(-0.4, 0.4)
+        eps, omega = rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.5)
+        Omega = -mu * (2 * rng.randrange(4) + kind.lambda_of(nu)) if terminated else rng.uniform(-4.0, 4.0)
+        # z = -mu x^2/2 is -1 at x = x_t: past it a mu > 0 point is transformed
+        x_t = math.sqrt(2.0 / abs(mu))
+        x = x_t * (rng.uniform(1.05, 2.0) if far else rng.uniform(0.05, 0.95))
+        p = GchParams(mu, eps, nu, Omega, omega)
+        want = _outcome_of(p, kind, x)
+        for k in range(-504, 505, 24):
+            mapped = _scaled(mu, 2 * k), _scaled(eps, k), _scaled(Omega, 2 * k), _scaled(x, -k)
+            if None not in mapped:
+                q = GchParams(mapped[0], mapped[1], nu, mapped[2], omega)
+                assert _outcome_of(q, kind, mapped[3]) == want, (p, x, k)
 
 
 def test_weight_pole_inside_int_tol_raises():
