@@ -329,7 +329,10 @@ def cmd_verify(args: argparse.Namespace) -> Result:
     report = cross_validate(spec)
     rows = []
     ok, n_checked = True, 0  # a sweep that checked no row in full passes nothing
-    coeffs_of: dict = {}  # (params, kind) -> coefficients, the same at every x
+    # kind -> the coefficients of the current set, the same at every x; the
+    # records come set by set, each holding its set's params, so an earlier
+    # set's are not read again
+    current, coeffs_of = None, {}
     for rec in report.records:
         p = rec.params
         point = (p.mu, p.eps, p.nu, p.Omega, p.omega, rec.x, rec.kind.value)
@@ -337,11 +340,12 @@ def cmd_verify(args: argparse.Namespace) -> Result:
             rows.append(point + ("", "", rec.error.split(":")[0]))
             continue
         lam = rec.kind.lambda_of(p.nu)
-        key = (p, rec.kind)
-        if key not in coeffs_of:
-            coeffs_of[key] = coefficients(p, lam, 1.0, 80)
+        if p is not current:
+            current, coeffs_of = p, {}
+        if rec.kind not in coeffs_of:
+            coeffs_of[rec.kind] = coefficients(p, lam, 1.0, 80)
         try:
-            rel_res = ode_residual(coeffs_of[key], lam, p, rec.x).relative
+            rel_res = ode_residual(coeffs_of[rec.kind], lam, p, rec.x).relative
         except DomainError:  # x = 0 with lam < 2: no finite derivatives, so no residual to check
             rel_res = ""
         else:

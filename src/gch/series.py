@@ -81,9 +81,12 @@ the same equation with transformed parameters and z > 0 (the analogue of
 Kummer's transformation, DLMF 13.2.39), and multiplies the result back;
 the transformed parameters' n* then decides which chains end.
 
-Points of one parameter set share the order vectors.  Every path to the
-entry g_n[i] takes exactly i chain steps, and each carries one factor z,
-while the weights carry none; so
+Points share the order vectors: the points of one parameter set, and
+those of sets that differ only in eps.  No chain or weight reads eps,
+which enters only through each point's eps_tilde powers and its
+transform factor, and the depth asks only whether eps is 0.  Every path
+to the entry g_n[i] takes exactly i chain steps, and each carries one
+factor z, while the weights carry none; so
 
     g_n[i](z) = (z / z_ref)^i g_n[i](z_ref),
 
@@ -93,7 +96,9 @@ T_n = g_n(z_ref) of another point, summed over its own depth.  The depth
 and whether the inner cap cut them, never falls as |z| grows from z = 0,
 so :func:`evaluate_grid` runs one engine, at the point of largest |x| on
 each side of the transform test, and every point there costs one dot
-product per order.  Each point reads that engine through its own
+product per order; the verification sweep passes the points of sets
+that differ only in eps to :func:`_results` together, so they share it
+too.  Each point reads that engine through its own
 :func:`itertools.tee` reader, so the engine builds an order once, when
 the first point to sum it reads it, and none that no point sums.  Its
 eps_tilde powers, transform factor, prefactor and stop rule stay its own.
@@ -395,7 +400,7 @@ def _outcome(
 
 
 def _results(
-    p: GchParams,
+    ps: Sequence[GchParams],
     lam: float,
     nstar: Optional[int],
     pref_of: Callable[[float], float],
@@ -403,8 +408,10 @@ def _results(
 ) -> list:
     """The outcome at each x, in order: pref_of(x) * (sum of the nested
     orders at root lam), or the GchError that x raises when evaluated
-    alone; ``nstar`` is :func:`detect_termination` of (p, lam).  Every
-    evaluator reaches its points through here, one point or many.
+    alone.  ``ps`` holds each point's parameter set; the sets differ at
+    most in eps and agree on whether eps is 0, and ``nstar`` is
+    :func:`detect_termination` of any of them at lam.  Every evaluator
+    reaches its points through here, one point or many.
 
     Each point's prefactor comes first, and its error is the point's
     outcome.  Each side derives its chain parameters once
@@ -420,15 +427,17 @@ def _results(
     Past those errors, a point whose z = -mu x^2/2 leaves the float range
     is refused with FloatOverflow, and takes no part in its side's engine.
 
-    The other points on each side of that transform test share one engine,
-    at the z and depth of the side's point of largest |x|.  The points are
-    walked in input order, each with its own tee reader of that engine,
-    and each maps the vectors T_n it reads to S_n = sum_i T_n[i]
-    (z/z_ref)^i over its own depth (module docstring), which is never
-    deeper than the reference's; a point whose read raises or is not
-    finite runs the engine on its own.  A point at z_ref sums what its own
-    run would, and a side of one point reads the bare engine: a tee buffer
-    costs it fresh memory.
+    None of this reads eps but the depth's ``end``, which only asks
+    whether eps is 0; so the points on each side of that transform test
+    share one engine, at the z and depth of the side's point of largest
+    |x|, whatever their eps.  The points are walked in input order, each
+    with its own tee reader of that engine, and each maps the vectors T_n
+    it reads to S_n = sum_i T_n[i] (z/z_ref)^i over its own depth (module
+    docstring), which is never deeper than the reference's; a point whose
+    read raises or is not finite runs the engine on its own.  Its
+    eps_tilde and transform factor come from its own set.  A point at
+    z_ref sums what its own run would, and a side of one point reads the
+    bare engine: a tee buffer costs it fresh memory.
     """
     # each entry holds the point's prefactor until its side replaces it
     out: list = []
@@ -439,19 +448,21 @@ def _results(
         except GchError as exc:
             out.append(exc)
         else:
-            sides.setdefault(p.mu > 0.0 and 0.5 * p.mu * x * x > 1.0, []).append(i)
+            mu = ps[i].mu
+            sides.setdefault(mu > 0.0 and 0.5 * mu * x * x > 1.0, []).append(i)
     for far, idx in sides.items():
-        q, nq = p, nstar
+        q, nq = ps[idx[0]], nstar
         if far:
             try:
-                q = _kummer_transformed(p)
+                q = _kummer_transformed(q)
                 nq = detect_termination(q, lam)
             except GchError as exc:
                 for i in idx:
                     out[i] = exc
                 continue
         a_mag, end, chains, weights = _side(q, lam, nq)
-        half_mu, half_eps = -0.5 * q.mu, -0.5 * q.eps
+        # eps_tilde = -eps x/2 of the side's parameters, whose eps is -eps past the transform
+        half_mu, half = -0.5 * q.mu, 0.5 if far else -0.5
         zs = {}  # point index -> its z, for the points whose z is finite
         for i in idx:
             z = half_mu * xs[i] * xs[i]
@@ -465,8 +476,8 @@ def _results(
         need_ref = _required_cap(z_ref, a_mag, chains, end)
         engine = _engine(chains, weights, z_ref, need_ref)
         for (i, z), reader in zip(zs.items(), tee(engine, len(zs)) if len(zs) > 1 else (engine,)):
-            x = xs[i]
-            et = half_eps * x
+            p, x = ps[i], xs[i]
+            et = half * p.eps * x
             if z == z_ref:
                 need, sums = need_ref, map(math.fsum, reader)
             else:
@@ -581,7 +592,7 @@ def evaluate(
     """
     _require_finite("x", x)
     lam, nstar, pref_of = _normalisation(p, kind, betas)
-    return _raise_first(_results(p, lam, nstar, pref_of, (x,)))[0]
+    return _raise_first(_results((p,), lam, nstar, pref_of, (x,)))[0]
 
 
 def evaluate_grid(p: GchParams, kind: SolutionKind, xs: Iterable[float]) -> list[EvalResult]:
@@ -604,18 +615,22 @@ def evaluate_grid(p: GchParams, kind: SolutionKind, xs: Iterable[float]) -> list
     for x in xs:
         _require_finite("x", x)
     lam, nstar, pref_of = _normalisation(p, kind)
-    return _raise_first(_results(p, lam, nstar, pref_of, xs))
+    return _raise_first(_results((p,) * len(xs), lam, nstar, pref_of, xs))
 
 
-def _general(p: GchParams, lam: float, xs: Sequence[float]) -> list:
-    """The outcome of :func:`eval_general` at each x of ``xs``, in input
-    order, as in :func:`_results`; lam is the root :func:`validate`
-    returned for p, and the PoleError of mu = 0 is every point's."""
+def _general(ps: Sequence[GchParams], lam: float, xs: Sequence[float]) -> list:
+    """The outcome of :func:`eval_general` at each x of ``xs``, with the
+    parameter set of the same place in ``ps``, in input order, as in
+    :func:`_results`, whose rule on the sets holds here; lam is the root
+    :func:`validate` returned for them, and the PoleError of mu = 0 is
+    every point's."""
+    if not ps:
+        return []
     try:
-        nstar = detect_termination(p, lam)
+        nstar = detect_termination(ps[0], lam)
     except GchError as exc:
         return [exc] * len(xs)
-    return _results(p, lam, nstar, lambda x: real_power(x, lam), xs)
+    return _results(ps, lam, nstar, lambda x: real_power(x, lam), xs)
 
 
 def eval_general(p: GchParams, lam: float, x: float) -> EvalResult:
@@ -642,4 +657,4 @@ def eval_general(p: GchParams, lam: float, x: float) -> EvalResult:
         kind = SolutionKind.SECOND
     else:
         raise ValueError(f"lam={lam} is neither indicial root (0 or 1 - nu = {1.0 - p.nu})")
-    return _raise_first(_general(p, validate(p, kind), (x,)))[0]
+    return _raise_first(_general((p,), validate(p, kind), (x,)))[0]

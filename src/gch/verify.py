@@ -2,8 +2,10 @@
 
 Two checks live here, deliberately sharing no code with the evaluators
 they police: an ODE residual computed analytically from a coefficient
-list, and a grid sweep comparing the closed-form nested sums, one grid
-call per parameter set and kind, against direct recurrence summation.
+list, and a grid sweep comparing the closed-form nested sums against
+direct recurrence summation.  The sweep's parameter sets that differ only
+in eps share the closed form's grid calls, whose order sums do not read
+eps.
 """
 
 from __future__ import annotations
@@ -157,50 +159,78 @@ def _failed(p: GchParams, kind: SolutionKind, x: float, exc: GchError) -> CrossR
     return CrossRecord(p, kind, x, None, None, None, f"{type(exc).__name__}: {exc}")
 
 
-def _records(p: GchParams, kind: SolutionKind, xs: Sequence[float]) -> list:
-    """The record of each x of xs: the closed form against the oracle, or
-    the GchError that the first of validate, the oracle and the closed
-    form raises there.  validate runs once, the oracle once per x, and the
-    closed form takes the xs whose oracle succeeded in one grid call."""
-    try:
-        lam = validate(p, kind)
-    except GchError as exc:
-        return [_failed(p, kind, x, exc) for x in xs]
-    oracles: list = []
-    for x in xs:
+def _records(grid: GridSpec, sets: Sequence[GchParams], kind: SolutionKind) -> list[CrossRecord]:
+    """The records of ``grid`` at one kind, set by set in ``sets`` (its
+    :meth:`GridSpec.param_sets`) and x by x: the closed form against the
+    oracle, or the GchError that the first of validate, the oracle and the
+    closed form raises there.
+
+    validate runs once per set, the oracle once per set and x.  The sets
+    at one position of the mu, nu, Omega and omega axes differ only in
+    eps, which the closed form's order sums do not read, so they may share
+    its grid call: those that agree on whether eps is 0 and whose oracle
+    succeeded at the same xs take one call, with those xs of each.  So
+    each point is summed at the reference z of its set's own call, and
+    keeps every bit.  The sets are grouped by axis position, not by value,
+    so 0.0 and -0.0 on one axis stay apart."""
+    xs = grid.x
+    n_rest = len(grid.nu) * len(grid.Omega) * len(grid.omega)
+    n_block = n_rest * len(grid.eps)  # the sets of one mu
+    # (position, eps == 0, the class of each oracle outcome) -> the sets, lam
+    # and xs of one closed-form call (:func:`_general`'s arguments), then
+    # its outcomes
+    calls: dict = {}
+    rows = []  # per set: (params, oracle outcomes, call)
+    for i, p in enumerate(sets):
         try:
-            oracles.append(sum_series(p, lam, x).value)
+            lam = validate(p, kind)
         except GchError as exc:
-            oracles.append(exc)
-    ok = [x for x, oracle in zip(xs, oracles) if not isinstance(oracle, GchError)]
-    closed = iter(_general(p, lam, ok))
-    out = []
-    for x, oracle in zip(xs, oracles):
-        res = oracle if isinstance(oracle, GchError) else next(closed)
-        if isinstance(res, GchError):
-            out.append(_failed(p, kind, x, res))
+            rows.append((p, [exc] * len(xs), None))
             continue
-        diff = abs(res.value - oracle)
-        rel = 0.0 if diff == 0.0 else diff / abs(oracle) if oracle != 0.0 else math.inf
-        out.append(CrossRecord(p, kind, x, oracle, res.value, rel))
+        row, oks = [], []
+        for x in xs:
+            try:
+                row.append(sum_series(p, lam, x).value)
+            except GchError as exc:
+                row.append(exc)
+            else:
+                oks.append(x)
+        call = calls.setdefault((i // n_block, i % n_rest, p.eps == 0.0, *map(type, row)), [[], lam, []])
+        call[0] += [p] * len(oks)
+        call[2] += oks
+        rows.append((p, row, call))
+    for call in calls.values():
+        # the outcomes of each set in turn, which the sets below draw in turn
+        call.append(iter(_general(*call)))
+    out = []
+    for p, row, call in rows:
+        for x, oracle in zip(xs, row):
+            res = oracle if isinstance(oracle, GchError) else next(call[3])
+            if isinstance(res, GchError):
+                out.append(_failed(p, kind, x, res))
+                continue
+            diff = abs(res.value - oracle)
+            rel = 0.0 if diff == 0.0 else diff / abs(oracle) if oracle != 0.0 else math.inf
+            out.append(CrossRecord(p, kind, x, oracle, res.value, rel))
     return out
 
 
 def cross_validate(grid: GridSpec | None = None) -> CrossReport:
     """Closed form vs direct recurrence on every grid point.
 
-    The closed form takes each parameter set's x axis in one grid call per
-    kind.  Per-point failures (kind restrictions, domain errors) are
-    recorded and the sweep continues; the report carries the worst
-    relative error, NaN where a record's is NaN (the worst is then
-    unknown).
+    The parameter sets that differ only in eps share the closed form's
+    grid calls, one per kind, where :func:`_records` lets them.  Per-point
+    failures (kind restrictions, domain errors) are recorded and the sweep
+    continues; the records go set by set in :meth:`GridSpec.param_sets`
+    order, point by point, each point's kinds in grid order.  The report
+    carries the worst relative error, NaN where a record's is NaN (the
+    worst is then unknown).
     """
     grid = grid or GridSpec()
+    sets = list(grid.param_sets())
     records: list[CrossRecord] = []
-    for p in grid.param_sets():
-        # records go point by point, each point's kinds in grid order
-        for same_x in zip(*[_records(p, kind, grid.x) for kind in grid.kinds]):
-            records.extend(same_x)
+    for same_x in zip(*[_records(grid, sets, kind) for kind in grid.kinds]):
+        records.extend(same_x)
     rel_errs = [rec.rel_err for rec in records if rec.error is None]
     return CrossReport(
         records=tuple(records),

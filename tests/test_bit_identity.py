@@ -1,19 +1,23 @@
-"""Two digests over the bits of many closed-form results.
+"""Three digests over the bits of many closed-form results.
 
 A change that is meant to leave every value as it was (a speed-up, a
-refactor) keeps both digests.  A change that moves bits on purpose must
-recompute them, with ``python tests/test_bit_identity.py``, and say in
-CHANGES.md which results moved and why: ``python tests/test_bit_identity.py
-lines`` prints the lines both digests cover, so the lines of the parent
-and of the change can be diffed.  DIGEST covers random points and
-grids and the default ``cross_validate`` sweep; EDGE_DIGEST covers the
-grids where points take different paths to their outcomes: x = 0 beside a
-tiny reference, grids on both sides of the mu > 0 transform test and grids
-with failing points, each also point by point.
+refactor) keeps all three digests.  A change that moves bits on purpose
+must recompute them, with ``python tests/test_bit_identity.py``, and say
+in CHANGES.md which results moved and why: ``python tests/test_bit_identity.py
+lines`` prints the lines DIGEST and EDGE_DIGEST cover, so the lines of
+the parent and of the change can be diffed, and ``python -m gch.cli
+verify`` prints the bytes VERIFY_DIGEST covers.  DIGEST covers random
+points and grids and the default ``cross_validate`` sweep; EDGE_DIGEST
+covers the grids where points take different paths to their outcomes:
+x = 0 beside a tiny reference, grids on both sides of the mu > 0
+transform test and grids with failing points, each also point by point;
+VERIFY_DIGEST covers the stdout of the default ``gch verify``, with its
+residual column and CSV formatting, and VERIFY_STDERR is its summary.
 """
 
 import hashlib
 import random
+import subprocess
 import sys
 from itertools import chain
 
@@ -29,6 +33,12 @@ DIGEST = "21c1c0e59792c8c025d01d725e5e2ececae5161ac0d40246ce82e61c187c5c7c"
 
 #: SHA-256 of the newline-joined lines of :func:`edge_reprs`
 EDGE_DIGEST = "fa1f3357ee66050c3160fb7bfdd973be87c876234f0e38bf2045e3ec049118e3"
+
+#: SHA-256 of the stdout of ``python -m gch.cli verify``
+VERIFY_DIGEST = "31916ebdd8e55dc25c242ff8638bff95afe63b99e9dd3415b6e2e8b1b5449e2e"
+
+#: the stderr of ``python -m gch.cli verify``
+VERIFY_STDERR = b"verify: 768 points, max_rel_err=5.778e-14, tolerance=1.0e-09, PASS\n"
 
 
 def _params(rng: random.Random, kind: SolutionKind, mu: float) -> GchParams:
@@ -112,7 +122,7 @@ def edge_reprs():
         xs = _edge_xs(rng, mu)
         lam = validate(p, kind)
         yield _called(evaluate_grid, p, kind, xs)
-        yield from map(_outcome, _general(p, lam, xs))
+        yield from map(_outcome, _general([p] * len(xs), lam, xs))
         for x in xs:
             yield _called(evaluate, p, kind, x)
             yield _called(eval_general, p, lam, x)
@@ -132,6 +142,16 @@ def test_edge_results_keep_their_bits():
     assert digest(edge_reprs()) == EDGE_DIGEST
 
 
+def _verify(env=None) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "gch.cli", "verify"], capture_output=True, env=env)
+
+
+def test_default_verify_keeps_its_bytes(gch_subprocess_env):
+    run = _verify(gch_subprocess_env)
+    assert (run.returncode, run.stderr) == (0, VERIFY_STDERR)
+    assert hashlib.sha256(run.stdout).hexdigest() == VERIFY_DIGEST
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["lines"]:
         for line in chain(reprs(), edge_reprs()):
@@ -139,3 +159,6 @@ if __name__ == "__main__":
     else:
         print("DIGEST", digest(reprs()))
         print("EDGE_DIGEST", digest(edge_reprs()))
+        run = _verify()
+        print("VERIFY_DIGEST", hashlib.sha256(run.stdout).hexdigest())
+        print("VERIFY_STDERR", run.stderr)

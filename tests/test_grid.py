@@ -69,7 +69,7 @@ def test_one_point_grid_is_evaluate(p, kind, x):
 @pytest.mark.parametrize("p,kind,x", ONE_POINT)
 def test_one_point_general_grid_is_eval_general(p, kind, x):
     lam = kind.lambda_of(p.nu)
-    assert _general(p, lam, [x]) == [eval_general(p, lam, x)]
+    assert _general([p], lam, [x]) == [eval_general(p, lam, x)]
 
 
 def test_reference_point_is_bit_identical():
@@ -161,9 +161,9 @@ def test_every_evaluator_reaches_its_points_through_results(monkeypatch):
     calls = []
     results = series._results
 
-    def recording(p, lam, nstar, pref_of, xs):
+    def recording(ps, lam, nstar, pref_of, xs):
         calls.append(list(xs))
-        return results(p, lam, nstar, pref_of, xs)
+        return results(ps, lam, nstar, pref_of, xs)
 
     monkeypatch.setattr(series, "_results", recording)
     p = GchParams(-1.0, 0.5, 1.5, 1.0, 0.25)
@@ -228,7 +228,7 @@ def test_domain_error_at_first_failing_x():
     # x^lam with fractional lam fails at each negative x, and only there;
     # the other points keep their own results
     xs = [0.2, 0.7, -0.3, -0.9]
-    outcomes = _general(p, 1.0 - p.nu, xs)
+    outcomes = _general([p] * len(xs), 1.0 - p.nu, xs)
     assert outcomes[:2] == [eval_general(p, 1.0 - p.nu, x) for x in xs[:2]]
     assert [f"{type(e).__name__}: {e}" for e in outcomes[2:]] == [
         "DomainError: (-0.3)**(0.5) is not real", "DomainError: (-0.9)**(0.5) is not real"]
@@ -286,7 +286,7 @@ def test_transformed_parameter_overflow_is_each_far_points_outcome():
     # the caller's Omega = 1 is finite; Omega - mu (1 + nu) overflows.
     # mu x^2/2 = 5e-13 at x = 1e-160: that point keeps its own value
     message = "transformed parameter Omega - mu(1+nu)=-inf overflows"
-    near, *far = _general(HUGE_MU, 0.0, [1e-160, 1.0, 2.0])
+    near, *far = _general([HUGE_MU] * 3, 0.0, [1e-160, 1.0, 2.0])
     assert near == eval_general(HUGE_MU, 0.0, 1e-160)
     assert [(type(e), str(e)) for e in far] == [(FloatOverflow, message)] * 2
     with pytest.raises(FloatOverflow, match=f"^{re.escape(message)}$"):
@@ -354,7 +354,7 @@ def test_grid_outcomes_are_the_points_own():
                 for x, got, own in zip(xs, grid, alone):
                     _assert_same_outcome(got, own, where, lambda: orders(p, kind, x))
             lam = validate(p, kind)
-            for x, got in zip(xs, _general(p, lam, xs)):
+            for x, got in zip(xs, _general([p] * len(xs), lam, xs)):
                 _assert_same_outcome(got, _outcome_of(lambda: eval_general(p, lam, x)), where,
                                      lambda: orders(p, kind, x, normalised=False))
 
@@ -432,8 +432,79 @@ def test_cross_validate_records_mu_zero_per_point():
     assert [(r.error or "").split(":")[0] for r in report.records] == [
         "PoleError", "PoleError", "PoleError", "DomainError"]
     p = GchParams(0.0, 1.0, 1.5, 3.0, 0.25)
-    assert [type(res) for res in _general(p, 0.0, [0.5, 1.0])] == [PoleError, PoleError]
-    assert _general(p, 0.0, []) == []
+    assert [type(res) for res in _general([p, p], 0.0, [0.5, 1.0])] == [PoleError, PoleError]
+    assert _general([], 0.0, []) == []
+
+
+def _per_mu_eps(spec):
+    """cross_validate's records of spec from one call per (mu, eps) pair,
+    concatenated in (mu, eps) order: the grid's record order, with no two
+    parameter sets in one closed-form call."""
+    return [rec for mu in spec.mu for eps in spec.eps
+            for rec in cross_validate(GridSpec((mu,), (eps,), spec.nu, spec.Omega, spec.omega,
+                                               spec.x, spec.kinds)).records]
+
+
+def _random_spec(rng):
+    """A grid whose sets differ in eps over 0.0, -0.0 and random values:
+    both signs of mu, x past the mu > 0 transform test and far enough out
+    for the oracle to overflow at some eps, x < 0 (the second kind's
+    DomainError), nu at a kind restriction, signed zeros and the
+    B-terminated class in Omega."""
+    mus = [rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 3.0) for _ in range(rng.randint(1, 2))]
+    eps = [rng.choice((0.0, -0.0, rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))) for _ in range(rng.randint(2, 3))]
+    nus = [rng.choice((rng.choice((0.5, 1.5, 2.5)) + rng.uniform(-0.4, 0.4), 0.0, 3.0)) for _ in range(rng.randint(1, 2))]
+    # chain 0 ends at Omega = -mu (2 beta_0 + lam), here at the first mu and lam = 0
+    Omegas = [rng.choice((rng.uniform(-4.0, 4.0), 0.0, -0.0, -2.0 * rng.randrange(3) * mus[0]))
+              for _ in range(rng.randint(1, 2))]
+    x_t = (2.0 / abs(mus[0])) ** 0.5  # mu x^2/2 = 1 at the first mu
+    xs = [rng.choice((rng.uniform(0.05, 3.0), -rng.uniform(0.1, 2.0), x_t * rng.uniform(1.1, 2.5),
+                      rng.uniform(6.0, 9.0))) for _ in range(rng.randint(2, 3))]
+    kinds = rng.sample((FIRST, SECOND), rng.randint(1, 2))
+    return GridSpec(mus, eps, nus, Omegas, (rng.uniform(-1.0, 1.5),), xs, kinds)
+
+
+# the oracle overflows at x = 7.51 for eps = 2.73 and 2.23, not for eps = -1.01
+SPLIT_ORACLE = GridSpec(
+    mu=(-2.9477654426892483, -1.5366393805786656), eps=(2.72559364519445, -1.010830744925201, 2.2326040815250385),
+    nu=(0.5, 1.5), Omega=(0.0, -0.0), omega=(1.012551130942227,), x=(3.897345748922131, 7.507824413571151),
+    kinds=(SECOND, FIRST))
+
+
+def test_sets_differing_in_eps_keep_their_records():
+    # the sets of one (mu, nu, Omega, omega) position share closed-form
+    # calls only where their oracle succeeded at the same xs, so every
+    # record keeps the repr of its set's own call
+    rng = random.Random(37)
+    seen = set()
+    for spec in [SPLIT_ORACLE] + [_random_spec(rng) for _ in range(40)]:
+        records = cross_validate(spec).records
+        assert list(map(repr, records)) == list(map(repr, _per_mu_eps(spec))), spec
+        seen.update((r.error or "").split(":")[0] for r in records)
+    assert seen >= {"", "DomainError", "KindRestrictionError", "FloatOverflow"}
+    # with one call per group, eps = 2.73 read the vectors of x = 7.51, which
+    # only eps = -1.01's oracle reached, and its value moved to -2384.3676...
+    rec = next(r for r in cross_validate(SPLIT_ORACLE).records
+               if (r.params.eps, r.x, r.kind) == (2.72559364519445, 3.897345748922131, SECOND))
+    assert rec.closed == -2384.3646459136485
+
+
+def test_default_sweep_runs_one_engine_per_group_and_kind(monkeypatch):
+    # 32 (mu, nu, Omega, omega) positions and 2 kinds: 64 engines for the
+    # 128 sets, where one per set and kind ran 256; no x of the grid is past
+    # the mu > 0 transform test (mu x^2/2 <= 1 at mu = 2, x = 1)
+    runs = _engine_runs(monkeypatch)
+    cross_validate()
+    assert len(runs) == 64
+    # groups go by axis position, not value: Omega = 0.0 and -0.0 run one each
+    runs.clear()
+    cross_validate(GridSpec((-1.0,), (0.5, 1.0), (1.5,), (0.0, -0.0), (0.25,), (0.5,), (FIRST,)))
+    assert len(runs) == 2
+
+
+def test_empty_eps_axis_gives_an_empty_report():
+    report = cross_validate(GridSpec(eps=()))
+    assert (report.records, report.max_rel_err, report.n_evaluated, report.n_failed) == ((), 0.0, 0, 0)
 
 
 def test_wavefunction_result_is_a_one_point_grid():
@@ -509,7 +580,7 @@ def test_z_past_the_float_range_is_a_float_overflow(p, kind, x):
     # refused as that point's outcome; the grid's other points keep theirs
     message = f"z = -mu x^2/2 overflows at x={x!r}"
     lam = kind.lambda_of(p.nu)
-    near, far, one = _general(p, lam, [0.5, x, 1.0])
+    near, far, one = _general([p] * 3, lam, [0.5, x, 1.0])
     assert [near, one] == [eval_general(p, lam, 0.5), eval_general(p, lam, 1.0)]
     assert (type(far), str(far)) == (FloatOverflow, message)
     for call in (lambda: evaluate(p, kind, x), lambda: evaluate_grid(p, kind, [0.5, x, 1.0]),
